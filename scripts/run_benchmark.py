@@ -22,8 +22,7 @@ def run(config_path: Path, jobs: int):
     config = evreg.load_config(config_path)
     start = time.monotonic()
     cv = evreg.run_cv(config, jobs=jobs)
-    _, truth = evreg.build_dataset(config)
-    sweep = evreg.grid_search(cv.outputs, truth, config.grid, config)
+    sweep = evreg.grid_search(cv.outputs, cv.truth, config.grid, config)
     elapsed = time.monotonic() - start
     return cv, sweep, elapsed
 

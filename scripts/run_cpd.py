@@ -44,13 +44,12 @@ def main() -> int:
     config = evreg.load_config(CONFIG_PATH)
     start = time.monotonic()
     cv = evreg.run_cv(config, jobs=args.jobs)
-    _, truth = evreg.build_dataset(config)
     elapsed = time.monotonic() - start
 
     print(f"pooled edap {cv.pooled_edap:.4f} ({elapsed:.0f}s)")
     print(f"{'tolerance':>10} {'precision':>10} {'recall':>10} {'f1':>10}")
     for tol in config.metric.tolerances:
-        p, r, f1 = micro_prf(cv.predictions, truth, tol)
+        p, r, f1 = micro_prf(cv.predictions, cv.truth, tol)
         print(f"{tol:>10} {p:>10.4f} {r:>10.4f} {f1:>10.4f}")
     return 0
 

@@ -29,14 +29,7 @@ from .data import (
     synth_generate,
 )
 from .errors import ConfigError, DataError, EvregError, InvalidConfig, NumericError
-from .experiment import (
-    CvResult,
-    build_dataset,
-    decode_outputs,
-    encode_targets,
-    grid_search,
-    run_cv,
-)
+from .experiment import build_dataset, decode_outputs, encode_targets, grid_search, run_cv
 from .metric import edap_table
 from .model import load_params, predict, save_params, train
 from .types import TimeSeries
@@ -108,18 +101,11 @@ def _cmd_encode(args) -> int:
     targets_dir = out / "targets"
     targets_dir.mkdir(exist_ok=True)
     series_list, truth = build_dataset(config)
-    names = {
-        "regression": ("onset", "offset"),
-        "cpd": ("point",),
-        "segmentation": ("label",),
-    }[config.objective]
     for series in series_list:
-        _, y = encode_targets(series, truth[series.series_id], config)
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        target = TimeSeries.build(
-            series.series_id, dict(zip(names, y)), series.step_seconds
-        )
-        save_series(targets_dir / f"{series.series_id}.csv", target)
+        target = config.spec.encode(truth[series.series_id], series.num_steps, config.pdf)
+        channels = dict(zip(target.names, target.channels))
+        built = TimeSeries.build(series.series_id, channels, series.step_seconds)
+        save_series(targets_dir / f"{series.series_id}.csv", built)
     print(f"wrote {len(series_list)} target files to {targets_dir}")
     return 0
 
@@ -169,14 +155,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _run_cv(config: ExperimentConfig, jobs: int) -> CvResult:
-    return run_cv(config, jobs=jobs)
-
-
 def _cmd_cv(args) -> int:
     config = _load(args)
     out = _resolve_out(args.out)
-    result = _run_cv(config, args.jobs)
+    result = run_cv(config, jobs=args.jobs)
     for fold in result.folds:
         _write_trace(out / f"fold{fold.fold_index}_trace.csv", fold.trace)
     save_events(out / "cv_predictions.csv", result.predictions)
@@ -185,8 +167,7 @@ def _cmd_cv(args) -> int:
         lines.append(f"{fold.fold_index},{_fmt(fold.edap)}")
     lines.append(f"pooled,{_fmt(result.pooled_edap)}")
     _write_lines(out / "cv_report.csv", lines)
-    _, truth = build_dataset(config)
-    table = edap_table(result.predictions, truth, config.metric)
+    table = edap_table(result.predictions, result.truth, config.metric)
     _write_report(out / "report.csv", table, result.pooled_edap)
     print(f"pooled edap {_FLOAT_FMT % result.pooled_edap}")
     return 0
@@ -195,9 +176,8 @@ def _cmd_cv(args) -> int:
 def _cmd_grid(args) -> int:
     config = _load(args)
     out = _resolve_out(args.out)
-    result = _run_cv(config, args.jobs)
-    _, truth = build_dataset(config)
-    sweep = grid_search(result.outputs, truth, config.grid, config)
+    result = run_cv(config, jobs=args.jobs)
+    sweep = grid_search(result.outputs, result.truth, config.grid, config)
     lines = ["mu,sigma,edap"]
     for mu, sigma, score in sweep.table:
         sigma_txt = "none" if sigma is None else _FLOAT_FMT % sigma

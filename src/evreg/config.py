@@ -12,26 +12,75 @@ import types
 import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import yaml
 
 from .data import SynthConfig
-from .decode import DecodeParams
+from .decode import (
+    DecodeParams,
+    decode_points,
+    decode_regression,
+    decode_seg_peaks,
+    decode_seg_threshold,
+)
 from .errors import EmptyGrid, InvalidConfig
 from .metric import EdapConfig
 from .model import ModelConfig, TrainConfig
-from .targets import PdfSpec
+from .targets import PdfSpec, encode_cpd, encode_regression, encode_segmentation
 
-OBJECTIVES = ("regression", "segmentation", "cpd")
 SEG_METHODS = ("threshold", "peaks")
 
-# decode output head implied by the training objective
-_OUT_MODE = {
-    "regression": "regression_2ch",
-    "segmentation": "segmentation_2class",
-    "cpd": "regression_1ch",
+
+@dataclass(frozen=True)
+class Objective:
+    """Everything that differs between training objectives.
+
+    out_mode is the model head and metric_classes the default metric classes.
+    encode(events, num_steps, pdf) gives a TargetSeries, decode(y, params,
+    seg_method) the ScoredEvents of one series; both resolve the encoder or
+    decoder by its module-global name at call time, so rebinding it works.
+    segmentation marks per-step label targets: no pdf, no sigma schedule, and
+    a grid that sweeps mu.  point_truth collapses intervals to onset points.
+    """
+
+    out_mode: str
+    metric_classes: tuple[str, ...]
+    encode: Callable
+    decode: Callable
+    segmentation: bool = False
+    point_truth: bool = False
+
+
+def _decode_segmentation(y, params, seg_method):
+    decoder = decode_seg_threshold if seg_method == "threshold" else decode_seg_peaks
+    return decoder(y[1], params)
+
+
+OBJECTIVES: dict[str, Objective] = {
+    "regression": Objective(
+        "regression_2ch", ("onset", "offset"),
+        encode=lambda events, steps, pdf: encode_regression(events, steps, pdf),
+        decode=lambda y, params, _: decode_regression(y[0], y[1], params),
+    ),
+    "segmentation": Objective(
+        "segmentation_2class", ("onset", "offset"), segmentation=True,
+        encode=lambda events, steps, _: encode_segmentation(events, steps),
+        decode=_decode_segmentation,
+    ),
+    "cpd": Objective(
+        "regression_1ch", ("point",), point_truth=True,
+        encode=lambda events, steps, pdf: encode_cpd(events, steps, pdf),
+        decode=lambda y, params, _: decode_points(y[0], params),
+    ),
 }
+
+
+def _objective(name: Any) -> Objective:
+    if not isinstance(name, str) or name not in OBJECTIVES:
+        raise InvalidConfig(f"objective={name!r}, expected one of {tuple(OBJECTIVES)}")
+    return OBJECTIVES[name]
+
 
 DEFAULT_GRID_MU = tuple(i / 10.0 for i in range(11))
 DEFAULT_GRID_SIGMA = (None, 1.0, 10.0, 100.0, 1000.0)
@@ -91,10 +140,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise InvalidConfig(
-                f"objective={self.objective!r}, expected one of {OBJECTIVES}"
-            )
+        spec = _objective(self.objective)
         if self.seg_method not in SEG_METHODS:
             raise InvalidConfig(
                 f"seg_method={self.seg_method!r}, expected one of {SEG_METHODS}"
@@ -103,14 +149,18 @@ class ExperimentConfig:
             raise InvalidConfig(f"folds={self.folds}, expected >= 2")
         if self.downsample < 1:
             raise InvalidConfig(f"downsample={self.downsample}, expected >= 1")
-        if self.objective != "segmentation" and self.pdf is None:
+        if not spec.segmentation and self.pdf is None:
             raise InvalidConfig(f"objective {self.objective!r} needs a pdf section")
-        expected = _OUT_MODE[self.objective]
-        if self.model.out_mode != expected:
+        if self.model.out_mode != spec.out_mode:
             raise InvalidConfig(
-                f"objective {self.objective!r} needs model out_mode {expected!r}, "
+                f"objective {self.objective!r} needs model out_mode {spec.out_mode!r}, "
                 f"got {self.model.out_mode!r}"
             )
+
+    @property
+    def spec(self) -> Objective:
+        """The record of this config's objective."""
+        return OBJECTIVES[self.objective]
 
 
 # -- YAML loading -------------------------------------------------------------
@@ -210,9 +260,8 @@ _TOP_LEVEL = {
 def config_from_mapping(doc: Mapping[str, Any]) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed YAML document.
 
-    Convenience derivations: the model's out_mode defaults to the one the
-    objective implies, and the metric classes default to ("point",) for the
-    cpd objective.
+    Convenience derivations: the model's out_mode and the metric classes
+    default to the ones the objective's record holds.
     """
     if not isinstance(doc, Mapping):
         raise InvalidConfig("config document must be a mapping")
@@ -224,17 +273,16 @@ def config_from_mapping(doc: Mapping[str, Any]) -> ExperimentConfig:
             raise InvalidConfig(f"missing required section {key!r}")
 
     objective = doc["objective"]
-    if objective not in OBJECTIVES:
-        raise InvalidConfig(f"objective={objective!r}, expected one of {OBJECTIVES}")
+    spec = _objective(objective)
 
     model_map = dict(doc["model"]) if isinstance(doc["model"], Mapping) else doc["model"]
     if isinstance(model_map, dict):
-        model_map.setdefault("out_mode", _OUT_MODE[objective])
+        model_map.setdefault("out_mode", spec.out_mode)
     metric_map = (
         dict(doc["metric"]) if isinstance(doc["metric"], Mapping) else doc["metric"]
     )
-    if isinstance(metric_map, dict) and objective == "cpd":
-        metric_map.setdefault("classes", ["point"])
+    if isinstance(metric_map, dict):
+        metric_map.setdefault("classes", list(spec.metric_classes))
 
     kwargs: dict[str, Any] = {
         "objective": objective,

@@ -18,17 +18,11 @@ import numpy as np
 
 from .config import ExperimentConfig, GridSpec, PathsSpec
 from .data import SynthConfig, downsample, load_events, load_series, synth_generate
-from .decode import (
-    DecodeParams,
-    decode_points,
-    decode_regression,
-    decode_seg_peaks,
-    decode_seg_threshold,
-)
+from .decode import DecodeParams
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, TooFewSeries
 from .metric import edap
 from .model import EpochStats, predict, train
-from .targets import encode_cpd, encode_regression, encode_segmentation, sigma_schedule
+from .targets import sigma_schedule
 from .types import EventSet, ScoredEvents, TimeSeries, points_from_intervals
 
 
@@ -39,8 +33,8 @@ def build_dataset(
 
     Synthetic data is generated in place; a paths dataset reads every *.csv
     in the series directory (sorted by name) plus the shared events file.
-    Downsampling and the interval-to-onset-point collapse for the cpd
-    objective happen here, so callers always see final-resolution steps.
+    Downsampling and the interval-to-onset-point collapse for point-truth
+    objectives happen here, so callers always see final-resolution steps.
     """
     if isinstance(config.data, SynthConfig):
         pairs = synth_generate(config.data)
@@ -51,7 +45,7 @@ def build_dataset(
             downsample(series, config.downsample, events)
             for series, events in pairs
         ]
-    if config.objective == "cpd":
+    if config.spec.point_truth:
         pairs = [
             (series, points_from_intervals(events, "onset"))
             for series, events in pairs
@@ -89,15 +83,10 @@ def encode_targets(
     sigma, when given, overrides the pdf width (used by decay schedules);
     segmentation ignores it and yields integer labels.
     """
-    x = series.as_array()
-    steps = series.num_steps
-    if config.objective == "segmentation":
-        y = encode_segmentation(events, steps).channels[0].astype(np.int64)
-        return x, y
-    spec = config.pdf if sigma is None else replace(config.pdf, sigma=sigma)
-    if config.objective == "cpd":
-        return x, encode_cpd(events, steps, spec).channels
-    return x, encode_regression(events, steps, spec).channels
+    spec = config.spec
+    pdf = config.pdf if sigma is None or spec.segmentation else replace(config.pdf, sigma=sigma)
+    y = spec.encode(events, series.num_steps, pdf).channels
+    return series.as_array(), y[0].astype(np.int64) if spec.segmentation else y
 
 
 def fold_splits(
@@ -124,18 +113,8 @@ def decode_outputs(
     params: DecodeParams,
 ) -> dict[str, ScoredEvents]:
     """Run the objective's decoder over raw model outputs, series by series."""
-    decoded: dict[str, ScoredEvents] = {}
-    for sid in sorted(outputs):
-        y = outputs[sid]
-        if config.objective == "regression":
-            decoded[sid] = decode_regression(y[0], y[1], params)
-        elif config.objective == "cpd":
-            decoded[sid] = decode_points(y[0], params)
-        elif config.seg_method == "threshold":
-            decoded[sid] = decode_seg_threshold(y[1], params)
-        else:
-            decoded[sid] = decode_seg_peaks(y[1], params)
-    return decoded
+    decode = config.spec.decode
+    return {sid: decode(outputs[sid], params, config.seg_method) for sid in sorted(outputs)}
 
 
 @dataclass(frozen=True)
@@ -152,12 +131,13 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class CvResult:
-    """Per-fold results, pooled raw outputs, and the pooled default score."""
+    """Per-fold results, pooled raw outputs and their truth, and the pooled score."""
 
     folds: tuple[FoldResult, ...]
     outputs: dict[str, np.ndarray]
     predictions: dict[str, ScoredEvents]
     pooled_edap: float
+    truth: dict[str, EventSet]
 
 
 def _fold_payload(config, fold_index, pairs, train_ids, val_ids):
@@ -189,7 +169,7 @@ def _run_fold(payload) -> FoldResult:
 
     refresh = None
     tc = config.train
-    if tc.sigma_start is not None and config.objective != "segmentation":
+    if tc.sigma_start is not None and not config.spec.segmentation:
 
         def refresh(epoch: int):
             s = sigma_schedule(epoch, tc.epochs, tc.sigma_start, tc.sigma_end)
@@ -243,6 +223,7 @@ def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
         outputs=outputs,
         predictions=predictions,
         pooled_edap=pooled,
+        truth=truth,
     )
 
 
@@ -276,7 +257,7 @@ def grid_search(
     replaces the decode-and-score pipeline (used to test cell selection in
     isolation).
     """
-    if config.objective == "segmentation":
+    if config.spec.segmentation:
         cells = [(m, s) for m in grid.mu for s in grid.sigma]
     else:
         cells = [(config.decode.mu, s) for s in grid.sigma]

@@ -165,14 +165,17 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> 
     return Parameters(tensors)
 
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor the config's network reads, by parameter name."""
+    return {
+        f"{name}.{suffix}": shape if suffix == "w" else shape[:1]
+        for name, shape in _layer_plan(config)
+        for suffix in ("w", "b")
+    }
+
+
 def zero_params(config: ModelConfig) -> Parameters:
-    return Parameters(
-        {
-            f"{name}.{suffix}": np.zeros(shape if suffix == "w" else (shape[0],))
-            for name, shape in _layer_plan(config)
-            for suffix in ("w", "b")
-        }
-    )
+    return Parameters({k: np.zeros(shape) for k, shape in _param_shapes(config).items()})
 
 
 # -- primitive layers (forward returns cache for the backward pass) ---------
@@ -257,6 +260,14 @@ def _check_input(x: np.ndarray, config: ModelConfig) -> np.ndarray:
 def _forward_impl(params: Parameters, x: np.ndarray, config: ModelConfig):
     """Run the network, recording every cache needed by the backward pass."""
     arr = _check_input(x, config)
+    expected = _param_shapes(config)
+    shapes = {name: v.shape for name, v in params.tensors.items()}
+    if shapes != expected:
+        bad = next(n for n in [*expected, *shapes] if shapes.get(n) != expected.get(n))
+        raise ShapeMismatch(
+            f"parameter {bad!r} has shape {shapes.get(bad)}, the model config "
+            f"expects {expected.get(bad)}"
+        )
     if not params.all_finite():
         raise NonFiniteParameters("parameters contain NaN or Inf")
     t_in = arr.shape[2]
@@ -494,10 +505,7 @@ def train(
         for bi in range(n_batches):
             sel = order[bi * batch : (bi + 1) * batch]
             x = np.stack([np.asarray(items[j][0], dtype=np.float64) for j in sel])
-            if model_config.is_segmentation:
-                y = np.stack([np.asarray(items[j][1]) for j in sel])
-            else:
-                y = np.stack([np.asarray(items[j][1], dtype=np.float64) for j in sel])
+            y = np.stack([np.asarray(items[j][1]) for j in sel])
             loss_value, grads = _loss_and_gradients(params, x, y, model_config)
             if not np.isfinite(loss_value):
                 raise DivergedLoss(f"loss {loss_value} at epoch {epoch}, batch {bi}")
@@ -560,24 +568,29 @@ def load_params(path: str | Path) -> Parameters:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if blob[:4] != _MAGIC:
         raise ParseError("not a parameter checkpoint (bad magic)", line=1)
-    version, count = struct.unpack_from("<HI", blob, 4)
-    if version != _VERSION:
-        raise ParseError(f"unsupported checkpoint version {version}", line=1)
-    pos = 10
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-        pos += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
-        pos += 8 * size
-        tensors[name] = data.astype(np.float64).reshape(shape)
+    try:
+        version, count = struct.unpack_from("<HI", blob, 4)
+        if version != _VERSION:
+            raise ParseError(f"unsupported checkpoint version {version}", line=1)
+        pos = 10
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", blob, pos)
+            pos += 2
+            name = blob[pos : pos + name_len].decode("utf-8")
+            pos += name_len
+            (ndim,) = struct.unpack_from("<B", blob, pos)
+            pos += 1
+            shape = struct.unpack_from(f"<{ndim}I", blob, pos)
+            pos += 4 * ndim
+            size = math.prod(shape)
+            data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
+            pos += 8 * size
+            tensors[name] = data.astype(np.float64).reshape(shape)
+    except (struct.error, ValueError, OverflowError) as exc:
+        # a cut-off file runs out of bytes mid-record, a corrupt name is not
+        # UTF-8, and a corrupt shape can ask for more elements than fit in memory
+        raise ParseError(f"truncated or corrupt checkpoint: {exc}", line=1) from exc
     if pos != len(blob):
         raise ParseError("trailing bytes in checkpoint", line=1)
     return Parameters(tensors)

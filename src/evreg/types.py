@@ -139,16 +139,6 @@ class EventSet:
     def __len__(self) -> int:
         return len(self.events)
 
-    def onsets(self) -> np.ndarray:
-        if self.kind != INTERVAL:
-            raise InvalidEvents("onsets() requires interval events")
-        return np.array([e.onset for e in self.events], dtype=np.int64)
-
-    def offsets(self) -> np.ndarray:
-        if self.kind != INTERVAL:
-            raise InvalidEvents("offsets() requires interval events")
-        return np.array([e.offset for e in self.events], dtype=np.int64)
-
     def steps(self) -> np.ndarray:
         if self.kind != POINT:
             raise InvalidEvents("steps() requires point events")

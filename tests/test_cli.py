@@ -244,6 +244,17 @@ class TestExitCodes:
         )
         assert main(["encode", "--config", config, "--out", str(tmp_path / "o")]) == 3
 
+    def test_decode_with_checkpoint_of_another_model(self, pipeline, tmp_path, capsys):
+        _, out, _ = pipeline
+        config = write_config(
+            tmp_path / "config.yaml",
+            model={"in_channels": 2, "hidden_channels": [6], "kernel_size": 3},
+        )
+        code = main(["decode", "--config", config, "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(out / "model.ckpt")])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
     def test_diverged_training(self, tmp_path, capsys):
         doc = config_doc()
         doc["data"]["synth"]["signal_shift"] = 1e200

@@ -142,6 +142,8 @@ class TestValidation:
     def test_bad_objective(self):
         with pytest.raises(InvalidConfig):
             config_from_mapping(minimal_doc(objective="detection"))
+        with pytest.raises(InvalidConfig):
+            config_from_mapping(minimal_doc(objective=["regression"]))
 
     def test_folds_lower_bound(self):
         with pytest.raises(InvalidConfig):

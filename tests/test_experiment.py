@@ -1,9 +1,11 @@
 """Cross-validation pipeline: datasets, folds, pooled scoring, grid sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from evreg.config import config_from_mapping
+from evreg.config import OBJECTIVES, config_from_mapping
 from evreg.data import save_events, save_series, synth_generate, SynthConfig
 from evreg.decode import decode_points, decode_regression, decode_seg_peaks, decode_seg_threshold
 from evreg.errors import InvalidConfig, InvalidEvents, IoError, TooFewSeries
@@ -221,6 +223,24 @@ class TestDecodeOutputs:
             assert decoded_p[sid] == decode_seg_peaks(y[1], peaks.decode)
 
 
+def test_new_objective_is_one_table_entry(monkeypatch):
+    # a cpd variant that always smooths before peak picking
+    smoothed = replace(
+        OBJECTIVES["cpd"],
+        decode=lambda y, params, _: decode_points(y[0], replace(params, sigma=2.0)),
+    )
+    monkeypatch.setitem(OBJECTIVES, "cpd_smoothed", smoothed)
+    config = make_config("cpd_smoothed")
+    assert config.model.out_mode == "regression_1ch"
+    assert config.metric.classes == ("point",)
+    series_list, truth = build_dataset(config)
+    assert all(ev.kind == POINT for ev in truth.values())
+    _, y = encode_targets(series_list[0], truth[series_list[0].series_id], config)
+    assert y.shape == (1, 128)
+    decoded = decode_outputs({"s": y}, config, config.decode)
+    assert decoded["s"] == decode_points(y[0], replace(config.decode, sigma=2.0))
+
+
 @pytest.fixture(scope="module")
 def small_cv():
     config = make_config()
@@ -265,6 +285,10 @@ class TestRunCv:
             decoded = decode_outputs(fold.outputs, config, config.decode)
             fold_truth = {sid: truth[sid] for sid in fold.val_ids}
             assert fold.edap == edap(decoded, fold_truth, config.metric)
+
+    def test_truth_is_the_built_dataset(self, small_cv):
+        config, result = small_cv
+        assert result.truth == build_dataset(config)[1]
 
     def test_deterministic_repeat(self, small_cv):
         config, result = small_cv

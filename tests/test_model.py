@@ -447,6 +447,26 @@ class TestCheckpoints:
         with pytest.raises(ParseError):
             load_params(path)
 
+    def test_every_cut_point_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_params(path, Parameters({"w": np.arange(4.0), "b": np.zeros((2, 1))}))
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ParseError):
+                load_params(path)
+
+    def test_params_of_another_config_rejected(self):
+        config = ModelConfig(in_channels=2, hidden_channels=(3,), kernel_size=3)
+        other = ModelConfig(in_channels=2, hidden_channels=(4,), kernel_size=3)
+        x = np.ones((1, 2, 16))
+        with pytest.raises(ShapeMismatch, match="enc0.w"):
+            forward(init_params(other), x, config)
+        params = init_params(config)
+        del params.tensors["head.b"]
+        with pytest.raises(ShapeMismatch, match="head.b"):
+            forward(params, x, config)
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_params(path, Parameters({"w": np.arange(4.0)}))
