@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import types
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -171,7 +171,12 @@ def _is_none_string(value: Any) -> bool:
 
 
 def _coerce(value: Any, target: Any, where: str) -> Any:
-    """Best-effort conversion of a YAML scalar/list to the annotated type."""
+    """Best-effort conversion of a YAML value to the annotated type.
+
+    A dataclass-typed annotation is a nested section, built by _build_section.
+    """
+    if is_dataclass(target):
+        return _build_section(target, value, where)
     origin = typing.get_origin(target)
     if origin is typing.Union or origin is types.UnionType:
         args = typing.get_args(target)
@@ -210,16 +215,25 @@ def _coerce(value: Any, target: Any, where: str) -> Any:
 
 
 def _build_section(cls, mapping: Mapping[str, Any], section: str):
-    """Construct a config dataclass from a mapping with strict key checking."""
+    """Construct a config dataclass from a mapping with strict key checking.
+
+    The dataclass fields are the schema: every key must be a field, and every
+    field without a default must be present.  section is the dotted name of
+    the mapping in the document, "" for the top level.
+    """
     if not isinstance(mapping, Mapping):
         raise InvalidConfig(f"section {section!r} must be a mapping")
+    where = f" in section {section!r}" if section else ""
     hints = typing.get_type_hints(cls)
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(set(mapping) - {f.name for f in fields(cls)}, key=str)
     if unknown:
-        raise InvalidConfig(f"unknown key {unknown[0]!r} in section {section!r}")
+        kind = "key" if section else "top-level key"
+        raise InvalidConfig(f"unknown {kind} {unknown[0]!r}{where}")
+    for f in fields(cls):
+        if f.name not in mapping and f.default is MISSING and f.default_factory is MISSING:
+            raise InvalidConfig(f"missing required key {f.name!r}{where}")
     kwargs = {
-        key: _coerce(value, hints[key], f"{section}.{key}")
+        key: _coerce(value, hints[key], f"{section}.{key}" if section else key)
         for key, value in mapping.items()
     }
     try:
@@ -241,69 +255,27 @@ def _build_data(mapping: Mapping[str, Any]) -> SynthConfig | PathsSpec:
     )
 
 
-_TOP_LEVEL = {
-    "objective",
-    "data",
-    "pdf",
-    "model",
-    "train",
-    "decode",
-    "metric",
-    "grid",
-    "folds",
-    "downsample",
-    "seg_method",
-    "seed",
-}
-
-
 def config_from_mapping(doc: Mapping[str, Any]) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed YAML document.
 
     Convenience derivations: the model's out_mode and the metric classes
-    default to the ones the objective's record holds.
+    default to the ones the objective's record holds.  data is the one union
+    field, so its kind ('synth' or 'paths') is resolved here.
     """
     if not isinstance(doc, Mapping):
         raise InvalidConfig("config document must be a mapping")
-    unknown = sorted(set(doc) - _TOP_LEVEL)
-    if unknown:
-        raise InvalidConfig(f"unknown top-level key {unknown[0]!r}")
-    for key in ("objective", "data", "model", "decode", "metric"):
-        if key not in doc:
-            raise InvalidConfig(f"missing required section {key!r}")
-
-    objective = doc["objective"]
-    spec = _objective(objective)
-
-    model_map = dict(doc["model"]) if isinstance(doc["model"], Mapping) else doc["model"]
-    if isinstance(model_map, dict):
-        model_map.setdefault("out_mode", spec.out_mode)
-    metric_map = (
-        dict(doc["metric"]) if isinstance(doc["metric"], Mapping) else doc["metric"]
-    )
-    if isinstance(metric_map, dict):
-        metric_map.setdefault("classes", list(spec.metric_classes))
-
-    kwargs: dict[str, Any] = {
-        "objective": objective,
-        "data": _build_data(doc["data"]),
-        "model": _build_section(ModelConfig, model_map, "model"),
-        "decode": _build_section(DecodeParams, doc["decode"], "decode"),
-        "metric": _build_section(EdapConfig, metric_map, "metric"),
+    doc = dict(doc)
+    spec = _objective(doc.get("objective"))
+    derived_defaults = {
+        "model": {"out_mode": spec.out_mode},
+        "metric": {"classes": spec.metric_classes},
     }
-    # an explicit blank section (``pdf:`` in YAML) means the same as omitting it
-    if doc.get("pdf") is not None:
-        kwargs["pdf"] = _build_section(PdfSpec, doc["pdf"], "pdf")
-    if "train" in doc:
-        kwargs["train"] = _build_section(TrainConfig, doc["train"], "train")
-    if "grid" in doc:
-        kwargs["grid"] = _build_section(GridSpec, doc["grid"], "grid")
-    for key in ("folds", "downsample", "seed"):
-        if key in doc:
-            kwargs[key] = _coerce(doc[key], int, key)
-    if "seg_method" in doc:
-        kwargs["seg_method"] = _coerce(doc["seg_method"], str, "seg_method")
-    return ExperimentConfig(**kwargs)
+    for key, derived in derived_defaults.items():
+        if isinstance(doc.get(key), Mapping):
+            doc[key] = {**derived, **doc[key]}
+    if "data" in doc:
+        doc["data"] = _build_data(doc["data"])
+    return _build_section(ExperimentConfig, doc, "")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -137,14 +137,12 @@ def downsample(
     series: TimeSeries,
     factor_D: int,
     events: EventSet | None = None,
-    categorical: Collection[str] = (),
 ) -> tuple[TimeSeries, EventSet | None]:
-    """Summarize length-D windows: mean/std/max/min per continuous channel.
+    """Summarize length-D windows: mean/std/max/min per channel.
 
     Output length is floor(T/D); the trailing partial window is dropped.
-    Std is the population standard deviation (zero for D=1).  Channels named
-    in `categorical` instead keep their name and take the last value of each
-    window.  Event steps map t -> floor(t/D).
+    Std is the population standard deviation (zero for D=1).  Event steps
+    map t -> floor(t/D).
     """
     if factor_D < 1:
         raise InvalidFactor(f"factor_D={factor_D}, expected >= 1")
@@ -157,13 +155,10 @@ def downsample(
     for name, values in series.channels.items():
         arr = np.asarray(values, dtype=np.float64)[: new_len * factor_D]
         windows = arr.reshape(new_len, factor_D)
-        if name in categorical:
-            channels[name] = windows[:, -1].copy()
-        else:
-            channels[f"{name}_mean"] = windows.mean(axis=1)
-            channels[f"{name}_std"] = windows.std(axis=1)
-            channels[f"{name}_max"] = windows.max(axis=1)
-            channels[f"{name}_min"] = windows.min(axis=1)
+        channels[f"{name}_mean"] = windows.mean(axis=1)
+        channels[f"{name}_std"] = windows.std(axis=1)
+        channels[f"{name}_max"] = windows.max(axis=1)
+        channels[f"{name}_min"] = windows.min(axis=1)
     new_series = TimeSeries.build(
         series.series_id, channels, series.step_seconds * factor_D
     )
@@ -234,7 +229,9 @@ _EVENT_HEADER = ["series_id", "event", "step", "score"]
 
 
 def _event_rows(sid: str, obj: EventSet | ScoredEvents) -> Iterable[list[str]]:
-    if isinstance(obj, EventSet):
+    if not len(obj):
+        yield [sid, "", "", ""]
+    elif isinstance(obj, EventSet):
         if obj.kind == INTERVAL:
             for ev in obj.events:
                 score = "" if ev.score is None else _FLOAT_FMT % ev.score
@@ -258,7 +255,8 @@ def save_events(
 
     Interval ground truth emits alternating onset/offset rows per event;
     decoded ScoredEvents emit their onset rows then offset rows.  The score
-    column is left empty for unscored ground truth.
+    column is left empty for unscored ground truth.  A series without events
+    keeps one row whose event, step and score fields are empty.
     """
     path = Path(path)
     lines = [",".join(_EVENT_HEADER)]
@@ -271,7 +269,11 @@ def save_events(
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_event_rows(path: str | Path) -> list[tuple[str, str, int, float | None, int]]:
+def _read_event_rows(
+    path: str | Path,
+) -> list[tuple[str, str | None, int | None, float | None, int]]:
+    """(series_id, event, step, score, line) per row; event and step are None
+    in the row that marks a series without events."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -287,6 +289,9 @@ def _read_event_rows(path: str | Path) -> list[tuple[str, str, int, float | None
         if len(row) != 4:
             raise ParseError(f"expected 4 fields, found {len(row)}", line=i)
         sid, kind, step_text, score_text = row
+        if kind == step_text == score_text == "":
+            parsed.append((sid, None, None, None, i))
+            continue
         if kind not in ("onset", "offset", "point"):
             raise ParseError(f"bad event type {kind!r}", line=i, column=2)
         try:
@@ -310,11 +315,14 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
 
     A series whose rows are all 'point' becomes a point EventSet; otherwise
     rows must alternate onset/offset in file order (as save_events writes
-    them) and are paired into intervals.
+    them) and are paired into intervals.  A series without events reads as
+    an empty interval set.
     """
     by_series: dict[str, list[tuple[str, int, float | None, int]]] = {}
     for sid, kind, step, score, line in _read_event_rows(path):
-        by_series.setdefault(sid, []).append((kind, step, score, line))
+        rows = by_series.setdefault(sid, [])
+        if kind is not None:
+            rows.append((kind, step, score, line))
     out: dict[str, EventSet] = {}
     for sid, rows in by_series.items():
         kinds = {kind for kind, _, _, _ in rows}
@@ -359,14 +367,14 @@ def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
     """Read decoded detections: onset/point rows and offset rows with scores."""
     by_series: dict[str, dict[str, list[tuple[int, float]]]] = {}
     for sid, kind, step, score, line in _read_event_rows(path):
+        slots = by_series.setdefault(sid, {"onsets": [], "offsets": []})
+        if kind is None:
+            continue
         if score is None:
             raise ParseError(
                 f"series {sid!r}: detection rows need a score", line=line, column=4
             )
-        slot = "onsets" if kind in ("onset", "point") else "offsets"
-        by_series.setdefault(sid, {"onsets": [], "offsets": []})[slot].append(
-            (step, score)
-        )
+        slots["onsets" if kind in ("onset", "point") else "offsets"].append((step, score))
     return {
         sid: ScoredEvents(
             onsets=tuple(sorted(slots["onsets"])),

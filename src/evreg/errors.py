@@ -102,13 +102,15 @@ class IoError(DataError):
 
 
 class ParseError(DataError):
-    """A CSV file could not be parsed.
+    """A CSV file or a checkpoint could not be parsed.
 
-    Carries the 1-based line and column of the first offending cell.
+    For a CSV file, carries the 1-based line and column of the first
+    offending cell; a checkpoint has no lines, so line stays None.
     """
 
-    def __init__(self, message: str, line: int, column: int = 0):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int = 0):
+        where = "" if line is None else f"line {line}, column {column}: "
+        super().__init__(where + message)
         self.line = line
         self.column = column
 

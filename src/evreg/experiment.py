@@ -119,11 +119,15 @@ def decode_outputs(
 
 @dataclass(frozen=True)
 class FoldResult:
-    """Raw held-out outputs of one fold plus its training history."""
+    """Held-out outputs and decoded predictions of one fold's best epoch.
+
+    edap is that epoch's validation score, trace the training history.
+    """
 
     fold_index: int
     val_ids: tuple[str, ...]
     outputs: dict[str, np.ndarray]
+    predictions: dict[str, ScoredEvents]
     trace: tuple[EpochStats, ...]
     best_epoch: int
     edap: float
@@ -159,12 +163,16 @@ def _run_fold(payload) -> FoldResult:
                 f"dataset provides {x.shape[0]}"
             )
 
+    # (outputs, predictions) of every epoch; the fold keeps its best epoch's
+    scored: list[tuple[dict[str, np.ndarray], dict[str, ScoredEvents]]] = []
+
     def val_scorer(params) -> float:
         outputs = {
             sid: predict(params, x, model_config)
             for sid, x in val_inputs.items()
         }
         preds = decode_outputs(outputs, config, config.decode)
+        scored.append((outputs, preds))
         return edap(preds, val_truth, config.metric)
 
     refresh = None
@@ -176,19 +184,15 @@ def _run_fold(payload) -> FoldResult:
             return [encode_targets(srs, evs, config, sigma=s) for srs, evs in train_pairs]
 
     result = train(items, model_config, tc, val_scorer=val_scorer, refresh_targets=refresh)
-    outputs = {
-        sid: predict(result.params, x, model_config)
-        for sid, x in val_inputs.items()
-    }
-    preds = decode_outputs(outputs, config, config.decode)
-    fold_edap = edap(preds, val_truth, config.metric)
+    outputs, preds = scored[result.best_epoch]
     return FoldResult(
         fold_index=fold_index,
         val_ids=tuple(sorted(val_inputs)),
         outputs=outputs,
+        predictions=preds,
         trace=tuple(result.trace),
         best_epoch=result.best_epoch,
-        edap=fold_edap,
+        edap=result.trace[result.best_epoch].val_score,
     )
 
 
@@ -214,9 +218,10 @@ def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
     folds.sort(key=lambda f: f.fold_index)
 
     outputs: dict[str, np.ndarray] = {}
+    predictions: dict[str, ScoredEvents] = {}
     for fold in folds:
         outputs.update(fold.outputs)
-    predictions = decode_outputs(outputs, config, config.decode)
+        predictions.update(fold.predictions)
     pooled = edap(predictions, truth, config.metric)
     return CvResult(
         folds=tuple(folds),
@@ -270,15 +275,16 @@ def grid_search(
         params = replace(config.decode, mu=mu, sigma=sigma)
         return edap(decode_outputs(outputs, config, params), truth, config.metric)
 
-    table = tuple((mu, sigma, evaluate(mu, sigma)) for mu, sigma in cells)
+    default = (config.decode.mu, config.decode.sigma)
+    scores = {cell: evaluate(*cell) for cell in dict.fromkeys([*cells, default])}
+    table = tuple((mu, sigma, scores[mu, sigma]) for mu, sigma in cells)
     best_mu, best_sigma, best_score = min(
         table, key=lambda row: (-row[2], _sigma_order(row[1]), row[0])
     )
-    default_score = evaluate(config.decode.mu, config.decode.sigma)
     return GridResult(
         best_mu=best_mu,
         best_sigma=best_sigma,
         best_score=best_score,
-        default_score=default_score,
+        default_score=scores[default],
         table=table,
     )

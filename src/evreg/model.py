@@ -365,53 +365,53 @@ def _backward_impl(params: Parameters, cache: dict, dlogits: np.ndarray, config:
     return Parameters({name: grads[name] for name in params.tensors})
 
 
+def _loss_and_dlogits(
+    out: np.ndarray, y: np.ndarray, mode: str
+) -> tuple[float, np.ndarray]:
+    """The loss of head outputs against targets and its gradient dL/dlogits.
+
+    MSE for regression modes, whose heads are linear.  Segmentation takes
+    per-step class probabilities (B, 2, T) and integer labels (B, T) in
+    {0, 1}; the softmax and cross-entropy gradients fold into
+    (probabilities - onehot) / (B * T).
+    """
+    out = np.asarray(out, dtype=np.float64)
+    if mode in ("regression_2ch", "regression_1ch"):
+        target = np.asarray(y, dtype=np.float64)
+        if out.shape != target.shape:
+            raise ShapeMismatch(f"pred {out.shape} vs target {target.shape}")
+        # overflow to inf is fine here: the training loop turns it into
+        # DivergedLoss instead of warning
+        with np.errstate(over="ignore"):
+            diff = out - target
+            return float(np.mean(diff * diff)), 2.0 * diff / out.size
+    if mode != "segmentation_2class":
+        raise InvalidConfig(f"unknown loss mode {mode!r}")
+    labels = np.asarray(y)
+    if out.ndim != 3 or out.shape[1] != 2 or labels.shape != (out.shape[0], out.shape[2]):
+        raise ShapeMismatch(f"pred {out.shape} vs labels {labels.shape}")
+    idx = labels.astype(np.int64)[:, None, :]
+    picked = np.take_along_axis(out, idx, axis=1)[:, 0, :]
+    onehot = np.zeros_like(out)
+    np.put_along_axis(onehot, idx, 1.0, axis=1)
+    dlogits = (out - onehot) / (out.shape[0] * out.shape[2])
+    return float(-np.mean(np.log(picked))), dlogits
+
+
 def loss(pred: np.ndarray, target: np.ndarray, mode: str) -> float:
     """MSE for regression modes; mean per-step cross-entropy for segmentation.
 
     Segmentation expects pred as per-step class probabilities (B, 2, T) and
     integer labels (B, T) in {0, 1}.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    if mode in ("regression_2ch", "regression_1ch"):
-        target = np.asarray(target, dtype=np.float64)
-        if pred.shape != target.shape:
-            raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
-        # overflow to inf is fine here: the training loop turns it into
-        # DivergedLoss instead of warning
-        with np.errstate(over="ignore"):
-            diff = pred - target
-            return float(np.mean(diff * diff))
-    if mode != "segmentation_2class":
-        raise InvalidConfig(f"unknown loss mode {mode!r}")
-    labels = np.asarray(target)
-    if pred.ndim != 3 or pred.shape[1] != 2 or labels.shape != (
-        pred.shape[0],
-        pred.shape[2],
-    ):
-        raise ShapeMismatch(f"pred {pred.shape} vs labels {labels.shape}")
-    idx = labels.astype(np.int64)
-    picked = np.take_along_axis(pred, idx[:, None, :], axis=1)[:, 0, :]
-    return float(-np.mean(np.log(picked)))
+    return _loss_and_dlogits(pred, target, mode)[0]
 
 
 def _loss_and_gradients(
     params: Parameters, x: np.ndarray, y: np.ndarray, config: ModelConfig
 ) -> tuple[float, Parameters]:
     out, cache = _forward_impl(params, x, config)
-    if config.is_segmentation:
-        labels = np.asarray(y)
-        if labels.shape != (out.shape[0], out.shape[2]):
-            raise ShapeMismatch(f"labels {labels.shape} vs output {out.shape}")
-        loss_value = loss(out, labels, config.out_mode)
-        onehot = np.zeros_like(out)
-        np.put_along_axis(onehot, labels.astype(np.int64)[:, None, :], 1.0, axis=1)
-        dlogits = (out - onehot) / (out.shape[0] * out.shape[2])
-    else:
-        target = np.asarray(y, dtype=np.float64)
-        if target.shape != out.shape:
-            raise ShapeMismatch(f"target {target.shape} vs output {out.shape}")
-        loss_value = loss(out, target, config.out_mode)
-        dlogits = 2.0 * (out - target) / out.size
+    loss_value, dlogits = _loss_and_dlogits(out, y, config.out_mode)
     grads = _backward_impl(params, cache, dlogits, config)
     if not grads.all_finite():
         raise NonFiniteGradient("gradients contain NaN or Inf")
@@ -567,11 +567,11 @@ def load_params(path: str | Path) -> Parameters:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if blob[:4] != _MAGIC:
-        raise ParseError("not a parameter checkpoint (bad magic)", line=1)
+        raise ParseError("not a parameter checkpoint (bad magic)")
     try:
         version, count = struct.unpack_from("<HI", blob, 4)
         if version != _VERSION:
-            raise ParseError(f"unsupported checkpoint version {version}", line=1)
+            raise ParseError(f"unsupported checkpoint version {version}")
         pos = 10
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -590,7 +590,7 @@ def load_params(path: str | Path) -> Parameters:
     except (struct.error, ValueError, OverflowError) as exc:
         # a cut-off file runs out of bytes mid-record, a corrupt name is not
         # UTF-8, and a corrupt shape can ask for more elements than fit in memory
-        raise ParseError(f"truncated or corrupt checkpoint: {exc}", line=1) from exc
+        raise ParseError(f"truncated or corrupt checkpoint: {exc}") from exc
     if pos != len(blob):
-        raise ParseError("trailing bytes in checkpoint", line=1)
+        raise ParseError("trailing bytes in checkpoint")
     return Parameters(tensors)

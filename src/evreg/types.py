@@ -139,11 +139,6 @@ class EventSet:
     def __len__(self) -> int:
         return len(self.events)
 
-    def steps(self) -> np.ndarray:
-        if self.kind != POINT:
-            raise InvalidEvents("steps() requires point events")
-        return np.array([e.step for e in self.events], dtype=np.int64)
-
 
 def validate_events(events: EventSet, num_steps: int) -> None:
     """Check event invariants against a series of the given length.

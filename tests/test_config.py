@@ -1,6 +1,7 @@
 """YAML experiment config: strict keys, coercions, derived defaults."""
 
 import textwrap
+from dataclasses import asdict, fields, is_dataclass
 
 import pytest
 
@@ -105,6 +106,35 @@ class TestMappingConstruction:
         del doc["pdf"]
         config = config_from_mapping(doc)
         assert config.pdf is None
+
+
+class TestSchemaFromDataclasses:
+    def test_every_field_is_a_top_level_key(self):
+        config = config_from_mapping(minimal_doc())
+        doc = {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
+        doc = {key: asdict(v) if is_dataclass(v) else v for key, v in doc.items()}
+        doc["data"] = {"synth": doc["data"]}
+        assert config_from_mapping(doc) == config
+
+    @pytest.mark.parametrize("section, key", [("model", "in_channels"), ("data.synth", "length")])
+    def test_missing_required_key_is_named(self, section, key):
+        doc = minimal_doc()
+        mapping = doc
+        for part in section.split("."):
+            mapping = mapping[part]
+        del mapping[key]
+        with pytest.raises(
+            InvalidConfig, match=f"missing required key '{key}' in section '{section}'"
+        ):
+            config_from_mapping(doc)
+
+    def test_none_string_pdf_is_no_pdf(self):
+        doc = minimal_doc(objective="segmentation", pdf="none")
+        assert config_from_mapping(doc).pdf is None
+
+    def test_unknown_keys_of_mixed_types(self):
+        with pytest.raises(InvalidConfig, match="unknown top-level key"):
+            config_from_mapping(minimal_doc(bogus=1) | {1: 2})
 
 
 def test_segmentation_doc_helper_drops_pdf():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evreg.data import (
     SynthConfig,
@@ -134,12 +136,6 @@ class TestDownsample:
         out, _ = downsample(series, 4)
         assert out.step_seconds == 2.0
 
-    def test_categorical_takes_last(self):
-        series = TimeSeries.build("s", {"a": [1.0, 2.0, 3.0, 4.0], "k": [0, 1, 1, 0]})
-        out, _ = downsample(series, 2, categorical=("k",))
-        np.testing.assert_array_equal(out.channels["k"], [1, 0])
-        assert "a_mean" in out.channels
-
     def test_labels_majority_agreement_for_long_events(self):
         # windowed label majority and mapped events agree except at borders
         rng = np.random.default_rng(2)
@@ -214,7 +210,54 @@ class TestSeriesCsv:
         assert b"\r" not in raw
 
 
+_SIDS = st.text("abxy019", min_size=1, max_size=4)
+_SCORES = st.floats(allow_nan=False, allow_infinity=False)
+_PAIRS = st.lists(st.tuples(st.integers(0, 50), _SCORES), max_size=4).map(sorted)
+
+
+@st.composite
+def _interval_sets(draw) -> dict[str, EventSet]:
+    """Series id -> interval EventSet, empty sets included."""
+    out = {}
+    for sid in draw(st.lists(_SIDS, unique=True, max_size=4)):
+        events, t = [], 0
+        parts = st.tuples(st.integers(0, 5), st.integers(1, 5), st.none() | _SCORES)
+        for gap, duration, score in draw(st.lists(parts, max_size=4)):
+            t += gap
+            events.append(IntervalEvent(t, t + duration, score))
+            t += duration
+        out[sid] = EventSet(sid, INTERVAL, tuple(events))
+    return out
+
+
 class TestEventsCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(events=_interval_sets())
+    def test_interval_sets_roundtrip(self, tmp_path_factory, events):
+        path = tmp_path_factory.mktemp("events") / "events.csv"
+        save_events(path, events)
+        assert load_events(path) == events
+
+    @settings(max_examples=60, deadline=None)
+    @given(detections=st.dictionaries(
+        _SIDS, st.builds(ScoredEvents, onsets=_PAIRS, offsets=_PAIRS), max_size=4
+    ))
+    def test_scored_events_roundtrip(self, tmp_path_factory, detections):
+        path = tmp_path_factory.mktemp("detections") / "det.csv"
+        save_events(path, detections)
+        assert load_scored_events(path) == detections
+
+    def test_empty_set_is_one_row_of_empty_fields(self, tmp_path):
+        path = tmp_path / "events.csv"
+        save_events(path, {
+            "a": EventSet("a", INTERVAL, ()),
+            "b": EventSet("b", INTERVAL, (IntervalEvent(1, 3),)),
+        })
+        assert path.read_text() == "series_id,event,step,score\na,,,\nb,onset,1,\nb,offset,3,\n"
+        path.write_text("series_id,event,step,score\na,,3,\n")
+        with pytest.raises(ParseError):
+            load_events(path)
+
     def test_truth_roundtrip_with_scores(self, tmp_path):
         events = {
             "s1": EventSet(
