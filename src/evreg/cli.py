@@ -27,24 +27,27 @@ from .data import (
     save_events,
     save_series,
     synth_generate,
+    write_table,
 )
-from .errors import ConfigError, DataError, EvregError, InvalidConfig, NumericError
+from .errors import ConfigError, DataError, EvregError, InvalidConfig, IoError, NumericError
 from .experiment import build_dataset, decode_outputs, encode_targets, grid_search, run_cv
 from .metric import edap_table
 from .model import load_params, predict, save_params, train
 from .types import TimeSeries
 
-_FLOAT_FMT = "%.17g"
 _OUT_ENV = "EVREG_OUT_DIR"
 
 
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory {path}: {exc}") from exc
+    return path
+
+
 def _resolve_out(arg: str | None) -> Path:
-    if arg:
-        out = Path(arg)
-    else:
-        out = Path(os.environ.get(_OUT_ENV) or "evreg_out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _make_dir(Path(arg or os.environ.get(_OUT_ENV) or "evreg_out"))
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -54,27 +57,14 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else _FLOAT_FMT % value
-
-
 def _write_trace(path: Path, trace) -> None:
-    lines = ["epoch,loss,val_edap"]
-    for stat in trace:
-        lines.append(f"{stat.epoch},{_fmt(stat.train_loss)},{_fmt(stat.val_score)}")
-    _write_lines(path, lines)
+    rows = ((s.epoch, s.train_loss, s.val_score) for s in trace)
+    write_table(path, ["epoch", "loss", "val_edap"], rows)
 
 
 def _write_report(path: Path, table: dict[tuple[str, int], float], mean: float) -> None:
-    lines = ["class,tolerance,ap"]
-    for (cls, tol), ap in table.items():
-        lines.append(f"{cls},{tol},{_fmt(ap)}")
-    lines.append(f"mean,all,{_fmt(mean)}")
-    _write_lines(path, lines)
+    rows = [(cls, tol, ap) for (cls, tol), ap in table.items()]
+    write_table(path, ["class", "tolerance", "ap"], [*rows, ("mean", "all", mean)])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -85,8 +75,7 @@ def _cmd_synth(args) -> int:
     if not isinstance(config.data, SynthConfig):
         raise InvalidConfig("synth requires a data.synth section")
     out = _resolve_out(args.out)
-    series_dir = out / "series"
-    series_dir.mkdir(exist_ok=True)
+    series_dir = _make_dir(out / "series")
     pairs = synth_generate(config.data)
     for series, _ in pairs:
         save_series(series_dir / f"{series.series_id}.csv", series)
@@ -98,8 +87,7 @@ def _cmd_synth(args) -> int:
 def _cmd_encode(args) -> int:
     config = _load(args)
     out = _resolve_out(args.out)
-    targets_dir = out / "targets"
-    targets_dir.mkdir(exist_ok=True)
+    targets_dir = _make_dir(out / "targets")
     series_list, truth = build_dataset(config)
     for series in series_list:
         target = config.spec.encode(truth[series.series_id], series.num_steps, config.pdf)
@@ -151,7 +139,7 @@ def _cmd_eval(args) -> int:
     table = edap_table(predictions, truth, config.metric)
     mean = float(np.mean(list(table.values())))
     _write_report(out / "report.csv", table, mean)
-    print(f"edap {_FLOAT_FMT % mean}")
+    print(f"edap {mean:.17g}")
     return 0
 
 
@@ -162,14 +150,11 @@ def _cmd_cv(args) -> int:
     for fold in result.folds:
         _write_trace(out / f"fold{fold.fold_index}_trace.csv", fold.trace)
     save_events(out / "cv_predictions.csv", result.predictions)
-    lines = ["fold,edap"]
-    for fold in result.folds:
-        lines.append(f"{fold.fold_index},{_fmt(fold.edap)}")
-    lines.append(f"pooled,{_fmt(result.pooled_edap)}")
-    _write_lines(out / "cv_report.csv", lines)
+    rows = [(fold.fold_index, fold.edap) for fold in result.folds]
+    write_table(out / "cv_report.csv", ["fold", "edap"], [*rows, ("pooled", result.pooled_edap)])
     table = edap_table(result.predictions, result.truth, config.metric)
     _write_report(out / "report.csv", table, result.pooled_edap)
-    print(f"pooled edap {_FLOAT_FMT % result.pooled_edap}")
+    print(f"pooled edap {result.pooled_edap:.17g}")
     return 0
 
 
@@ -178,16 +163,12 @@ def _cmd_grid(args) -> int:
     out = _resolve_out(args.out)
     result = run_cv(config, jobs=args.jobs)
     sweep = grid_search(result.outputs, result.truth, config.grid, config)
-    lines = ["mu,sigma,edap"]
-    for mu, sigma, score in sweep.table:
-        sigma_txt = "none" if sigma is None else _FLOAT_FMT % sigma
-        lines.append(f"{_fmt(mu)},{sigma_txt},{_fmt(score)}")
-    _write_lines(out / "grid_table.csv", lines)
-    best_sigma = "none" if sweep.best_sigma is None else _FLOAT_FMT % sweep.best_sigma
+    rows = ((mu, "none" if sigma is None else sigma, score) for mu, sigma, score in sweep.table)
+    write_table(out / "grid_table.csv", ["mu", "sigma", "edap"], rows)
+    best_sigma = "none" if sweep.best_sigma is None else f"{sweep.best_sigma:.17g}"
     print(
-        f"best mu {_FLOAT_FMT % sweep.best_mu} sigma {best_sigma} "
-        f"edap {_FLOAT_FMT % sweep.best_score} "
-        f"(default {_FLOAT_FMT % sweep.default_score})"
+        f"best mu {sweep.best_mu:.17g} sigma {best_sigma} "
+        f"edap {sweep.best_score:.17g} (default {sweep.default_score:.17g})"
     )
     return 0
 

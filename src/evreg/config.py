@@ -137,7 +137,6 @@ class ExperimentConfig:
     folds: int = 4
     downsample: int = 1
     seg_method: str = "threshold"
-    seed: int = 0
 
     def __post_init__(self):
         spec = _objective(self.objective)
@@ -209,7 +208,7 @@ def _coerce(value: Any, target: Any, where: str) -> Any:
             if not isinstance(value, bool):
                 raise InvalidConfig(f"{where}: expected a boolean, got {value!r}")
             return value
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidConfig(f"{where}: cannot interpret {value!r}") from None
     return value
 
@@ -287,7 +286,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     try:
         doc = yaml.safe_load(text)
@@ -299,13 +298,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def override_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Re-seed an experiment: the top-level, data, and model seeds all move."""
+    """Re-seed an experiment: the data and model seeds both move."""
     data = config.data
     if isinstance(data, SynthConfig):
         data = replace(data, seed=seed)
-    return replace(
-        config,
-        seed=seed,
-        data=data,
-        model=replace(config.model, seed=seed),
-    )
+    return replace(config, data=data, model=replace(config.model, seed=seed))

@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -171,20 +171,72 @@ def downsample(
 # -- CSV persistence --------------------------------------------------------
 
 
-def save_series(path: str | Path, series: TimeSeries) -> None:
-    """Write `step,<channel>...` rows with full-precision decimal values."""
+def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV file: the header line, then one line per row.
+
+    None is written as an empty field, a float with %.17g and anything else
+    with str; fields holding ',' or '"' are quoted.  Lines end in LF.
+    """
     path = Path(path)
-    names = series.channel_names
-    arrays = [np.asarray(series.channels[n], dtype=np.float64) for n in names]
-    lines = ["step," + ",".join(names)]
-    for t in range(series.num_steps):
-        lines.append(
-            f"{t}," + ",".join(_FLOAT_FMT % arr[t] for arr in arrays)
-        )
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            # csv itself writes None as an empty field and str() of the rest
+            writer.writerows(
+                [_FLOAT_FMT % v if isinstance(v, float) else v for v in row] for row in rows
+            )
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_table(
+    path: Path, check_header: Callable[[list[str]], None]
+) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and the (line, fields) of each data row of a CSV file.
+
+    check_header raises ParseError for a header the caller cannot read; it
+    runs before any data row is parsed.  Each data row must have as many
+    fields as the header.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    reader = csv.reader(io.StringIO(text, newline=None))
+    rows = []
+    try:
+        header = next(reader, [])
+        check_header(header)
+        for row in reader:
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, found {len(row)}",
+                    line=reader.line_num,
+                )
+            rows.append((reader.line_num, row))
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+    return header, rows
+
+
+def save_series(path: str | Path, series: TimeSeries) -> None:
+    """Write `step,<channel>...` rows with full-precision decimal values."""
+    names = series.channel_names
+    columns = [np.asarray(series.channels[n], dtype=np.float64).tolist() for n in names]
+    write_table(path, ["step", *names], zip(range(series.num_steps), *columns))
+
+
+def _check_series_header(header: list[str]) -> None:
+    if len(header) < 2 or header[0] != "step":
+        raise ParseError("expected header 'step,<channel>...'", line=1, column=1)
+    if len(set(header[1:])) != len(header) - 1:
+        raise ParseError("duplicate channel names", line=1, column=2)
 
 
 def load_series(
@@ -192,26 +244,10 @@ def load_series(
 ) -> TimeSeries:
     """Read a series CSV; the series id defaults to the file stem."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
-        raise ParseError("empty file", line=1)
-    header = rows[0]
-    if not header or header[0] != "step" or len(header) < 2:
-        raise ParseError("expected header 'step,<channel>...'", line=1, column=1)
+    header, rows = _read_table(path, _check_series_header)
     names = header[1:]
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate channel names", line=1, column=2)
     columns: list[list[float]] = [[] for _ in names]
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, found {len(row)}", line=i
-            )
+    for i, row in rows:
         for j, cell in enumerate(row[1:], start=2):
             try:
                 columns[j - 2].append(float(cell))
@@ -228,24 +264,22 @@ def load_series(
 _EVENT_HEADER = ["series_id", "event", "step", "score"]
 
 
-def _event_rows(sid: str, obj: EventSet | ScoredEvents) -> Iterable[list[str]]:
+def _event_rows(sid: str, obj: EventSet | ScoredEvents) -> Iterable[list]:
     if not len(obj):
-        yield [sid, "", "", ""]
+        yield [sid, None, None, None]
     elif isinstance(obj, EventSet):
         if obj.kind == INTERVAL:
             for ev in obj.events:
-                score = "" if ev.score is None else _FLOAT_FMT % ev.score
-                yield [sid, "onset", str(ev.onset), score]
-                yield [sid, "offset", str(ev.offset), score]
+                yield [sid, "onset", ev.onset, ev.score]
+                yield [sid, "offset", ev.offset, ev.score]
         else:
             for ev in obj.events:
-                score = "" if ev.score is None else _FLOAT_FMT % ev.score
-                yield [sid, "point", str(ev.step), score]
+                yield [sid, "point", ev.step, ev.score]
     else:
         for step, score in obj.onsets:
-            yield [sid, "onset", str(step), _FLOAT_FMT % score]
+            yield [sid, "onset", step, score]
         for step, score in obj.offsets:
-            yield [sid, "offset", str(step), _FLOAT_FMT % score]
+            yield [sid, "offset", step, score]
 
 
 def save_events(
@@ -258,15 +292,13 @@ def save_events(
     column is left empty for unscored ground truth.  A series without events
     keeps one row whose event, step and score fields are empty.
     """
-    path = Path(path)
-    lines = [",".join(_EVENT_HEADER)]
-    for sid in sorted(events):
-        for row in _event_rows(sid, events[sid]):
-            lines.append(",".join(row))
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    rows = (row for sid in sorted(events) for row in _event_rows(sid, events[sid]))
+    write_table(path, _EVENT_HEADER, rows)
+
+
+def _check_event_header(header: list[str]) -> None:
+    if header != _EVENT_HEADER:
+        raise ParseError("expected header 'series_id,event,step,score'", line=1, column=1)
 
 
 def _read_event_rows(
@@ -274,21 +306,9 @@ def _read_event_rows(
 ) -> list[tuple[str, str | None, int | None, float | None, int]]:
     """(series_id, event, step, score, line) per row; event and step are None
     in the row that marks a series without events."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != _EVENT_HEADER:
-        raise ParseError(
-            f"expected header {','.join(_EVENT_HEADER)!r}", line=1, column=1
-        )
+    _, rows = _read_table(Path(path), _check_event_header)
     parsed = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, found {len(row)}", line=i)
-        sid, kind, step_text, score_text = row
+    for i, (sid, kind, step_text, score_text) in rows:
         if kind == step_text == score_text == "":
             parsed.append((sid, None, None, None, i))
             continue

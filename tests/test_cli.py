@@ -234,6 +234,13 @@ class TestExitCodes:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_out_below_a_regular_file(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.yaml")
+        (tmp_path / "file").write_text("x")
+        code = main(["synth", "--config", config, "--out", str(tmp_path / "file" / "o")])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
     def test_missing_series_directory(self, tmp_path):
         config = write_config(
             tmp_path / "config.yaml",

@@ -179,6 +179,15 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             config_from_mapping(minimal_doc(folds=1))
 
+    @pytest.mark.parametrize("over", [
+        {"folds": float("inf")},
+        {"train": {"epochs": float("inf")}},
+        {"metric": {"tolerances": [float("inf")]}},
+    ])
+    def test_infinite_integer(self, over):
+        with pytest.raises(InvalidConfig, match="cannot interpret"):
+            config_from_mapping(minimal_doc(**over))
+
     def test_downsample_lower_bound(self):
         with pytest.raises(InvalidConfig):
             config_from_mapping(minimal_doc(downsample=0))
@@ -210,7 +219,6 @@ class TestYamlLoading:
     def test_round_trip(self, tmp_path):
         text = textwrap.dedent("""
             objective: regression
-            seed: 7
             data:
               synth: {num_series: 8, length: 256, mean_event_duration: 16,
                       mean_gap: 32, noise_std: 0.5}
@@ -222,7 +230,6 @@ class TestYamlLoading:
         path = tmp_path / "config.yaml"
         path.write_text(text)
         config = load_config(path)
-        assert config.seed == 7
         assert config.decode.sigma is None
 
     def test_missing_file_is_config_error(self, tmp_path):
@@ -235,6 +242,12 @@ class TestYamlLoading:
         with pytest.raises(InvalidConfig, match="line"):
             load_config(path)
 
+    def test_undecodable_file_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"objective: regression\nfolds: \xff\n")
+        with pytest.raises(InvalidConfig, match="cannot read"):
+            load_config(path)
+
     def test_all_errors_are_config_errors(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("objective: regression\n")
@@ -244,9 +257,8 @@ class TestYamlLoading:
 
 class TestOverrideSeed:
     def test_moves_every_seed(self):
-        config = config_from_mapping(minimal_doc(seed=1))
+        config = config_from_mapping(minimal_doc())
         moved = override_seed(config, 42)
-        assert moved.seed == 42
         assert moved.data.seed == 42
         assert moved.model.seed == 42
 
@@ -255,7 +267,7 @@ class TestOverrideSeed:
         doc["data"] = {"paths": {"series_dir": "s", "events": "e.csv"}}
         moved = override_seed(config_from_mapping(doc), 42)
         assert isinstance(moved.data, PathsSpec)
-        assert moved.seed == 42
+        assert moved.model.seed == 42
 
 
 class TestProgrammaticConstruction:

@@ -202,6 +202,30 @@ class TestSeriesCsv:
             load_series(path)
         assert err.value.line == 2
 
+    def test_quoted_channel_names_roundtrip(self, tmp_path):
+        series = TimeSeries.build("s", {"x,y": [1.5, -2.0], 'q"': [0.25, 3.0]})
+        path = tmp_path / "s.csv"
+        save_series(path, series)
+        assert path.read_text().splitlines()[0] == 'step,"x,y","q"""'
+        loaded = load_series(path)
+        assert loaded.channel_names == ("x,y", 'q"')
+        for name in series.channels:
+            np.testing.assert_array_equal(loaded.channels[name], series.channels[name])
+
+    def test_oversized_field(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("step,a\n0," + "1" * 200_000 + "\n")
+        with pytest.raises(ParseError) as err:
+            load_series(path)
+        assert err.value.line == 2
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"step,a\n0,1.5\n1,\xff\n")
+        with pytest.raises(ParseError) as err:
+            load_series(path)
+        assert err.value.line == 3
+
     def test_lf_line_endings(self, tmp_path):
         series = TimeSeries.build("s", {"a": [1.0, 2.0]})
         path = tmp_path / "s.csv"
@@ -210,7 +234,7 @@ class TestSeriesCsv:
         assert b"\r" not in raw
 
 
-_SIDS = st.text("abxy019", min_size=1, max_size=4)
+_SIDS = st.text('abxy019," ', min_size=1, max_size=4)
 _SCORES = st.floats(allow_nan=False, allow_infinity=False)
 _PAIRS = st.lists(st.tuples(st.integers(0, 50), _SCORES), max_size=4).map(sorted)
 
@@ -257,6 +281,13 @@ class TestEventsCsv:
         path.write_text("series_id,event,step,score\na,,3,\n")
         with pytest.raises(ParseError):
             load_events(path)
+
+    def test_id_with_comma_is_quoted(self, tmp_path):
+        path = tmp_path / "events.csv"
+        events = {"a,b": EventSet("a,b", INTERVAL, (IntervalEvent(1, 3),))}
+        save_events(path, events)
+        assert path.read_text().splitlines()[1] == '"a,b",onset,1,'
+        assert load_events(path) == events
 
     def test_truth_roundtrip_with_scores(self, tmp_path):
         events = {
