@@ -92,7 +92,7 @@ def _cmd_encode(args) -> int:
     for series in series_list:
         target = config.spec.encode(truth[series.series_id], series.num_steps, config.pdf)
         channels = dict(zip(target.names, target.channels))
-        built = TimeSeries.build(series.series_id, channels, series.step_seconds)
+        built = TimeSeries.build(series.series_id, channels)
         save_series(targets_dir / f"{series.series_id}.csv", built)
     print(f"wrote {len(series_list)} target files to {targets_dir}")
     return 0

@@ -24,10 +24,11 @@ from .decode import (
     decode_seg_peaks,
     decode_seg_threshold,
 )
-from .errors import EmptyGrid, InvalidConfig
+from .errors import EmptyGrid, InvalidConfig, InvalidEvents
 from .metric import EdapConfig
 from .model import ModelConfig, TrainConfig
 from .targets import PdfSpec, encode_cpd, encode_regression, encode_segmentation
+from .types import INTERVAL, POINT, EventSet
 
 SEG_METHODS = ("threshold", "peaks")
 
@@ -155,6 +156,12 @@ class ExperimentConfig:
                 f"objective {self.objective!r} needs model out_mode {spec.out_mode!r}, "
                 f"got {self.model.out_mode!r}"
             )
+        truth = EventSet("", POINT if spec.point_truth else INTERVAL)
+        for cls in self.metric.classes:
+            try:
+                truth.by_class(cls)
+            except InvalidEvents as exc:
+                raise InvalidConfig(f"objective {self.objective!r}: {exc}") from None
 
     @property
     def spec(self) -> Objective:
@@ -203,10 +210,6 @@ def _coerce(value: Any, target: Any, where: str) -> Any:
         if target is str:
             if not isinstance(value, str):
                 raise InvalidConfig(f"{where}: expected a string, got {value!r}")
-            return value
-        if target is bool:
-            if not isinstance(value, bool):
-                raise InvalidConfig(f"{where}: expected a boolean, got {value!r}")
             return value
     except (TypeError, ValueError, OverflowError):
         raise InvalidConfig(f"{where}: cannot interpret {value!r}") from None

@@ -13,6 +13,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -159,9 +160,7 @@ def downsample(
         channels[f"{name}_std"] = windows.std(axis=1)
         channels[f"{name}_max"] = windows.max(axis=1)
         channels[f"{name}_min"] = windows.min(axis=1)
-    new_series = TimeSeries.build(
-        series.series_id, channels, series.step_seconds * factor_D
-    )
+    new_series = TimeSeries.build(series.series_id, channels)
     new_events = (
         _downsample_events(events, factor_D, new_len) if events is not None else None
     )
@@ -175,12 +174,16 @@ def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable
     """Write a CSV file: the header line, then one line per row.
 
     None is written as an empty field, a float with %.17g and anything else
-    with str; fields holding ',' or '"' are quoted.  Lines end in LF.
+    with str; fields holding a comma, a quote or a line break are quoted.
+    Lines end in LF.
     """
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
+            # csv quotes the characters of its line terminator besides ',' and
+            # '"': rows end in CRLF so '\r' is quoted too, then lose the CR
+            lf = SimpleNamespace(write=lambda line: f.write(line[:-2] + "\n"))
+            writer = csv.writer(lf, lineterminator="\r\n")
             writer.writerow(header)
             # csv itself writes None as an empty field and str() of the rest
             writer.writerows(
@@ -208,7 +211,9 @@ def _read_table(
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
-    reader = csv.reader(io.StringIO(text, newline=None))
+    # newline="" hands csv the line ends as written: universal newlines would
+    # turn a quoted '\r' into '\n'
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows = []
     try:
         header = next(reader, [])
@@ -239,15 +244,15 @@ def _check_series_header(header: list[str]) -> None:
         raise ParseError("duplicate channel names", line=1, column=2)
 
 
-def load_series(
-    path: str | Path, step_seconds: float = 1.0, series_id: str | None = None
-) -> TimeSeries:
-    """Read a series CSV; the series id defaults to the file stem."""
+def load_series(path: str | Path) -> TimeSeries:
+    """Read a series CSV whose steps are 0 .. n-1 in order; the id is the file stem."""
     path = Path(path)
     header, rows = _read_table(path, _check_series_header)
     names = header[1:]
     columns: list[list[float]] = [[] for _ in names]
-    for i, row in rows:
+    for step, (i, row) in enumerate(rows):
+        if row[0] != str(step):
+            raise ParseError(f"expected step {step}, found {row[0]!r}", line=i, column=1)
         for j, cell in enumerate(row[1:], start=2):
             try:
                 columns[j - 2].append(float(cell))
@@ -256,9 +261,7 @@ def load_series(
     channels = {
         name: np.asarray(col, dtype=np.float64) for name, col in zip(names, columns)
     }
-    return TimeSeries.build(
-        series_id if series_id is not None else path.stem, channels, step_seconds
-    )
+    return TimeSeries.build(path.stem, channels)
 
 
 _EVENT_HEADER = ["series_id", "event", "step", "score"]

@@ -65,10 +65,6 @@ class NonFiniteInput(DataError):
     """An array handed to a numeric operator contains NaN or Inf."""
 
 
-class InvalidSeries(DataError):
-    """A series field (such as step_seconds) violates its invariant."""
-
-
 class InvalidEvents(DataError):
     """Events are unsorted, overlapping, of zero duration, or wrongly typed."""
 

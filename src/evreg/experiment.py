@@ -23,7 +23,7 @@ from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, TooFewSeri
 from .metric import edap
 from .model import EpochStats, predict, train
 from .targets import sigma_schedule
-from .types import EventSet, ScoredEvents, TimeSeries, points_from_intervals
+from .types import POINT, EventSet, ScoredEvents, TimeSeries, points_from_intervals
 
 
 def build_dataset(
@@ -33,8 +33,9 @@ def build_dataset(
 
     Synthetic data is generated in place; a paths dataset reads every *.csv
     in the series directory (sorted by name) plus the shared events file.
-    Downsampling and the interval-to-onset-point collapse for point-truth
-    objectives happen here, so callers always see final-resolution steps.
+    Downsampling and, for point-truth objectives, the collapse of interval
+    truth to onset points happen here, so callers always see final-resolution
+    steps.  Point truth passes through unchanged.
     """
     if isinstance(config.data, SynthConfig):
         pairs = synth_generate(config.data)
@@ -47,7 +48,7 @@ def build_dataset(
         ]
     if config.spec.point_truth:
         pairs = [
-            (series, points_from_intervals(events, "onset"))
+            (series, events if events.kind == POINT else points_from_intervals(events))
             for series, events in pairs
         ]
     series_list = [series for series, _ in pairs]
@@ -215,7 +216,6 @@ def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
             folds = list(pool.map(_run_fold, payloads))
     else:
         folds = [_run_fold(p) for p in payloads]
-    folds.sort(key=lambda f: f.fold_index)
 
     outputs: dict[str, np.ndarray] = {}
     predictions: dict[str, ScoredEvents] = {}

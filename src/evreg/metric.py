@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyTruth, InvalidEvents, InvalidSpec
-from .types import INTERVAL, POINT, EventSet, ScoredEvents
+from .types import EventSet, ScoredEvents
 
 
 @dataclass(frozen=True)
@@ -119,28 +119,9 @@ def average_precision(flags: Sequence[bool], num_truth: int) -> float:
     return total / num_truth
 
 
-def _truth_steps(truth: EventSet, cls: str) -> list[int]:
-    """Ground-truth steps for one class name."""
-    if truth.kind == INTERVAL:
-        if cls == "onset":
-            return [ev.onset for ev in truth.events]
-        if cls == "offset":
-            return [ev.offset for ev in truth.events]
-        raise InvalidEvents(f"class {cls!r} undefined for interval truth")
-    if cls in ("onset", "point"):
-        return [ev.step for ev in truth.events]
-    raise InvalidEvents(f"class {cls!r} undefined for point truth")
-
-
-def _as_mapping(obj, default_key: str = "") -> Mapping:
-    if isinstance(obj, Mapping):
-        return obj
-    return {default_key: obj}
-
-
 def edap_table(
-    pred: Mapping[str, ScoredEvents] | ScoredEvents,
-    truth: Mapping[str, EventSet] | EventSet,
+    pred: Mapping[str, ScoredEvents],
+    truth: Mapping[str, EventSet],
     config: EdapConfig,
 ) -> dict[tuple[str, int], float]:
     """AP per (class, tolerance) cell with all series pooled before ranking.
@@ -150,22 +131,20 @@ def edap_table(
     step order of processing) before the AP computation.  A class with no
     pooled truth raises EmptyTruth.
     """
-    preds = _as_mapping(pred)
-    truths = _as_mapping(truth)
-    missing = set(preds) - set(truths)
+    missing = set(pred) - set(truth)
     if missing:
         raise InvalidEvents(f"predictions for unknown series: {sorted(missing)}")
 
     table: dict[tuple[str, int], float] = {}
     for cls in config.classes:
-        num_truth = sum(len(_truth_steps(t, cls)) for t in truths.values())
+        num_truth = sum(len(t.by_class(cls)) for t in truth.values())
         if num_truth == 0:
             raise EmptyTruth(f"no ground-truth events for class {cls!r}")
         for tol in config.tolerances:
             pooled: list[tuple[float, str, int, bool]] = []
-            for sid in sorted(truths):
-                t_steps = _truth_steps(truths[sid], cls)
-                p = preds.get(sid)
+            for sid in sorted(truth):
+                t_steps = truth[sid].by_class(cls)
+                p = pred.get(sid)
                 p_pairs = p.by_class(cls) if p is not None else ()
                 result = match_events(p_pairs, t_steps, tol)
                 for rank, (score, flag) in enumerate(
@@ -179,8 +158,8 @@ def edap_table(
 
 
 def edap(
-    pred: Mapping[str, ScoredEvents] | ScoredEvents,
-    truth: Mapping[str, EventSet] | EventSet,
+    pred: Mapping[str, ScoredEvents],
+    truth: Mapping[str, EventSet],
     config: EdapConfig,
 ) -> float:
     """Unweighted mean AP over every (class, tolerance) cell."""

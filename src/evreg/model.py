@@ -187,11 +187,11 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     xp = np.pad(x, ((0, 0), (0, 0), (half, half))) if half else x
     windows = sliding_window_view(xp, k, axis=2)
     out = np.einsum("bctk,ock->bot", windows, w) + b[None, :, None]
-    return out, (windows, w, x.shape)
+    return out, (windows, w)
 
 
 def _conv_backward(dout: np.ndarray, cache):
-    windows, w, x_shape = cache
+    windows, w = cache
     dw = np.einsum("bot,bctk->ock", dout, windows)
     db = dout.sum(axis=(0, 2))
     # dx is the same-padded conv of dout with the kernel flipped along its
@@ -310,8 +310,6 @@ def _forward_impl(params: Parameters, x: np.ndarray, config: ModelConfig):
         "head": head_cache,
         "t_in": t_in,
         "t_pad": logits_full.shape[2],
-        "logits": logits,
-        "out": out,
     }
     return out, cache
 
@@ -332,7 +330,6 @@ def predict(params: Parameters, x: np.ndarray, config: ModelConfig) -> np.ndarra
 
 def _backward_impl(params: Parameters, cache: dict, dlogits: np.ndarray, config: ModelConfig):
     """Push dL/dlogits back through the tape; returns the gradient container."""
-    p = params.tensors
     grads: dict[str, np.ndarray] = {}
 
     pad = cache["t_pad"] - cache["t_in"]
@@ -460,6 +457,17 @@ class TrainResult:
     trace: list[EpochStats] = field(default_factory=list)
 
 
+def _check_item_shapes(items: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Batches stack items, so every input and every target needs one shape."""
+    x0, y0 = np.shape(items[0][0]), np.shape(items[0][1])
+    for j, (x, y) in enumerate(items):
+        if (np.shape(x), np.shape(y)) != (x0, y0):
+            raise ShapeMismatch(
+                f"dataset item {j} has input shape {np.shape(x)} and target shape "
+                f"{np.shape(y)}, item 0 has {x0} and {y0}"
+            )
+
+
 def train(
     dataset: Sequence[tuple[np.ndarray, np.ndarray]],
     model_config: ModelConfig,
@@ -469,7 +477,8 @@ def train(
 ) -> TrainResult:
     """Adam + cosine decay + global-norm clipping, deterministic per seed.
 
-    dataset items are (input (C, T), target) with a shared T.  val_scorer,
+    dataset items are (input (C, T), target) with a shared T; items of
+    another shape raise ShapeMismatch before the first step.  val_scorer,
     when given, is evaluated on the running parameters after every epoch and
     the parameters of the best-scoring epoch are returned (ties keep the
     earlier epoch); without it the lowest-train-loss epoch wins.
@@ -479,6 +488,7 @@ def train(
     items = list(dataset)
     if not items:
         raise InvalidConfig("dataset is empty")
+    _check_item_shapes(items)
     rng = np.random.default_rng(model_config.seed)
     params = init_params(model_config, rng)
     m = params.zeros_like()
@@ -500,6 +510,7 @@ def train(
             items = list(refresh_targets(epoch))
             if len(items) != n:
                 raise InvalidConfig("refresh_targets changed the dataset size")
+            _check_item_shapes(items)
         order = rng.permutation(n)
         epoch_losses = []
         for bi in range(n_batches):

@@ -21,18 +21,15 @@ class SmoothingParams:
     """Gaussian smoothing configuration.
 
     sigma is the kernel standard deviation in steps; None (or 0) disables
-    smoothing.  truncate sets the kernel radius ceil(truncate * sigma).
+    smoothing.  The kernel radius is ceil(4 * sigma).
     """
 
     sigma: float | None = None
-    truncate: float = 4.0
 
     def __post_init__(self):
         if self.sigma is not None:
             if not (np.isfinite(self.sigma) and self.sigma >= 0):
                 raise InvalidSpec(f"sigma={self.sigma}, expected nonnegative or None")
-        if not (np.isfinite(self.truncate) and self.truncate > 0):
-            raise InvalidSpec(f"truncate={self.truncate}, expected positive")
 
 
 @dataclass(frozen=True)
@@ -61,9 +58,9 @@ def _check_finite_1d(x: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def gaussian_kernel(sigma: float, truncate: float = 4.0) -> np.ndarray:
-    """Normalized Gaussian taps exp(-k^2 / (2 sigma^2)) for |k| <= ceil(truncate*sigma)."""
-    radius = int(math.ceil(truncate * sigma))
+def gaussian_kernel(sigma: float) -> np.ndarray:
+    """Normalized Gaussian taps exp(-k^2 / (2 sigma^2)) for |k| <= ceil(4 sigma)."""
+    radius = int(math.ceil(4.0 * sigma))
     k = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(k * k) / (2.0 * sigma * sigma))
     return kernel / kernel.sum()
@@ -80,7 +77,7 @@ def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
     arr = _check_finite_1d(x, "x")
     if params.sigma is None or params.sigma == 0:
         return arr.copy()
-    kernel = gaussian_kernel(params.sigma, params.truncate)
+    kernel = gaussian_kernel(params.sigma)
     radius = (len(kernel) - 1) // 2
     padded = np.pad(arr, radius, mode="symmetric")
     return np.correlate(padded, kernel, mode="valid")

@@ -22,7 +22,6 @@ from .errors import (
     EmptySeries,
     EventOutOfRange,
     InvalidEvents,
-    InvalidSeries,
     LengthMismatch,
     NonFiniteValue,
 )
@@ -36,22 +35,16 @@ class TimeSeries:
     """A named multichannel series on a shared step axis.
 
     channels maps channel name to a float64 array of length num_steps;
-    insertion order is the canonical channel order.  step_seconds records
-    the physical duration of one step and is carried around purely as
-    metadata (all algorithms work in steps).
+    insertion order is the canonical channel order.
     """
 
     series_id: str
     num_steps: int
     channels: Mapping[str, np.ndarray]
-    step_seconds: float = 1.0
 
     @classmethod
     def build(
-        cls,
-        series_id: str,
-        channels: Mapping[str, Iterable[float]],
-        step_seconds: float = 1.0,
+        cls, series_id: str, channels: Mapping[str, Iterable[float]]
     ) -> "TimeSeries":
         """Construct from raw channel data, deriving num_steps and validating."""
         converted = {
@@ -61,7 +54,7 @@ class TimeSeries:
         if not converted:
             raise EmptySeries(f"series {series_id!r} has no channels")
         num_steps = len(next(iter(converted.values())))
-        series = cls(series_id, num_steps, converted, step_seconds)
+        series = cls(series_id, num_steps, converted)
         validate_series(series)
         return series
 
@@ -79,7 +72,7 @@ class TimeSeries:
 def validate_series(series: TimeSeries) -> None:
     """Check the TimeSeries invariants, raising on the first violation.
 
-    Check order: emptiness, channel lengths, finiteness, step_seconds.
+    Check order: emptiness, channel lengths, finiteness.
     """
     if not series.channels or series.num_steps < 1:
         raise EmptySeries(
@@ -99,11 +92,6 @@ def validate_series(series: TimeSeries) -> None:
                 f"channel {name!r} of series {series.series_id!r} is non-finite "
                 f"at step {bad}"
             )
-    if not (np.isfinite(series.step_seconds) and series.step_seconds > 0):
-        raise InvalidSeries(
-            f"series {series.series_id!r} has step_seconds={series.step_seconds}, "
-            "expected a positive real"
-        )
 
 
 @dataclass(frozen=True)
@@ -138,6 +126,18 @@ class EventSet:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def by_class(self, cls: str) -> list[int]:
+        """Event steps for one class name: 'onset' or 'offset' of interval
+        events, 'onset' or 'point' of point events."""
+        if self.kind == INTERVAL:
+            if cls == "onset":
+                return [ev.onset for ev in self.events]
+            if cls == "offset":
+                return [ev.offset for ev in self.events]
+        elif cls in ("onset", "point"):
+            return [ev.step for ev in self.events]
+        raise InvalidEvents(f"class {cls!r} undefined for {self.kind} truth")
 
 
 def validate_events(events: EventSet, num_steps: int) -> None:

@@ -1,10 +1,12 @@
 """Command-line driver: artifacts, determinism, exit codes."""
 
+import numpy as np
 import yaml
 import pytest
 
 from evreg.cli import main
-from evreg.data import load_series
+from evreg.data import load_events, load_series, save_events, save_series
+from evreg.types import TimeSeries, points_from_intervals
 
 
 def config_doc(**over):
@@ -28,6 +30,13 @@ def config_doc(**over):
 def write_config(path, **over):
     path.write_text(yaml.safe_dump(config_doc(**over)), encoding="utf-8")
     return str(path)
+
+
+def synth_on_disk(root):
+    """Write the synthetic dataset under root; returns its data section."""
+    config = write_config(root / "synth.yaml")
+    assert main(["synth", "--config", config, "--out", str(root)]) == 0
+    return {"paths": {"series_dir": str(root / "series"), "events": str(root / "events.csv")}}
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +144,25 @@ class TestSubcommands:
         assert "pooled edap " in printed
         pooled = float(report[-1].split(",")[1])
         assert float(printed.split()[-1]) == pooled
+
+    def test_cpd_cv_on_point_events(self, tmp_path):
+        paths = synth_on_disk(tmp_path)["paths"]
+        intervals = load_events(paths["events"])
+        save_events(
+            tmp_path / "points.csv",
+            {sid: points_from_intervals(ev) for sid, ev in intervals.items()},
+        )
+        for name in ("events", "points"):
+            config = write_config(
+                tmp_path / f"{name}.yaml",
+                objective="cpd",
+                data={"paths": {**paths, "events": str(tmp_path / f"{name}.csv")}},
+            )
+            assert main(["cv", "--config", config, "--out", str(tmp_path / name)]) == 0
+        # point truth at the onsets scores as interval truth collapsed to onsets
+        for artifact in ("cv_report.csv", "cv_predictions.csv", "report.csv"):
+            scored = (tmp_path / "points" / artifact).read_bytes()
+            assert scored == (tmp_path / "events" / artifact).read_bytes()
 
     def test_grid_artifacts(self, tmp_path, capsys):
         config = write_config(
@@ -261,6 +289,26 @@ class TestExitCodes:
                      "--checkpoint", str(out / "model.ckpt")])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_series_of_unequal_length(self, tmp_path, capsys, command):
+        data = synth_on_disk(tmp_path)
+        longer = TimeSeries.build("s005", {"a": np.zeros(160), "b": np.ones(160)})
+        save_series(tmp_path / "series" / "s005.csv", longer)
+        config = write_config(tmp_path / "config.yaml", data=data)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "input shape (2, 160)" in err
+
+    @pytest.mark.parametrize("objective, cls", [("cpd", "offset"), ("regression", "label")])
+    def test_metric_class_of_another_objective(self, tmp_path, capsys, objective, cls):
+        config = write_config(
+            tmp_path / "config.yaml",
+            objective=objective,
+            metric={"tolerances": [1, 2], "classes": [cls]},
+        )
+        assert main(["cv", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_diverged_training(self, tmp_path, capsys):
         doc = config_doc()

@@ -169,6 +169,16 @@ class TestCoercion:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "objective, classes",
+        [("cpd", ["offset"]), ("regression", ["label"]), ("segmentation", ["onset", "point"])],
+    )
+    def test_metric_class_the_objective_cannot_score(self, objective, classes):
+        doc = minimal_doc(objective=objective)
+        doc["metric"]["classes"] = classes
+        with pytest.raises(InvalidConfig, match=f"class {classes[-1]!r} undefined"):
+            config_from_mapping(doc)
+
     def test_bad_objective(self):
         with pytest.raises(InvalidConfig):
             config_from_mapping(minimal_doc(objective="detection"))

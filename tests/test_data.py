@@ -131,11 +131,6 @@ class TestDownsample:
         _, mapped = downsample(series, 10, events)
         assert mapped.events == (IntervalEvent(4, 5),)
 
-    def test_step_seconds_scales(self):
-        series = TimeSeries.build("s", {"a": np.arange(20.0)}, step_seconds=0.5)
-        out, _ = downsample(series, 4)
-        assert out.step_seconds == 2.0
-
     def test_labels_majority_agreement_for_long_events(self):
         # windowed label majority and mapped events agree except at borders
         rng = np.random.default_rng(2)
@@ -226,6 +221,40 @@ class TestSeriesCsv:
             load_series(path)
         assert err.value.line == 3
 
+    def test_carriage_return_channel_name_roundtrip(self, tmp_path):
+        series = TimeSeries.build("s", {"a\rb": [1.5, -2.0], "c\r\nd": [0.25, 3.0]})
+        path = tmp_path / "s.csv"
+        save_series(path, series)
+        assert path.read_bytes().startswith(b'step,"a\rb","c\r\nd"\n0,')
+        loaded = load_series(path)
+        assert loaded.channel_names == ("a\rb", "c\r\nd")
+        for name in series.channels:
+            np.testing.assert_array_equal(loaded.channels[name], series.channels[name])
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"step,a,b\r\n0,1.5,2\r\n1,-3,0.25\r\n")
+        loaded = load_series(path)
+        assert loaded.channel_names == ("a", "b")
+        np.testing.assert_array_equal(loaded.channels["a"], [1.5, -3.0])
+        np.testing.assert_array_equal(loaded.channels["b"], [2.0, 0.25])
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("step,a\nx,1.0\n7,2.0\n", 2),
+            ("step,a\n0,1.0\n2,2.0\n", 3),
+            ("step,a\n1,1.0\n", 2),
+            ("step,a\n0,1.0\n0,2.0\n", 3),
+        ],
+    )
+    def test_steps_must_count_from_zero(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_series(path)
+        assert (err.value.line, err.value.column) == (line, 1)
+
     def test_lf_line_endings(self, tmp_path):
         series = TimeSeries.build("s", {"a": [1.0, 2.0]})
         path = tmp_path / "s.csv"
@@ -234,7 +263,7 @@ class TestSeriesCsv:
         assert b"\r" not in raw
 
 
-_SIDS = st.text('abxy019," ', min_size=1, max_size=4)
+_SIDS = st.text('abxy019," \r', min_size=1, max_size=4)
 _SCORES = st.floats(allow_nan=False, allow_infinity=False)
 _PAIRS = st.lists(st.tuples(st.integers(0, 50), _SCORES), max_size=4).map(sorted)
 

@@ -411,6 +411,23 @@ class TestTrain:
         with pytest.raises(DivergedLoss):
             train(items, config, tc)
 
+    def test_items_of_unequal_length_rejected(self):
+        config = ModelConfig(in_channels=2, hidden_channels=(4,), kernel_size=3)
+        items = overfit_dataset(n=3) + overfit_dataset(n=1, steps=80)
+        with pytest.raises(ShapeMismatch, match="item 3 has input shape \\(2, 80\\)"):
+            train(items, config, TrainConfig(epochs=1, batch_size=8))
+
+    def test_refreshed_targets_of_unequal_length_rejected(self):
+        config = ModelConfig(in_channels=2, hidden_channels=(4,), kernel_size=3)
+        items = overfit_dataset(n=4)
+        cut = [(x, y[:, :32] if j == 2 else y) for j, (x, y) in enumerate(items)]
+
+        def refresh(epoch):
+            return items if epoch == 0 else cut
+
+        with pytest.raises(ShapeMismatch, match="item 2 has .* target shape \\(2, 32\\)"):
+            train(items, config, TrainConfig(epochs=2, batch_size=1), refresh_targets=refresh)
+
     def test_empty_dataset_rejected(self):
         config = ModelConfig(in_channels=1, hidden_channels=(2,))
         with pytest.raises(InvalidConfig):

@@ -34,7 +34,7 @@ class TestGaussianSmooth:
     def test_impulse_reproduces_kernel(self):
         x = np.zeros(21)
         x[10] = 1.0
-        out = gaussian_smooth(x, SmoothingParams(sigma=1.0, truncate=4.0))
+        out = gaussian_smooth(x, SmoothingParams(sigma=1.0))
         k = np.arange(-4, 5, dtype=float)
         kernel = np.exp(-(k**2) / 2.0)
         kernel /= kernel.sum()
@@ -71,8 +71,6 @@ class TestGaussianSmooth:
     def test_bad_params(self):
         with pytest.raises(InvalidSpec):
             SmoothingParams(sigma=-1.0)
-        with pytest.raises(InvalidSpec):
-            SmoothingParams(sigma=1.0, truncate=0.0)
 
     @given(
         st.lists(st.floats(-100, 100), min_size=3, max_size=60),

@@ -5,7 +5,6 @@ from evreg.errors import (
     EmptySeries,
     EventOutOfRange,
     InvalidEvents,
-    InvalidSeries,
     LengthMismatch,
     NonFiniteValue,
 )
@@ -58,10 +57,6 @@ class TestValidateSeries:
     def test_zero_steps_rejected(self):
         with pytest.raises(EmptySeries):
             validate_series(TimeSeries("s", 0, {"a": np.zeros(0)}))
-
-    def test_bad_step_seconds(self):
-        with pytest.raises(InvalidSeries):
-            validate_series(TimeSeries("s", 3, {"a": np.zeros(3)}, step_seconds=0.0))
 
     def test_idempotent(self):
         s = make_series(a=np.arange(5.0))
@@ -172,6 +167,25 @@ class TestPointsFromIntervals:
         ev = EventSet("s", INTERVAL, ())
         with pytest.raises(InvalidEvents):
             points_from_intervals(ev, "middle")
+
+
+class TestEventSetByClass:
+    def test_interval_classes(self):
+        ev = EventSet("s", INTERVAL, (IntervalEvent(2, 5), IntervalEvent(7, 9)))
+        assert ev.by_class("onset") == [2, 7]
+        assert ev.by_class("offset") == [5, 9]
+
+    def test_point_classes(self):
+        ev = EventSet("s", POINT, (PointEvent(3), PointEvent(8)))
+        assert ev.by_class("onset") == [3, 8]
+        assert ev.by_class("point") == [3, 8]
+
+    @pytest.mark.parametrize(
+        "kind, cls", [(INTERVAL, "point"), (INTERVAL, "label"), (POINT, "offset")]
+    )
+    def test_undefined_class(self, kind, cls):
+        with pytest.raises(InvalidEvents, match=f"undefined for {kind} truth"):
+            EventSet("s", kind).by_class(cls)
 
 
 class TestScoredEvents:
