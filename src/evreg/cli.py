@@ -30,9 +30,9 @@ from .data import (
     write_table,
 )
 from .errors import ConfigError, DataError, EvregError, InvalidConfig, IoError, NumericError
-from .experiment import build_dataset, decode_outputs, encode_targets, grid_search, run_cv
+from .experiment import build_dataset, decode_outputs, fit, grid_search, run_cv
 from .metric import edap_table
-from .model import load_params, predict, save_params, train
+from .model import load_params, predict, save_params
 from .types import TimeSeries
 
 _OUT_ENV = "EVREG_OUT_DIR"
@@ -102,8 +102,7 @@ def _cmd_train(args) -> int:
     config = _load(args)
     out = _resolve_out(args.out)
     series_list, truth = build_dataset(config)
-    items = [encode_targets(s, truth[s.series_id], config) for s in series_list]
-    result = train(items, config.model, config.train)
+    result = fit(config, [(s, truth[s.series_id]) for s in series_list])
     save_params(out / "model.ckpt", result.params)
     _write_trace(out / "train_trace.csv", result.trace)
     last = result.trace[-1].train_loss

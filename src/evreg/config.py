@@ -24,7 +24,7 @@ from .decode import (
     decode_seg_peaks,
     decode_seg_threshold,
 )
-from .errors import EmptyGrid, InvalidConfig, InvalidEvents
+from .errors import EmptyGrid, InvalidConfig, InvalidEvents, InvalidSpec
 from .metric import EdapConfig
 from .model import ModelConfig, TrainConfig
 from .targets import PdfSpec, encode_cpd, encode_regression, encode_segmentation
@@ -156,6 +156,17 @@ class ExperimentConfig:
                 f"objective {self.objective!r} needs model out_mode {spec.out_mode!r}, "
                 f"got {self.model.out_mode!r}"
             )
+        if self.train.sigma_start is not None:
+            kind = getattr(self.pdf, "kind", None)
+            if spec.segmentation or kind != "gaussian":
+                raise InvalidConfig(
+                    f"train.sigma_start schedules a gaussian pdf's sigma, but objective "
+                    f"{self.objective!r} does not encode with one (pdf kind {kind!r})"
+                )
+            try:
+                replace(self.pdf, sigma=self.train.sigma_start)
+            except InvalidSpec as exc:
+                raise InvalidConfig(f"train.sigma_start={self.train.sigma_start}: {exc}") from None
         truth = EventSet("", POINT if spec.point_truth else INTERVAL)
         for cls in self.metric.classes:
             try:

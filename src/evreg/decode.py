@@ -32,12 +32,10 @@ class DecodeParams:
     min_height: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, np.integer)) and self.alpha >= 1):
-            raise InvalidSpec(f"alpha={self.alpha}, expected integer >= 1")
+        WindowParams(self.alpha)
+        SmoothingParams(self.sigma)
         if not (np.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
             raise InvalidSpec(f"mu={self.mu}, expected in [0, 1]")
-        if self.sigma is not None and not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise InvalidSpec(f"sigma={self.sigma}, expected nonnegative or None")
         if self.min_height is not None and not np.isfinite(self.min_height):
             raise InvalidSpec(f"min_height={self.min_height}, expected finite or None")
 

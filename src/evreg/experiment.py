@@ -19,9 +19,9 @@ import numpy as np
 from .config import ExperimentConfig, GridSpec, PathsSpec
 from .data import SynthConfig, downsample, load_events, load_series, synth_generate
 from .decode import DecodeParams
-from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, TooFewSeries
+from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, ShapeMismatch, TooFewSeries
 from .metric import edap
-from .model import EpochStats, predict, train
+from .model import EpochStats, TrainResult, predict, train
 from .targets import sigma_schedule
 from .types import POINT, EventSet, ScoredEvents, TimeSeries, points_from_intervals
 
@@ -33,6 +33,7 @@ def build_dataset(
 
     Synthetic data is generated in place; a paths dataset reads every *.csv
     in the series directory (sorted by name) plus the shared events file.
+    Every series needs the first one's channel names, in order, and length.
     Downsampling and, for point-truth objectives, the collapse of interval
     truth to onset points happen here, so callers always see final-resolution
     steps.  Point truth passes through unchanged.
@@ -41,6 +42,18 @@ def build_dataset(
         pairs = synth_generate(config.data)
     else:
         pairs = _load_pairs(config.data)
+    first = pairs[0][0]
+    for series, _ in pairs:
+        if (series.channel_names, series.num_steps) != (first.channel_names, first.num_steps):
+            where = ""
+            if isinstance(config.data, PathsSpec):
+                where = f" (file {Path(config.data.series_dir) / series.series_id}.csv)"
+            raise ShapeMismatch(
+                f"series {series.series_id!r}{where} has input shape "
+                f"{(len(series.channels), series.num_steps)} and channels "
+                f"{series.channel_names}, series {first.series_id!r} has "
+                f"{(len(first.channels), first.num_steps)} and {first.channel_names}"
+            )
     if config.downsample > 1:
         pairs = [
             downsample(series, config.downsample, events)
@@ -145,18 +158,18 @@ class CvResult:
     truth: dict[str, EventSet]
 
 
-def _fold_payload(config, fold_index, pairs, train_ids, val_ids):
-    by_id = {series.series_id: (series, events) for series, events in pairs}
-    train_pairs = [by_id[sid] for sid in train_ids]
-    val_inputs = {sid: by_id[sid][0].as_array() for sid in val_ids}
-    val_truth = {sid: by_id[sid][1] for sid in val_ids}
-    return (config, fold_index, train_pairs, val_inputs, val_truth)
+def fit(
+    config: ExperimentConfig,
+    pairs: Sequence[tuple[TimeSeries, EventSet]],
+    fold_index: int = 0,
+    val_scorer: Callable | None = None,
+) -> TrainResult:
+    """Train config.model, seeded model.seed + fold_index, on (series, truth) pairs.
 
-
-def _run_fold(payload) -> FoldResult:
-    config, fold_index, train_pairs, val_inputs, val_truth = payload
+    A train.sigma_start schedule re-encodes the targets every epoch.
+    """
     model_config = replace(config.model, seed=config.model.seed + fold_index)
-    items = [encode_targets(s, e, config) for s, e in train_pairs]
+    items = [encode_targets(s, e, config) for s, e in pairs]
     for x, _ in items:
         if x.shape[0] != model_config.in_channels:
             raise InvalidConfig(
@@ -164,27 +177,30 @@ def _run_fold(payload) -> FoldResult:
                 f"dataset provides {x.shape[0]}"
             )
 
+    refresh = None
+    tc = config.train
+    if tc.sigma_start is not None:
+        def refresh(epoch: int):
+            s = sigma_schedule(epoch, tc.epochs, tc.sigma_start, tc.sigma_end)
+            return [encode_targets(srs, evs, config, sigma=s) for srs, evs in pairs]
+    return train(items, model_config, tc, val_scorer=val_scorer, refresh_targets=refresh)
+
+
+def _run_fold(payload) -> FoldResult:
+    config, fold_index, train_pairs, val_pairs = payload
+    val_inputs = {s.series_id: s.as_array() for s, _ in val_pairs}
+    val_truth = {s.series_id: e for s, e in val_pairs}
+
     # (outputs, predictions) of every epoch; the fold keeps its best epoch's
     scored: list[tuple[dict[str, np.ndarray], dict[str, ScoredEvents]]] = []
 
     def val_scorer(params) -> float:
-        outputs = {
-            sid: predict(params, x, model_config)
-            for sid, x in val_inputs.items()
-        }
+        outputs = {sid: predict(params, x, config.model) for sid, x in val_inputs.items()}
         preds = decode_outputs(outputs, config, config.decode)
         scored.append((outputs, preds))
         return edap(preds, val_truth, config.metric)
 
-    refresh = None
-    tc = config.train
-    if tc.sigma_start is not None and not config.spec.segmentation:
-
-        def refresh(epoch: int):
-            s = sigma_schedule(epoch, tc.epochs, tc.sigma_start, tc.sigma_end)
-            return [encode_targets(srs, evs, config, sigma=s) for srs, evs in train_pairs]
-
-    result = train(items, model_config, tc, val_scorer=val_scorer, refresh_targets=refresh)
+    result = fit(config, train_pairs, fold_index, val_scorer)
     outputs, preds = scored[result.best_epoch]
     return FoldResult(
         fold_index=fold_index,
@@ -205,11 +221,10 @@ def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
     the pooling step sorts by series id.
     """
     series_list, truth = build_dataset(config)
-    pairs = list(zip(series_list, (truth[s.series_id] for s in series_list)))
-    splits = fold_splits([s.series_id for s in series_list], config.folds)
+    by_id = {s.series_id: (s, truth[s.series_id]) for s in series_list}
     payloads = [
-        _fold_payload(config, i, pairs, train_ids, val_ids)
-        for i, (train_ids, val_ids) in enumerate(splits)
+        (config, i, [by_id[sid] for sid in train_ids], [by_id[sid] for sid in val_ids])
+        for i, (train_ids, val_ids) in enumerate(fold_splits(list(by_id), config.folds))
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

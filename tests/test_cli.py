@@ -95,6 +95,17 @@ class TestSubcommands:
         assert float(loss) > 0
         assert val == ""  # no validation split in plain training
 
+    def test_train_applies_sigma_schedule(self, tmp_path):
+        plain = write_config(tmp_path / "plain.yaml")
+        scheduled = write_config(
+            tmp_path / "scheduled.yaml",
+            train={"epochs": 2, "batch_size": 4, "sigma_start": 2, "sigma_end": 1},
+        )
+        for name, config in [("plain", plain), ("scheduled", scheduled)]:
+            assert main(["train", "--config", config, "--out", str(tmp_path / name)]) == 0
+        ckpt = [(tmp_path / name / "model.ckpt").read_bytes() for name in ("plain", "scheduled")]
+        assert ckpt[0] != ckpt[1]
+
     def test_decode_artifacts(self, pipeline):
         _, out, codes = pipeline
         assert codes["decode"] == 0
@@ -299,6 +310,30 @@ class TestExitCodes:
         assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "input shape (2, 160)" in err
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("channels", [("b", "a"), ("z", "b"), ("a", "b", "c")],
+                             ids=["reordered", "renamed", "extra"])
+    def test_series_of_other_channels(self, tmp_path, capsys, command, channels):
+        data = synth_on_disk(tmp_path)
+        path = tmp_path / "series" / "s005.csv"
+        values = load_series(path).as_array()
+        odd = TimeSeries.build("s005", {c: values[i % 2] for i, c in enumerate(channels)})
+        save_series(path, odd)
+        config = write_config(tmp_path / "config.yaml", data=data)
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "'s005'" in err and str(path) in err
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_model_of_another_channel_count(self, tmp_path, capsys, command):
+        config = write_config(
+            tmp_path / "config.yaml",
+            model={"in_channels": 3, "hidden_channels": [4], "kernel_size": 3},
+        )
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: model expects 3 input channels, dataset provides 2" in err
 
     @pytest.mark.parametrize("objective, cls", [("cpd", "offset"), ("regression", "label")])
     def test_metric_class_of_another_objective(self, tmp_path, capsys, objective, cls):

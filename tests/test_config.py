@@ -224,6 +224,17 @@ class TestValidation:
         assert grid.mu[0] == 0.0 and grid.mu[-1] == 1.0
         assert grid.sigma == (None, 1.0, 10.0, 100.0, 1000.0)
 
+    @pytest.mark.parametrize("over, match", [
+        ({"objective": "segmentation"}, "objective 'segmentation'"),
+        ({"pdf": {"kind": "hard", "day_length_d": 64, "width_w": 1}}, "pdf kind 'hard'"),
+        ({"pdf": {"kind": "gaussian", "day_length_d": 64, "width_w": 17, "sigma": 2}},
+         "width_w=17 clips the gaussian"),
+    ], ids=["segmentation", "hard_pdf", "clipped_start"])
+    def test_sigma_schedule_that_cannot_apply(self, over, match):
+        doc = minimal_doc(train={"sigma_start": 4, "sigma_end": 1}, **over)
+        with pytest.raises(InvalidConfig, match=match):
+            config_from_mapping(doc)
+
 
 class TestYamlLoading:
     def test_round_trip(self, tmp_path):

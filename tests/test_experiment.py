@@ -13,6 +13,7 @@ from evreg.experiment import (
     build_dataset,
     decode_outputs,
     encode_targets,
+    fit,
     fold_splits,
     grid_search,
     run_cv,
@@ -239,6 +240,17 @@ def test_new_objective_is_one_table_entry(monkeypatch):
     assert y.shape == (1, 128)
     decoded = decode_outputs({"s": y}, config, config.decode)
     assert decoded["s"] == decode_points(y[0], replace(config.decode, sigma=2.0))
+
+
+def test_fit_moves_the_model_seed_by_fold_index():
+    config = make_config()
+    series_list, truth = build_dataset(config)
+    pairs = [(s, truth[s.series_id]) for s in series_list]
+    moved = fit(config, pairs, fold_index=3)
+    reseeded = fit(replace(config, model=replace(config.model, seed=3)), pairs)
+    assert moved.trace == reseeded.trace
+    for name, tensor in moved.params.tensors.items():
+        assert np.array_equal(tensor, reseeded.params.tensors[name])
 
 
 @pytest.fixture(scope="module")
