@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evreg.errors import EmptyTruth, InvalidSpec
@@ -226,12 +226,17 @@ class TestEdapProperties:
         ) + 1e-12
 
     @given(prediction_problem(), st.integers(1, 40))
+    @example(problem=([(0, 0.01), (2, 0.010000000000000002)], [0]), tol=1)
     @settings(max_examples=100, deadline=None)
     def test_rank_invariance_under_monotone_score_transform(self, problem, tol):
         preds, truth = problem
         config = EdapConfig(tolerances=(tol,), classes=("point",))
         pred_map, truth_map = single_series(preds, truth)
-        transformed = [(s, 0.25 * v**3 + 2.0) for s, v in preds]
+        # map each distinct score through a cubic of its rank: strictly
+        # increasing by construction, whereas a float formula such as
+        # 0.25 * v**3 + 2 rounds close scores to one value and makes a tie
+        rank = {v: i for i, v in enumerate(sorted({v for _, v in preds}))}
+        transformed = [(s, 2.0 + 0.25 * (rank[v] + 1) ** 3) for s, v in preds]
         t_map, _ = single_series(transformed, truth)
         assert edap(pred_map, truth_map, config) == pytest.approx(
             edap(t_map, truth_map, config)
