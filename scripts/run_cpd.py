@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import evreg
-from evreg.metric import match_events
+from evreg.metric import match_events, prf_from_counts
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "cpd.yaml"
 
@@ -26,14 +26,7 @@ def micro_prf(predictions, truth, tol: int) -> tuple[float, float, float]:
         tp += result.num_tp
         fp += result.num_fp
         fn += result.unmatched_truth
-    precision = tp / (tp + fp) if tp + fp else 1.0
-    recall = tp / (tp + fn) if tp + fn else 1.0
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall
-        else 0.0
-    )
-    return precision, recall, f1
+    return prf_from_counts(tp, fp, fn)
 
 
 def main() -> int:

@@ -62,6 +62,8 @@ class SynthConfig:
             raise InvalidConfig(f"drift_std={self.drift_std}, expected >= 0")
         if not np.isfinite(self.signal_shift):
             raise InvalidConfig("signal_shift must be finite")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed={self.seed}, expected >= 0")
 
 
 def _draw_duration(rng: np.random.Generator, mean: int) -> int:
@@ -306,14 +308,14 @@ def _check_event_header(header: list[str]) -> None:
 
 def _read_event_rows(
     path: str | Path,
-) -> list[tuple[str, str | None, int | None, float | None, int]]:
-    """(series_id, event, step, score, line) per row; event and step are None
-    in the row that marks a series without events."""
+) -> dict[str, list[tuple[str, int, float | None, int]]]:
+    """(event, step, score, line) rows per series id in file order; the row
+    that marks a series without events gives it no rows."""
     _, rows = _read_table(Path(path), _check_event_header)
-    parsed = []
+    by_series: dict[str, list[tuple[str, int, float | None, int]]] = {}
     for i, (sid, kind, step_text, score_text) in rows:
+        series_rows = by_series.setdefault(sid, [])
         if kind == step_text == score_text == "":
-            parsed.append((sid, None, None, None, i))
             continue
         if kind not in ("onset", "offset", "point"):
             raise ParseError(f"bad event type {kind!r}", line=i, column=2)
@@ -329,25 +331,20 @@ def _read_event_rows(
                 raise ParseError(
                     f"bad score {score_text!r}", line=i, column=4
                 ) from None
-        parsed.append((sid, kind, step, score, i))
-    return parsed
+        series_rows.append((kind, step, score, i))
+    return by_series
 
 
 def load_events(path: str | Path) -> dict[str, EventSet]:
     """Read ground-truth events back into typed EventSets per series.
 
     A series whose rows are all 'point' becomes a point EventSet; otherwise
-    rows must alternate onset/offset in file order (as save_events writes
-    them) and are paired into intervals.  A series without events reads as
-    an empty interval set.
+    its rows pair into intervals by position (onset, then offset, as
+    save_events writes them).  A series without events reads as an empty
+    interval set.
     """
-    by_series: dict[str, list[tuple[str, int, float | None, int]]] = {}
-    for sid, kind, step, score, line in _read_event_rows(path):
-        rows = by_series.setdefault(sid, [])
-        if kind is not None:
-            rows.append((kind, step, score, line))
     out: dict[str, EventSet] = {}
-    for sid, rows in by_series.items():
+    for sid, rows in _read_event_rows(path).items():
         kinds = {kind for kind, _, _, _ in rows}
         if kinds == {"point"}:
             points = tuple(PointEvent(step, score) for _, step, score, _ in rows)
@@ -358,50 +355,38 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
             raise ParseError(
                 f"series {sid!r} mixes point and interval rows", line=line, column=2
             )
-        intervals = []
-        pending: tuple[int, float | None, int] | None = None
-        for kind, step, score, line in rows:
-            if kind == "onset":
-                if pending is not None:
-                    raise ParseError(
-                        f"series {sid!r}: onset without preceding offset",
-                        line=line,
-                        column=2,
-                    )
-                pending = (step, score, line)
-            else:
-                if pending is None:
-                    raise ParseError(
-                        f"series {sid!r}: offset without preceding onset",
-                        line=line,
-                        column=2,
-                    )
-                intervals.append(IntervalEvent(pending[0], step, pending[1]))
-                pending = None
-        if pending is not None:
+        for k, (kind, _, _, line) in enumerate(rows):
+            expected = ("onset", "offset")[k % 2]
+            if kind != expected:
+                raise ParseError(
+                    f"series {sid!r}: {kind} without preceding {expected}", line=line, column=2
+                )
+        if len(rows) % 2:
             raise ParseError(
-                f"series {sid!r}: unpaired trailing onset", line=pending[2], column=2
+                f"series {sid!r}: unpaired trailing onset", line=rows[-1][3], column=2
             )
-        out[sid] = EventSet(sid, INTERVAL, tuple(intervals))
+        intervals = tuple(
+            IntervalEvent(onset, offset, score)
+            for (_, onset, score, _), (_, offset, _, _) in zip(rows[::2], rows[1::2])
+        )
+        out[sid] = EventSet(sid, INTERVAL, intervals)
     return out
 
 
 def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
     """Read decoded detections: onset/point rows and offset rows with scores."""
-    by_series: dict[str, dict[str, list[tuple[int, float]]]] = {}
-    for sid, kind, step, score, line in _read_event_rows(path):
-        slots = by_series.setdefault(sid, {"onsets": [], "offsets": []})
-        if kind is None:
-            continue
-        if score is None:
-            raise ParseError(
-                f"series {sid!r}: detection rows need a score", line=line, column=4
-            )
-        slots["onsets" if kind in ("onset", "point") else "offsets"].append((step, score))
+    by_series = _read_event_rows(path)
+    # the first unscored row in the file, also when series interleave
+    unscored = [
+        (line, sid) for sid, rows in by_series.items() for _, _, score, line in rows if score is None
+    ]
+    if unscored:
+        line, sid = min(unscored)
+        raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
     return {
         sid: ScoredEvents(
-            onsets=tuple(sorted(slots["onsets"])),
-            offsets=tuple(sorted(slots["offsets"])),
+            onsets=tuple(sorted((step, score) for kind, step, score, _ in rows if kind != "offset")),
+            offsets=tuple(sorted((step, score) for kind, step, score, _ in rows if kind == "offset")),
         )
-        for sid, slots in by_series.items()
+        for sid, rows in by_series.items()
     }

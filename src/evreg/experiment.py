@@ -166,23 +166,29 @@ def fit(
 ) -> TrainResult:
     """Train config.model, seeded model.seed + fold_index, on (series, truth) pairs.
 
-    A train.sigma_start schedule re-encodes the targets every epoch.
+    A train.sigma_start schedule re-encodes the targets every epoch after
+    the first.
     """
     model_config = replace(config.model, seed=config.model.seed + fold_index)
-    items = [encode_targets(s, e, config) for s, e in pairs]
-    for x, _ in items:
-        if x.shape[0] != model_config.in_channels:
-            raise InvalidConfig(
-                f"model expects {model_config.in_channels} input channels, "
-                f"dataset provides {x.shape[0]}"
-            )
-
-    refresh = None
     tc = config.train
+
+    def encode_all(epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        sigma = None
+        if tc.sigma_start is not None:
+            sigma = sigma_schedule(epoch, tc.epochs, tc.sigma_start, tc.sigma_end)
+        return [encode_targets(s, e, config, sigma=sigma) for s, e in pairs]
+
+    items = encode_all(0)
+    # train checks that every item has the first one's shape
+    if items and items[0][0].shape[0] != model_config.in_channels:
+        raise InvalidConfig(
+            f"model expects {model_config.in_channels} input channels, "
+            f"dataset provides {items[0][0].shape[0]}"
+        )
+    refresh = None
     if tc.sigma_start is not None:
         def refresh(epoch: int):
-            s = sigma_schedule(epoch, tc.epochs, tc.sigma_start, tc.sigma_end)
-            return [encode_targets(srs, evs, config, sigma=s) for srs, evs in pairs]
+            return items if epoch == 0 else encode_all(epoch)
     return train(items, model_config, tc, val_scorer=val_scorer, refresh_targets=refresh)
 
 

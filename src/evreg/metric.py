@@ -167,26 +167,23 @@ def edap(
     return float(np.mean(list(table.values())))
 
 
+def prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall, and F1 from match counts (fn counts unmatched truth).
+
+    With no predictions and no truth all three are 1.0; otherwise an empty
+    side scores 0.0, and F1 is 0 when precision + recall is 0.
+    """
+    if tp == fp == fn == 0:
+        return (1.0, 1.0, 1.0)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return (precision, recall, f1)
+
+
 def prf_at_tolerance(
     pred: Sequence[tuple[int, float]], truth: Sequence[int], tol: int
 ) -> tuple[float, float, float]:
-    """Precision, recall, and F1 from greedy matching at one tolerance.
-
-    Conventions: with no predictions, precision is 1.0 if there is also no
-    truth, else 0.0.  Recall with no truth is 1.0 if there are also no
-    predictions.  F1 is 0 when precision + recall is 0.
-    """
+    """Precision, recall, and F1 (prf_from_counts) of greedy matching at one tolerance."""
     result = match_events(pred, truth, tol)
-    tp = result.num_tp
-    num_pred = len(result.flags)
-    num_truth = tp + result.unmatched_truth
-    if num_pred == 0:
-        precision = 1.0 if num_truth == 0 else 0.0
-    else:
-        precision = tp / num_pred
-    if num_truth == 0:
-        recall = 1.0 if num_pred == 0 else 0.0
-    else:
-        recall = tp / num_truth
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return (precision, recall, f1)
+    return prf_from_counts(result.num_tp, result.num_fp, result.unmatched_truth)

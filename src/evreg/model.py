@@ -59,6 +59,8 @@ class ModelConfig:
             raise InvalidConfig(f"kernel_size={self.kernel_size}, expected odd >= 1")
         if self.out_mode not in OUT_MODES:
             raise InvalidConfig(f"out_mode={self.out_mode!r}, expected one of {OUT_MODES}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed={self.seed}, expected >= 0")
 
     @property
     def levels(self) -> int:

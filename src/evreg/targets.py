@@ -124,6 +124,21 @@ def _add_kernel(channel: np.ndarray, center: int, kernel: np.ndarray) -> None:
         channel[max(0, lo) : min(n, hi)] += kernel[k_lo:k_hi]
 
 
+def _encode_density(
+    events: EventSet, num_steps: int, spec: PdfSpec, classes: tuple[str, ...]
+) -> TargetSeries:
+    """One normalized density channel per class, a kernel at each of its steps."""
+    validate_events(events, num_steps)
+    kernel = make_kernel(spec)
+    g = gamma(kernel, spec.day_length_d)
+    channels = np.zeros((len(classes), num_steps), dtype=np.float64)
+    for channel, cls in zip(channels, classes):
+        for step in events.by_class(cls):
+            _add_kernel(channel, step, kernel)
+    channels /= g
+    return TargetSeries(channels, g, classes)
+
+
 def encode_regression(
     events: EventSet, num_steps: int, spec: PdfSpec
 ) -> TargetSeries:
@@ -134,29 +149,14 @@ def encode_regression(
     """
     if events.kind != INTERVAL:
         raise InvalidEvents("encode_regression requires interval events")
-    validate_events(events, num_steps)
-    kernel = make_kernel(spec)
-    g = gamma(kernel, spec.day_length_d)
-    channels = np.zeros((2, num_steps), dtype=np.float64)
-    for ev in events.events:
-        _add_kernel(channels[0], ev.onset, kernel)
-        _add_kernel(channels[1], ev.offset, kernel)
-    channels /= g
-    return TargetSeries(channels, g, ("onset", "offset"))
+    return _encode_density(events, num_steps, spec, ("onset", "offset"))
 
 
 def encode_cpd(events: EventSet, num_steps: int, spec: PdfSpec) -> TargetSeries:
     """Single normalized density channel for point events."""
     if events.kind != POINT:
         raise InvalidEvents("encode_cpd requires point events")
-    validate_events(events, num_steps)
-    kernel = make_kernel(spec)
-    g = gamma(kernel, spec.day_length_d)
-    channels = np.zeros((1, num_steps), dtype=np.float64)
-    for ev in events.events:
-        _add_kernel(channels[0], ev.step, kernel)
-    channels /= g
-    return TargetSeries(channels, g, ("point",))
+    return _encode_density(events, num_steps, spec, ("point",))
 
 
 def encode_segmentation(events: EventSet, num_steps: int) -> TargetSeries:

@@ -353,3 +353,19 @@ class TestExitCodes:
         code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 4
         assert "numeric error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,synth_seed,model_seed,flag", [
+        ("synth", -1, 0, []),
+        ("train", 0, -2, []),
+        ("cv", 0, 0, ["--seed", "-3"]),
+    ], ids=["synth-data-seed", "train-model-seed", "cv-seed-flag"])
+    def test_negative_seed(self, tmp_path, capsys, command, synth_seed, model_seed, flag):
+        doc = config_doc()
+        doc["data"]["synth"]["seed"] = synth_seed
+        doc["model"]["seed"] = model_seed
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o"), *flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "expected >= 0" in err

@@ -368,3 +368,33 @@ class TestEventsCsv:
         path.write_text("series_id,event,step,score\ns,onset,5,\n")
         with pytest.raises(ParseError):
             load_events(path)
+
+    @pytest.mark.parametrize("loader,rows,message,line,column", [
+        (load_events, "s,onset,1,\ns,offset,3,\ns,point,5,\n",
+         "series 's' mixes point and interval rows", 4, 2),
+        (load_events, "s,offset,5,\n", "series 's': offset without preceding onset", 2, 2),
+        (load_events, "s,onset,1,\ns,onset,3,\ns,offset,5,\n",
+         "series 's': onset without preceding offset", 3, 2),
+        (load_events, "s,onset,1,\ns,offset,3,\ns,onset,5,\n",
+         "series 's': unpaired trailing onset", 4, 2),
+        (load_events, "a,onset,1,\nb,onset,2,\na,offset,3,\nb,onset,4,\nb,offset,6,\n",
+         "series 'b': onset without preceding offset", 5, 2),
+        (load_events, "a,onset,1,\nb,onset,2,\na,offset,3,\n",
+         "series 'b': unpaired trailing onset", 3, 2),
+        (load_scored_events, "s,onset,1,0.5\ns,offset,3,\n",
+         "series 's': detection rows need a score", 3, 4),
+        # series 'a' comes first, but the first unscored row of the file is b's
+        (load_scored_events, "a,onset,1,0.5\nb,onset,2,\na,offset,3,\n",
+         "series 'b': detection rows need a score", 3, 4),
+    ], ids=[
+        "mixed-kinds", "leading-offset", "double-onset", "trailing-onset",
+        "interleaved-double-onset", "interleaved-trailing-onset",
+        "missing-score", "interleaved-missing-score",
+    ])
+    def test_malformed_rows_position(self, tmp_path, loader, rows, message, line, column):
+        path = tmp_path / "events.csv"
+        path.write_text("series_id,event,step,score\n" + rows)
+        with pytest.raises(ParseError) as err:
+            loader(path)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)

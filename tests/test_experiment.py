@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evreg import config as config_module
 from evreg.config import OBJECTIVES, config_from_mapping
 from evreg.data import save_events, save_series, synth_generate, SynthConfig
 from evreg.decode import decode_points, decode_regression, decode_seg_peaks, decode_seg_threshold
@@ -19,6 +20,7 @@ from evreg.experiment import (
     run_cv,
 )
 from evreg.metric import edap
+from evreg.targets import encode_regression
 from evreg.types import INTERVAL, POINT, points_from_intervals
 
 
@@ -251,6 +253,30 @@ def test_fit_moves_the_model_seed_by_fold_index():
     assert moved.trace == reseeded.trace
     for name, tensor in moved.params.tensors.items():
         assert np.array_equal(tensor, reseeded.params.tensors[name])
+
+
+def test_fit_encodes_each_epoch_once(monkeypatch):
+    config = make_config(
+        pdf={"kind": "gaussian", "day_length_d": 64, "width_w": 17, "sigma": 1},
+        train={"epochs": 2, "batch_size": 4, "sigma_start": 2, "sigma_end": 1},
+    )
+    series_list, truth = build_dataset(config)
+    pairs = [(s, truth[s.series_id]) for s in series_list]
+    sigmas = []
+
+    def counting_encode(events, num_steps, spec):
+        sigmas.append(spec.sigma)
+        return encode_regression(events, num_steps, spec)
+
+    monkeypatch.setattr(config_module, "encode_regression", counting_encode)
+    fit(config, pairs)
+    # 8 series x 2 epochs; the first epoch is encoded at sigma_start only
+    assert sigmas == [2.0] * 8 + [1.5] * 8
+
+
+def test_fit_of_no_pairs_is_a_config_error():
+    with pytest.raises(InvalidConfig, match="dataset is empty"):
+        fit(make_config(), [])
 
 
 @pytest.fixture(scope="module")

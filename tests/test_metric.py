@@ -11,6 +11,7 @@ from evreg.metric import (
     edap_table,
     match_events,
     prf_at_tolerance,
+    prf_from_counts,
 )
 from evreg.types import INTERVAL, POINT, EventSet, IntervalEvent, PointEvent, ScoredEvents
 
@@ -268,3 +269,12 @@ class TestPrfAtTolerance:
 
     def test_both_empty(self):
         assert prf_at_tolerance([], [], 2) == (1.0, 1.0, 1.0)
+
+    def test_counts_all_empty(self):
+        assert prf_from_counts(0, 0, 0) == (1.0, 1.0, 1.0)
+
+    def test_counts_no_predictions(self):
+        assert prf_from_counts(0, 0, 3) == (0.0, 0.0, 0.0)
+
+    def test_counts_no_truth(self):
+        assert prf_from_counts(0, 2, 0) == (0.0, 0.0, 0.0)

@@ -13,7 +13,14 @@ from evreg.targets import (
     make_kernel,
     sigma_schedule,
 )
-from evreg.types import INTERVAL, POINT, EventSet, IntervalEvent, PointEvent
+from evreg.types import (
+    INTERVAL,
+    POINT,
+    EventSet,
+    IntervalEvent,
+    PointEvent,
+    points_from_intervals,
+)
 
 
 def hard_spec(d=100, w=5):
@@ -178,6 +185,16 @@ class TestEncodeCpd:
     def test_interval_kind_rejected(self):
         with pytest.raises(InvalidEvents):
             encode_cpd(EventSet("s", INTERVAL, (IntervalEvent(0, 2),)), 10, hard_spec(10, 5))
+
+    def test_equals_regression_onset_channel(self):
+        spec = PdfSpec(kind="gaussian", day_length_d=64, width_w=17, sigma=2.0)
+        ev = EventSet(
+            "s", INTERVAL, (IntervalEvent(0, 5), IntervalEvent(5, 9), IntervalEvent(30, 60))
+        )
+        cpd = encode_cpd(points_from_intervals(ev), 60, spec)
+        regression = encode_regression(ev, 60, spec)
+        np.testing.assert_array_equal(cpd.channels[0], regression.channels[0])
+        assert cpd.gamma == regression.gamma
 
 
 class TestEncodeSegmentation:
