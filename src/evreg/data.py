@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidFactor, IoError, ParseError
+from .errors import InvalidConfig, InvalidEvents, InvalidFactor, IoError, ParseError
 from .types import (
     INTERVAL,
     POINT,
@@ -27,6 +27,7 @@ from .types import (
     PointEvent,
     ScoredEvents,
     TimeSeries,
+    interval_fault,
     validate_events,
 )
 
@@ -341,7 +342,8 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
     A series whose rows are all 'point' becomes a point EventSet; otherwise
     its rows pair into intervals by position (onset, then offset, as
     save_events writes them).  A series without events reads as an empty
-    interval set.
+    interval set.  Intervals must hold 0 <= onset < offset and be sorted and
+    non-overlapping, else InvalidEvents names the series and the onset's line.
     """
     out: dict[str, EventSet] = {}
     for sid, rows in _read_event_rows(path).items():
@@ -365,11 +367,15 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
             raise ParseError(
                 f"series {sid!r}: unpaired trailing onset", line=rows[-1][3], column=2
             )
-        intervals = tuple(
-            IntervalEvent(onset, offset, score)
-            for (_, onset, score, _), (_, offset, _, _) in zip(rows[::2], rows[1::2])
-        )
-        out[sid] = EventSet(sid, INTERVAL, intervals)
+        intervals, prev_offset = [], None
+        for (_, onset, score, line), (_, offset, _, _) in zip(rows[::2], rows[1::2]):
+            ev = IntervalEvent(onset, offset, score)
+            fault = interval_fault(ev, prev_offset)
+            if fault is not None:
+                raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault}")
+            intervals.append(ev)
+            prev_offset = offset
+        out[sid] = EventSet(sid, INTERVAL, tuple(intervals))
     return out
 
 

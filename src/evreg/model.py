@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DivergedLoss,
@@ -184,17 +183,24 @@ def zero_params(config: ModelConfig) -> Parameters:
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    # one (out, in) @ (B, in, T) matmul per kernel tap
     k = w.shape[2]
     half = k // 2
+    t = x.shape[2]
     xp = np.pad(x, ((0, 0), (0, 0), (half, half))) if half else x
-    windows = sliding_window_view(xp, k, axis=2)
-    out = np.einsum("bctk,ock->bot", windows, w) + b[None, :, None]
-    return out, (windows, w)
+    out = w[:, :, 0] @ xp[:, :, :t]
+    for j in range(1, k):
+        out += w[:, :, j] @ xp[:, :, j : j + t]
+    out += b[:, None]
+    return out, (xp, w)
 
 
 def _conv_backward(dout: np.ndarray, cache):
-    windows, w = cache
-    dw = np.einsum("bot,bctk->ock", dout, windows)
+    xp, w = cache
+    t = dout.shape[2]
+    dw = np.empty_like(w)
+    for j in range(w.shape[2]):
+        dw[:, :, j] = np.tensordot(dout, xp[:, :, j : j + t], ([0, 2], [0, 2]))
     db = dout.sum(axis=(0, 2))
     # dx is the same-padded conv of dout with the kernel flipped along its
     # taps and transposed in its channel axes
@@ -411,7 +417,10 @@ def _loss_and_gradients(
 ) -> tuple[float, Parameters]:
     out, cache = _forward_impl(params, x, config)
     loss_value, dlogits = _loss_and_dlogits(out, y, config.out_mode)
-    grads = _backward_impl(params, cache, dlogits, config)
+    # overflow to inf or nan is fine here too: it ends as NonFiniteGradient
+    # below instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = _backward_impl(params, cache, dlogits, config)
     if not grads.all_finite():
         raise NonFiniteGradient("gradients contain NaN or Inf")
     return loss_value, grads

@@ -140,6 +140,24 @@ class EventSet:
         raise InvalidEvents(f"class {cls!r} undefined for {self.kind} truth")
 
 
+def interval_fault(ev: IntervalEvent, prev_offset: int | None) -> str | None:
+    """What breaks the length-free interval invariants, or None.
+
+    0 <= onset < offset, and the interval starts no earlier than the previous
+    one of its series ended (prev_offset; None for the first).
+    """
+    if ev.onset < 0:
+        return f"event [{ev.onset}, {ev.offset}) starts before step 0"
+    if ev.onset >= ev.offset:
+        return f"event [{ev.onset}, {ev.offset}) has no positive duration"
+    if prev_offset is not None and ev.onset < prev_offset:
+        return (
+            f"event at onset {ev.onset} overlaps or precedes the previous "
+            f"event ending at {prev_offset}"
+        )
+    return None
+
+
 def validate_events(events: EventSet, num_steps: int) -> None:
     """Check event invariants against a series of the given length.
 
@@ -158,15 +176,9 @@ def validate_events(events: EventSet, num_steps: int) -> None:
                 raise EventOutOfRange(
                     f"event [{ev.onset}, {ev.offset}) outside [0, {num_steps}]"
                 )
-            if ev.onset >= ev.offset:
-                raise InvalidEvents(
-                    f"event [{ev.onset}, {ev.offset}) has no positive duration"
-                )
-            if prev_offset is not None and ev.onset < prev_offset:
-                raise InvalidEvents(
-                    f"event at onset {ev.onset} overlaps or precedes the previous "
-                    f"event ending at {prev_offset}"
-                )
+            fault = interval_fault(ev, prev_offset)
+            if fault is not None:
+                raise InvalidEvents(fault)
             prev_offset = ev.offset
     else:
         prev_step = None

@@ -1,5 +1,7 @@
 """Command-line driver: artifacts, determinism, exit codes."""
 
+import warnings
+
 import numpy as np
 import yaml
 import pytest
@@ -353,6 +355,33 @@ class TestExitCodes:
         code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 4
         assert "numeric error" in capsys.readouterr().err
+
+    def test_diverged_training_does_not_warn(self, tmp_path, capsys):
+        # overflow is reported as the exit-4 numeric error, not as numpy warnings
+        doc = config_doc()
+        doc["data"]["synth"]["signal_shift"] = 1e200
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "numeric error" in capsys.readouterr().err
+
+    def test_eval_truth_with_reversed_interval(self, pipeline, tmp_path, capsys):
+        config, out, _ = pipeline
+        truth = tmp_path / "events.csv"
+        truth.write_text(
+            "series_id,event,step,score\ns000,onset,2,\ns000,offset,5,\n"
+            "s000,onset,17,\ns000,offset,11,\n"
+        )
+        code = main([
+            "eval", "--config", config, "--out", str(tmp_path / "o"),
+            "--pred", str(out / "predictions.csv"), "--truth", str(truth),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "series 's000', line 4" in err
 
     @pytest.mark.parametrize("command,synth_seed,model_seed,flag", [
         ("synth", -1, 0, []),

@@ -13,7 +13,7 @@ from evreg.data import (
     save_series,
     synth_generate,
 )
-from evreg.errors import InvalidConfig, InvalidFactor, ParseError
+from evreg.errors import InvalidConfig, InvalidEvents, InvalidFactor, ParseError
 from evreg.types import (
     INTERVAL,
     POINT,
@@ -398,3 +398,20 @@ class TestEventsCsv:
             loader(path)
         assert str(err.value) == f"line {line}, column {column}: {message}"
         assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("rows,line,fault", [
+        ("s,onset,-1,\ns,offset,3,\n", 2, "event [-1, 3) starts before step 0"),
+        ("s,onset,17,\ns,offset,11,\n", 2, "event [17, 11) has no positive duration"),
+        ("s,onset,4,\ns,offset,4,\n", 2, "event [4, 4) has no positive duration"),
+        ("s,onset,8,\ns,offset,12,\ns,onset,1,\ns,offset,3,\n", 4,
+         "event at onset 1 overlaps or precedes the previous event ending at 12"),
+        ("s,onset,1,\ns,offset,6,\nt,onset,0,\ns,onset,5,\ns,offset,9,\nt,offset,2,\n", 5,
+         "event at onset 5 overlaps or precedes the previous event ending at 6"),
+    ], ids=["negative-onset", "offset-before-onset", "zero-duration", "unsorted",
+            "overlapping"])
+    def test_intervals_checked(self, tmp_path, rows, line, fault):
+        path = tmp_path / "events.csv"
+        path.write_text("series_id,event,step,score\n" + rows)
+        with pytest.raises(InvalidEvents) as err:
+            load_events(path)
+        assert str(err.value) == f"{path}: series 's', line {line}: {fault}"

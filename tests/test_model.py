@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from evreg.errors import (
     DivergedLoss,
@@ -296,6 +301,82 @@ class TestLayerGradients:
             np.testing.assert_allclose(
                 g3.tensors[name], 3.0 * g1.tensors[name], rtol=1e-12
             )
+
+
+def einsum_conv_forward(x, w, b):
+    """Reference same-padded conv: one einsum over every window and tap."""
+    half = w.shape[2] // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (half, half)))
+    windows = sliding_window_view(xp, w.shape[2], axis=2)
+    return np.einsum("bctk,ock->bot", windows, w) + b[None, :, None]
+
+
+def einsum_conv_backward(dout, x, w):
+    """Reference (dx, dw, db) of einsum_conv_forward under upstream dout."""
+    half = w.shape[2] // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (half, half)))
+    dw = np.einsum("bot,bctk->ock", dout, sliding_window_view(xp, w.shape[2], axis=2))
+    w_t = w[:, :, ::-1].transpose(1, 0, 2)
+    dx = einsum_conv_forward(dout, w_t, np.zeros(w_t.shape[0]))
+    return dx, dw, dout.sum(axis=(0, 2))
+
+
+class TestConvOracle:
+    """The per-tap conv against the einsum formulas it replaced."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("in_c,out_c,steps", [(3, 5, 13), (6, 2, 7), (4, 4, 1)])
+    def test_matches_einsum(self, batch, kernel, in_c, out_c, steps):
+        rng = np.random.default_rng(batch * 100 + kernel * 10 + in_c)
+        x = rng.normal(size=(batch, in_c, steps))
+        w = rng.normal(size=(out_c, in_c, kernel))
+        b = rng.normal(size=out_c)
+        dout = rng.normal(size=(batch, out_c, steps))
+        out, cache = _conv_forward(x, w, b)
+        got = (out, *_conv_backward(dout, cache))
+        want = (einsum_conv_forward(x, w, b), *einsum_conv_backward(dout, x, w))
+        for name, g, r in zip(("out", "dx", "dw", "db"), got, want):
+            assert g.shape == r.shape, name
+            # sums reassociate, so entries that cancel to near 0 get an
+            # absolute floor at the array's own scale
+            np.testing.assert_allclose(
+                g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max(), err_msg=name
+            )
+
+
+_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from evreg.config import load_config
+from evreg.model import forward, gradients, init_params
+config = load_config("configs/benchmark_regression.yaml").model
+rng = np.random.default_rng(0)
+x = rng.normal(size=(8, config.in_channels, 512))
+y = rng.normal(size=(8, config.out_channels, 512))
+params = init_params(config)
+digest = hashlib.sha256(forward(params, x, config).tobytes())
+for g in gradients(params, (x, y), config).tensors.values():
+    digest.update(g.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_outputs_independent_of_blas_threads():
+    """forward and gradients of the benchmark model hash the same under 1 and
+    2 BLAS threads."""
+    root = Path(__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SCRIPT],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        )
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 class TestFullGradients:
