@@ -28,6 +28,7 @@ from .types import (
     ScoredEvents,
     TimeSeries,
     interval_fault,
+    point_fault,
     validate_events,
 )
 
@@ -343,14 +344,22 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
     its rows pair into intervals by position (onset, then offset, as
     save_events writes them).  A series without events reads as an empty
     interval set.  Intervals must hold 0 <= onset < offset and be sorted and
-    non-overlapping, else InvalidEvents names the series and the onset's line.
+    non-overlapping, points must hold step >= 0 and be sorted, else
+    InvalidEvents names the series and the line (an interval's onset line).
     """
     out: dict[str, EventSet] = {}
     for sid, rows in _read_event_rows(path).items():
         kinds = {kind for kind, _, _, _ in rows}
         if kinds == {"point"}:
-            points = tuple(PointEvent(step, score) for _, step, score, _ in rows)
-            out[sid] = EventSet(sid, POINT, points)
+            points, prev_step = [], None
+            for _, step, score, line in rows:
+                ev = PointEvent(step, score)
+                fault = point_fault(ev, prev_step)
+                if fault is not None:
+                    raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault}")
+                points.append(ev)
+                prev_step = step
+            out[sid] = EventSet(sid, POINT, tuple(points))
             continue
         if "point" in kinds:
             line = next(l for k, _, _, l in rows if k == "point")

@@ -44,7 +44,7 @@ def _pick_channel(y: np.ndarray, params: DecodeParams) -> tuple[tuple[int, float
     """Peaks of the smoothed channel, scored by the raw channel value."""
     smoothed = gaussian_smooth(y, SmoothingParams(params.sigma))
     peaks = find_peaks(smoothed, min_distance=params.alpha, min_height=params.min_height)
-    return tuple((p.index, float(y[p.index])) for p in peaks)
+    return tuple([(p.index, float(y[p.index])) for p in peaks])
 
 
 def decode_regression(
@@ -100,15 +100,14 @@ def decode_seg_threshold(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     arr = _check_probability(y)
     smoothed = gaussian_smooth(arr, SmoothingParams(params.sigma))
     contrast = window_convolve(smoothed, WindowParams(params.alpha))
-    mu = params.mu
-    onsets = []
-    offsets = []
-    for t in range(1, len(arr)):
-        if smoothed[t - 1] < mu and smoothed[t] > mu:
-            onsets.append((t, abs(float(contrast[t]))))
-        elif smoothed[t - 1] > mu and smoothed[t] < mu:
-            offsets.append((t, abs(float(contrast[t]))))
-    return ScoredEvents(onsets=tuple(onsets), offsets=tuple(offsets))
+    before, after = smoothed[:-1], smoothed[1:]
+    up = np.flatnonzero((before < params.mu) & (after > params.mu)) + 1
+    down = np.flatnonzero((before > params.mu) & (after < params.mu)) + 1
+    score = np.abs(contrast)
+    return ScoredEvents(
+        onsets=list(zip(up.tolist(), score[up].tolist())),
+        offsets=list(zip(down.tolist(), score[down].tolist())),
+    )
 
 
 def decode_seg_peaks(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
@@ -120,12 +119,12 @@ def decode_seg_peaks(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     arr = _check_probability(y)
     smoothed = gaussian_smooth(arr, SmoothingParams(params.sigma))
     contrast = window_convolve(smoothed, WindowParams(params.alpha))
-    onsets = tuple(
+    onsets = tuple([
         (p.index, abs(float(contrast[p.index])))
         for p in find_peaks(contrast, min_distance=params.alpha)
-    )
-    offsets = tuple(
+    ])
+    offsets = tuple([
         (p.index, abs(float(contrast[p.index])))
         for p in find_peaks(-contrast, min_distance=params.alpha)
-    )
+    ])
     return ScoredEvents(onsets=onsets, offsets=offsets)

@@ -8,6 +8,8 @@ pooling all series, and the final score is the unweighted mean over cells.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -66,35 +68,24 @@ def match_events(
     if tol < 0:
         raise InvalidSpec(f"tol={tol}, expected >= 0")
     pairs = [(int(s), float(v)) for s, v in pred]
-    if any(not np.isfinite(v) for _, v in pairs):
+    if not all(math.isfinite(v) for _, v in pairs):
         raise InvalidEvents("prediction scores must be finite")
-    order = sorted(range(len(pairs)), key=lambda i: (-pairs[i][1], pairs[i][0]))
-    truth_steps = sorted(int(t) for t in truth)
-    used = [False] * len(truth_steps)
+    pairs.sort(key=lambda p: (-p[1], p[0]))
+    free = sorted(int(t) for t in truth)
 
     flags: list[bool] = []
-    scores: list[float] = []
-    for i in order:
-        step, score = pairs[i]
-        best_j = -1
-        best_key = None
-        for j, t in enumerate(truth_steps):
-            if used[j]:
-                continue
-            d = abs(step - t)
-            if d > tol:
-                continue
-            key = (d, t)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_j = j
-        if best_j >= 0:
-            used[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-        scores.append(score)
-    return MatchResult(tuple(flags), tuple(scores), used.count(False))
+    for step, _ in pairs:
+        # free[j - 1] < step <= free[j]: the nearest free truth on each side
+        j = bisect.bisect_left(free, step)
+        best = j if j < len(free) and free[j] - step <= tol else None
+        if j > 0 and step - free[j - 1] <= tol and (
+            best is None or step - free[j - 1] <= free[j] - step
+        ):
+            best = j - 1
+        flags.append(best is not None)
+        if best is not None:
+            del free[best]
+    return MatchResult(tuple(flags), tuple([v for _, v in pairs]), len(free))
 
 
 def average_precision(flags: Sequence[bool], num_truth: int) -> float:

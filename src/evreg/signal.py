@@ -7,6 +7,7 @@ are implemented here rather than delegated to a library.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,6 +42,10 @@ class WindowParams:
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, np.integer)) and self.alpha >= 1):
             raise InvalidSpec(f"alpha={self.alpha}, expected integer >= 1")
+
+
+# largest (peaks x samples) mask find_peaks builds at once
+_MASK_CELLS = 1 << 20
 
 
 class Peak(NamedTuple):
@@ -106,45 +111,54 @@ def find_peaks(
     if not (isinstance(min_distance, (int, np.integer)) and min_distance >= 1):
         raise InvalidSpec(f"min_distance={min_distance}, expected integer >= 1")
     n = len(arr)
+    if n < 3:
+        return []
 
-    candidates: list[int] = []
-    i = 1
-    while i < n - 1:
-        if arr[i] > arr[i - 1]:
-            j = i
-            while j + 1 < n and arr[j + 1] == arr[i]:
-                j += 1
-            if j < n - 1 and arr[j + 1] < arr[i]:
-                candidates.append((i + j) // 2)
-            i = j + 1
-        else:
-            i += 1
+    # runs of equal samples; a run is a peak when both neighbouring runs are
+    # strictly lower, so the first and last runs never are
+    starts = np.flatnonzero(np.r_[True, arr[1:] != arr[:-1]])
+    ends = np.append(starts[1:] - 1, n - 1)
+    vals = arr[starts]
+    inner = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
+    candidates = (starts[1:-1][inner] + ends[1:-1][inner]) // 2
 
     if min_height is not None:
-        candidates = [c for c in candidates if arr[c] >= min_height]
+        candidates = candidates[arr[candidates] >= min_height]
 
-    order = sorted(candidates, key=lambda c: (-arr[c], c))
+    # kept stays sorted, so only the two kept peaks around c can be too close
     kept: list[int] = []
-    for c in order:
-        if all(abs(c - k) >= min_distance for k in kept):
-            kept.append(c)
-    kept.sort()
+    for c in candidates[np.lexsort((candidates, -arr[candidates]))].tolist():
+        pos = bisect.bisect_left(kept, c)
+        if (pos == 0 or c - kept[pos - 1] >= min_distance) and (
+            pos == len(kept) or kept[pos] - c >= min_distance
+        ):
+            kept.insert(pos, c)
 
-    peaks = []
-    for c in kept:
-        height = float(arr[c])
-        left_min = height
-        i = c - 1
-        while i >= 0 and arr[i] <= height:
-            left_min = min(left_min, float(arr[i]))
-            i -= 1
-        right_min = height
-        i = c + 1
-        while i < n and arr[i] <= height:
-            right_min = min(right_min, float(arr[i]))
-            i += 1
-        peaks.append(Peak(int(c), height, height - max(left_min, right_min)))
-    return peaks
+    peaks = np.array(kept, dtype=np.intp)
+    heights = arr[peaks]
+    # each descent runs from the peak to the nearest strictly higher sample
+    # on that side (exclusive), or to the boundary; the (peaks, n) masks are
+    # taken in blocks of rows so that long series stay in bounded memory
+    lo = np.empty_like(peaks)
+    hi = np.empty_like(peaks)
+    index = np.arange(n)
+    rows = max(1, _MASK_CELLS // n)
+    for b in range(0, len(peaks), rows):
+        p = peaks[b : b + rows, None]
+        higher = arr > heights[b : b + rows, None]
+        left = higher & (index < p)
+        right = higher & (index > p)
+        lo[b : b + rows] = np.where(left.any(axis=1), n - np.argmax(left[:, ::-1], axis=1), 0)
+        hi[b : b + rows] = np.where(right.any(axis=1), np.argmax(right, axis=1), n)
+    # minima over arr[lo : peak + 1] and arr[peak : hi]; the odd segments
+    # in between are discarded, and the appended sample makes hi == n valid
+    bounds = np.column_stack((lo, peaks + 1, peaks, hi)).ravel()
+    minima = np.minimum.reduceat(np.append(arr, np.inf), bounds)
+    prominences = heights - np.maximum(minima[0::4], minima[2::4])
+    return [
+        Peak(c, h, p)
+        for c, h, p in zip(kept, heights.tolist(), prominences.tolist())
+    ]
 
 
 def window_convolve(x: np.ndarray, params: WindowParams) -> np.ndarray:

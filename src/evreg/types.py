@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -158,6 +159,19 @@ def interval_fault(ev: IntervalEvent, prev_offset: int | None) -> str | None:
     return None
 
 
+def point_fault(ev: PointEvent, prev_step: int | None) -> str | None:
+    """What breaks the length-free point invariants, or None.
+
+    step >= 0, and no earlier than the previous point of its series
+    (prev_step; None for the first).
+    """
+    if ev.step < 0:
+        return f"point {ev.step} is before step 0"
+    if prev_step is not None and ev.step < prev_step:
+        return f"point {ev.step} precedes previous {prev_step}"
+    return None
+
+
 def validate_events(events: EventSet, num_steps: int) -> None:
     """Check event invariants against a series of the given length.
 
@@ -187,8 +201,9 @@ def validate_events(events: EventSet, num_steps: int) -> None:
                 raise InvalidEvents(f"expected PointEvent, got {type(ev).__name__}")
             if not (0 <= ev.step < num_steps):
                 raise EventOutOfRange(f"point {ev.step} outside [0, {num_steps})")
-            if prev_step is not None and ev.step < prev_step:
-                raise InvalidEvents(f"point {ev.step} precedes previous {prev_step}")
+            fault = point_fault(ev, prev_step)
+            if fault is not None:
+                raise InvalidEvents(fault)
             prev_step = ev.step
 
 
@@ -229,17 +244,17 @@ class ScoredEvents:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "onsets", tuple((int(s), float(v)) for s, v in self.onsets)
+            self, "onsets", tuple([(int(s), float(v)) for s, v in self.onsets])
         )
         object.__setattr__(
-            self, "offsets", tuple((int(s), float(v)) for s, v in self.offsets)
+            self, "offsets", tuple([(int(s), float(v)) for s, v in self.offsets])
         )
         for name in ("onsets", "offsets"):
             pairs = getattr(self, name)
             steps = [s for s, _ in pairs]
             if steps != sorted(steps):
                 raise InvalidEvents(f"{name} must be sorted by step")
-            if any(not np.isfinite(v) for _, v in pairs):
+            if not all(math.isfinite(v) for _, v in pairs):
                 raise InvalidEvents(f"{name} contain a non-finite score")
 
     def __len__(self) -> int:

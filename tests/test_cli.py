@@ -383,6 +383,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "series 's000', line 4" in err
 
+    def test_eval_truth_with_unsorted_points(self, pipeline, tmp_path, capsys):
+        # a cpd config scores point truth, so only the load check can reject it
+        _, out, _ = pipeline
+        config = write_config(tmp_path / "cpd.yaml", objective="cpd")
+        truth = tmp_path / "points.csv"
+        truth.write_text(
+            "series_id,event,step,score\ns000,point,9,\ns000,point,-4,\n"
+            + "".join(f"s{i:03d},point,10,\n" for i in range(1, 8))
+        )
+        code = main([
+            "eval", "--config", config, "--out", str(tmp_path / "o"),
+            "--pred", str(out / "predictions.csv"), "--truth", str(truth),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "series 's000', line 3" in err
+
     @pytest.mark.parametrize("command,synth_seed,model_seed,flag", [
         ("synth", -1, 0, []),
         ("train", 0, -2, []),

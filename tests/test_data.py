@@ -415,3 +415,14 @@ class TestEventsCsv:
         with pytest.raises(InvalidEvents) as err:
             load_events(path)
         assert str(err.value) == f"{path}: series 's', line {line}: {fault}"
+
+    @pytest.mark.parametrize("rows,line,fault", [
+        ("s,point,3,\ns,point,-4,\n", 3, "point -4 is before step 0"),
+        ("t,point,1,\ns,point,9,\nt,point,2,\ns,point,4,\n", 5, "point 4 precedes previous 9"),
+    ], ids=["negative-point", "unsorted-point"])
+    def test_points_checked(self, tmp_path, rows, line, fault):
+        path = tmp_path / "events.csv"
+        path.write_text("series_id,event,step,score\n" + rows)
+        with pytest.raises(InvalidEvents) as err:
+            load_events(path)
+        assert str(err.value) == f"{path}: series 's', line {line}: {fault}"

@@ -9,6 +9,7 @@ from evreg.decode import (
     decode_seg_threshold,
 )
 from evreg.errors import InvalidProbability, InvalidSpec, LengthMismatch
+from evreg.signal import SmoothingParams, WindowParams, gaussian_smooth, window_convolve
 from evreg.targets import PdfSpec, encode_regression
 from evreg.types import INTERVAL, EventSet, IntervalEvent
 
@@ -77,6 +78,20 @@ class TestDecodeRegression:
         )
 
 
+def threshold_loop_oracle(y, params):
+    """The per-sample crossing scan, as (onsets, offsets) lists of (t, |I[t]|)."""
+    smoothed = gaussian_smooth(np.asarray(y, dtype=np.float64), SmoothingParams(params.sigma))
+    contrast = window_convolve(smoothed, WindowParams(params.alpha))
+    mu = params.mu
+    onsets, offsets = [], []
+    for t in range(1, len(smoothed)):
+        if smoothed[t - 1] < mu and smoothed[t] > mu:
+            onsets.append((t, abs(float(contrast[t]))))
+        elif smoothed[t - 1] > mu and smoothed[t] < mu:
+            offsets.append((t, abs(float(contrast[t]))))
+    return onsets, offsets
+
+
 class TestDecodeSegThreshold:
     def test_constant_zero(self):
         out = decode_seg_threshold(np.zeros(32), DecodeParams(alpha=2))
@@ -123,6 +138,18 @@ class TestDecodeSegThreshold:
             )
             kinds = [k for _, k in merged]
             assert kinds == ["on", "off"] * (len(kinds) // 2)
+
+    @pytest.mark.parametrize("sigma", [None, 1.0])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_loop_oracle_on_quantized_input(self, seed, sigma):
+        # values k/4 put samples exactly on mu = 0.5, where a touch must not fire
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 5, size=int(rng.integers(1, 120))) / 4.0
+        params = DecodeParams(alpha=int(rng.integers(1, 5)), mu=0.5, sigma=sigma)
+        out = decode_seg_threshold(y, params)
+        onsets, offsets = threshold_loop_oracle(y, params)
+        assert list(out.onsets) == onsets
+        assert list(out.offsets) == offsets
 
     def test_probability_validation(self):
         with pytest.raises(InvalidProbability):

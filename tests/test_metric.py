@@ -90,6 +90,24 @@ class TestMatchEvents:
         assert got.unmatched_truth == unmatched
 
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_tie_heavy_matches_enumeration_oracle(self, seed):
+        # a narrow step range makes duplicate truth steps, equal-distance
+        # ties and equal scores common
+        rng = np.random.default_rng(1000 + seed)
+        pred = [
+            (int(rng.integers(0, 30)), float(rng.choice([0.2, 0.5, 0.5, 1.0])))
+            for _ in range(rng.integers(0, 61))
+        ]
+        truth = [int(v) for v in rng.integers(0, 30, size=rng.integers(0, 21))]
+        for tol in range(11):
+            got = match_events(pred, truth, tol)
+            flags, unmatched = enumeration_match_oracle(pred, truth, tol)
+            assert list(got.flags) == flags
+            assert list(got.scores) == [v for _, v in sorted(pred, key=lambda p: (-p[1], p[0]))]
+            assert got.unmatched_truth == unmatched
+
+
 class TestAveragePrecision:
     def test_single_tp(self):
         assert average_precision([True], 1) == 1.0

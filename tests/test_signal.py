@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_peaks, dense_smooth_oracle, window_contrast_oracle
 from evreg.errors import InvalidSpec, NonFiniteInput
 from evreg.signal import (
+    _MASK_CELLS,
     Peak,
     SmoothingParams,
     WindowParams,
@@ -154,6 +157,26 @@ class TestFindPeaks:
         min_distance = int(rng.integers(1, 10))
         got = [tuple(p) for p in find_peaks(x, min_distance)]
         assert got == brute_force_peaks(x, min_distance)
+
+    def test_matches_brute_force_long_series(self):
+        # enough peaks that prominence runs over several blocks of mask rows
+        x = np.random.default_rng(7).integers(0, 50, size=4000).astype(np.float64)
+        got = [tuple(p) for p in find_peaks(x, 1)]
+        assert len(got) > 2 * (_MASK_CELLS // len(x))
+        assert got == brute_force_peaks(x, 1)
+
+    @pytest.mark.parametrize("min_height", [None, 0.0])
+    @pytest.mark.parametrize("min_distance", [1, 2, 5])
+    def test_short_and_constant_inputs(self, min_distance, min_height):
+        short = [
+            np.array(values, dtype=np.float64)
+            for n in range(4)
+            for values in itertools.product([-1.0, 0.0, 1.0], repeat=n)
+        ]
+        constant = [np.full(n, v) for n in (1, 2, 3, 7, 40) for v in (-1.0, 0.0, 2.5)]
+        for x in short + constant:
+            got = [tuple(p) for p in find_peaks(x, min_distance, min_height)]
+            assert got == brute_force_peaks(x, min_distance, min_height), x
 
     @given(st.lists(st.integers(0, 4), min_size=2, max_size=40), st.integers(1, 6))
     @settings(max_examples=120, deadline=None)
