@@ -42,7 +42,8 @@ class Objective:
     seg_method) the ScoredEvents of one series; both resolve the encoder or
     decoder by its module-global name at call time, so rebinding it works.
     segmentation marks per-step label targets: no pdf, no sigma schedule, and
-    a grid that sweeps mu.  point_truth collapses intervals to onset points.
+    a grid that sweeps mu for the threshold decoder.  point_truth collapses
+    intervals to onset points.
     """
 
     out_mode: str

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -389,15 +390,21 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
 
 
 def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
-    """Read decoded detections: onset/point rows and offset rows with scores."""
+    """Read decoded detections: onset/point rows and offset rows with scores.
+
+    Every row needs a score (else ParseError), a step >= 0 and a finite
+    score (else InvalidEvents naming the file, the series and the line).
+    """
     by_series = _read_event_rows(path)
-    # the first unscored row in the file, also when series interleave
-    unscored = [
-        (line, sid) for sid, rows in by_series.items() for _, _, score, line in rows if score is None
-    ]
-    if unscored:
-        line, sid = min(unscored)
-        raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
+    # in file order, so the first faulty row is reported also when series interleave
+    for line, sid, step, score in sorted(
+        (line, sid, step, score) for sid, rows in by_series.items() for _, step, score, line in rows
+    ):
+        if score is None:
+            raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
+        if step < 0 or not math.isfinite(score):
+            fault = f"step {step} is before step 0" if step < 0 else f"score {score} is not finite"
+            raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault}")
     return {
         sid: ScoredEvents(
             onsets=tuple(sorted((step, score) for kind, step, score, _ in rows if kind != "offset")),

@@ -222,18 +222,22 @@ def _run_fold(payload) -> FoldResult:
 def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
     """k-fold cross-validation; the held-out outputs are pooled and scored once.
 
-    Folds are independent, so jobs > 1 runs them in worker processes; the
-    result is identical either way because each fold is deterministic and
-    the pooling step sorts by series id.
+    Folds are independent, so jobs > 1 runs them in up to jobs worker
+    processes, never more than there are folds; the result is identical
+    either way because each fold is deterministic and the pooling step sorts
+    by series id.  jobs < 1 raises InvalidConfig.
     """
+    if jobs < 1:
+        raise InvalidConfig(f"jobs={jobs}, expected >= 1")
     series_list, truth = build_dataset(config)
     by_id = {s.series_id: (s, truth[s.series_id]) for s in series_list}
     payloads = [
         (config, i, [by_id[sid] for sid in train_ids], [by_id[sid] for sid in val_ids])
         for i, (train_ids, val_ids) in enumerate(fold_splits(list(by_id), config.folds))
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             folds = list(pool.map(_run_fold, payloads))
     else:
         folds = [_run_fold(p) for p in payloads]
@@ -277,16 +281,15 @@ def grid_search(
 ) -> GridResult:
     """Sweep decode parameters over already-produced model outputs.
 
-    Regression objectives ignore mu, so their sweep only walks the sigma
-    candidates (mu pinned at the configured default).  Ties prefer no
-    smoothing, then smaller sigma, then smaller mu.  score_fn, when given,
-    replaces the decode-and-score pipeline (used to test cell selection in
-    isolation).
+    The cells are the mu x sigma product.  Only the segmentation threshold
+    decoder reads mu, so every other decoder pins it at the configured
+    default and walks the sigma candidates alone.  Ties prefer no smoothing,
+    then smaller sigma, then smaller mu.  score_fn, when given, replaces the
+    decode-and-score pipeline (used to test cell selection in isolation).
     """
-    if config.spec.segmentation:
-        cells = [(m, s) for m in grid.mu for s in grid.sigma]
-    else:
-        cells = [(config.decode.mu, s) for s in grid.sigma]
+    reads_mu = config.spec.segmentation and config.seg_method == "threshold"
+    mus = grid.mu if reads_mu else (config.decode.mu,)
+    cells = [(m, s) for m in mus for s in grid.sigma]
     if not cells:
         raise EmptyGrid("no grid cells to evaluate")
 

@@ -27,13 +27,17 @@ class EdapConfig:
     classes: tuple[str, ...] = ("onset", "offset")
 
     def __post_init__(self):
-        object.__setattr__(self, "tolerances", tuple(int(t) for t in self.tolerances))
-        object.__setattr__(self, "classes", tuple(self.classes))
-        t = self.tolerances
-        if not t or any(v < 1 for v in t) or list(t) != sorted(set(t)):
+        try:
+            t = tuple(self.tolerances)
+            integral = all(int(v) == v for v in t)
+        except (TypeError, ValueError, OverflowError):
+            t, integral = self.tolerances, False
+        if not t or not integral or any(v < 1 for v in t) or list(t) != sorted(set(t)):
             raise InvalidSpec(
                 f"tolerances={t}, expected nonempty ascending distinct positive ints"
             )
+        object.__setattr__(self, "tolerances", tuple(int(v) for v in t))
+        object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise InvalidSpec("classes must be nonempty")
 
@@ -117,34 +121,30 @@ def edap_table(
 ) -> dict[tuple[str, int], float]:
     """AP per (class, tolerance) cell with all series pooled before ranking.
 
-    Matching runs within each series; the resulting (score, flag) pairs are
-    pooled and re-ranked by descending score (ties broken by series id then
-    step order of processing) before the AP computation.  A class with no
-    pooled truth raises EmptyTruth.
+    Each class is ranked once: descending score, ties by series id, then by
+    the order match_events processes a series in.  Matching runs within each
+    series, and every tolerance reads the flags in that pooled order.  A
+    class with no pooled truth raises EmptyTruth.
     """
     missing = set(pred) - set(truth)
     if missing:
         raise InvalidEvents(f"predictions for unknown series: {sorted(missing)}")
 
+    sids = sorted(truth)
     table: dict[tuple[str, int], float] = {}
     for cls in config.classes:
-        num_truth = sum(len(t.by_class(cls)) for t in truth.values())
+        steps = [truth[sid].by_class(cls) for sid in sids]
+        num_truth = sum(map(len, steps))
         if num_truth == 0:
             raise EmptyTruth(f"no ground-truth events for class {cls!r}")
+        pairs = [pred[sid].by_class(cls) if sid in pred else () for sid in sids]
+        # each series in match_events order, series in id order: a stable
+        # descending sort then breaks score ties by series id, then rank
+        scores = [v for p in pairs for v in sorted((v for _, v in p), reverse=True)]
+        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
         for tol in config.tolerances:
-            pooled: list[tuple[float, str, int, bool]] = []
-            for sid in sorted(truth):
-                t_steps = truth[sid].by_class(cls)
-                p = pred.get(sid)
-                p_pairs = p.by_class(cls) if p is not None else ()
-                result = match_events(p_pairs, t_steps, tol)
-                for rank, (score, flag) in enumerate(
-                    zip(result.scores, result.flags)
-                ):
-                    pooled.append((score, sid, rank, flag))
-            pooled.sort(key=lambda r: (-r[0], r[1], r[2]))
-            flags = [flag for _, _, _, flag in pooled]
-            table[(cls, tol)] = average_precision(flags, num_truth)
+            flags = [f for p, t in zip(pairs, steps) for f in match_events(p, t, tol).flags]
+            table[(cls, tol)] = average_precision([flags[i] for i in order], num_truth)
     return table
 
 

@@ -400,6 +400,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "series 's000', line 3" in err
 
+    @pytest.mark.parametrize("rows,line,fault", [
+        ("s000,onset,2,0.5\ns000,onset,-5,0.5\n", 3, "step -5 is before step 0"),
+        ("s000,onset,2,0.5\ns001,offset,4,nan\n", 3, "score nan is not finite"),
+    ], ids=["negative-step", "nan-score"])
+    def test_eval_predictions_out_of_range(self, pipeline, tmp_path, capsys, rows, line, fault):
+        config, _, _ = pipeline
+        pred = tmp_path / "predictions.csv"
+        pred.write_text("series_id,event,step,score\n" + rows)
+        code = main(["eval", "--config", config, "--out", str(tmp_path / "o"),
+                     "--pred", str(pred)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and f"line {line}: {fault}" in err
+
+    @pytest.mark.parametrize("command", ["cv", "grid"])
+    def test_jobs_below_one(self, tmp_path, capsys, command):
+        config = write_config(tmp_path / "config.yaml")
+        code = main([command, "--config", config, "--out", str(tmp_path / "o"), "--jobs", "0"])
+        assert code == 2
+        assert "config error: jobs=0, expected >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,synth_seed,model_seed,flag", [
         ("synth", -1, 0, []),
         ("train", 0, -2, []),

@@ -417,6 +417,21 @@ class TestEventsCsv:
         assert str(err.value) == f"{path}: series 's', line {line}: {fault}"
 
     @pytest.mark.parametrize("rows,line,fault", [
+        ("s,onset,1,0.5\ns,onset,-5,0.5\n", 3, "step -5 is before step 0"),
+        ("s,point,-1,0.5\n", 2, "step -1 is before step 0"),
+        ("s,onset,1,nan\n", 2, "score nan is not finite"),
+        ("s,offset,3,-inf\n", 2, "score -inf is not finite"),
+        # series 't' comes first, but the first faulty row of the file is s's
+        ("t,onset,1,0.5\ns,offset,2,inf\nt,onset,-3,0.5\n", 3, "score inf is not finite"),
+    ], ids=["negative-step", "negative-point", "nan-score", "infinite-score", "interleaved"])
+    def test_scored_rows_checked(self, tmp_path, rows, line, fault):
+        path = tmp_path / "events.csv"
+        path.write_text("series_id,event,step,score\n" + rows)
+        with pytest.raises(InvalidEvents) as err:
+            load_scored_events(path)
+        assert str(err.value) == f"{path}: series 's', line {line}: {fault}"
+
+    @pytest.mark.parametrize("rows,line,fault", [
         ("s,point,3,\ns,point,-4,\n", 3, "point -4 is before step 0"),
         ("t,point,1,\ns,point,9,\nt,point,2,\ns,point,4,\n", 5, "point 4 precedes previous 9"),
     ], ids=["negative-point", "unsorted-point"])

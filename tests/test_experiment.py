@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evreg import config as config_module
+from evreg import experiment
 from evreg.config import OBJECTIVES, config_from_mapping
 from evreg.data import save_events, save_series, synth_generate, SynthConfig
 from evreg.decode import decode_points, decode_regression, decode_seg_peaks, decode_seg_threshold
@@ -335,6 +336,38 @@ class TestRunCv:
         for sid in result.outputs:
             assert np.array_equal(again.outputs[sid], result.outputs[sid])
 
+    @pytest.mark.parametrize("jobs, workers", [(64, 4), (3, 3)])
+    def test_workers_capped_at_fold_count(self, monkeypatch, jobs, workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        config = make_config(train={"epochs": 1, "batch_size": 4})
+        result = run_cv(config, jobs=jobs)
+        assert started == [workers]
+        assert result.pooled_edap == run_cv(config).pooled_edap
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, monkeypatch, jobs):
+        def no_dataset(config):
+            raise AssertionError("dataset built before jobs was checked")
+
+        monkeypatch.setattr(experiment, "build_dataset", no_dataset)
+        with pytest.raises(InvalidConfig, match=f"jobs={jobs}"):
+            run_cv(make_config(), jobs=jobs)
+
     def test_parallel_matches_serial(self, small_cv):
         config, result = small_cv
         parallel = run_cv(config, jobs=2)
@@ -390,6 +423,17 @@ class TestGridSearch:
         reg_result = grid_search({}, {}, reg.grid, reg, score_fn=lambda m, s: 0.0)
         assert len(seg_result.table) == 55
         assert len(reg_result.table) == 5
+
+    def test_peaks_decoder_sweeps_sigma_only(self):
+        # decode_seg_peaks never reads mu, so one cell per sigma at decode.mu
+        peaks = make_config("segmentation", seg_method="peaks")
+        calls = []
+        result = grid_search({}, {}, peaks.grid, peaks,
+                             score_fn=lambda mu, sigma: calls.append(mu) or 0.5)
+        assert len(result.table) == len(peaks.grid.sigma)
+        assert set(calls) == {peaks.decode.mu}
+        assert [sigma for _, sigma, _ in result.table] == list(peaks.grid.sigma)
+        assert result.best_mu == peaks.decode.mu
 
     def test_tie_breaks_prefer_no_smoothing_then_small(self):
         config = make_config("segmentation",

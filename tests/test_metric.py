@@ -37,6 +37,27 @@ def enumeration_match_oracle(pred, truth, tol):
     return flags, len(available) - len(taken)
 
 
+def pooled_edap_table_oracle(pred, truth, config):
+    """Reference pooling: match every series at every tolerance, pool the
+    (score, series id, rank, flag) rows and sort them by (-score, id, rank).
+    A class without truth raises EmptyTruth."""
+    table = {}
+    for cls in config.classes:
+        num_truth = sum(len(t.by_class(cls)) for t in truth.values())
+        if num_truth == 0:
+            raise EmptyTruth(cls)
+        for tol in config.tolerances:
+            pooled = []
+            for sid in sorted(truth):
+                p = pred[sid].by_class(cls) if sid in pred else ()
+                result = match_events(p, truth[sid].by_class(cls), tol)
+                for rank, (score, flag) in enumerate(zip(result.scores, result.flags)):
+                    pooled.append((score, sid, rank, flag))
+            pooled.sort(key=lambda r: (-r[0], r[1], r[2]))
+            table[(cls, tol)] = average_precision([r[3] for r in pooled], num_truth)
+    return table
+
+
 class TestMatchEvents:
     def test_exact_hit(self):
         r = match_events([(100, 0.9)], [100], 10)
@@ -216,6 +237,13 @@ class TestEdap:
             EdapConfig(tolerances=(5, 5))
         with pytest.raises(InvalidSpec):
             EdapConfig(tolerances=(5,), classes=())
+        with pytest.raises(InvalidSpec):
+            EdapConfig(tolerances=(1.7, 3))
+        with pytest.raises(InvalidSpec):
+            EdapConfig(tolerances=("x",))
+        with pytest.raises(InvalidSpec):
+            EdapConfig(tolerances=5)
+        assert EdapConfig(tolerances=(1.0, 3)).tolerances == (1, 3)
 
 
 @st.composite
@@ -231,7 +259,46 @@ def prediction_problem(draw):
     return preds, sorted(truth)
 
 
+@st.composite
+def pooled_problem(draw):
+    """1-5 series of point or interval truth; some series have no predictions,
+    and tied scores (0.0 and -0.0 among them) and duplicate steps are common."""
+    point = draw(st.booleans())
+    sids = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5, unique=True))
+    detections = st.lists(
+        st.tuples(st.integers(0, 30), st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])),
+        max_size=8,
+    ).map(sorted)
+    truth, pred = {}, {}
+    for sid in sids:
+        if point:
+            steps = draw(st.lists(st.integers(0, 30), max_size=6))
+            truth[sid] = EventSet(sid, POINT, tuple(PointEvent(t) for t in sorted(steps)))
+        else:
+            cuts = sorted(set(draw(st.lists(st.integers(0, 30), max_size=8))))
+            events = tuple(IntervalEvent(a, b) for a, b in zip(cuts[::2], cuts[1::2]))
+            truth[sid] = EventSet(sid, INTERVAL, events)
+        if draw(st.booleans()):
+            offsets = () if point else draw(detections)
+            pred[sid] = ScoredEvents(onsets=draw(detections), offsets=offsets)
+    tolerances = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    classes = ("point",) if point else ("onset", "offset")
+    return pred, truth, EdapConfig(tolerances=tuple(sorted(tolerances)), classes=classes)
+
+
 class TestEdapProperties:
+    @given(pooled_problem())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pooled_oracle(self, problem):
+        pred, truth, config = problem
+        try:
+            expected = pooled_edap_table_oracle(pred, truth, config)
+        except EmptyTruth:
+            with pytest.raises(EmptyTruth):
+                edap_table(pred, truth, config)
+            return
+        assert edap_table(pred, truth, config) == expected
+
     @given(prediction_problem(), st.integers(1, 40), st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_tolerance(self, problem, tol_a, tol_b):
