@@ -151,8 +151,7 @@ def _cmd_cv(args) -> int:
     save_events(out / "cv_predictions.csv", result.predictions)
     rows = [(fold.fold_index, fold.edap) for fold in result.folds]
     write_table(out / "cv_report.csv", ["fold", "edap"], [*rows, ("pooled", result.pooled_edap)])
-    table = edap_table(result.predictions, result.truth, config.metric)
-    _write_report(out / "report.csv", table, result.pooled_edap)
+    _write_report(out / "report.csv", result.pooled_table, result.pooled_edap)
     print(f"pooled edap {result.pooled_edap:.17g}")
     return 0
 

@@ -8,6 +8,7 @@ work and sigma entries may be written as null or "none".
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -118,9 +119,9 @@ class GridSpec:
             raise EmptyGrid("grid needs at least one mu and one sigma candidate")
         if any(not 0.0 <= m <= 1.0 for m in self.mu):
             raise InvalidConfig(f"grid mu values must lie in [0, 1], got {self.mu}")
-        if any(s is not None and s <= 0 for s in self.sigma):
+        if any(s is not None and not 0 < s < math.inf for s in self.sigma):
             raise InvalidConfig(
-                f"grid sigma values must be positive or None, got {self.sigma}"
+                f"grid sigma values must be finite and positive or None, got {self.sigma}"
             )
 
 

@@ -20,7 +20,7 @@ from .config import ExperimentConfig, GridSpec, PathsSpec
 from .data import SynthConfig, downsample, load_events, load_series, synth_generate
 from .decode import DecodeParams
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, ShapeMismatch, TooFewSeries
-from .metric import edap
+from .metric import edap, edap_table
 from .model import EpochStats, TrainResult, predict, train
 from .targets import sigma_schedule
 from .types import POINT, EventSet, ScoredEvents, TimeSeries, points_from_intervals
@@ -149,12 +149,14 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class CvResult:
-    """Per-fold results, pooled raw outputs and their truth, and the pooled score."""
+    """Per-fold results, pooled raw outputs and their truth, and the pooled
+    edap_table with its mean."""
 
     folds: tuple[FoldResult, ...]
     outputs: dict[str, np.ndarray]
     predictions: dict[str, ScoredEvents]
     pooled_edap: float
+    pooled_table: dict[tuple[str, int], float]
     truth: dict[str, EventSet]
 
 
@@ -247,12 +249,13 @@ def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
     for fold in folds:
         outputs.update(fold.outputs)
         predictions.update(fold.predictions)
-    pooled = edap(predictions, truth, config.metric)
+    pooled = edap_table(predictions, truth, config.metric)
     return CvResult(
         folds=tuple(folds),
         outputs=outputs,
         predictions=predictions,
-        pooled_edap=pooled,
+        pooled_edap=float(np.mean(list(pooled.values()))),
+        pooled_table=pooled,
         truth=truth,
     )
 

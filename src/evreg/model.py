@@ -15,7 +15,8 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,43 +99,54 @@ class TrainConfig:
             raise InvalidConfig("need sigma_start >= sigma_end > 0")
 
 
-@dataclass
 class Parameters:
-    """Ordered name -> float64 tensor container."""
+    """Named float64 tensors as views into one vector, flat, in layout order.
 
-    tensors: dict[str, np.ndarray]
+    layout (name -> shape) and tensors (name -> view) reject assignment.
+    """
+
+    def __init__(self, tensors: Mapping[str, np.ndarray]):
+        flat = np.concatenate([np.empty(0), *(np.ravel(v) for v in tensors.values())])
+        self._bind(flat, MappingProxyType({k: np.shape(v) for k, v in tensors.items()}))
+
+    def __reduce__(self):
+        # rebuilt from copied tensors, so a copy's views alias its own flat
+        return Parameters, (dict(self.tensors),)
+
+    def _bind(self, flat: np.ndarray, layout: Mapping[str, tuple[int, ...]]) -> "Parameters":
+        self.flat, self.layout, views, pos = flat, layout, {}, 0
+        for name, shape in layout.items():
+            views[name] = flat[pos : pos + math.prod(shape)].reshape(shape)
+            pos += views[name].size
+        self.tensors = MappingProxyType(views)
+        return self
 
     def copy(self) -> "Parameters":
-        return Parameters({k: v.copy() for k, v in self.tensors.items()})
+        return self.from_vector(self.flat.copy())
 
     def zeros_like(self) -> "Parameters":
-        return Parameters({k: np.zeros_like(v) for k, v in self.tensors.items()})
+        return self.from_vector(np.zeros_like(self.flat))
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self.tensors.values()])
+        return self.flat.copy()
 
     def from_vector(self, vec: np.ndarray) -> "Parameters":
-        """New Parameters with this container's shapes filled from a flat vector."""
-        out = {}
-        pos = 0
-        for k, v in self.tensors.items():
-            out[k] = np.asarray(vec[pos : pos + v.size], dtype=np.float64).reshape(
-                v.shape
-            )
-            pos += v.size
-        if pos != len(vec):
-            raise ShapeMismatch(f"vector length {len(vec)}, expected {pos}")
-        return Parameters(out)
+        """New Parameters with this container's layout over a flat vector."""
+        flat = np.ascontiguousarray(vec, dtype=np.float64)
+        if flat.shape != self.flat.shape:
+            raise ShapeMismatch(f"vector shape {flat.shape}, expected {self.flat.shape}")
+        return Parameters.__new__(Parameters)._bind(flat, self.layout)
 
     @property
     def num_params(self) -> int:
-        return sum(v.size for v in self.tensors.values())
+        return self.flat.size
 
     def global_norm(self) -> float:
+        # per-view sums in order: one sum over flat rounds differently
         return math.sqrt(sum(float(np.sum(v * v)) for v in self.tensors.values()))
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self.tensors.values())
+        return bool(np.isfinite(self.flat).all())
 
 
 def _layer_plan(config: ModelConfig) -> list[tuple[str, tuple[int, int, int]]]:
@@ -173,10 +185,6 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         for name, shape in _layer_plan(config)
         for suffix in ("w", "b")
     }
-
-
-def zero_params(config: ModelConfig) -> Parameters:
-    return Parameters({k: np.zeros(shape) for k, shape in _param_shapes(config).items()})
 
 
 # -- primitive layers (forward returns cache for the backward pass) ---------
@@ -268,8 +276,7 @@ def _check_input(x: np.ndarray, config: ModelConfig) -> np.ndarray:
 def _forward_impl(params: Parameters, x: np.ndarray, config: ModelConfig):
     """Run the network, recording every cache needed by the backward pass."""
     arr = _check_input(x, config)
-    expected = _param_shapes(config)
-    shapes = {name: v.shape for name, v in params.tensors.items()}
+    expected, shapes = _param_shapes(config), params.layout
     if shapes != expected:
         bad = next(n for n in [*expected, *shapes] if shapes.get(n) != expected.get(n))
         raise ShapeMismatch(
@@ -449,8 +456,7 @@ def clip_gradients(grads: Parameters, max_norm: float) -> tuple[Parameters, floa
     """Global-norm clipping; returns (possibly rescaled grads, original norm)."""
     norm = grads.global_norm()
     if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        grads = Parameters({k: v * scale for k, v in grads.tensors.items()})
+        grads = grads.from_vector(grads.flat * (max_norm / norm))
     return grads, norm
 
 
@@ -502,8 +508,7 @@ def train(
     _check_item_shapes(items)
     rng = np.random.default_rng(model_config.seed)
     params = init_params(model_config, rng)
-    m = params.zeros_like()
-    v = params.zeros_like()
+    m = v = np.zeros(params.num_params)  # Adam moments, replaced every step
 
     n = len(items)
     batch = train_config.batch_size
@@ -531,19 +536,14 @@ def train(
             loss_value, grads = _loss_and_gradients(params, x, y, model_config)
             if not np.isfinite(loss_value):
                 raise DivergedLoss(f"loss {loss_value} at epoch {epoch}, batch {bi}")
-            grads, _ = clip_gradients(grads, train_config.grad_clip_norm)
+            g = clip_gradients(grads, train_config.grad_clip_norm)[0].flat
             lr = cosine_lr(step, total_steps, train_config.learning_rate)
             step += 1
             b1c = 1.0 - _ADAM_BETA1**step
             b2c = 1.0 - _ADAM_BETA2**step
-            for name, g in grads.tensors.items():
-                m.tensors[name] = _ADAM_BETA1 * m.tensors[name] + (1 - _ADAM_BETA1) * g
-                v.tensors[name] = _ADAM_BETA2 * v.tensors[name] + (1 - _ADAM_BETA2) * (
-                    g * g
-                )
-                params.tensors[name] = params.tensors[name] - lr * (
-                    m.tensors[name] / b1c
-                ) / (np.sqrt(v.tensors[name] / b2c) + _ADAM_EPS)
+            m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * g
+            v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * (g * g)
+            params.flat -= lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
             epoch_losses.append(loss_value)
 
         train_loss = float(np.mean(epoch_losses))
@@ -572,10 +572,8 @@ def save_params(path: str | Path, params: Parameters) -> None:
     blob += struct.pack("<HI", _VERSION, len(params.tensors))
     for name, tensor in params.tensors.items():
         encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<B", tensor.ndim)
-        blob += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
+        blob += struct.pack("<H", len(encoded)) + encoded
+        blob += struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape)
         blob += np.ascontiguousarray(tensor, dtype="<f8").tobytes()
     try:
         Path(path).write_bytes(bytes(blob))
@@ -605,6 +603,8 @@ def load_params(path: str | Path) -> Parameters:
             pos += 1
             shape = struct.unpack_from(f"<{ndim}I", blob, pos)
             pos += 4 * ndim
+            if name in tensors:
+                raise ParseError(f"tensor {name!r} appears twice in the checkpoint")
             size = math.prod(shape)
             data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
             pos += 8 * size

@@ -1,11 +1,14 @@
 """Command-line driver: artifacts, determinism, exit codes."""
 
+import sys
 import warnings
 
 import numpy as np
 import yaml
 import pytest
 
+import evreg.experiment
+import evreg.metric
 from evreg.cli import main
 from evreg.data import load_events, load_series, save_events, save_series
 from evreg.types import TimeSeries, points_from_intervals
@@ -157,6 +160,23 @@ class TestSubcommands:
         assert "pooled edap " in printed
         pooled = float(report[-1].split(",")[1])
         assert float(printed.split()[-1]) == pooled
+
+    def test_cv_scores_pooled_predictions_once(self, tmp_path, monkeypatch):
+        original, calls = evreg.metric.edap_table, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("evreg") and getattr(module, "edap_table", None) is original:
+                monkeypatch.setattr(module, "edap_table", counting)
+        config = write_config(
+            tmp_path / "config.yaml", folds=2, train={"epochs": 1, "batch_size": 4}
+        )
+        assert main(["cv", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        # one validation score per fold and epoch, then the pooled table
+        assert len(calls) == 3
 
     def test_cpd_cv_on_point_events(self, tmp_path):
         paths = synth_on_disk(tmp_path)["paths"]
@@ -413,6 +433,22 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "data error" in err and f"line {line}: {fault}" in err
+
+    def test_grid_sigma_not_finite_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        original, trained = evreg.experiment.train, []
+
+        def recording(*args, **kwargs):
+            trained.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evreg.experiment, "train", recording)
+        config = write_config(
+            tmp_path / "config.yaml", grid={"mu": [0.5], "sigma": [None, float("inf")]}
+        )
+        code = main(["grid", "--config", config, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: grid sigma values must be finite" in capsys.readouterr().err
+        assert trained == []
 
     @pytest.mark.parametrize("command", ["cv", "grid"])
     def test_jobs_below_one(self, tmp_path, capsys, command):

@@ -4,6 +4,7 @@ import textwrap
 from dataclasses import asdict, fields, is_dataclass
 
 import pytest
+import yaml
 
 from evreg.config import (
     DEFAULT_GRID_MU,
@@ -217,6 +218,13 @@ class TestValidation:
             GridSpec(mu=(1.5,), sigma=(None,))
         with pytest.raises(InvalidConfig):
             GridSpec(mu=(0.5,), sigma=(0.0,))
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_grid_sigma_not_finite(self, tmp_path, value):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(minimal_doc()) + f"grid: {{sigma: [null, {value}]}}\n")
+        with pytest.raises(InvalidConfig, match="grid sigma values must be finite"):
+            load_config(path)
 
     def test_default_grid_shape(self):
         grid = GridSpec()

@@ -1,5 +1,9 @@
+import copy
+import hashlib
 import math
 import os
+import pickle
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +24,9 @@ from evreg.model import (
     ModelConfig,
     Parameters,
     TrainConfig,
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
     _backward_impl,
     _conv_backward,
     _conv_forward,
@@ -41,7 +48,6 @@ from evreg.model import (
     predict,
     save_params,
     train,
-    zero_params,
 )
 
 
@@ -104,7 +110,7 @@ def random_params(config, seed):
 class TestForward:
     def test_zero_params_regression(self):
         config = ModelConfig(in_channels=2, hidden_channels=(4,), kernel_size=3)
-        out = forward(zero_params(config), np.ones((1, 2, 16)), config)
+        out = forward(init_params(config).zeros_like(), np.ones((1, 2, 16)), config)
         assert np.all(out == 0.0)
 
     def test_zero_params_segmentation(self):
@@ -112,7 +118,7 @@ class TestForward:
             in_channels=2, hidden_channels=(4,), kernel_size=3,
             out_mode="segmentation_2class",
         )
-        out = forward(zero_params(config), np.ones((1, 2, 16)), config)
+        out = forward(init_params(config).zeros_like(), np.ones((1, 2, 16)), config)
         np.testing.assert_array_equal(out, np.full((1, 2, 16), 0.5))
 
     @pytest.mark.parametrize("steps", [64, 128, 256, 100, 37, 5, 1])
@@ -128,8 +134,8 @@ class TestForward:
         x = np.random.default_rng(5).normal(size=(2, 2, 40))
         base = forward(params, x, config)
         doubled = params.copy()
-        doubled.tensors["head.w"] = doubled.tensors["head.w"] * 2.0
-        doubled.tensors["head.b"] = doubled.tensors["head.b"] * 2.0
+        doubled.tensors["head.w"][...] *= 2.0
+        doubled.tensors["head.b"][...] *= 2.0
         np.testing.assert_allclose(forward(doubled, x, config), 2.0 * base, rtol=1e-12)
 
     def test_segmentation_probabilities_sum_to_one(self):
@@ -382,7 +388,7 @@ def test_outputs_independent_of_blas_threads():
 class TestFullGradients:
     def test_zero_net_zero_targets_stationary(self):
         config = ModelConfig(in_channels=1, hidden_channels=(3,), kernel_size=3)
-        params = zero_params(config)
+        params = init_params(config).zeros_like()
         x = np.random.default_rng(0).normal(size=(1, 1, 12))
         y = np.zeros((1, 2, 12))
         grads = gradients(params, (x, y), config)
@@ -420,6 +426,106 @@ class TestOptim:
         assert norm == pytest.approx(0.05)
 
 
+class TestFlatParameters:
+    def test_global_norm_is_the_per_tensor_sum(self):
+        # benchmark shapes; each tensor's sum of squares is added in layout order
+        config = ModelConfig(in_channels=8, hidden_channels=(8, 16, 32), kernel_size=5)
+        template = init_params(config)
+        for seed in range(20):
+            params = template.from_vector(
+                np.random.default_rng(seed).normal(size=template.num_params)
+            )
+            separate = [v.copy() for v in params.tensors.values()]
+            expected = math.sqrt(sum(float(np.sum(v * v)) for v in separate))
+            assert params.global_norm() == expected
+
+    def test_tensors_are_views_into_flat(self):
+        params = init_params(tiny_config(1))
+        params.tensors["head.b"][...] = 7.0  # head.b is last in the layout
+        assert np.all(params.flat[-params.tensors["head.b"].size :] == 7.0)
+        for view in params.tensors.values():
+            assert np.shares_memory(view, params.flat)
+        params.flat[:] = 0.0
+        assert not any(v.any() for v in params.tensors.values())
+
+    def test_tensors_reject_assignment(self):
+        params = init_params(tiny_config(1))
+        with pytest.raises(TypeError):
+            params.tensors["head.b"] = np.zeros(2)
+        with pytest.raises(TypeError):
+            del params.tensors["head.b"]
+        with pytest.raises(TypeError):
+            params.layout["head.b"] = (3,)
+
+    def test_from_vector_checks_length(self):
+        params = init_params(tiny_config(2))
+        for size in (params.num_params - 1, params.num_params + 1):
+            with pytest.raises(ShapeMismatch):
+                params.from_vector(np.zeros(size))
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, Parameters.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_own_their_vector(self, clone):
+        params = random_params(tiny_config(3), 3)
+        other = clone(params)
+        assert other.layout == params.layout
+        assert list(other.tensors) == list(params.tensors)
+        np.testing.assert_array_equal(other.flat, params.flat)
+        assert not np.shares_memory(other.flat, params.flat)
+        for name, view in other.tensors.items():
+            assert np.shares_memory(view, other.flat), name
+        other.tensors["head.b"][...] += 1.0
+        n = params.tensors["head.b"].size
+        np.testing.assert_array_equal(other.flat[-n:], params.flat[-n:] + 1.0)
+
+
+def reference_train(items, config, tc):
+    """train written as a per-tensor global-norm clip and Adam loop: its oracle.
+
+    No validation scorer, so the lowest-train-loss epoch wins.  Returns that
+    epoch's tensors, the epoch losses and the number of clipped steps.
+    """
+    rng = np.random.default_rng(config.seed)
+    params = {k: v.copy() for k, v in init_params(config, rng).tensors.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(t) for k, t in params.items()}
+    n, batch = len(items), tc.batch_size
+    n_batches = (n + batch - 1) // batch
+    total_steps = tc.epochs * n_batches
+    step = clipped = 0
+    best, losses = None, []
+    for _ in range(tc.epochs):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for bi in range(n_batches):
+            sel = order[bi * batch : (bi + 1) * batch]
+            x = np.stack([items[j][0] for j in sel])
+            y = np.stack([items[j][1] for j in sel])
+            loss_value, grads = _loss_and_gradients(Parameters(params), x, y, config)
+            g = {k: t.copy() for k, t in grads.tensors.items()}
+            norm = math.sqrt(sum(float(np.sum(t * t)) for t in g.values()))
+            if norm > tc.grad_clip_norm and norm > 0:
+                scale = tc.grad_clip_norm / norm
+                g = {k: t * scale for k, t in g.items()}
+                clipped += 1
+            lr = cosine_lr(step, total_steps, tc.learning_rate)
+            step += 1
+            b1c = 1.0 - _ADAM_BETA1**step
+            b2c = 1.0 - _ADAM_BETA2**step
+            for name, gt in g.items():
+                m[name] = _ADAM_BETA1 * m[name] + (1 - _ADAM_BETA1) * gt
+                v[name] = _ADAM_BETA2 * v[name] + (1 - _ADAM_BETA2) * (gt * gt)
+                params[name] = params[name] - lr * (m[name] / b1c) / (
+                    np.sqrt(v[name] / b2c) + _ADAM_EPS
+                )
+            epoch_losses.append(loss_value)
+        losses.append(float(np.mean(epoch_losses)))
+        if best is None or losses[-1] < best[0]:
+            best = (losses[-1], {k: t.copy() for k, t in params.items()})
+    return best[1], losses, clipped
+
+
 def overfit_dataset(seed=0, n=4, steps=64):
     rng = np.random.default_rng(seed)
     items = []
@@ -451,6 +557,28 @@ class TestTrain:
         for name in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[name], b.params.tensors[name])
         assert [s.train_loss for s in a.trace] == [s.train_loss for s in b.trace]
+
+    @pytest.mark.parametrize("mode", ["regression_2ch", "regression_1ch", "segmentation_2class"])
+    def test_matches_per_tensor_reference(self, mode):
+        config = ModelConfig(
+            in_channels=2, hidden_channels=(3, 5), kernel_size=3, out_mode=mode, seed=4
+        )
+        rng = np.random.default_rng(0)
+        items = []
+        for _ in range(5):
+            x = rng.normal(size=(2, 40))
+            if config.is_segmentation:
+                items.append((x, rng.integers(0, 2, size=40)))
+            else:
+                items.append((x, rng.normal(size=(config.out_channels, 40))))
+        tc = TrainConfig(epochs=4, batch_size=2, learning_rate=1e-2, grad_clip_norm=1.0)
+        expected, losses, clipped = reference_train(items, config, tc)
+        assert 0 < clipped < 12  # 3 batches x 4 epochs, some of them clipped
+        result = train(items, config, tc)
+        assert [s.train_loss for s in result.trace] == losses
+        assert list(result.params.tensors) == list(expected)
+        for name, tensor in expected.items():
+            assert np.array_equal(result.params.tensors[name], tensor), name
 
     def test_best_epoch_by_validation(self):
         config = ModelConfig(in_channels=2, hidden_channels=(4,), kernel_size=3, seed=1)
@@ -556,6 +684,26 @@ class TestCheckpoints:
             # a binary checkpoint has no lines, so the message gives none
             assert not str(err.value).startswith("line")
 
+    def test_version_1_bytes_unchanged(self, tmp_path):
+        config = ModelConfig(in_channels=2, hidden_channels=(3, 5), kernel_size=3, seed=9)
+        path = tmp_path / "model.ckpt"
+        save_params(path, init_params(config))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5e0fbbd66eebc07852ff217f3d7728bd0cd3c13695e103c9fb13ce6f5b22c2cb"
+        )
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        config = ModelConfig(in_channels=2, hidden_channels=(3,), kernel_size=3)
+        path = tmp_path / "model.ckpt"
+        save_params(path, Parameters({"head.b": np.ones(2)}))
+        second_head_b = path.read_bytes()[10:]
+        save_params(path, init_params(config))
+        blob = path.read_bytes()
+        (count,) = struct.unpack_from("<I", blob, 6)
+        path.write_bytes(blob[:6] + struct.pack("<I", count + 1) + blob[10:] + second_head_b)
+        with pytest.raises(ParseError, match="'head.b' appears twice"):
+            load_params(path)
+
     def test_params_of_another_config_rejected(self):
         config = ModelConfig(in_channels=2, hidden_channels=(3,), kernel_size=3)
         other = ModelConfig(in_channels=2, hidden_channels=(4,), kernel_size=3)
@@ -563,7 +711,7 @@ class TestCheckpoints:
         with pytest.raises(ShapeMismatch, match="enc0.w"):
             forward(init_params(other), x, config)
         params = init_params(config)
-        del params.tensors["head.b"]
+        params = Parameters({k: v for k, v in params.tensors.items() if k != "head.b"})
         with pytest.raises(ShapeMismatch, match="head.b"):
             forward(params, x, config)
 

@@ -87,3 +87,5 @@ def test_traced_run_matches_untraced(layers):
         assert not changed, f"{name} attributes left swapped: {changed}"
     assert recorder.calls["metric.match_events"] > 0
     assert recorder.calls["metric.edap_table"] > 0
+    # 2 folds x 1 epoch x 1 batch of 4 training series: one clip per step
+    assert recorder.counts["model.train_steps"] == 2
