@@ -8,6 +8,7 @@ and peak picking on the windowed contrast I of that probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -97,17 +98,22 @@ def decode_seg_threshold(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     contrast of the smoothed probability.  A sequence already above mu at
     t=0 yields no synthetic onset.
     """
+    return next(sweep_seg_threshold(y, (params.mu,), params))
+
+
+def sweep_seg_threshold(y: np.ndarray, mus: tuple, params: DecodeParams) -> Iterator[ScoredEvents]:
+    """decode_seg_threshold at each mu in turn (params.mu is unread), smoothing y once."""
     arr = _check_probability(y)
     smoothed = gaussian_smooth(arr, SmoothingParams(params.sigma))
-    contrast = window_convolve(smoothed, WindowParams(params.alpha))
+    score = np.abs(window_convolve(smoothed, WindowParams(params.alpha)))
     before, after = smoothed[:-1], smoothed[1:]
-    up = np.flatnonzero((before < params.mu) & (after > params.mu)) + 1
-    down = np.flatnonzero((before > params.mu) & (after < params.mu)) + 1
-    score = np.abs(contrast)
-    return ScoredEvents(
-        onsets=list(zip(up.tolist(), score[up].tolist())),
-        offsets=list(zip(down.tolist(), score[down].tolist())),
-    )
+    for mu in mus:
+        up = np.flatnonzero((before < mu) & (after > mu)) + 1
+        down = np.flatnonzero((before > mu) & (after < mu)) + 1
+        yield ScoredEvents(
+            onsets=list(zip(up.tolist(), score[up].tolist())),
+            offsets=list(zip(down.tolist(), score[down].tolist())),
+        )
 
 
 def decode_seg_peaks(y: np.ndarray, params: DecodeParams) -> ScoredEvents:

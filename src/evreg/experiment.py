@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig, GridSpec, PathsSpec
 from .data import SynthConfig, downsample, load_events, load_series, synth_generate
-from .decode import DecodeParams
+from .decode import DecodeParams, sweep_seg_threshold
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, ShapeMismatch, TooFewSeries
 from .metric import edap, edap_table
 from .model import EpochStats, TrainResult, predict, train
@@ -286,24 +286,31 @@ def grid_search(
 
     The cells are the mu x sigma product.  Only the segmentation threshold
     decoder reads mu, so every other decoder pins it at the configured
-    default and walks the sigma candidates alone.  Ties prefer no smoothing,
-    then smaller sigma, then smaller mu.  score_fn, when given, replaces the
-    decode-and-score pipeline (used to test cell selection in isolation).
+    default and walks the sigma candidates alone; the threshold decoder
+    smooths each series once per sigma and sweeps mu over the result.  Ties
+    prefer no smoothing, then smaller sigma, then smaller mu.  score_fn, when
+    given, replaces the decode-and-score pipeline (to test cell selection).
     """
     reads_mu = config.spec.segmentation and config.seg_method == "threshold"
     mus = grid.mu if reads_mu else (config.decode.mu,)
     cells = [(m, s) for m in mus for s in grid.sigma]
     if not cells:
         raise EmptyGrid("no grid cells to evaluate")
-
-    def evaluate(mu: float, sigma: float | None) -> float:
-        if score_fn is not None:
-            return score_fn(mu, sigma)
-        params = replace(config.decode, mu=mu, sigma=sigma)
-        return edap(decode_outputs(outputs, config, params), truth, config.metric)
-
     default = (config.decode.mu, config.decode.sigma)
-    scores = {cell: evaluate(*cell) for cell in dict.fromkeys([*cells, default])}
+    wanted = dict.fromkeys([*cells, default])
+    scores = {}
+    for sigma in dict.fromkeys(s for _, s in wanted):
+        sigma_mus = tuple(m for m, s in wanted if s == sigma)
+        params = replace(config.decode, sigma=sigma)
+        if score_fn is not None:
+            found = [score_fn(mu, sigma) for mu in sigma_mus]
+        elif reads_mu:
+            sids = sorted(outputs)
+            sweeps = [sweep_seg_threshold(outputs[sid][1], sigma_mus, params) for sid in sids]
+            found = [edap(dict(zip(sids, preds)), truth, config.metric) for preds in zip(*sweeps)]
+        else:
+            found = [edap(decode_outputs(outputs, config, params), truth, config.metric)]
+        scores.update(zip([(mu, sigma) for mu in sigma_mus], found))
     table = tuple((mu, sigma, scores[mu, sigma]) for mu, sigma in cells)
     best_mu, best_sigma, best_score = min(
         table, key=lambda row: (-row[2], _sigma_order(row[1]), row[0])

@@ -194,8 +194,11 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     # one (out, in) @ (B, in, T) matmul per kernel tap
     k = w.shape[2]
     half = k // 2
-    t = x.shape[2]
-    xp = np.pad(x, ((0, 0), (0, 0), (half, half))) if half else x
+    n, c, t = x.shape
+    xp = x
+    if half:
+        xp = np.zeros((n, c, t + 2 * half), dtype=x.dtype)
+        xp[:, :, half : half + t] = x
     out = w[:, :, 0] @ xp[:, :, :t]
     for j in range(1, k):
         out += w[:, :, j] @ xp[:, :, j : j + t]
@@ -205,10 +208,12 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 def _conv_backward(dout: np.ndarray, cache):
     xp, w = cache
-    t = dout.shape[2]
+    n, out, t = dout.shape
+    # np.tensordot's GEMM per tap, with the (out, B*T) copy of dout made once
+    dout_t = dout.transpose(1, 0, 2).reshape(out, n * t)
     dw = np.empty_like(w)
     for j in range(w.shape[2]):
-        dw[:, :, j] = np.tensordot(dout, xp[:, :, j : j + t], ([0, 2], [0, 2]))
+        dw[:, :, j] = np.dot(dout_t, xp[:, :, j : j + t].transpose(0, 2, 1).reshape(n * t, -1))
     db = dout.sum(axis=(0, 2))
     # dx is the same-padded conv of dout with the kernel flipped along its
     # taps and transposed in its channel axes
@@ -227,19 +232,17 @@ def _relu_backward(dout: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _pool_forward(x: np.ndarray):
-    b, c, t = x.shape
-    pairs = x.reshape(b, c, t // 2, 2)
-    idx = pairs.argmax(axis=3)
-    out = np.take_along_axis(pairs, idx[..., None], axis=3)[..., 0]
-    return out, (idx, x.shape)
+    first, second = x[:, :, 0::2], x[:, :, 1::2]
+    # argmax's routing: ties and a NaN first element pick the first element
+    to_first = (first >= second) | np.isnan(first)
+    return np.where(to_first, first, second), to_first
 
 
-def _pool_backward(dout: np.ndarray, cache) -> np.ndarray:
-    idx, x_shape = cache
-    b, c, t = x_shape
-    dpairs = np.zeros((b, c, t // 2, 2))
-    np.put_along_axis(dpairs, idx[..., None], dout[..., None], axis=3)
-    return dpairs.reshape(b, c, t)
+def _pool_backward(dout: np.ndarray, to_first: np.ndarray) -> np.ndarray:
+    dx = np.empty((*dout.shape[:2], 2 * dout.shape[2]))
+    dx[:, :, 0::2] = np.where(to_first, dout, 0.0)
+    dx[:, :, 1::2] = np.where(to_first, 0.0, dout)
+    return dx
 
 
 def _upsample_forward(x: np.ndarray) -> np.ndarray:

@@ -67,7 +67,8 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized Gaussian taps exp(-k^2 / (2 sigma^2)) for |k| <= ceil(4 sigma)."""
     radius = int(math.ceil(4.0 * sigma))
     k = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(k * k) / (2.0 * sigma * sigma))
+    # a zero or subnormal 2 sigma^2 gave 0/0 or overflow; radius is 1 there
+    kernel = np.exp(-(k * k) / max(2.0 * sigma * sigma, np.finfo(np.float64).tiny))
     return kernel / kernel.sum()
 
 
@@ -76,11 +77,11 @@ def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
 
     The reflection mirrors without repeating the edge sample's position
     (pad of [a, b, c, ...] starts [b, a | a, b, c ...] -- numpy 'symmetric'),
-    so constant inputs are preserved exactly up to rounding.  sigma None or 0
-    returns an unchanged copy.
+    so constant inputs are preserved exactly up to rounding.  sigma None or 0,
+    or an empty x, returns an unchanged copy.
     """
     arr = _check_finite_1d(x, "x")
-    if params.sigma is None or params.sigma == 0:
+    if params.sigma is None or params.sigma == 0 or arr.size == 0:
         return arr.copy()
     kernel = gaussian_kernel(params.sigma)
     radius = (len(kernel) - 1) // 2
@@ -167,9 +168,11 @@ def window_convolve(x: np.ndarray, params: WindowParams) -> np.ndarray:
     The center sample x[t] belongs to neither window.  The series is padded
     with its edge values, so the output has the input's length and windows
     near the boundary lean on replicated edge samples.  Exactly antisymmetric
-    under negation of x, and exactly zero on constant input.
+    under negation of x, exactly zero on constant input, and empty on empty x.
     """
     arr = _check_finite_1d(x, "x")
+    if arr.size == 0:
+        return arr.copy()
     a = params.alpha
     padded = np.pad(arr, a, mode="edge")
     # sliding sums of length-a windows; index i covers padded[i : i + a]

@@ -7,11 +7,12 @@ from evreg.decode import (
     decode_regression,
     decode_seg_peaks,
     decode_seg_threshold,
+    sweep_seg_threshold,
 )
 from evreg.errors import InvalidProbability, InvalidSpec, LengthMismatch
 from evreg.signal import SmoothingParams, WindowParams, gaussian_smooth, window_convolve
 from evreg.targets import PdfSpec, encode_regression
-from evreg.types import INTERVAL, EventSet, IntervalEvent
+from evreg.types import INTERVAL, EventSet, IntervalEvent, ScoredEvents
 
 
 class TestDecodeParams:
@@ -28,6 +29,10 @@ class TestDecodeRegression:
     def test_all_zero_channels(self):
         out = decode_regression(np.zeros(64), np.zeros(64), DecodeParams(alpha=4))
         assert out.onsets == () and out.offsets == ()
+
+    def test_empty_channels(self):
+        empty = np.array([])
+        assert decode_regression(empty, empty, DecodeParams(alpha=4, sigma=2.0)) == ScoredEvents()
 
     def test_roundtrip_single_event(self):
         spec = PdfSpec(kind="gaussian", day_length_d=200, width_w=41, sigma=5.0)
@@ -151,6 +156,24 @@ class TestDecodeSegThreshold:
         assert list(out.onsets) == onsets
         assert list(out.offsets) == offsets
 
+    @pytest.mark.parametrize("sigma", [None, 1.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sweep_matches_loop_oracle_at_every_mu(self, seed, sigma):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 5, size=int(rng.integers(1, 120))) / 4.0
+        params = DecodeParams(alpha=int(rng.integers(1, 5)), mu=0.9, sigma=sigma)
+        mus = (0.5, 0.0, 0.25, 1.0, 0.6, 0.5)
+        swept = list(sweep_seg_threshold(y, mus, params))
+        assert len(swept) == len(mus)
+        for mu, out in zip(mus, swept):
+            onsets, offsets = threshold_loop_oracle(y, DecodeParams(params.alpha, mu, sigma))
+            assert list(out.onsets) == onsets
+            assert list(out.offsets) == offsets
+
+    def test_empty_probabilities(self):
+        out = decode_seg_threshold(np.array([]), DecodeParams(alpha=2, sigma=1.0))
+        assert out == ScoredEvents()
+
     def test_probability_validation(self):
         with pytest.raises(InvalidProbability):
             decode_seg_threshold(np.array([0.5, 1.2]), DecodeParams(alpha=1))
@@ -180,6 +203,9 @@ class TestDecodeSegPeaks:
         assert step in (1, 2)
         assert score == pytest.approx(1.0)
         assert out.onsets == ()
+
+    def test_empty_probabilities(self):
+        assert decode_seg_peaks(np.array([]), DecodeParams(alpha=2, sigma=1.0)) == ScoredEvents()
 
     def test_mu_is_ignored(self):
         rng = np.random.default_rng(4)

@@ -1,17 +1,20 @@
 """Cross-validation pipeline: datasets, folds, pooled scoring, grid sweeps."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from evreg import config as config_module
+from evreg import decode as decode_module
 from evreg import experiment
 from evreg.config import OBJECTIVES, config_from_mapping
 from evreg.data import save_events, save_series, synth_generate, SynthConfig
 from evreg.decode import decode_points, decode_regression, decode_seg_peaks, decode_seg_threshold
 from evreg.errors import InvalidConfig, InvalidEvents, IoError, TooFewSeries
 from evreg.experiment import (
+    GridResult,
     build_dataset,
     decode_outputs,
     encode_targets,
@@ -474,3 +477,83 @@ class TestGridSearch:
         tuned = grid_search(outputs, truth, config.grid, config)
         assert tuned.best_score >= tuned.default_score
         assert len(tuned.table) == 6
+
+
+def grid_loop_oracle(outputs, truth, grid, config):
+    """The per-cell grid loop: every cell decodes and scores every series anew."""
+    reads_mu = config.spec.segmentation and config.seg_method == "threshold"
+    mus = grid.mu if reads_mu else (config.decode.mu,)
+    cells = [(m, s) for m in mus for s in grid.sigma]
+    default = (config.decode.mu, config.decode.sigma)
+    scores = {}
+    for mu, sigma in dict.fromkeys([*cells, default]):
+        params = replace(config.decode, mu=mu, sigma=sigma)
+        scores[mu, sigma] = edap(decode_outputs(outputs, config, params), truth, config.metric)
+    table = tuple((mu, sigma, scores[mu, sigma]) for mu, sigma in cells)
+    best = min(
+        table, key=lambda row: (-row[2], (0, 0.0) if row[1] is None else (1, row[1]), row[0])
+    )
+    return GridResult(*best, default_score=scores[default], table=table)
+
+
+def synthetic_outputs(config, seed=3):
+    """Noisy stand-ins for the objective's model outputs, keyed by series id.
+
+    Segmentation probabilities are multiples of 1/8, so unsmoothed samples
+    sit exactly on several grid thresholds.
+    """
+    series_list, truth = build_dataset(config)
+    rng = np.random.default_rng(seed)
+    outputs = {}
+    for series in series_list:
+        events = truth[series.series_id]
+        if config.spec.segmentation:
+            p = rng.normal(0.25, 0.15, size=series.num_steps)
+            for ev in events.events:
+                p[ev.onset: ev.offset + 1] += 0.5
+            p = np.round(np.clip(p, 0.0, 1.0) * 8) / 8
+            outputs[series.series_id] = np.stack([1.0 - p, p])
+        else:
+            _, y = encode_targets(series, events, config)
+            outputs[series.series_id] = y + rng.normal(0.0, 0.2, size=y.shape)
+    return outputs, truth
+
+
+SMALL_GRID = {"mu": [0.3, 0.5, 0.7], "sigma": ["none", 1, 3]}
+
+
+@pytest.mark.parametrize("objective,over", [
+    ("regression", {}),
+    ("regression", {"decode": {"alpha": 4, "sigma": 1.5}, "grid": SMALL_GRID}),
+    ("cpd", {"decode": {"alpha": 4, "sigma": 2}, "grid": SMALL_GRID}),
+    ("segmentation", {}),
+    # default cell (0.45, 1.5) lies outside the grid in both mu and sigma
+    ("segmentation", {"decode": {"alpha": 4, "mu": 0.45, "sigma": 1.5}, "grid": SMALL_GRID}),
+    # default mu outside the grid, default sigma (an int) inside it
+    ("segmentation", {"decode": {"alpha": 4, "mu": 0.45, "sigma": 1}, "grid": SMALL_GRID}),
+    ("segmentation", {"grid": {"mu": [0.5], "sigma": ["none", 2, 5]}}),
+    ("segmentation", {"seg_method": "peaks", "decode": {"alpha": 4, "sigma": 1.5},
+                      "grid": SMALL_GRID}),
+])
+def test_grid_search_matches_per_cell_loop(objective, over):
+    config = make_config(objective, **over)
+    outputs, truth = synthetic_outputs(config)
+    assert grid_search(outputs, truth, config.grid, config) == grid_loop_oracle(
+        outputs, truth, config.grid, config
+    )
+
+
+def test_threshold_grid_smooths_each_series_once_per_sigma(monkeypatch):
+    config = make_config("segmentation")
+    outputs, truth = synthetic_outputs(config)
+    calls = Counter()
+    smooth = decode_module.gaussian_smooth
+
+    def counting_smooth(x, params):
+        calls[np.asarray(x).tobytes(), params.sigma] += 1
+        return smooth(x, params)
+
+    monkeypatch.setattr(decode_module, "gaussian_smooth", counting_smooth)
+    grid_search(outputs, truth, config.grid, config)
+    assert len(calls) == len(outputs) * len(config.grid.sigma)
+    assert set(calls.values()) == {1}

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import math
 import os
 import pickle
@@ -349,6 +350,61 @@ class TestConvOracle:
             np.testing.assert_allclose(
                 g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max(), err_msg=name
             )
+
+
+def argmax_pool(x, dout):
+    """Reference (out, dx) of 2-to-1 max pooling routed by argmax."""
+    b, c, t = x.shape
+    pairs = x.reshape(b, c, t // 2, 2)
+    idx = pairs.argmax(axis=3)
+    out = np.take_along_axis(pairs, idx[..., None], axis=3)[..., 0]
+    dpairs = np.zeros((b, c, t // 2, 2))
+    np.put_along_axis(dpairs, idx[..., None], dout[..., None], axis=3)
+    return out, dpairs.reshape(b, c, t)
+
+
+def tensordot_dw(dout, xp, k):
+    """Reference conv weight gradient: one np.tensordot per kernel tap."""
+    t = dout.shape[2]
+    taps = [np.tensordot(dout, xp[:, :, j : j + t], ([0, 2], [0, 2])) for j in range(k)]
+    return np.stack(taps, axis=2)
+
+
+def same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestExactTrims:
+    """Pooling, padding and dw against the forms they replaced, bit for bit."""
+
+    def test_pool_matches_argmax_on_ties_signed_zeros_and_nan(self):
+        special = [0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]
+        pairs = np.array(list(itertools.product(special, repeat=2)))
+        rng = np.random.default_rng(3)
+        # small integers give many ties between the two elements of a pair
+        x = np.concatenate([pairs.ravel(), rng.integers(-2, 3, size=198).astype(float)])
+        x = x.reshape(2, 2, -1)
+        dout = rng.normal(size=(2, 2, x.shape[2] // 2))
+        dout.ravel()[:7] = special
+        out, cache = _pool_forward(x)
+        want_out, want_dx = argmax_pool(x, dout)
+        assert same_bits(out, want_out)
+        assert same_bits(_pool_backward(dout, cache), want_dx)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("in_c,out_c,steps", [(3, 5, 13), (6, 2, 7), (4, 4, 1)])
+    def test_padding_and_dw_match_tensordot(self, batch, kernel, in_c, out_c, steps):
+        rng = np.random.default_rng(batch * 100 + kernel * 10 + in_c)
+        x = rng.normal(size=(batch, in_c, steps))
+        w = rng.normal(size=(out_c, in_c, kernel))
+        dout = rng.normal(size=(batch, out_c, steps))
+        _, cache = _conv_forward(x, w, rng.normal(size=out_c))
+        half = kernel // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (half, half)))
+        assert same_bits(cache[0], xp)
+        _, dw, _ = _conv_backward(dout, cache)
+        assert same_bits(dw, tensordot_dw(dout, xp, kernel))
 
 
 _HASH_SCRIPT = """

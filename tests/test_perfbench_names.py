@@ -2,8 +2,9 @@
 
 perfbench/layers.py wraps each function it names by looking it up on its
 evreg module; a renamed or deleted one breaks every traced benchmark run.
-A small traced cross-validation checks that the wrappers change no result
-and are all removed afterwards.
+Small traced cross-validations check that the wrappers change no result
+and are all removed afterwards, and that the hooks read the threshold grid's
+smoothing calls as one per series and sigma.
 """
 
 import importlib
@@ -13,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evreg import experiment
 from evreg.config import config_from_mapping
-from evreg.experiment import grid_search, run_cv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,30 +48,41 @@ def _evreg_attributes() -> dict:
     }
 
 
-def test_traced_run_matches_untraced(layers):
-    tracer = importlib.import_module("tracer")
-    config = config_from_mapping({
-        "objective": "regression",
+def small_config(objective: str):
+    doc = {
+        "objective": objective,
         "data": {"synth": {
             "num_series": 8, "length": 128,
             "mean_event_duration": 12, "mean_gap": 24, "noise_std": 0.4,
         }},
-        "pdf": {"kind": "gaussian", "day_length_d": 64, "width_w": 17, "sigma": 2},
         "model": {"in_channels": 2, "hidden_channels": [4], "kernel_size": 3},
         "train": {"epochs": 1, "batch_size": 4},
         "decode": {"alpha": 4},
         "metric": {"tolerances": [1, 2, 5]},
         "folds": 2,
-    })
+    }
+    if objective != "segmentation":
+        doc["pdf"] = {"kind": "gaussian", "day_length_d": 64, "width_w": 17, "sigma": 2}
+    return config_from_mapping(doc)
 
+
+def traced_run(layers, config):
+    """run_cv plus grid_search, untraced and then traced.
+
+    Checks that the traced results equal the untraced ones and that every
+    wrapped attribute is restored; returns the recorder and smoothed keys.
+    """
+    tracer = importlib.import_module("tracer")
+
+    # called through the module, as perfbench does, so that their spans open
     def run():
-        cv = run_cv(config)
-        return cv, grid_search(cv.outputs, cv.truth, config.grid, config)
+        cv = experiment.run_cv(config)
+        return cv, experiment.grid_search(cv.outputs, cv.truth, config.grid, config)
 
     plain_cv, plain_grid = run()
     before = _evreg_attributes()
-    recorder = tracer.Recorder()
-    with layers.instrumented(recorder, set()):
+    recorder, smoothed = tracer.Recorder(), set()
+    with layers.instrumented(recorder, smoothed):
         traced_cv, traced_grid = run()
     after = _evreg_attributes()
 
@@ -85,7 +97,22 @@ def test_traced_run_matches_untraced(layers):
         assert after[name].keys() == attrs.keys(), name
         changed = [attr for attr, value in attrs.items() if after[name][attr] is not value]
         assert not changed, f"{name} attributes left swapped: {changed}"
+    return recorder, smoothed
+
+
+def test_traced_run_matches_untraced(layers):
+    recorder, _ = traced_run(layers, small_config("regression"))
     assert recorder.calls["metric.match_events"] > 0
     assert recorder.calls["metric.edap_table"] > 0
     # 2 folds x 1 epoch x 1 batch of 4 training series: one clip per step
     assert recorder.counts["model.train_steps"] == 2
+
+
+def test_traced_threshold_grid_smooths_each_series_once_per_sigma(layers):
+    config = small_config("segmentation")
+    assert config.seg_method == "threshold"
+    recorder, smoothed = traced_run(layers, config)
+    metrics = layers.operation_metrics(recorder, smoothed)
+    # 8 pooled series x the default grid's 5 sigmas, each smoothed once
+    assert len(smoothed) == 8 * len(config.grid.sigma)
+    assert metrics["signal.smooth_redundancy"] == 1.0

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_peaks, dense_smooth_oracle, window_contrast_oracle
 from evreg.errors import InvalidSpec, NonFiniteInput
+from evreg.config import DEFAULT_GRID_SIGMA
 from evreg.signal import (
     _MASK_CELLS,
     Peak,
     SmoothingParams,
     WindowParams,
     find_peaks,
+    gaussian_kernel,
     gaussian_smooth,
     window_convolve,
 )
@@ -74,6 +78,30 @@ class TestGaussianSmooth:
     def test_bad_params(self):
         with pytest.raises(InvalidSpec):
             SmoothingParams(sigma=-1.0)
+
+    def test_empty_input(self):
+        out = gaussian_smooth(np.array([]), SmoothingParams(sigma=2.0))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+    def test_tiny_sigma_is_identity_without_warnings(self, sigma):
+        # 2 sigma^2 is 0 or subnormal here: the taps were 0/0 (NaN) or overflowed
+        x = np.random.default_rng(8).normal(size=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = gaussian_kernel(sigma)
+            out = gaussian_smooth(x, SmoothingParams(sigma=sigma))
+        assert kernel.tolist() == [0.0, 1.0, 0.0]
+        assert out.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize(
+        "sigma", [s for s in DEFAULT_GRID_SIGMA if s is not None] + [0.3, 2.0, 7.5, 1e-150]
+    )
+    def test_kernel_bits_unchanged_where_two_sigma_squared_is_normal(self, sigma):
+        radius = int(math.ceil(4.0 * sigma))
+        k = np.arange(-radius, radius + 1, dtype=np.float64)
+        kernel = np.exp(-(k * k) / (2.0 * sigma * sigma))
+        assert gaussian_kernel(sigma).tobytes() == (kernel / kernel.sum()).tobytes()
 
     @given(
         st.lists(st.floats(-100, 100), min_size=3, max_size=60),
@@ -223,6 +251,10 @@ class TestWindowConvolve:
     def test_bad_alpha(self):
         with pytest.raises(InvalidSpec):
             WindowParams(alpha=0)
+
+    def test_empty_input(self):
+        out = window_convolve(np.array([]), WindowParams(alpha=3))
+        assert out.shape == (0,) and out.dtype == np.float64
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=50), st.integers(1, 8))
     @settings(max_examples=80, deadline=None)
