@@ -109,12 +109,15 @@ class GridSpec:
     sigma: tuple[float | None, ...] = DEFAULT_GRID_SIGMA
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
-        object.__setattr__(
-            self,
-            "sigma",
-            tuple(None if s is None else float(s) for s in self.sigma),
-        )
+        try:
+            mu = tuple(float(m) for m in self.mu)
+            sigma = tuple(None if s is None else float(s) for s in self.sigma)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidConfig(
+                f"grid mu and sigma must be lists of numbers, got {self.mu!r} and {self.sigma!r}"
+            ) from None
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
         if not self.mu or not self.sigma:
             raise EmptyGrid("grid needs at least one mu and one sigma candidate")
         if any(not 0.0 <= m <= 1.0 for m in self.mu):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping
@@ -28,8 +28,7 @@ from .types import (
     PointEvent,
     ScoredEvents,
     TimeSeries,
-    interval_fault,
-    point_fault,
+    event_fault,
     validate_events,
 )
 
@@ -119,7 +118,9 @@ def _downsample_events(events: EventSet, factor: int, new_len: int) -> EventSet:
     """Map event steps t -> floor(t/D), dropping events past the cropped end.
 
     Interval offsets are clipped to the new length and kept at least one
-    step past the mapped onset so no event collapses to zero duration.
+    step past the mapped onset so no event collapses to zero duration.  An
+    interval whose mapped onset lies inside the previous mapped interval
+    merges into it (larger offset, earlier score), so a valid set stays valid.
     """
     if events.kind == INTERVAL:
         mapped = []
@@ -129,7 +130,10 @@ def _downsample_events(events: EventSet, factor: int, new_len: int) -> EventSet:
                 continue
             offset = min(ev.offset // factor, new_len)
             offset = max(offset, onset + 1)
-            mapped.append(IntervalEvent(onset, offset, ev.score))
+            if mapped and onset < mapped[-1].offset:
+                mapped[-1] = replace(mapped[-1], offset=max(mapped[-1].offset, offset))
+            else:
+                mapped.append(IntervalEvent(onset, offset, ev.score))
         return EventSet(events.series_id, INTERVAL, tuple(mapped))
     mapped = [
         PointEvent(ev.step // factor, ev.score)
@@ -344,48 +348,42 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
     A series whose rows are all 'point' becomes a point EventSet; otherwise
     its rows pair into intervals by position (onset, then offset, as
     save_events writes them).  A series without events reads as an empty
-    interval set.  Intervals must hold 0 <= onset < offset and be sorted and
-    non-overlapping, points must hold step >= 0 and be sorted, else
-    InvalidEvents names the series and the line (an interval's onset line).
+    interval set.  The first event that breaks the rules of event_fault is an
+    InvalidEvents naming the file, the series and its line (an interval's
+    onset line).
     """
     out: dict[str, EventSet] = {}
     for sid, rows in _read_event_rows(path).items():
         kinds = {kind for kind, _, _, _ in rows}
         if kinds == {"point"}:
-            points, prev_step = [], None
-            for _, step, score, line in rows:
-                ev = PointEvent(step, score)
-                fault = point_fault(ev, prev_step)
-                if fault is not None:
-                    raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault}")
-                points.append(ev)
-                prev_step = step
-            out[sid] = EventSet(sid, POINT, tuple(points))
-            continue
-        if "point" in kinds:
-            line = next(l for k, _, _, l in rows if k == "point")
-            raise ParseError(
-                f"series {sid!r} mixes point and interval rows", line=line, column=2
-            )
-        for k, (kind, _, _, line) in enumerate(rows):
-            expected = ("onset", "offset")[k % 2]
-            if kind != expected:
+            start_rows = rows
+            events = EventSet(sid, POINT, [PointEvent(step, score) for _, step, score, _ in rows])
+        else:
+            if "point" in kinds:
+                line = next(l for k, _, _, l in rows if k == "point")
                 raise ParseError(
-                    f"series {sid!r}: {kind} without preceding {expected}", line=line, column=2
+                    f"series {sid!r} mixes point and interval rows", line=line, column=2
                 )
-        if len(rows) % 2:
-            raise ParseError(
-                f"series {sid!r}: unpaired trailing onset", line=rows[-1][3], column=2
-            )
-        intervals, prev_offset = [], None
-        for (_, onset, score, line), (_, offset, _, _) in zip(rows[::2], rows[1::2]):
-            ev = IntervalEvent(onset, offset, score)
-            fault = interval_fault(ev, prev_offset)
-            if fault is not None:
-                raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault}")
-            intervals.append(ev)
-            prev_offset = offset
-        out[sid] = EventSet(sid, INTERVAL, tuple(intervals))
+            for k, (kind, _, _, line) in enumerate(rows):
+                expected = ("onset", "offset")[k % 2]
+                if kind != expected:
+                    raise ParseError(
+                        f"series {sid!r}: {kind} without preceding {expected}", line=line, column=2
+                    )
+            if len(rows) % 2:
+                raise ParseError(
+                    f"series {sid!r}: unpaired trailing onset", line=rows[-1][3], column=2
+                )
+            start_rows = rows[::2]
+            events = EventSet(sid, INTERVAL, [
+                IntervalEvent(onset, offset, score)
+                for (_, onset, score, _), (_, offset, _, _) in zip(start_rows, rows[1::2])
+            ])
+        fault = event_fault(events)
+        if fault is not None:
+            index, error = fault
+            raise type(error)(f"{path}: series {sid!r}, line {start_rows[index][3]}: {error}")
+        out[sid] = events
     return out
 
 

@@ -23,7 +23,7 @@ from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, ShapeMisma
 from .metric import edap, edap_table
 from .model import EpochStats, TrainResult, predict, train
 from .targets import sigma_schedule
-from .types import POINT, EventSet, ScoredEvents, TimeSeries, points_from_intervals
+from .types import POINT, EventSet, ScoredEvents, TimeSeries, event_fault, points_from_intervals
 
 
 def build_dataset(
@@ -33,7 +33,9 @@ def build_dataset(
 
     Synthetic data is generated in place; a paths dataset reads every *.csv
     in the series directory (sorted by name) plus the shared events file.
-    Every series needs the first one's channel names, in order, and length.
+    Every series needs the first one's channel names, in order, and length,
+    and truth that passes event_fault at that length, checked before
+    downsampling could clip an offset that lies past the end.
     Downsampling and, for point-truth objectives, the collapse of interval
     truth to onset points happen here, so callers always see final-resolution
     steps.  Point truth passes through unchanged.
@@ -43,7 +45,7 @@ def build_dataset(
     else:
         pairs = _load_pairs(config.data)
     first = pairs[0][0]
-    for series, _ in pairs:
+    for series, events in pairs:
         if (series.channel_names, series.num_steps) != (first.channel_names, first.num_steps):
             where = ""
             if isinstance(config.data, PathsSpec):
@@ -54,6 +56,10 @@ def build_dataset(
                 f"{series.channel_names}, series {first.series_id!r} has "
                 f"{(len(first.channels), first.num_steps)} and {first.channel_names}"
             )
+        fault = event_fault(events, series.num_steps)
+        if fault is not None:
+            where = f" (file {config.data.events})" if isinstance(config.data, PathsSpec) else ""
+            raise type(fault[1])(f"series {series.series_id!r}{where}: {fault[1]}")
     if config.downsample > 1:
         pairs = [
             downsample(series, config.downsample, events)

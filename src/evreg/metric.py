@@ -19,6 +19,18 @@ from .errors import EmptyTruth, InvalidEvents, InvalidSpec
 from .types import EventSet, ScoredEvents
 
 
+def ascending_positive_ints(values, message: str) -> tuple[int, ...]:
+    """values as a tuple of ints if they are nonempty, integral, >= 1 and
+    strictly ascending, else InvalidSpec(message.format(values))."""
+    try:
+        t = tuple(values)
+        if t and all(int(v) == v and v >= 1 for v in t) and list(t) == sorted(set(t)):
+            return tuple(int(v) for v in t)
+    except (TypeError, ValueError, OverflowError):
+        t = values
+    raise InvalidSpec(message.format(t))
+
+
 @dataclass(frozen=True)
 class EdapConfig:
     """Tolerances (in steps) and the event classes scored."""
@@ -27,16 +39,10 @@ class EdapConfig:
     classes: tuple[str, ...] = ("onset", "offset")
 
     def __post_init__(self):
-        try:
-            t = tuple(self.tolerances)
-            integral = all(int(v) == v for v in t)
-        except (TypeError, ValueError, OverflowError):
-            t, integral = self.tolerances, False
-        if not t or not integral or any(v < 1 for v in t) or list(t) != sorted(set(t)):
-            raise InvalidSpec(
-                f"tolerances={t}, expected nonempty ascending distinct positive ints"
-            )
-        object.__setattr__(self, "tolerances", tuple(int(v) for v in t))
+        t = ascending_positive_ints(
+            self.tolerances, "tolerances={}, expected nonempty ascending distinct positive ints"
+        )
+        object.__setattr__(self, "tolerances", t)
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise InvalidSpec("classes must be nonempty")

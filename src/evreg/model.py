@@ -610,6 +610,8 @@ def load_params(path: str | Path) -> Parameters:
                 raise ParseError(f"tensor {name!r} appears twice in the checkpoint")
             size = math.prod(shape)
             data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
+            if not np.isfinite(data).all():
+                raise ParseError(f"tensor {name!r} holds NaN or Inf")
             pos += 8 * size
             tensors[name] = data.astype(np.float64).reshape(shape)
     except (struct.error, ValueError, OverflowError) as exc:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidEvents, InvalidRange, InvalidSpec, ZeroKernel
+from .metric import ascending_positive_ints
 from .types import INTERVAL, POINT, EventSet, derive_state_labels, validate_events
 
 KERNEL_KINDS = ("hard", "gaussian", "edap")
@@ -60,11 +61,10 @@ class PdfSpec:
                     f"{2 * math.ceil(4.0 * self.sigma) + 1} for sigma={self.sigma}"
                 )
         if self.kind == "edap":
-            t = self.thresholds
-            if not t or any(int(v) != v or v < 1 for v in t) or list(t) != sorted(set(t)):
-                raise InvalidSpec(
-                    "edap kernel requires ascending distinct positive integer thresholds"
-                )
+            t = ascending_positive_ints(
+                self.thresholds,
+                "edap kernel requires ascending distinct positive integer thresholds",
+            )
             if self.width_w < 2 * max(t) + 1:
                 raise InvalidSpec(
                     f"width_w={self.width_w} clips the staircase; need >= "

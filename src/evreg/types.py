@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptySeries,
     EventOutOfRange,
     InvalidEvents,
@@ -141,70 +142,53 @@ class EventSet:
         raise InvalidEvents(f"class {cls!r} undefined for {self.kind} truth")
 
 
-def interval_fault(ev: IntervalEvent, prev_offset: int | None) -> str | None:
-    """What breaks the length-free interval invariants, or None.
+def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, DataError] | None:
+    """The first event that breaks the event-set rules, or None if none does.
 
-    0 <= onset < offset, and the interval starts no earlier than the previous
-    one of its series ended (prev_offset; None for the first).
+    Returns the event's index and the error it earns, not raised.  Intervals
+    must hold 0 <= onset < offset and start no earlier than the previous one
+    ended (touching is allowed); points must hold step >= 0 and not precede
+    the previous one.  With num_steps, each event is first checked to lie in
+    the series: offset <= num_steps, step < num_steps.
     """
-    if ev.onset < 0:
-        return f"event [{ev.onset}, {ev.offset}) starts before step 0"
-    if ev.onset >= ev.offset:
-        return f"event [{ev.onset}, {ev.offset}) has no positive duration"
-    if prev_offset is not None and ev.onset < prev_offset:
-        return (
-            f"event at onset {ev.onset} overlaps or precedes the previous "
-            f"event ending at {prev_offset}"
-        )
-    return None
-
-
-def point_fault(ev: PointEvent, prev_step: int | None) -> str | None:
-    """What breaks the length-free point invariants, or None.
-
-    step >= 0, and no earlier than the previous point of its series
-    (prev_step; None for the first).
-    """
-    if ev.step < 0:
-        return f"point {ev.step} is before step 0"
-    if prev_step is not None and ev.step < prev_step:
-        return f"point {ev.step} precedes previous {prev_step}"
+    prev = None
+    for i, ev in enumerate(events.events):
+        if events.kind == INTERVAL:
+            if not isinstance(ev, IntervalEvent):
+                return i, InvalidEvents(f"expected IntervalEvent, got {type(ev).__name__}")
+            span = f"event [{ev.onset}, {ev.offset})"
+            if num_steps is not None and not (0 <= ev.onset and ev.offset <= num_steps):
+                return i, EventOutOfRange(f"{span} outside [0, {num_steps}]")
+            if ev.onset < 0:
+                return i, InvalidEvents(f"{span} starts before step 0")
+            if ev.onset >= ev.offset:
+                return i, InvalidEvents(f"{span} has no positive duration")
+            if prev is not None and ev.onset < prev:
+                return i, InvalidEvents(
+                    f"event at onset {ev.onset} overlaps or precedes the previous "
+                    f"event ending at {prev}"
+                )
+            prev = ev.offset
+        else:
+            if not isinstance(ev, PointEvent):
+                return i, InvalidEvents(f"expected PointEvent, got {type(ev).__name__}")
+            if num_steps is not None and not 0 <= ev.step < num_steps:
+                return i, EventOutOfRange(f"point {ev.step} outside [0, {num_steps})")
+            if ev.step < 0:
+                return i, InvalidEvents(f"point {ev.step} is before step 0")
+            if prev is not None and ev.step < prev:
+                return i, InvalidEvents(f"point {ev.step} precedes previous {prev}")
+            prev = ev.step
     return None
 
 
 def validate_events(events: EventSet, num_steps: int) -> None:
-    """Check event invariants against a series of the given length.
-
-    Interval events must satisfy 0 <= onset < offset <= num_steps, be sorted
-    by onset, and be non-overlapping (touching is allowed).  Point events
-    must satisfy 0 <= step < num_steps and be sorted.
-    """
+    """Raise the error of event_fault against a series of num_steps >= 1 steps."""
     if num_steps < 1:
         raise EventOutOfRange(f"num_steps={num_steps} must be positive")
-    if events.kind == INTERVAL:
-        prev_offset = None
-        for ev in events.events:
-            if not isinstance(ev, IntervalEvent):
-                raise InvalidEvents(f"expected IntervalEvent, got {type(ev).__name__}")
-            if not (0 <= ev.onset and ev.offset <= num_steps):
-                raise EventOutOfRange(
-                    f"event [{ev.onset}, {ev.offset}) outside [0, {num_steps}]"
-                )
-            fault = interval_fault(ev, prev_offset)
-            if fault is not None:
-                raise InvalidEvents(fault)
-            prev_offset = ev.offset
-    else:
-        prev_step = None
-        for ev in events.events:
-            if not isinstance(ev, PointEvent):
-                raise InvalidEvents(f"expected PointEvent, got {type(ev).__name__}")
-            if not (0 <= ev.step < num_steps):
-                raise EventOutOfRange(f"point {ev.step} outside [0, {num_steps})")
-            fault = point_fault(ev, prev_step)
-            if fault is not None:
-                raise InvalidEvents(fault)
-            prev_step = ev.step
+    fault = event_fault(events, num_steps)
+    if fault is not None:
+        raise fault[1]
 
 
 def derive_state_labels(events: EventSet, num_steps: int) -> np.ndarray:

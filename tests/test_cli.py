@@ -1,7 +1,9 @@
 """Command-line driver: artifacts, determinism, exit codes."""
 
+import struct
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -11,6 +13,7 @@ import evreg.experiment
 import evreg.metric
 from evreg.cli import main
 from evreg.data import load_events, load_series, save_events, save_series
+from evreg.model import load_params
 from evreg.types import TimeSeries, points_from_intervals
 
 
@@ -402,6 +405,37 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "data error" in err and "series 's000', line 4" in err
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_truth_past_series_end(self, tmp_path, capsys, factor):
+        # checked at the raw length: downsampling would clip the offset
+        data = synth_on_disk(tmp_path)
+        events_path = data["paths"]["events"]
+        truth = load_events(events_path)
+        last = truth["s003"].events[-1]
+        truth["s003"] = replace(truth["s003"], events=(
+            *truth["s003"].events[:-1], replace(last, offset=5000)
+        ))
+        save_events(events_path, truth)
+        config = write_config(
+            tmp_path / "config.yaml", data=data, downsample=factor,
+            model={"in_channels": 2 if factor == 1 else 8, "hidden_channels": [4], "kernel_size": 3},
+        )
+        assert main(["cv", "--config", config, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"series 's003' (file {events_path}): event [{last.onset}, 5000) outside [0, 128]" in err
+
+    def test_decode_with_non_finite_checkpoint(self, pipeline, tmp_path, capsys):
+        config, out, _ = pipeline
+        blob = (out / "model.ckpt").read_bytes()
+        last = list(load_params(out / "model.ckpt").tensors)[-1]
+        checkpoint = tmp_path / "model.ckpt"
+        checkpoint.write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
+        code = main(["decode", "--config", config, "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(checkpoint)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and f"tensor {last!r} holds NaN or Inf" in err
 
     def test_eval_truth_with_unsorted_points(self, pipeline, tmp_path, capsys):
         # a cpd config scores point truth, so only the load check can reject it

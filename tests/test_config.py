@@ -218,6 +218,9 @@ class TestValidation:
             GridSpec(mu=(1.5,), sigma=(None,))
         with pytest.raises(InvalidConfig):
             GridSpec(mu=(0.5,), sigma=(0.0,))
+        for bad in [dict(mu=("a",)), dict(sigma=("a",)), dict(mu=None), dict(sigma=5)]:
+            with pytest.raises(InvalidConfig, match="must be lists of numbers"):
+                GridSpec(**bad)
 
     @pytest.mark.parametrize("value", [".inf", ".nan"])
     def test_grid_sigma_not_finite(self, tmp_path, value):

@@ -155,6 +155,33 @@ class TestDownsample:
         with pytest.raises(InvalidFactor):
             downsample(series, 5)
 
+    def test_onsets_in_one_window_merge(self):
+        # [9, 11) maps to [1, 2) and [12, 30) to [1, 3): the second would
+        # overlap the first, so it extends it instead
+        series = TimeSeries.build("s", {"a": np.arange(64.0)})
+        events = EventSet("s", INTERVAL, (IntervalEvent(9, 11, 0.5), IntervalEvent(12, 30)))
+        _, mapped = downsample(series, 8, events)
+        assert mapped.events == (IntervalEvent(1, 3, 0.5),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 80), kind=st.sampled_from([INTERVAL, POINT]))
+    def test_valid_truth_stays_valid(self, data, length, kind):
+        factor = data.draw(st.integers(1, length))
+        if kind == POINT:
+            steps = data.draw(st.lists(st.integers(0, length - 1), max_size=8))
+            events = EventSet("s", POINT, [PointEvent(t) for t in sorted(steps)])
+        else:
+            bounds = sorted(data.draw(st.lists(st.integers(0, length), unique=True, max_size=9)))
+            if data.draw(st.booleans()):  # touching: [b0, b1), [b1, b2), ...
+                pairs = zip(bounds, bounds[1:])
+            else:
+                pairs = zip(bounds[::2], bounds[1::2])
+            events = EventSet("s", INTERVAL, [IntervalEvent(a, b) for a, b in pairs])
+        validate_events(events, length)
+        series = TimeSeries.build("s", {"a": np.zeros(length)})
+        down_series, down_events = downsample(series, factor, events)
+        validate_events(down_events, down_series.num_steps)
+
 
 class TestSeriesCsv:
     def test_roundtrip_exact(self, tmp_path):

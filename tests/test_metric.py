@@ -243,6 +243,11 @@ class TestEdap:
             EdapConfig(tolerances=("x",))
         with pytest.raises(InvalidSpec):
             EdapConfig(tolerances=5)
+        with pytest.raises(InvalidSpec) as err:
+            EdapConfig(tolerances=[1, float("inf")])
+        assert str(err.value) == (
+            "tolerances=[1, inf], expected nonempty ascending distinct positive ints"
+        )
         assert EdapConfig(tolerances=(1.0, 3)).tolerances == (1, 3)
 
 

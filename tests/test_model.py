@@ -771,6 +771,14 @@ class TestCheckpoints:
         with pytest.raises(ShapeMismatch, match="head.b"):
             forward(params, x, config)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, tmp_path, value):
+        # train never saves such parameters, so the file is corrupt
+        path = tmp_path / "model.ckpt"
+        save_params(path, Parameters({"w": np.arange(4.0), "b": np.array([0.0, value])}))
+        with pytest.raises(ParseError, match="tensor 'b' holds NaN or Inf"):
+            load_params(path)
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_params(path, Parameters({"w": np.arange(4.0)}))

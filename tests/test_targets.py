@@ -67,6 +67,9 @@ class TestMakeKernel:
     def test_edap_needs_sorted_thresholds(self):
         with pytest.raises(InvalidSpec):
             PdfSpec(kind="edap", day_length_d=100, width_w=9, thresholds=(3, 1))
+        for thresholds in [(1, math.inf), ("a",), (1, math.nan), None]:
+            with pytest.raises(InvalidSpec, match="ascending distinct positive integer"):
+                PdfSpec(kind="edap", day_length_d=100, width_w=9, thresholds=thresholds)
 
     def test_d_smaller_than_width_rejected(self):
         with pytest.raises(InvalidSpec):
