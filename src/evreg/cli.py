@@ -2,9 +2,12 @@
 
 Every subcommand reads one YAML experiment config and writes plain-text
 artifacts (CSV reports, checkpoints) into an output directory resolved as:
-the --out flag if given, else $EVREG_OUT_DIR, else ./evreg_out.  All floats
-are serialized with repr-exact precision, so repeated runs with the same
-seed and config produce byte-identical files.
+the --out flag if given, else $EVREG_OUT_DIR, else ./evreg_out.  main loads
+the config and resolves the directory once.  Every subcommand but synth takes
+its series and truth from build_dataset, at model resolution; eval --truth
+only swaps in another paths events file.  All floats are serialized with
+repr-exact precision, so repeated runs with the same seed and config produce
+byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 divergence.
@@ -15,19 +18,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config, override_seed
+from .config import ExperimentConfig, PathsSpec, load_config, override_seed
 from .data import (
-    SynthConfig,
-    load_events,
-    load_scored_events,
-    save_events,
-    save_series,
-    synth_generate,
-    write_table,
+    SynthConfig, load_scored_events, save_events, save_series, synth_generate, write_table,
 )
 from .errors import ConfigError, DataError, EvregError, InvalidConfig, IoError, NumericError
 from .experiment import build_dataset, decode_outputs, fit, grid_search, run_cv
@@ -70,11 +68,9 @@ def _write_report(path: Path, table: dict[tuple[str, int], float], mean: float) 
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_synth(args) -> int:
-    config = _load(args)
+def _cmd_synth(args, config: ExperimentConfig, out: Path) -> int:
     if not isinstance(config.data, SynthConfig):
         raise InvalidConfig("synth requires a data.synth section")
-    out = _resolve_out(args.out)
     series_dir = _make_dir(out / "series")
     pairs = synth_generate(config.data)
     for series, _ in pairs:
@@ -84,9 +80,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_encode(args) -> int:
-    config = _load(args)
-    out = _resolve_out(args.out)
+def _cmd_encode(args, config: ExperimentConfig, out: Path) -> int:
     targets_dir = _make_dir(out / "targets")
     series_list, truth = build_dataset(config)
     for series in series_list:
@@ -98,9 +92,7 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = _load(args)
-    out = _resolve_out(args.out)
+def _cmd_train(args, config: ExperimentConfig, out: Path) -> int:
     series_list, truth = build_dataset(config)
     result = fit(config, [(s, truth[s.series_id]) for s in series_list])
     save_params(out / "model.ckpt", result.params)
@@ -111,9 +103,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_decode(args) -> int:
-    config = _load(args)
-    out = _resolve_out(args.out)
+def _cmd_decode(args, config: ExperimentConfig, out: Path) -> int:
     params = load_params(args.checkpoint)
     series_list, _ = build_dataset(config)
     outputs = {
@@ -127,14 +117,15 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = _load(args)
-    out = _resolve_out(args.out)
-    predictions = load_scored_events(args.pred)
+def _cmd_eval(args, config: ExperimentConfig, out: Path) -> int:
     if args.truth:
-        truth = load_events(args.truth)
-    else:
-        _, truth = build_dataset(config)
+        if not isinstance(config.data, PathsSpec):
+            raise InvalidConfig(
+                "--truth replaces data.paths.events; synth truth is generated, not read"
+            )
+        config = replace(config, data=replace(config.data, events=args.truth))
+    predictions = load_scored_events(args.pred)
+    _, truth = build_dataset(config)
     table = edap_table(predictions, truth, config.metric)
     mean = float(np.mean(list(table.values())))
     _write_report(out / "report.csv", table, mean)
@@ -142,9 +133,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_cv(args) -> int:
-    config = _load(args)
-    out = _resolve_out(args.out)
+def _cmd_cv(args, config: ExperimentConfig, out: Path) -> int:
     result = run_cv(config, jobs=args.jobs)
     for fold in result.folds:
         _write_trace(out / f"fold{fold.fold_index}_trace.csv", fold.trace)
@@ -156,9 +145,7 @@ def _cmd_cv(args) -> int:
     return 0
 
 
-def _cmd_grid(args) -> int:
-    config = _load(args)
-    out = _resolve_out(args.out)
+def _cmd_grid(args, config: ExperimentConfig, out: Path) -> int:
     result = run_cv(config, jobs=args.jobs)
     sweep = grid_search(result.outputs, result.truth, config.grid, config)
     rows = ((mu, "none" if sigma is None else sigma, score) for mu, sigma, score in sweep.table)
@@ -203,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score predictions against ground truth")
     _add_common(ev)
     ev.add_argument("--pred", required=True, help="predictions events CSV")
-    ev.add_argument("--truth", default=None, help="truth events CSV (default: config data)")
+    ev.add_argument("--truth", default=None, help="events CSV in place of data.paths.events")
 
     _add_common(sub.add_parser("cv", help="k-fold cross-validation"), jobs=True)
     _add_common(
@@ -227,7 +214,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        config = _load(args)
+        return _COMMANDS[args.command](args, config, _resolve_out(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

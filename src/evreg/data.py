@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,6 +27,7 @@ from .types import (
     PointEvent,
     ScoredEvents,
     TimeSeries,
+    detection_fault,
     event_fault,
     validate_events,
 )
@@ -390,19 +390,22 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
 def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
     """Read decoded detections: onset/point rows and offset rows with scores.
 
-    Every row needs a score (else ParseError), a step >= 0 and a finite
-    score (else InvalidEvents naming the file, the series and the line).
+    Every row needs a score (else ParseError) and must pass detection_fault
+    (else InvalidEvents naming the file, the series and the line).
     """
     by_series = _read_event_rows(path)
     # in file order, so the first faulty row is reported also when series interleave
-    for line, sid, step, score in sorted(
-        (line, sid, step, score) for sid, rows in by_series.items() for _, step, score, line in rows
-    ):
-        if score is None:
-            raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
-        if step < 0 or not math.isfinite(score):
-            fault = f"step {step} is before step 0" if step < 0 else f"score {score} is not finite"
-            raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault}")
+    rows = sorted(
+        (line, sid, step, score) for sid, items in by_series.items() for _, step, score, line in items
+    )
+    unscored = next((i for i, row in enumerate(rows) if row[3] is None), len(rows))
+    fault = detection_fault(row[2:] for row in rows[:unscored])
+    if fault is not None:
+        line, sid = rows[fault[0]][:2]
+        raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault[1]}")
+    if unscored < len(rows):
+        line, sid = rows[unscored][:2]
+        raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
     return {
         sid: ScoredEvents(
             onsets=tuple(sorted((step, score) for kind, step, score, _ in rows if kind != "offset")),

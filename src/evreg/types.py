@@ -215,31 +215,38 @@ def points_from_intervals(events: EventSet, which: str = "onset") -> EventSet:
     return EventSet(events.series_id, POINT, points)
 
 
+def detection_fault(pairs: Iterable[tuple[int, float]]) -> tuple[int, str] | None:
+    """Index and fault of the first (step, score) pair that is no valid
+    detection (step >= 0, finite score), or None if every pair is one."""
+    for i, (step, score) in enumerate(pairs):
+        if step < 0:
+            return i, f"step {step} is before step 0"
+        if not math.isfinite(score):
+            return i, f"score {score} is not finite"
+    return None
+
+
 @dataclass(frozen=True)
 class ScoredEvents:
     """Decoded detections for one series: (step, score) pairs per boundary class.
 
-    onsets and offsets are tuples of (step, score) sorted by step.  Point
-    detections use the onsets slot and leave offsets empty.
+    onsets and offsets hold (step, score) pairs sorted by step that pass
+    detection_fault.  Point detections use the onsets slot, offsets stay empty.
     """
 
     onsets: tuple[tuple[int, float], ...] = ()
     offsets: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "onsets", tuple([(int(s), float(v)) for s, v in self.onsets])
-        )
-        object.__setattr__(
-            self, "offsets", tuple([(int(s), float(v)) for s, v in self.offsets])
-        )
         for name in ("onsets", "offsets"):
-            pairs = getattr(self, name)
+            pairs = tuple([(int(s), float(v)) for s, v in getattr(self, name)])
+            object.__setattr__(self, name, pairs)
             steps = [s for s, _ in pairs]
             if steps != sorted(steps):
                 raise InvalidEvents(f"{name} must be sorted by step")
-            if not all(math.isfinite(v) for _, v in pairs):
-                raise InvalidEvents(f"{name} contain a non-finite score")
+            fault = detection_fault(pairs)
+            if fault is not None:
+                raise InvalidEvents(f"{name}[{fault[0]}]: {fault[1]}")
 
     def __len__(self) -> int:
         return len(self.onsets) + len(self.offsets)

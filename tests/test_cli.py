@@ -130,9 +130,10 @@ class TestSubcommands:
         assert len(lines) == 8
 
     def test_eval_with_explicit_truth(self, pipeline, tmp_path, capsys):
-        config, out, _ = pipeline
+        synth_config, out, _ = pipeline
+        config = write_config(tmp_path / "paths.yaml", data=synth_on_disk(tmp_path))
         truth_out = tmp_path / "truth"
-        assert main(["synth", "--config", config, "--out", str(truth_out)]) == 0
+        assert main(["synth", "--config", synth_config, "--out", str(truth_out)]) == 0
         capsys.readouterr()
         code = main([
             "eval", "--config", config, "--out", str(tmp_path),
@@ -145,6 +146,28 @@ class TestSubcommands:
         reported = float(printed.split()[1])
         in_config_report = (out / "report.csv").read_text().splitlines()[-1]
         assert reported == float(in_config_report.split(",")[2])
+
+    @pytest.mark.parametrize("objective", ["regression", "cpd"])
+    def test_eval_truth_at_model_resolution(self, tmp_path, capsys, objective):
+        # --truth names the events file and gets build_dataset's downsampling
+        # and, for cpd, its collapse to onset points
+        data = synth_on_disk(tmp_path)
+        config = write_config(
+            tmp_path / "config.yaml", objective=objective, data=data, downsample=2,
+            model={"in_channels": 8, "hidden_channels": [4], "kernel_size": 3},
+        )
+        out = str(tmp_path / "o")
+        assert main(["train", "--config", config, "--out", out]) == 0
+        assert main(["decode", "--config", config, "--out", out,
+                     "--checkpoint", str(tmp_path / "o" / "model.ckpt")]) == 0
+        capsys.readouterr()
+        scores = []
+        for extra in ([], ["--truth", data["paths"]["events"]]):
+            code = main(["eval", "--config", config, "--out", out,
+                         "--pred", str(tmp_path / "o" / "predictions.csv"), *extra])
+            assert code == 0
+            scores.append(capsys.readouterr().out)
+        assert scores[0].startswith("edap ") and scores[1] == scores[0]
 
     def test_cv_artifacts(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml")
@@ -392,8 +415,9 @@ class TestExitCodes:
         assert "numeric error" in capsys.readouterr().err
 
     def test_eval_truth_with_reversed_interval(self, pipeline, tmp_path, capsys):
-        config, out, _ = pipeline
-        truth = tmp_path / "events.csv"
+        _, out, _ = pipeline
+        config = write_config(tmp_path / "paths.yaml", data=synth_on_disk(tmp_path))
+        truth = tmp_path / "reversed.csv"
         truth.write_text(
             "series_id,event,step,score\ns000,onset,2,\ns000,offset,5,\n"
             "s000,onset,17,\ns000,offset,11,\n"
@@ -438,9 +462,9 @@ class TestExitCodes:
         assert "data error" in err and f"tensor {last!r} holds NaN or Inf" in err
 
     def test_eval_truth_with_unsorted_points(self, pipeline, tmp_path, capsys):
-        # a cpd config scores point truth, so only the load check can reject it
+        # a cpd config scores point truth, so the load check names the line
         _, out, _ = pipeline
-        config = write_config(tmp_path / "cpd.yaml", objective="cpd")
+        config = write_config(tmp_path / "cpd.yaml", objective="cpd", data=synth_on_disk(tmp_path))
         truth = tmp_path / "points.csv"
         truth.write_text(
             "series_id,event,step,score\ns000,point,9,\ns000,point,-4,\n"
@@ -453,6 +477,17 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "data error" in err and "series 's000', line 3" in err
+
+    def test_eval_truth_with_synth_data(self, pipeline, tmp_path, capsys):
+        # synthetic truth is generated, so there is no events file to replace
+        config, out, _ = pipeline
+        code = main([
+            "eval", "--config", config, "--out", str(tmp_path / "o"),
+            "--pred", str(out / "predictions.csv"), "--truth", str(out / "predictions.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "data.paths.events" in err
 
     @pytest.mark.parametrize("rows,line,fault", [
         ("s000,onset,2,0.5\ns000,onset,-5,0.5\n", 3, "step -5 is before step 0"),

@@ -197,6 +197,11 @@ class TestScoredEvents:
         with pytest.raises(InvalidEvents):
             ScoredEvents(onsets=((1, float("nan")),))
 
+    def test_negative_step_rejected(self):
+        # a step before 0 could otherwise match truth near the series start
+        with pytest.raises(InvalidEvents, match=r"^onsets\[0\]: step -3 is before step 0$"):
+            ScoredEvents(onsets=((-3, 0.9), (5, 0.5)), offsets=((9, 0.4),))
+
     def test_by_class(self):
         se = ScoredEvents(onsets=((1, 0.5),), offsets=((2, 0.25),))
         assert se.by_class("onset") == ((1, 0.5),)
