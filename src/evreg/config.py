@@ -23,7 +23,7 @@ from .decode import (
     decode_points,
     decode_regression,
     decode_seg_peaks,
-    decode_seg_threshold,
+    sweep_seg_threshold,
 )
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, InvalidSpec
 from .metric import EdapConfig
@@ -40,11 +40,11 @@ class Objective:
 
     out_mode is the model head and metric_classes the default metric classes.
     encode(events, num_steps, pdf) gives a TargetSeries, decode(y, params,
-    seg_method) the ScoredEvents of one series; both resolve the encoder or
-    decoder by its module-global name at call time, so rebinding it works.
-    segmentation marks per-step label targets: no pdf, no sigma schedule, and
-    a grid that sweeps mu for the threshold decoder.  point_truth collapses
-    intervals to onset points.
+    seg_method, mus) one series' ScoredEvents at each mu in mus if seg_method
+    is mu_method (the one that reads mu), else a one-item list; both resolve
+    the encoder or decoder by its module-global name at call time, so
+    rebinding it works.  segmentation marks per-step label targets: no pdf,
+    no sigma schedule.  point_truth collapses intervals to onset points.
     """
 
     out_mode: str
@@ -53,28 +53,30 @@ class Objective:
     decode: Callable
     segmentation: bool = False
     point_truth: bool = False
+    mu_method: str | None = None
 
 
-def _decode_segmentation(y, params, seg_method):
-    decoder = decode_seg_threshold if seg_method == "threshold" else decode_seg_peaks
-    return decoder(y[1], params)
+def _decode_segmentation(y, params, seg_method, mus):
+    if seg_method == "threshold":
+        return list(sweep_seg_threshold(y[1], mus, params))
+    return [decode_seg_peaks(y[1], params)]
 
 
 OBJECTIVES: dict[str, Objective] = {
     "regression": Objective(
         "regression_2ch", ("onset", "offset"),
         encode=lambda events, steps, pdf: encode_regression(events, steps, pdf),
-        decode=lambda y, params, _: decode_regression(y[0], y[1], params),
+        decode=lambda y, params, *_: [decode_regression(y[0], y[1], params)],
     ),
     "segmentation": Objective(
-        "segmentation_2class", ("onset", "offset"), segmentation=True,
+        "segmentation_2class", ("onset", "offset"), segmentation=True, mu_method="threshold",
         encode=lambda events, steps, _: encode_segmentation(events, steps),
         decode=_decode_segmentation,
     ),
     "cpd": Objective(
         "regression_1ch", ("point",), point_truth=True,
         encode=lambda events, steps, pdf: encode_cpd(events, steps, pdf),
-        decode=lambda y, params, _: decode_points(y[0], params),
+        decode=lambda y, params, *_: [decode_points(y[0], params)],
     ),
 }
 
@@ -183,6 +185,11 @@ class ExperimentConfig:
     def spec(self) -> Objective:
         """The record of this config's objective."""
         return OBJECTIVES[self.objective]
+
+    @property
+    def reads_mu(self) -> bool:
+        """Whether this config's decoder reads decode.mu, so the grid sweeps it."""
+        return self.seg_method == self.spec.mu_method
 
 
 # -- YAML loading -------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidEvents, InvalidFactor, IoError, ParseError
+from .errors import DataError, InvalidConfig, InvalidEvents, InvalidFactor, IoError, ParseError
 from .types import (
     INTERVAL,
     POINT,
@@ -342,48 +342,60 @@ def _read_event_rows(
     return by_series
 
 
+def _event_set(sid: str, rows: list) -> tuple[EventSet, list]:
+    """One series' EventSet and the rows its events start on.
+
+    Raises the ParseError of the series' first row that does not pair.
+    """
+    kinds = {kind for kind, _, _, _ in rows}
+    if kinds == {"point"}:
+        return EventSet(sid, POINT, [PointEvent(step, score) for _, step, score, _ in rows]), rows
+    if "point" in kinds:
+        line = next(l for k, _, _, l in rows if k == "point")
+        raise ParseError(f"series {sid!r} mixes point and interval rows", line=line, column=2)
+    for k, (kind, _, _, line) in enumerate(rows):
+        expected = ("onset", "offset")[k % 2]
+        if kind != expected:
+            raise ParseError(
+                f"series {sid!r}: {kind} without preceding {expected}", line=line, column=2
+            )
+    if len(rows) % 2:
+        raise ParseError(f"series {sid!r}: unpaired trailing onset", line=rows[-1][3], column=2)
+    events = EventSet(sid, INTERVAL, [
+        IntervalEvent(onset, offset, score)
+        for (_, onset, score, _), (_, offset, _, _) in zip(rows[::2], rows[1::2])
+    ])
+    return events, rows[::2]
+
+
 def load_events(path: str | Path) -> dict[str, EventSet]:
     """Read ground-truth events back into typed EventSets per series.
 
     A series whose rows are all 'point' becomes a point EventSet; otherwise
     its rows pair into intervals by position (onset, then offset, as
     save_events writes them).  A series without events reads as an empty
-    interval set.  The first event that breaks the rules of event_fault is an
-    InvalidEvents naming the file, the series and its line (an interval's
-    onset line).
+    interval set.  Rows that do not pair are a ParseError; the first event
+    that breaks the rules of event_fault is an InvalidEvents naming the file,
+    the series and its line (an interval's onset line).  Of the series' first
+    faults, the one on the earliest line is raised, so interleaved series
+    report in file order.
     """
     out: dict[str, EventSet] = {}
+    faults: list[tuple[int, DataError]] = []
     for sid, rows in _read_event_rows(path).items():
-        kinds = {kind for kind, _, _, _ in rows}
-        if kinds == {"point"}:
-            start_rows = rows
-            events = EventSet(sid, POINT, [PointEvent(step, score) for _, step, score, _ in rows])
-        else:
-            if "point" in kinds:
-                line = next(l for k, _, _, l in rows if k == "point")
-                raise ParseError(
-                    f"series {sid!r} mixes point and interval rows", line=line, column=2
-                )
-            for k, (kind, _, _, line) in enumerate(rows):
-                expected = ("onset", "offset")[k % 2]
-                if kind != expected:
-                    raise ParseError(
-                        f"series {sid!r}: {kind} without preceding {expected}", line=line, column=2
-                    )
-            if len(rows) % 2:
-                raise ParseError(
-                    f"series {sid!r}: unpaired trailing onset", line=rows[-1][3], column=2
-                )
-            start_rows = rows[::2]
-            events = EventSet(sid, INTERVAL, [
-                IntervalEvent(onset, offset, score)
-                for (_, onset, score, _), (_, offset, _, _) in zip(start_rows, rows[1::2])
-            ])
+        try:
+            events, start_rows = _event_set(sid, rows)
+        except ParseError as exc:
+            faults.append((exc.line, exc))
+            continue
         fault = event_fault(events)
         if fault is not None:
             index, error = fault
-            raise type(error)(f"{path}: series {sid!r}, line {start_rows[index][3]}: {error}")
+            line = start_rows[index][3]
+            faults.append((line, type(error)(f"{path}: series {sid!r}, line {line}: {error}")))
         out[sid] = events
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig, GridSpec, PathsSpec
 from .data import SynthConfig, downsample, load_events, load_series, synth_generate
-from .decode import DecodeParams, sweep_seg_threshold
+from .decode import DecodeParams
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, ShapeMismatch, TooFewSeries
 from .metric import edap, edap_table
 from .model import EpochStats, TrainResult, predict, train
@@ -133,8 +133,14 @@ def decode_outputs(
     params: DecodeParams,
 ) -> dict[str, ScoredEvents]:
     """Run the objective's decoder over raw model outputs, series by series."""
+    return _decode_at(outputs, config, params, (params.mu,))[0]
+
+
+def _decode_at(outputs, config, params, mus: tuple) -> list[dict[str, ScoredEvents]]:
+    """decode_outputs at each mu in mus, which holds one value unless config.reads_mu."""
     decode = config.spec.decode
-    return {sid: decode(outputs[sid], params, config.seg_method) for sid in sorted(outputs)}
+    decoded = {sid: decode(outputs[sid], params, config.seg_method, mus) for sid in sorted(outputs)}
+    return [{sid: preds[i] for sid, preds in decoded.items()} for i in range(len(mus))]
 
 
 @dataclass(frozen=True)
@@ -290,15 +296,14 @@ def grid_search(
 ) -> GridResult:
     """Sweep decode parameters over already-produced model outputs.
 
-    The cells are the mu x sigma product.  Only the segmentation threshold
-    decoder reads mu, so every other decoder pins it at the configured
-    default and walks the sigma candidates alone; the threshold decoder
-    smooths each series once per sigma and sweeps mu over the result.  Ties
+    The cells are the mu x sigma product.  Unless config.reads_mu, mu is
+    pinned at the configured default and only sigma is walked.  Each sigma is
+    one call of the record's decoder per series with all of that sigma's mus,
+    so a decoder that sweeps mu can smooth each series once per sigma.  Ties
     prefer no smoothing, then smaller sigma, then smaller mu.  score_fn, when
     given, replaces the decode-and-score pipeline (to test cell selection).
     """
-    reads_mu = config.spec.segmentation and config.seg_method == "threshold"
-    mus = grid.mu if reads_mu else (config.decode.mu,)
+    mus = grid.mu if config.reads_mu else (config.decode.mu,)
     cells = [(m, s) for m in mus for s in grid.sigma]
     if not cells:
         raise EmptyGrid("no grid cells to evaluate")
@@ -310,12 +315,9 @@ def grid_search(
         params = replace(config.decode, sigma=sigma)
         if score_fn is not None:
             found = [score_fn(mu, sigma) for mu in sigma_mus]
-        elif reads_mu:
-            sids = sorted(outputs)
-            sweeps = [sweep_seg_threshold(outputs[sid][1], sigma_mus, params) for sid in sids]
-            found = [edap(dict(zip(sids, preds)), truth, config.metric) for preds in zip(*sweeps)]
         else:
-            found = [edap(decode_outputs(outputs, config, params), truth, config.metric)]
+            decoded = _decode_at(outputs, config, params, sigma_mus)
+            found = [edap(preds, truth, config.metric) for preds in decoded]
         scores.update(zip([(mu, sigma) for mu in sigma_mus], found))
     table = tuple((mu, sigma, scores[mu, sigma]) for mu, sigma in cells)
     best_mu, best_sigma, best_score = min(

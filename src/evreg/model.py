@@ -89,8 +89,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfig("epochs and batch_size must be >= 1")
-        if not (self.learning_rate > 0 and self.grad_clip_norm > 0):
-            raise InvalidConfig("learning_rate and grad_clip_norm must be positive")
+        if not (0 < self.learning_rate < math.inf and self.grad_clip_norm > 0):
+            raise InvalidConfig(
+                "learning_rate must be finite and positive, grad_clip_norm positive"
+            )
         if (self.sigma_start is None) != (self.sigma_end is None):
             raise InvalidConfig("sigma_start and sigma_end must be set together")
         if self.sigma_start is not None and not (

@@ -63,12 +63,21 @@ def _check_finite_1d(x: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def gaussian_taps(k: np.ndarray, sigma: float) -> np.ndarray:
+    """Unit-peak Gaussian exp(-k^2 / (2 sigma^2)) at the float offsets k.
+
+    A zero or subnormal 2 sigma^2 gave 0/0 or overflow; floored at the
+    smallest normal float, it leaves the single unit tap at k = 0, and a
+    quotient past the float range is -inf, whose tap is 0.
+    """
+    with np.errstate(over="ignore"):
+        return np.exp(-(k * k) / max(2.0 * sigma * sigma, np.finfo(np.float64).tiny))
+
+
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized Gaussian taps exp(-k^2 / (2 sigma^2)) for |k| <= ceil(4 sigma)."""
+    """Normalized Gaussian taps for |k| <= ceil(4 sigma)."""
     radius = int(math.ceil(4.0 * sigma))
-    k = np.arange(-radius, radius + 1, dtype=np.float64)
-    # a zero or subnormal 2 sigma^2 gave 0/0 or overflow; radius is 1 there
-    kernel = np.exp(-(k * k) / max(2.0 * sigma * sigma, np.finfo(np.float64).tiny))
+    kernel = gaussian_taps(np.arange(-radius, radius + 1, dtype=np.float64), sigma)
     return kernel / kernel.sum()
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InvalidEvents, InvalidRange, InvalidSpec, ZeroKernel
 from .metric import ascending_positive_ints
+from .signal import gaussian_taps
 from .types import INTERVAL, POINT, EventSet, derive_state_labels, validate_events
 
 KERNEL_KINDS = ("hard", "gaussian", "edap")
@@ -95,7 +96,7 @@ def make_kernel(spec: PdfSpec) -> np.ndarray:
     if spec.kind == "hard":
         return (t == 0).astype(np.float64)
     if spec.kind == "gaussian":
-        return np.exp(-(t.astype(np.float64) ** 2) / (2.0 * spec.sigma**2))
+        return gaussian_taps(t.astype(np.float64), spec.sigma)
     thresholds = np.asarray(spec.thresholds, dtype=np.int64)
     counts = (np.abs(t)[:, None] <= thresholds[None, :]).sum(axis=1)
     return counts.astype(np.float64) / len(thresholds)
@@ -168,7 +169,11 @@ def encode_segmentation(events: EventSet, num_steps: int) -> TargetSeries:
 def sigma_schedule(
     epoch: int, total_epochs: int, sigma_start: float, sigma_end: float
 ) -> float:
-    """Linear interpolation from sigma_start (epoch 0) to sigma_end (last epoch)."""
+    """Linear interpolation from sigma_start (epoch 0) to sigma_end (epoch total_epochs).
+
+    fit trains epoch e of E at epoch / total_epochs = e / E, so its last
+    epoch (E - 1) stops one step short of sigma_end.
+    """
     if total_epochs < 1:
         raise InvalidRange(f"total_epochs={total_epochs}, expected >= 1")
     if not (0 <= epoch <= total_epochs):

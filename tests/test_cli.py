@@ -393,6 +393,36 @@ class TestExitCodes:
         assert main(["cv", "--config", config, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys,value,message", [
+        (("model", "in_channels"), 0, "in_channels=0"),
+        (("model", "hidden_channels"), [], "hidden_channels must be a nonempty list"),
+        (("model", "kernel_size"), 4, "kernel_size=4"),
+        (("model", "out_mode"), "regression_3ch", "out_mode='regression_3ch'"),
+        (("model", "hidden_channels"), 4, "model.hidden_channels: expected a list"),
+        (("train", "learning_rate"), -1e-3, "learning_rate must be finite and positive"),
+        (("train", "learning_rate"), float("inf"), "learning_rate must be finite and positive"),
+        (("data", "synth", "drift_std"), -1.0, "drift_std=-1.0"),
+        (("data", "synth", "signal_shift"), float("inf"), "signal_shift must be finite"),
+        (("data",), {"paths": {"series_dir": "", "events": "e.csv"}}, "needs series_dir"),
+        (("pdf", "kind"), "box", "kind='box'"),
+        (("pdf", "sigma"), 0, "gaussian kernel requires positive sigma"),
+        (("pdf",), {"kind": "edap", "day_length_d": 64, "width_w": 17, "thresholds": [1, 9]},
+         "clips the staircase"),
+        (("decode", "min_height"), float("inf"), "min_height=inf"),
+        (("seg_method",), 5, "seg_method: expected a string"),
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, keys, value, message):
+        doc = config_doc()
+        section = doc
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["cv", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
     def test_diverged_training(self, tmp_path, capsys):
         doc = config_doc()
         doc["data"]["synth"]["signal_shift"] = 1e200

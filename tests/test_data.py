@@ -13,7 +13,7 @@ from evreg.data import (
     save_series,
     synth_generate,
 )
-from evreg.errors import InvalidConfig, InvalidEvents, InvalidFactor, ParseError
+from evreg.errors import DataError, InvalidConfig, InvalidEvents, InvalidFactor, ParseError
 from evreg.types import (
     INTERVAL,
     POINT,
@@ -457,6 +457,23 @@ class TestEventsCsv:
         with pytest.raises(InvalidEvents) as err:
             load_scored_events(path)
         assert str(err.value) == f"{path}: series 's', line {line}: {fault}"
+
+    @pytest.mark.parametrize("rows,error,message", [
+        # series 'a' comes first, but b's reversed interval is on line 3
+        ("a,onset,0,\nb,onset,5,\nb,offset,3,\na,offset,10,\na,onset,8,\na,offset,12,\n",
+         InvalidEvents, "{path}: series 'b', line 3: event [5, 3) has no positive duration"),
+        ("a,onset,1,\na,offset,6,\nb,offset,2,\na,onset,3,\na,offset,9,\n",
+         ParseError, "line 4, column 2: series 'b': offset without preceding onset"),
+        ("a,onset,1,\nb,onset,9,\nb,offset,4,\na,onset,2,\na,offset,3,\n",
+         InvalidEvents, "{path}: series 'b', line 3: event [9, 4) has no positive duration"),
+    ], ids=["event-before-event", "pairing-before-event", "event-before-pairing"])
+    def test_interleaved_series_report_the_earliest_line(self, tmp_path, rows, error, message):
+        path = tmp_path / "events.csv"
+        path.write_text("series_id,event,step,score\n" + rows)
+        with pytest.raises(DataError) as err:
+            load_events(path)
+        assert type(err.value) is error
+        assert str(err.value) == message.format(path=path)
 
     @pytest.mark.parametrize("rows,line,fault", [
         ("s,point,3,\ns,point,-4,\n", 3, "point -4 is before step 0"),

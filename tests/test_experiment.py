@@ -234,7 +234,7 @@ def test_new_objective_is_one_table_entry(monkeypatch):
     # a cpd variant that always smooths before peak picking
     smoothed = replace(
         OBJECTIVES["cpd"],
-        decode=lambda y, params, _: decode_points(y[0], replace(params, sigma=2.0)),
+        decode=lambda y, params, *_: [decode_points(y[0], replace(params, sigma=2.0))],
     )
     monkeypatch.setitem(OBJECTIVES, "cpd_smoothed", smoothed)
     config = make_config("cpd_smoothed")
@@ -541,6 +541,40 @@ def test_grid_search_matches_per_cell_loop(objective, over):
     assert grid_search(outputs, truth, config.grid, config) == grid_loop_oracle(
         outputs, truth, config.grid, config
     )
+
+
+def test_grid_decodes_through_the_record(monkeypatch):
+    # a threshold entry whose decoder always smooths at sigma 3: the grid
+    # must tune the decoder the record names, as decode_outputs runs it
+    segmentation = OBJECTIVES["segmentation"]
+    smoothed = replace(
+        segmentation,
+        decode=lambda y, params, method, mus: segmentation.decode(
+            y, replace(params, sigma=3.0), method, mus
+        ),
+    )
+    monkeypatch.setitem(OBJECTIVES, "segmentation_smoothed", smoothed)
+    config = make_config("segmentation_smoothed")
+    outputs, truth = synthetic_outputs(config)
+    result = grid_search(outputs, truth, config.grid, config)
+    assert result == grid_loop_oracle(outputs, truth, config.grid, config)
+    default = decode_outputs(outputs, config, config.decode)
+    assert result.default_score == edap(default, truth, config.metric)
+
+
+@pytest.mark.parametrize("objective,over,cells", [
+    ("regression", {}, 5),
+    ("cpd", {}, 5),
+    ("segmentation", {}, 55),
+    ("segmentation", {"seg_method": "peaks"}, 5),
+])
+def test_grid_without_outputs_scores_zero(objective, over, cells):
+    config = make_config(objective, **over)
+    _, truth = build_dataset(config)
+    result = grid_search({}, truth, config.grid, config)
+    assert len(result.table) == cells
+    assert {score for _, _, score in result.table} == {0.0}
+    assert result.default_score == 0.0
 
 
 def test_threshold_grid_smooths_each_series_once_per_sigma(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from evreg.errors import InvalidEvents, InvalidRange, InvalidSpec, ZeroKernel
 from evreg.targets import (
     PdfSpec,
+    TargetSeries,
     encode_cpd,
     encode_regression,
     encode_segmentation,
@@ -60,6 +62,26 @@ class TestMakeKernel:
         with pytest.raises(InvalidSpec):
             PdfSpec(kind="hard", day_length_d=100, width_w=4)
 
+    @pytest.mark.parametrize(
+        "sigma,width", [(1e-200, 3), (1e-200, 1001), (1e-160, 17), (1e-151, 100001)]
+    )
+    def test_tiny_sigma_is_hard_without_warnings(self, sigma, width):
+        # 2 sigma^2 is 0 or subnormal, or k^2 / (2 sigma^2) passes the float
+        # range: the taps were NaN at the centre or raised overflow warnings
+        spec = PdfSpec(kind="gaussian", day_length_d=width, width_w=width, sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = make_kernel(spec)
+        assert kernel.tobytes() == make_kernel(hard_spec(width, width)).tobytes()
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, 10.0, 100.0, 1000.0, 0.3, 7.5])
+    def test_gaussian_bits_unchanged(self, sigma):
+        width = 2 * math.ceil(4.0 * sigma) + 3
+        spec = PdfSpec(kind="gaussian", day_length_d=width, width_w=width, sigma=sigma)
+        t = (np.arange(width) - width // 2).astype(np.float64)
+        expected = np.exp(-(t**2) / (2.0 * sigma**2))
+        assert make_kernel(spec).tobytes() == expected.tobytes()
+
     def test_gaussian_needs_room(self):
         with pytest.raises(InvalidSpec):
             PdfSpec(kind="gaussian", day_length_d=100, width_w=5, sigma=1.0)
@@ -103,6 +125,11 @@ class TestGamma:
     def test_bad_d(self):
         with pytest.raises(InvalidRange):
             gamma(np.ones(5), 0)
+
+
+def test_target_series_needs_one_name_per_channel():
+    with pytest.raises(InvalidSpec, match=r"channels shape \(2, 5\) does not match names"):
+        TargetSeries(np.zeros((2, 5)), 1.0, ("onset",))
 
 
 class TestEncodeRegression:
