@@ -263,7 +263,7 @@ def _build_section(cls, mapping: Mapping[str, Any], section: str):
     }
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, InvalidSpec) as exc:
         raise InvalidConfig(f"section {section!r}: {exc}") from None
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -313,39 +314,50 @@ def _check_event_header(header: list[str]) -> None:
         raise ParseError("expected header 'series_id,event,step,score'", line=1, column=1)
 
 
+def _event_row(line: int, kind: str, step_text: str, score_text: str) -> tuple:
+    """(event, step, score, line) of one data row, or the ParseError of its first bad cell."""
+    if kind not in ("onset", "offset", "point"):
+        raise ParseError(f"bad event type {kind!r}", line=line, column=2)
+    try:
+        step = int(step_text)
+    except ValueError:
+        raise ParseError(f"bad step {step_text!r}", line=line, column=3) from None
+    try:
+        score = float(score_text) if score_text != "" else None
+    except ValueError:
+        raise ParseError(f"bad score {score_text!r}", line=line, column=4) from None
+    return kind, step, score, line
+
+
 def _read_event_rows(
     path: str | Path,
-) -> dict[str, list[tuple[str, int, float | None, int]]]:
-    """(event, step, score, line) rows per series id in file order; the row
-    that marks a series without events gives it no rows."""
+) -> tuple[dict[str, list[tuple[str, int, float | None, int]]], dict[str, ParseError]]:
+    """(event, step, score, line) rows per series id in file order, and the
+    ParseError of each series' first row with a bad cell.
+
+    A series' rows stop before that row, so every fault the kept rows show
+    is one of the file.  The row that marks a series without events gives it
+    no rows.
+    """
     _, rows = _read_table(Path(path), _check_event_header)
     by_series: dict[str, list[tuple[str, int, float | None, int]]] = {}
+    bad: dict[str, ParseError] = {}
     for i, (sid, kind, step_text, score_text) in rows:
         series_rows = by_series.setdefault(sid, [])
-        if kind == step_text == score_text == "":
+        if sid in bad or kind == step_text == score_text == "":
             continue
-        if kind not in ("onset", "offset", "point"):
-            raise ParseError(f"bad event type {kind!r}", line=i, column=2)
         try:
-            step = int(step_text)
-        except ValueError:
-            raise ParseError(f"bad step {step_text!r}", line=i, column=3) from None
-        score: float | None = None
-        if score_text != "":
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ParseError(
-                    f"bad score {score_text!r}", line=i, column=4
-                ) from None
-        series_rows.append((kind, step, score, i))
-    return by_series
+            series_rows.append(_event_row(i, kind, step_text, score_text))
+        except ParseError as exc:
+            bad[sid] = exc
+    return by_series, bad
 
 
-def _event_set(sid: str, rows: list) -> tuple[EventSet, list]:
+def _event_set(sid: str, rows: list, complete: bool) -> tuple[EventSet, list]:
     """One series' EventSet and the rows its events start on.
 
-    Raises the ParseError of the series' first row that does not pair.
+    Raises the ParseError of the series' first row that does not pair.  An
+    incomplete series (its rows stop at a bad cell) may end in an onset.
     """
     kinds = {kind for kind, _, _, _ in rows}
     if kinds == {"point"}:
@@ -359,7 +371,7 @@ def _event_set(sid: str, rows: list) -> tuple[EventSet, list]:
             raise ParseError(
                 f"series {sid!r}: {kind} without preceding {expected}", line=line, column=2
             )
-    if len(rows) % 2:
+    if complete and len(rows) % 2:
         raise ParseError(f"series {sid!r}: unpaired trailing onset", line=rows[-1][3], column=2)
     events = EventSet(sid, INTERVAL, [
         IntervalEvent(onset, offset, score)
@@ -374,17 +386,18 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
     A series whose rows are all 'point' becomes a point EventSet; otherwise
     its rows pair into intervals by position (onset, then offset, as
     save_events writes them).  A series without events reads as an empty
-    interval set.  Rows that do not pair are a ParseError; the first event
-    that breaks the rules of event_fault is an InvalidEvents naming the file,
-    the series and its line (an interval's onset line).  Of the series' first
-    faults, the one on the earliest line is raised, so interleaved series
-    report in file order.
+    interval set.  A bad cell and rows that do not pair are a ParseError;
+    the first event that breaks the rules of event_fault is an InvalidEvents
+    naming the file, the series and its line (an interval's onset line).  Of
+    the series' first faults, the one on the earliest line is raised, so
+    interleaved series report in file order.
     """
+    by_series, bad = _read_event_rows(path)
     out: dict[str, EventSet] = {}
-    faults: list[tuple[int, DataError]] = []
-    for sid, rows in _read_event_rows(path).items():
+    faults: list[tuple[int, DataError]] = [(exc.line, exc) for exc in bad.values()]
+    for sid, rows in by_series.items():
         try:
-            events, start_rows = _event_set(sid, rows)
+            events, start_rows = _event_set(sid, rows, complete=sid not in bad)
         except ParseError as exc:
             faults.append((exc.line, exc))
             continue
@@ -402,13 +415,17 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
 def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
     """Read decoded detections: onset/point rows and offset rows with scores.
 
-    Every row needs a score (else ParseError) and must pass detection_fault
-    (else InvalidEvents naming the file, the series and the line).
+    Every row needs readable cells and a score (else ParseError) and must
+    pass detection_fault (else InvalidEvents naming the file, the series and
+    the line).  The fault on the earliest line is raised.
     """
-    by_series = _read_event_rows(path)
+    by_series, bad = _read_event_rows(path)
+    first_bad = min(bad.values(), key=lambda exc: exc.line, default=None)
+    end = first_bad.line if first_bad is not None else math.inf
     # in file order, so the first faulty row is reported also when series interleave
     rows = sorted(
-        (line, sid, step, score) for sid, items in by_series.items() for _, step, score, line in items
+        (line, sid, step, score)
+        for sid, items in by_series.items() for _, step, score, line in items if line < end
     )
     unscored = next((i for i, row in enumerate(rows) if row[3] is None), len(rows))
     fault = detection_fault(row[2:] for row in rows[:unscored])
@@ -418,6 +435,8 @@ def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
     if unscored < len(rows):
         line, sid = rows[unscored][:2]
         raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
+    if first_bad is not None:
+        raise first_bad
     return {
         sid: ScoredEvents(
             onsets=tuple(sorted((step, score) for kind, step, score, _ in rows if kind != "offset")),

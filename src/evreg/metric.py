@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,9 +44,13 @@ class EdapConfig:
             self.tolerances, "tolerances={}, expected nonempty ascending distinct positive ints"
         )
         object.__setattr__(self, "tolerances", t)
+        if isinstance(self.classes, str):
+            raise InvalidSpec(f"classes={self.classes!r}, expected a sequence of class names")
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise InvalidSpec("classes must be nonempty")
+        if len(set(self.classes)) != len(self.classes):
+            raise InvalidSpec(f"classes={self.classes}, expected distinct class names")
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,10 @@ def match_events(
     pairs = [(int(s), float(v)) for s, v in pred]
     if not all(math.isfinite(v) for _, v in pairs):
         raise InvalidEvents("prediction scores must be finite")
-    pairs.sort(key=lambda p: (-p[1], p[0]))
-    free = sorted(int(t) for t in truth)
+    # two stable sorts: by step, then by descending score, so ties keep step order
+    pairs.sort()
+    pairs.sort(key=itemgetter(1), reverse=True)
+    free = sorted(map(int, truth))
 
     flags: list[bool] = []
     for step, _ in pairs:
@@ -130,7 +137,8 @@ def edap_table(
     Each class is ranked once: descending score, ties by series id, then by
     the order match_events processes a series in.  Matching runs within each
     series, and every tolerance reads the flags in that pooled order.  A
-    class with no pooled truth raises EmptyTruth.
+    series without detections of a class adds no flags, so it is not
+    matched.  A class with no pooled truth raises EmptyTruth.
     """
     missing = set(pred) - set(truth)
     if missing:
@@ -149,7 +157,7 @@ def edap_table(
         scores = [v for p in pairs for v in sorted((v for _, v in p), reverse=True)]
         order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
         for tol in config.tolerances:
-            flags = [f for p, t in zip(pairs, steps) for f in match_events(p, t, tol).flags]
+            flags = [f for p, t in zip(pairs, steps) if p for f in match_events(p, t, tol).flags]
             table[(cls, tol)] = average_precision([flags[i] for i in order], num_truth)
     return table
 

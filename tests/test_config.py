@@ -180,6 +180,16 @@ class TestValidation:
         with pytest.raises(InvalidConfig, match=f"class {classes[-1]!r} undefined"):
             config_from_mapping(doc)
 
+    @pytest.mark.parametrize("over, match", [
+        ({"classes": ["onset", "onset"]}, "expected distinct class names"),
+        ({"tolerances": [5, 5]}, "expected nonempty ascending distinct positive ints"),
+    ], ids=["duplicate-class", "duplicate-tolerance"])
+    def test_metric_spec_fault_is_invalid_config(self, over, match):
+        doc = minimal_doc(objective="segmentation", pdf=None)
+        doc["metric"] = {**doc["metric"], **over}
+        with pytest.raises(InvalidConfig, match=f"section 'metric': .*{match}"):
+            config_from_mapping(doc)
+
     def test_bad_objective(self):
         with pytest.raises(InvalidConfig):
             config_from_mapping(minimal_doc(objective="detection"))

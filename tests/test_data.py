@@ -475,6 +475,30 @@ class TestEventsCsv:
         assert type(err.value) is error
         assert str(err.value) == message.format(path=path)
 
+    @pytest.mark.parametrize("loader,rows,message", [
+        # line 3 breaks the pairing before line 5's bad type
+        (load_events, "a,onset,1,\na,onset,2,\na,offset,3,\nb,start,4,\n",
+         "line 3, column 2: series 'a': onset without preceding offset"),
+        # the bad row is dropped, but a's onset on line 2 is not reported as unpaired
+        (load_events, "a,onset,1,\na,start,2,\n", "line 3, column 2: bad event type 'start'"),
+        # a's first event is reversed although its offset follows b's bad step
+        (load_events, "a,onset,5,\nb,onset,x,\na,offset,3,\n",
+         "{path}: series 'a', line 2: event [5, 3) has no positive duration"),
+        (load_events, "a,onset,1,\na,offset,3,\nb,onset,2,bad\na,onset,0,\na,offset,2,\n",
+         "line 4, column 4: bad score 'bad'"),
+        (load_scored_events, "a,onset,-1,0.5\nb,start,2,0.5\n",
+         "{path}: series 'a', line 2: step -1 is before step 0"),
+        (load_scored_events, "a,onset,1,0.5\nb,onset,x,0.5\na,offset,2,\n",
+         "line 3, column 3: bad step 'x'"),
+    ], ids=["pairing-before-cell", "cell-after-onset", "event-before-cell", "cell-before-event",
+            "detection-before-cell", "cell-before-unscored"])
+    def test_bad_cell_reports_the_earliest_line(self, tmp_path, loader, rows, message):
+        path = tmp_path / "events.csv"
+        path.write_text("series_id,event,step,score\n" + rows)
+        with pytest.raises(DataError) as err:
+            loader(path)
+        assert str(err.value) == message.format(path=path)
+
     @pytest.mark.parametrize("rows,line,fault", [
         ("s,point,3,\ns,point,-4,\n", 3, "point -4 is before step 0"),
         ("t,point,1,\ns,point,9,\nt,point,2,\ns,point,4,\n", 5, "point 4 precedes previous 9"),

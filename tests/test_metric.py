@@ -1,9 +1,14 @@
+import bisect
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evreg.errors import EmptyTruth, InvalidSpec
+from evreg import metric
+from evreg.errors import EmptyTruth, InvalidEvents, InvalidSpec
 from evreg.metric import (
     EdapConfig,
     average_precision,
@@ -35,6 +40,30 @@ def enumeration_match_oracle(pred, truth, tol):
         else:
             flags.append(False)
     return flags, len(available) - len(taken)
+
+
+def match_events_oracle(pred, truth, tol):
+    """match_events as it ranked before its two stable sorts: one sort
+    through a Python key, (-score, step), then the same bisection."""
+    if tol < 0:
+        raise InvalidSpec(f"tol={tol}, expected >= 0")
+    pairs = [(int(s), float(v)) for s, v in pred]
+    if not all(math.isfinite(v) for _, v in pairs):
+        raise InvalidEvents("prediction scores must be finite")
+    pairs.sort(key=lambda p: (-p[1], p[0]))
+    free = sorted(int(t) for t in truth)
+    flags = []
+    for step, _ in pairs:
+        j = bisect.bisect_left(free, step)
+        best = j if j < len(free) and free[j] - step <= tol else None
+        if j > 0 and step - free[j - 1] <= tol and (
+            best is None or step - free[j - 1] <= free[j] - step
+        ):
+            best = j - 1
+        flags.append(best is not None)
+        if best is not None:
+            del free[best]
+    return flags, [v for _, v in pairs], len(free)
 
 
 def pooled_edap_table_oracle(pred, truth, config):
@@ -127,6 +156,39 @@ class TestMatchEvents:
             assert list(got.flags) == flags
             assert list(got.scores) == [v for _, v in sorted(pred, key=lambda p: (-p[1], p[0]))]
             assert got.unmatched_truth == unmatched
+
+
+    @given(
+        pred=st.lists(
+            st.tuples(
+                st.integers(0, 12),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 0.25, 1.0]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+            ),
+            max_size=16,
+        ),
+        truth=st.lists(st.integers(0, 12), max_size=8),
+        tol=st.integers(0, 4),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_matches_key_sort_oracle_bit_for_bit(self, pred, truth, tol):
+        # pred is unsorted with repeated steps; +0.0 and -0.0 tie, so their
+        # order (and so the score bits) must follow the input order as before
+        flags, scores, unmatched = match_events_oracle(pred, truth, tol)
+        got = match_events(pred, truth, tol)
+        assert list(got.flags) == flags
+        assert got.unmatched_truth == unmatched
+        assert [struct.pack("<d", v) for v in got.scores] == [
+            struct.pack("<d", v) for v in scores
+        ]
+
+    def test_checks_run_before_sorting(self):
+        with pytest.raises(InvalidSpec):
+            match_events([(1, 0.5)], [1], -1)
+        with pytest.raises(InvalidEvents):
+            match_events([(1, 0.5), (2, float("nan"))], [1], 1)
 
 
 class TestAveragePrecision:
@@ -223,12 +285,40 @@ class TestEdap:
         assert table[("offset", 5)] == 0.0
         assert edap(pred, truth, config) == pytest.approx(0.5)
 
+    def test_empty_detection_sets_are_not_matched(self, monkeypatch):
+        calls = []
+
+        def counting_match(pred, truth, tol):
+            calls.append((tuple(pred), tuple(truth), tol))
+            return match_events(pred, truth, tol)
+
+        truth = {
+            sid: EventSet(sid, INTERVAL, (IntervalEvent(10, 50), IntervalEvent(80, 90)))
+            for sid in ("a", "b", "c")
+        }
+        # a: onsets only; b: no detections; c: missing from pred
+        pred = {"a": ScoredEvents(onsets=((11, 0.9), (85, 0.4))), "b": ScoredEvents()}
+        config = EdapConfig(tolerances=(1, 5, 20))
+        expected = pooled_edap_table_oracle(pred, truth, config)
+        monkeypatch.setattr(metric, "match_events", counting_match)
+        assert edap_table(pred, truth, config) == expected
+        assert calls == [(((11, 0.9), (85, 0.4)), (10, 80), tol) for tol in (1, 5, 20)]
+
     def test_duplicate_lower_scored_prediction_never_raises_ap(self):
         pred, truth = single_series([(100, 0.9)], [100, 200])
         config = EdapConfig(tolerances=(5,), classes=("point",))
         base = edap(pred, truth, config)
         dup_pred, _ = single_series([(100, 0.9), (100, 0.4)], [100, 200])
         assert edap(dup_pred, truth, config) <= base
+
+    def test_classes_are_distinct_names(self):
+        with pytest.raises(InvalidSpec, match="expected distinct class names"):
+            EdapConfig(tolerances=(5,), classes=("onset", "onset"))
+        with pytest.raises(InvalidSpec, match="expected a sequence of class names"):
+            EdapConfig(tolerances=(1,), classes="onset")
+        assert EdapConfig(tolerances=(1,), classes=["offset", "onset"]).classes == (
+            "offset", "onset"
+        )
 
     def test_bad_config(self):
         with pytest.raises(InvalidSpec):
