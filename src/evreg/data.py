@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -329,83 +328,70 @@ def _event_row(line: int, kind: str, step_text: str, score_text: str) -> tuple:
     return kind, step, score, line
 
 
-def _read_event_rows(
-    path: str | Path,
-) -> tuple[dict[str, list[tuple[str, int, float | None, int]]], dict[str, ParseError]]:
-    """(event, step, score, line) rows per series id in file order, and the
-    ParseError of each series' first row with a bad cell.
-
-    A series' rows stop before that row, so every fault the kept rows show
-    is one of the file.  The row that marks a series without events gives it
-    no rows.
-    """
-    _, rows = _read_table(Path(path), _check_event_header)
-    by_series: dict[str, list[tuple[str, int, float | None, int]]] = {}
-    bad: dict[str, ParseError] = {}
-    for i, (sid, kind, step_text, score_text) in rows:
-        series_rows = by_series.setdefault(sid, [])
-        if sid in bad or kind == step_text == score_text == "":
-            continue
-        try:
-            series_rows.append(_event_row(i, kind, step_text, score_text))
-        except ParseError as exc:
-            bad[sid] = exc
-    return by_series, bad
-
-
-def _event_set(sid: str, rows: list, complete: bool) -> tuple[EventSet, list]:
-    """One series' EventSet and the rows its events start on.
-
-    Raises the ParseError of the series' first row that does not pair.  An
-    incomplete series (its rows stop at a bad cell) may end in an onset.
-    """
-    kinds = {kind for kind, _, _, _ in rows}
-    if kinds == {"point"}:
-        return EventSet(sid, POINT, [PointEvent(step, score) for _, step, score, _ in rows]), rows
-    if "point" in kinds:
-        line = next(l for k, _, _, l in rows if k == "point")
-        raise ParseError(f"series {sid!r} mixes point and interval rows", line=line, column=2)
-    for k, (kind, _, _, line) in enumerate(rows):
-        expected = ("onset", "offset")[k % 2]
-        if kind != expected:
-            raise ParseError(
-                f"series {sid!r}: {kind} without preceding {expected}", line=line, column=2
-            )
-    if complete and len(rows) % 2:
-        raise ParseError(f"series {sid!r}: unpaired trailing onset", line=rows[-1][3], column=2)
-    events = EventSet(sid, INTERVAL, [
-        IntervalEvent(onset, offset, score)
-        for (_, onset, score, _), (_, offset, _, _) in zip(rows[::2], rows[1::2])
-    ])
-    return events, rows[::2]
-
-
 def load_events(path: str | Path) -> dict[str, EventSet]:
     """Read ground-truth events back into typed EventSets per series.
 
-    A series whose rows are all 'point' becomes a point EventSet; otherwise
+    A series whose first row is a 'point' row is a point EventSet; otherwise
     its rows pair into intervals by position (onset, then offset, as
     save_events writes them).  A series without events reads as an empty
-    interval set.  A bad cell and rows that do not pair are a ParseError;
-    the first event that breaks the rules of event_fault is an InvalidEvents
-    naming the file, the series and its line (an interval's onset line).  Of
-    the series' first faults, the one on the earliest line is raised, so
-    interleaved series report in file order.
+    interval set.  Each series is read in file order up to its stop row: the
+    first row with a bad cell (a ParseError at that cell) or whose event is
+    out of turn, a point in an interval series or the reverse, or an onset
+    or offset out of pairing order (a ParseError at column 2).  event_fault
+    then checks the events completed before the stop row; the first that
+    breaks a rule is an InvalidEvents naming the file, the series and its
+    line (an interval's onset line).  A series' fault is that event's, else
+    its stop row's, else an unpaired trailing onset.  Of the series' faults,
+    the one on the earliest line is raised, so interleaved series report in
+    file order.
     """
-    by_series, bad = _read_event_rows(path)
-    out: dict[str, EventSet] = {}
-    faults: list[tuple[int, DataError]] = [(exc.line, exc) for exc in bad.values()]
-    for sid, rows in by_series.items():
-        try:
-            events, start_rows = _event_set(sid, rows, complete=sid not in bad)
-        except ParseError as exc:
-            faults.append((exc.line, exc))
+    _, table = _read_table(Path(path), _check_event_header)
+    # (event, step, score, line) of each series' rows before its stop row
+    kept: dict[str, list[tuple[str, int, float | None, int]]] = {}
+    stops: dict[str, ParseError] = {}
+    for line, (sid, kind, step_text, score_text) in table:
+        rows = kept.setdefault(sid, [])
+        if sid in stops or kind == step_text == score_text == "":
             continue
+        try:
+            row = _event_row(line, kind, step_text, score_text)
+            # the first row sets the series' kind, and the kept rows are in turn
+            first = rows[0][0] if rows else kind
+            expected = "point" if first == "point" else ("onset", "offset")[len(rows) % 2]
+            if kind != expected:
+                raise ParseError(
+                    f"series {sid!r} mixes point and interval rows"
+                    if "point" in (kind, expected)
+                    else f"series {sid!r}: {kind} without preceding {expected}",
+                    line=line, column=2,
+                )
+        except ParseError as exc:
+            stops[sid] = exc
+            continue
+        rows.append(row)
+    out: dict[str, EventSet] = {}
+    faults: list[tuple[int, DataError]] = []
+    for sid, rows in kept.items():
+        if rows and rows[0][0] == "point":
+            starts = rows
+            events = EventSet(sid, POINT, [PointEvent(step, score) for _, step, score, _ in rows])
+        else:
+            starts = rows[::2]
+            events = EventSet(sid, INTERVAL, [
+                IntervalEvent(onset, offset, score)
+                for (_, onset, score, _), (_, offset, _, _) in zip(rows[::2], rows[1::2])
+            ])
         fault = event_fault(events)
         if fault is not None:
             index, error = fault
-            line = start_rows[index][3]
+            line = starts[index][3]
             faults.append((line, type(error)(f"{path}: series {sid!r}, line {line}: {error}")))
+        elif sid in stops:
+            faults.append((stops[sid].line, stops[sid]))
+        elif len(starts) > len(events):  # an onset that no offset followed
+            line = starts[-1][3]
+            error = ParseError(f"series {sid!r}: unpaired trailing onset", line=line, column=2)
+            faults.append((line, error))
         out[sid] = events
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
@@ -415,32 +401,30 @@ def load_events(path: str | Path) -> dict[str, EventSet]:
 def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
     """Read decoded detections: onset/point rows and offset rows with scores.
 
-    Every row needs readable cells and a score (else ParseError) and must
-    pass detection_fault (else InvalidEvents naming the file, the series and
-    the line).  The fault on the earliest line is raised.
+    The rows are checked in file order and the first faulty one raises: a
+    bad cell or a missing score is a ParseError, and a row that fails
+    detection_fault is an InvalidEvents naming the file, the series and the
+    line.
     """
-    by_series, bad = _read_event_rows(path)
-    first_bad = min(bad.values(), key=lambda exc: exc.line, default=None)
-    end = first_bad.line if first_bad is not None else math.inf
-    # in file order, so the first faulty row is reported also when series interleave
-    rows = sorted(
-        (line, sid, step, score)
-        for sid, items in by_series.items() for _, step, score, line in items if line < end
-    )
-    unscored = next((i for i, row in enumerate(rows) if row[3] is None), len(rows))
-    fault = detection_fault(row[2:] for row in rows[:unscored])
-    if fault is not None:
-        line, sid = rows[fault[0]][:2]
-        raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault[1]}")
-    if unscored < len(rows):
-        line, sid = rows[unscored][:2]
-        raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
-    if first_bad is not None:
-        raise first_bad
+    _, table = _read_table(Path(path), _check_event_header)
+    # per series: its onset/point pairs and its offset pairs
+    detections: dict[str, tuple[list, list]] = {}
+    for line, (sid, kind, step_text, score_text) in table:
+        # not setdefault, which would build two lists for every row
+        pairs = detections.get(sid)
+        if pairs is None:
+            pairs = detections[sid] = ([], [])
+        if kind == step_text == score_text == "":
+            continue
+        kind, step, score, _ = _event_row(line, kind, step_text, score_text)
+        if score is None:
+            raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
+        pair = (step, score)
+        fault = detection_fault((pair,))
+        if fault is not None:
+            raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault[1]}")
+        pairs[kind == "offset"].append(pair)
     return {
-        sid: ScoredEvents(
-            onsets=tuple(sorted((step, score) for kind, step, score, _ in rows if kind != "offset")),
-            offsets=tuple(sorted((step, score) for kind, step, score, _ in rows if kind == "offset")),
-        )
-        for sid, rows in by_series.items()
+        sid: ScoredEvents(onsets=sorted(onsets), offsets=sorted(offsets))
+        for sid, (onsets, offsets) in detections.items()
     }

@@ -592,11 +592,11 @@ def load_params(path: str | Path) -> Parameters:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if blob[:4] != _MAGIC:
-        raise ParseError("not a parameter checkpoint (bad magic)")
+        raise ParseError(f"{path}: not a parameter checkpoint (bad magic)")
     try:
         version, count = struct.unpack_from("<HI", blob, 4)
         if version != _VERSION:
-            raise ParseError(f"unsupported checkpoint version {version}")
+            raise ParseError(f"{path}: unsupported checkpoint version {version}")
         pos = 10
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -609,17 +609,17 @@ def load_params(path: str | Path) -> Parameters:
             shape = struct.unpack_from(f"<{ndim}I", blob, pos)
             pos += 4 * ndim
             if name in tensors:
-                raise ParseError(f"tensor {name!r} appears twice in the checkpoint")
+                raise ParseError(f"{path}: tensor {name!r} appears twice in the checkpoint")
             size = math.prod(shape)
             data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos)
             if not np.isfinite(data).all():
-                raise ParseError(f"tensor {name!r} holds NaN or Inf")
+                raise ParseError(f"{path}: tensor {name!r} holds NaN or Inf")
             pos += 8 * size
             tensors[name] = data.astype(np.float64).reshape(shape)
     except (struct.error, ValueError, OverflowError) as exc:
         # a cut-off file runs out of bytes mid-record, a corrupt name is not
         # UTF-8, and a corrupt shape can ask for more elements than fit in memory
-        raise ParseError(f"truncated or corrupt checkpoint: {exc}") from exc
+        raise ParseError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
     if pos != len(blob):
-        raise ParseError("trailing bytes in checkpoint")
+        raise ParseError(f"{path}: trailing bytes in checkpoint")
     return Parameters(tensors)

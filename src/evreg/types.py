@@ -239,7 +239,12 @@ class ScoredEvents:
 
     def __post_init__(self):
         for name in ("onsets", "offsets"):
-            pairs = tuple([(int(s), float(v)) for s, v in getattr(self, name)])
+            try:
+                pairs = tuple([(int(s), float(v)) for s, v in getattr(self, name)])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidEvents(
+                    f"{name} must hold (step, score) pairs of numbers: {exc}"
+                ) from None
             object.__setattr__(self, name, pairs)
             steps = [s for s, _ in pairs]
             if steps != sorted(steps):

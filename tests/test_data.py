@@ -408,6 +408,12 @@ class TestEventsCsv:
          "series 'b': onset without preceding offset", 5, 2),
         (load_events, "a,onset,1,\nb,onset,2,\na,offset,3,\n",
          "series 'b': unpaired trailing onset", 3, 2),
+        # the series turns from points to intervals at line 4
+        (load_events, "s,point,1,\ns,point,3,\ns,onset,5,\ns,offset,6,\n",
+         "series 's' mixes point and interval rows", 4, 2),
+        # s's rows are read up to its onset on line 4, after t's fault on line 3
+        (load_events, "s,point,1,\nt,offset,3,\ns,onset,5,\n",
+         "series 't': offset without preceding onset", 3, 2),
         (load_scored_events, "s,onset,1,0.5\ns,offset,3,\n",
          "series 's': detection rows need a score", 3, 4),
         # series 'a' comes first, but the first unscored row of the file is b's
@@ -416,6 +422,7 @@ class TestEventsCsv:
     ], ids=[
         "mixed-kinds", "leading-offset", "double-onset", "trailing-onset",
         "interleaved-double-onset", "interleaved-trailing-onset",
+        "points-then-interval", "interleaved-points-then-interval",
         "missing-score", "interleaved-missing-score",
     ])
     def test_malformed_rows_position(self, tmp_path, loader, rows, message, line, column):
@@ -466,7 +473,14 @@ class TestEventsCsv:
          ParseError, "line 4, column 2: series 'b': offset without preceding onset"),
         ("a,onset,1,\nb,onset,9,\nb,offset,4,\na,onset,2,\na,offset,3,\n",
          InvalidEvents, "{path}: series 'b', line 3: event [9, 4) has no positive duration"),
-    ], ids=["event-before-event", "pairing-before-event", "event-before-pairing"])
+        # the points before s's onset on line 4 are checked
+        ("s,point,3,\ns,point,1,\ns,onset,5,\n",
+         InvalidEvents, "{path}: series 's', line 3: point 1 precedes previous 3"),
+        # the interval before a's double onset on line 5 is checked
+        ("a,onset,5,\na,offset,3,\na,onset,7,\na,onset,8,\n",
+         InvalidEvents, "{path}: series 'a', line 2: event [5, 3) has no positive duration"),
+    ], ids=["event-before-event", "pairing-before-event", "event-before-pairing",
+            "points-before-mix", "event-before-own-pairing"])
     def test_interleaved_series_report_the_earliest_line(self, tmp_path, rows, error, message):
         path = tmp_path / "events.csv"
         path.write_text("series_id,event,step,score\n" + rows)

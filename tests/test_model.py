@@ -739,6 +739,7 @@ class TestCheckpoints:
                 load_params(path)
             # a binary checkpoint has no lines, so the message gives none
             assert not str(err.value).startswith("line")
+            assert str(path) in str(err.value)
 
     def test_version_1_bytes_unchanged(self, tmp_path):
         config = ModelConfig(in_channels=2, hidden_channels=(3, 5), kernel_size=3, seed=9)

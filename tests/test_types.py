@@ -196,6 +196,10 @@ class TestScoredEvents:
     def test_finite_scores_required(self):
         with pytest.raises(InvalidEvents):
             ScoredEvents(onsets=((1, float("nan")),))
+        # a pair that does not convert to (int, float) is no raw ValueError either
+        for pairs in ([(float("nan"), 0.5)], [(1, "x")], [(1,)]):
+            with pytest.raises(InvalidEvents, match=r"^onsets must hold \(step, score\) pairs"):
+                ScoredEvents(onsets=pairs)
 
     def test_negative_step_rejected(self):
         # a step before 0 could otherwise match truth near the series start
