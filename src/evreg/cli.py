@@ -56,8 +56,12 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _write_trace(path: Path, trace) -> None:
-    rows = ((s.epoch, s.train_loss, s.val_score) for s in trace)
-    write_table(path, ["epoch", "loss", "val_edap"], rows)
+    header = ["epoch", "loss", "val_edap", "grad_norm_mean", "grad_norm_max", "clip_rate", "lr"]
+    rows = (
+        (s.epoch, s.train_loss, s.val_score, s.grad_norm_mean, s.grad_norm_max, s.clip_rate, s.lr)
+        for s in trace
+    )
+    write_table(path, header, rows)
 
 
 def _write_report(path: Path, table: dict[tuple[str, int], float], mean: float) -> None:

@@ -419,11 +419,10 @@ def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
         kind, step, score, _ = _event_row(line, kind, step_text, score_text)
         if score is None:
             raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
-        pair = (step, score)
-        fault = detection_fault((pair,))
+        fault = detection_fault(step, score)
         if fault is not None:
-            raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault[1]}")
-        pairs[kind == "offset"].append(pair)
+            raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault}")
+        pairs[kind == "offset"].append((step, score))
     return {
         sid: ScoredEvents(onsets=sorted(onsets), offsets=sorted(offsets))
         for sid, (onsets, offsets) in detections.items()

@@ -21,7 +21,9 @@ from .data import SynthConfig, downsample, load_events, load_series, synth_gener
 from .decode import DecodeParams
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, ShapeMismatch, TooFewSeries
 from .metric import edap, edap_table
-from .model import EpochStats, TrainResult, predict, train
+# predict is not called here since validation runs batched forwards, but
+# perfbench's tests read it as experiment.predict
+from .model import EpochStats, TrainResult, forward, predict, train  # noqa: F401
 from .targets import sigma_schedule
 from .types import POINT, EventSet, ScoredEvents, TimeSeries, event_fault, points_from_intervals
 
@@ -208,14 +210,20 @@ def fit(
 
 def _run_fold(payload) -> FoldResult:
     config, fold_index, train_pairs, val_pairs = payload
-    val_inputs = {s.series_id: s.as_array() for s, _ in val_pairs}
+    val_ids = [s.series_id for s, _ in val_pairs]
+    val_x = np.stack([s.as_array() for s, _ in val_pairs])
     val_truth = {s.series_id: e for s, e in val_pairs}
+    batch = config.train.batch_size
 
     # (outputs, predictions) of every epoch; the fold keeps its best epoch's
     scored: list[tuple[dict[str, np.ndarray], dict[str, ScoredEvents]]] = []
 
     def val_scorer(params) -> float:
-        outputs = {sid: predict(params, x, config.model) for sid, x in val_inputs.items()}
+        # forward is per series, so batching gives each series predict's bytes
+        outputs = {}
+        for start in range(0, len(val_ids), batch):
+            out = forward(params, val_x[start : start + batch], config.model)
+            outputs.update(zip(val_ids[start : start + batch], out))
         preds = decode_outputs(outputs, config, config.decode)
         scored.append((outputs, preds))
         return edap(preds, val_truth, config.metric)
@@ -224,7 +232,7 @@ def _run_fold(payload) -> FoldResult:
     outputs, preds = scored[result.best_epoch]
     return FoldResult(
         fold_index=fold_index,
-        val_ids=tuple(sorted(val_inputs)),
+        val_ids=tuple(sorted(val_ids)),
         outputs=outputs,
         predictions=preds,
         trace=tuple(result.trace),

@@ -11,6 +11,7 @@ softmax over two classes.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 from dataclasses import dataclass, field
@@ -35,6 +36,10 @@ OUT_MODES = ("regression_2ch", "regression_1ch", "segmentation_2class")
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+
+# glibc's M_TOP_PAD: how much freed memory at the top of the heap stays mapped
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -247,13 +252,21 @@ def _pool_backward(dout: np.ndarray, to_first: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _upsample_forward(x: np.ndarray) -> np.ndarray:
-    return np.repeat(x, 2, axis=2)
+def _decoder_input(x: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """x upsampled 2x by repetition, stacked on skip along the channels."""
+    n, c, t = x.shape
+    cat = np.empty((n, c + skip.shape[1], 2 * t))
+    cat[:, :c, 0::2] = x
+    cat[:, :c, 1::2] = x
+    cat[:, c:] = skip
+    return cat
 
 
 def _upsample_backward(dout: np.ndarray) -> np.ndarray:
-    b, c, t = dout.shape
-    return dout.reshape(b, c, t // 2, 2).sum(axis=3)
+    dx = dout[:, :, 0::2] + dout[:, :, 1::2]
+    # a sum over the pair starts from 0.0, which turns -0.0 + -0.0 into 0.0
+    dx += 0.0
+    return dx
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -311,11 +324,11 @@ def _forward_impl(params: Parameters, x: np.ndarray, config: ModelConfig):
 
     dec_caches = []
     for i in reversed(range(config.levels)):
-        up = _upsample_forward(cur)
-        cat = np.concatenate([up, skips[i]], axis=1)
+        cat = _decoder_input(cur, skips[i])
         z, conv_cache = _conv_forward(cat, p[f"dec{i}.w"], p[f"dec{i}.b"])
+        up_channels = cur.shape[1]
         cur, mask = _relu_forward(z)
-        dec_caches.append((i, up.shape[1], conv_cache, mask))
+        dec_caches.append((i, up_channels, conv_cache, mask))
 
     logits_full, head_cache = _conv_forward(cur, p["head.w"], p["head.b"])
     logits = logits_full[:, :, :t_in]
@@ -467,9 +480,17 @@ def clip_gradients(grads: Parameters, max_norm: float) -> tuple[Parameters, floa
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch of training: the mean batch loss, the validation score, the
+    mean and max pre-clip gradient norm, the share of steps whose gradients
+    were clipped, and the learning rate of the epoch's last step."""
+
     epoch: int
     train_loss: float
     val_score: float | None
+    grad_norm_mean: float
+    grad_norm_max: float
+    clip_rate: float
+    lr: float
 
 
 @dataclass
@@ -488,6 +509,21 @@ def _check_item_shapes(items: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
                 f"dataset item {j} has input shape {np.shape(x)} and target shape "
                 f"{np.shape(y)}, item 0 has {x0} and {y0}"
             )
+
+
+def _keep_freed_heap() -> None:
+    """Ask glibc to keep freed memory at the top of the heap mapped.
+
+    Without it glibc hands each step's freed activations back to the kernel
+    and the next step faults the same pages in again.  The setting is
+    process-wide.  It does nothing where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
 
 
 def train(
@@ -511,6 +547,7 @@ def train(
     if not items:
         raise InvalidConfig("dataset is empty")
     _check_item_shapes(items)
+    _keep_freed_heap()
     rng = np.random.default_rng(model_config.seed)
     params = init_params(model_config, rng)
     m = v = np.zeros(params.num_params)  # Adam moments, replaced every step
@@ -534,6 +571,7 @@ def train(
             _check_item_shapes(items)
         order = rng.permutation(n)
         epoch_losses = []
+        norms = []
         for bi in range(n_batches):
             sel = order[bi * batch : (bi + 1) * batch]
             x = np.stack([np.asarray(items[j][0], dtype=np.float64) for j in sel])
@@ -541,7 +579,8 @@ def train(
             loss_value, grads = _loss_and_gradients(params, x, y, model_config)
             if not np.isfinite(loss_value):
                 raise DivergedLoss(f"loss {loss_value} at epoch {epoch}, batch {bi}")
-            g = clip_gradients(grads, train_config.grad_clip_norm)[0].flat
+            clipped, norm = clip_gradients(grads, train_config.grad_clip_norm)
+            g = clipped.flat
             lr = cosine_lr(step, total_steps, train_config.learning_rate)
             step += 1
             b1c = 1.0 - _ADAM_BETA1**step
@@ -550,10 +589,14 @@ def train(
             v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * (g * g)
             params.flat -= lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
             epoch_losses.append(loss_value)
+            norms.append(norm)
 
         train_loss = float(np.mean(epoch_losses))
         val_score = val_scorer(params) if val_scorer is not None else None
-        trace.append(EpochStats(epoch, train_loss, val_score))
+        clip_rate = sum(nm > train_config.grad_clip_norm for nm in norms) / len(norms)
+        trace.append(EpochStats(
+            epoch, train_loss, val_score, float(np.mean(norms)), max(norms), clip_rate, lr
+        ))
         # maximize validation score when available, else minimize train loss
         key = (-val_score,) if val_score is not None else (train_loss,)
         if best_key is None or key < best_key:

@@ -215,14 +215,18 @@ def points_from_intervals(events: EventSet, which: str = "onset") -> EventSet:
     return EventSet(events.series_id, POINT, points)
 
 
-def detection_fault(pairs: Iterable[tuple[int, float]]) -> tuple[int, str] | None:
-    """Index and fault of the first (step, score) pair that is no valid
-    detection (step >= 0, finite score), or None if every pair is one."""
-    for i, (step, score) in enumerate(pairs):
-        if step < 0:
-            return i, f"step {step} is before step 0"
-        if not math.isfinite(score):
-            return i, f"score {score} is not finite"
+def detection_fault(step, score) -> str | None:
+    """Why (step, score) is no valid detection, or None if it is one.
+
+    The step must be an integer >= 0: a numpy integer or an integral float
+    is one, a bool or a fractional value is not.  The score must be finite.
+    """
+    if type(step) is not int and (isinstance(step, (bool, np.bool_)) or step != int(step)):
+        return f"step {step} is not an integer"
+    if step < 0:
+        return f"step {step} is before step 0"
+    if not math.isfinite(score):
+        return f"score {score} is not finite"
     return None
 
 
@@ -231,7 +235,8 @@ class ScoredEvents:
     """Decoded detections for one series: (step, score) pairs per boundary class.
 
     onsets and offsets hold (step, score) pairs sorted by step that pass
-    detection_fault.  Point detections use the onsets slot, offsets stay empty.
+    detection_fault, stored as (int, float).  Point detections use the onsets
+    slot, offsets stay empty.
     """
 
     onsets: tuple[tuple[int, float], ...] = ()
@@ -239,19 +244,21 @@ class ScoredEvents:
 
     def __post_init__(self):
         for name in ("onsets", "offsets"):
+            pairs = []
             try:
-                pairs = tuple([(int(s), float(v)) for s, v in getattr(self, name)])
+                for step, score in getattr(self, name):
+                    fault = detection_fault(step, score)
+                    if fault is not None:
+                        raise InvalidEvents(f"{name}[{len(pairs)}]: {fault}")
+                    pairs.append((int(step), float(score)))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidEvents(
                     f"{name} must hold (step, score) pairs of numbers: {exc}"
                 ) from None
-            object.__setattr__(self, name, pairs)
+            object.__setattr__(self, name, tuple(pairs))
             steps = [s for s, _ in pairs]
             if steps != sorted(steps):
                 raise InvalidEvents(f"{name} must be sorted by step")
-            fault = detection_fault(pairs)
-            if fault is not None:
-                raise InvalidEvents(f"{name}[{fault[0]}]: {fault[1]}")
 
     def __len__(self) -> int:
         return len(self.onsets) + len(self.offsets)

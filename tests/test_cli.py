@@ -96,12 +96,15 @@ class TestSubcommands:
         assert codes["train"] == 0
         assert (out / "model.ckpt").is_file()
         lines = (out / "train_trace.csv").read_text().splitlines()
-        assert lines[0] == "epoch,loss,val_edap"
+        assert lines[0] == "epoch,loss,val_edap,grad_norm_mean,grad_norm_max,clip_rate,lr"
         assert len(lines) == 3  # header + 2 epochs
-        epoch, loss, val = lines[1].split(",")
+        epoch, loss, val, norm_mean, norm_max, clip_rate, lr = lines[1].split(",")
         assert epoch == "0"
         assert float(loss) > 0
         assert val == ""  # no validation split in plain training
+        assert 0 < float(norm_mean) <= float(norm_max)
+        assert 0 <= float(clip_rate) <= 1
+        assert 0 < float(lr) <= 1e-3
 
     def test_train_applies_sigma_schedule(self, tmp_path):
         plain = write_config(tmp_path / "plain.yaml")
@@ -175,7 +178,7 @@ class TestSubcommands:
         assert main(["cv", "--config", config, "--out", str(out)]) == 0
         for i in range(4):
             trace = (out / f"fold{i}_trace.csv").read_text().splitlines()
-            assert trace[0] == "epoch,loss,val_edap"
+            assert trace[0] == "epoch,loss,val_edap,grad_norm_mean,grad_norm_max,clip_rate,lr"
             assert all(line.split(",")[2] != "" for line in trace[1:])
         report = (out / "cv_report.csv").read_text().splitlines()
         assert report[0] == "fold,edap"

@@ -24,6 +24,7 @@ from evreg.experiment import (
     run_cv,
 )
 from evreg.metric import edap
+from evreg.model import predict
 from evreg.targets import encode_regression
 from evreg.types import INTERVAL, POINT, points_from_intervals
 
@@ -395,6 +396,51 @@ class TestRunCv:
         assert not np.array_equal(
             a.outputs["s000"], b.outputs["s000"]
         )
+
+    @pytest.mark.parametrize("objective", ["regression", "segmentation"])
+    def test_batched_validation_matches_per_series_predict(self, monkeypatch, objective):
+        # 130 steps are no multiple of 2**levels = 4, and 5 held-out series
+        # no multiple of batch_size = 4
+        config = make_config(
+            objective,
+            data={"synth": {
+                "num_series": 10, "length": 130,
+                "mean_event_duration": 12, "mean_gap": 24, "noise_std": 0.4,
+            }},
+            model={"in_channels": 2, "hidden_channels": [4, 6], "kernel_size": 3},
+            folds=2,
+        )
+        epochs = []  # (parameters, outputs) of every validation pass
+        real_fit, real_decode = experiment.fit, experiment.decode_outputs
+
+        def spying_fit(config, pairs, fold_index, val_scorer):
+            def scorer(params):
+                epochs.append((params.copy(), None))
+                return val_scorer(params)
+            return real_fit(config, pairs, fold_index, scorer)
+
+        def spying_decode(outputs, config, params):
+            epochs[-1] = (epochs[-1][0], dict(outputs))
+            return real_decode(outputs, config, params)
+
+        monkeypatch.setattr(experiment, "fit", spying_fit)
+        monkeypatch.setattr(experiment, "decode_outputs", spying_decode)
+        series, truth = build_dataset(config)
+        by_id = {s.series_id: (s, truth[s.series_id]) for s in series}
+        train_ids, val_ids = fold_splits(list(by_id), config.folds)[1]
+        assert len(val_ids) == 5
+        fold = experiment._run_fold(
+            (config, 1, [by_id[sid] for sid in train_ids], [by_id[sid] for sid in val_ids])
+        )
+        assert len(epochs) == config.train.epochs
+        best = epochs[fold.best_epoch][1]
+        assert all(fold.outputs[sid] is best[sid] for sid in val_ids)
+        for params, outputs in epochs:
+            assert list(outputs) == list(val_ids)
+            for sid, got in outputs.items():
+                want = predict(params, by_id[sid][0].as_array(), config.model)
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestGridSearch:

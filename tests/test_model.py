@@ -1,9 +1,13 @@
 import copy
+import ctypes
+import functools
 import hashlib
 import itertools
 import math
 import os
 import pickle
+import platform
+import statistics
 import struct
 import subprocess
 import sys
@@ -31,14 +35,15 @@ from evreg.model import (
     _backward_impl,
     _conv_backward,
     _conv_forward,
+    _decoder_input,
     _forward_impl,
+    _keep_freed_heap,
     _loss_and_gradients,
     _pool_backward,
     _pool_forward,
     _relu_backward,
     _relu_forward,
     _upsample_backward,
-    _upsample_forward,
     clip_gradients,
     cosine_lr,
     forward,
@@ -266,12 +271,13 @@ class TestLayerGradients:
     def test_upsample_gradients(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 3, 6))
-        proj = rng.normal(size=(2, 3, 12))
+        skip = rng.normal(size=(2, 4, 12))
+        proj = rng.normal(size=(2, 7, 12))
 
         def scalar():
-            return float(np.sum(_upsample_forward(x) * proj))
+            return float(np.sum(_decoder_input(x, skip) * proj))
 
-        dx = _upsample_backward(proj)
+        dx = _upsample_backward(proj[:, :3])
         assert max_rel_error(dx, self._fd_scalar(scalar, x)) < 1e-6
 
     def test_relu_gradients(self):
@@ -370,8 +376,29 @@ def tensordot_dw(dout, xp, k):
     return np.stack(taps, axis=2)
 
 
+def repeat_concat(x, skip):
+    """Reference decoder input: np.repeat upsampling, then np.concatenate."""
+    return np.concatenate([np.repeat(x, 2, axis=2), skip], axis=1)
+
+
+def reshape_sum(dout):
+    """Reference upsample backward: sum each pair of steps via a reshape."""
+    b, c, t = dout.shape
+    return dout.reshape(b, c, t // 2, 2).sum(axis=3)
+
+
 def same_bits(got, want) -> bool:
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]
+
+
+def with_specials(rng, shape):
+    """Normal draws whose first 49 entries are every pair of special values."""
+    out = rng.normal(size=shape)
+    out.ravel()[:98] = np.array(list(itertools.product(_SPECIAL, repeat=2))).ravel()
+    return out
 
 
 class TestExactTrims:
@@ -390,6 +417,22 @@ class TestExactTrims:
         want_out, want_dx = argmax_pool(x, dout)
         assert same_bits(out, want_out)
         assert same_bits(_pool_backward(dout, cache), want_dx)
+
+    def test_decoder_input_matches_repeat_and_concatenate(self):
+        rng = np.random.default_rng(4)
+        x = with_specials(rng, (2, 5, 13))
+        skip = with_specials(rng, (2, 3, 26))
+        assert same_bits(_decoder_input(x, skip), repeat_concat(x, skip))
+
+    def test_upsample_backward_matches_reshape_sum(self):
+        # every pair of special values is summed, including -0.0 + -0.0
+        rng = np.random.default_rng(5)
+        dcat = with_specials(rng, (2, 8, 26))
+        # the backward pass reads the upsampled channels of dcat, a strided view
+        dup = dcat[:, :5]
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            assert same_bits(_upsample_backward(dup), reshape_sum(dup))
+            assert same_bits(_upsample_backward(dcat), reshape_sum(dcat))
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
@@ -439,6 +482,93 @@ def test_outputs_independent_of_blas_threads():
         digests.append(proc.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+# Trains twice at the benchmark shapes (B=8, C=8, T=512, hidden 8/16/32): 6
+# steps, then 36.  With argv[1] == "noop" the allocator setting is swapped out
+# before the first train.  Prints the minor page faults of each step of the
+# second train, then a digest of its parameters, trace and a forward output.
+_TRAIN_SCRIPT = """
+import hashlib, resource, sys
+import numpy as np
+from evreg import model
+from evreg.config import load_config
+if sys.argv[1] == "noop":
+    model._keep_freed_heap = lambda: None
+config = load_config("configs/benchmark_regression.yaml").model
+rng = np.random.default_rng(0)
+items = [(rng.normal(size=(8, 512)), rng.normal(size=(2, 512))) for _ in range(24)]
+model.train(items, config, model.TrainConfig(epochs=2, batch_size=8))
+# clip_gradients runs once per step
+marks = [resource.getrusage(resource.RUSAGE_SELF).ru_minflt]
+clip = model.clip_gradients
+def counting_clip(grads, max_norm):
+    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return clip(grads, max_norm)
+model.clip_gradients = counting_clip
+result = model.train(items, config, model.TrainConfig(epochs=12, batch_size=8))
+model.clip_gradients = clip
+digest = hashlib.sha256(result.params.flat.tobytes())
+digest.update(repr(result.trace).encode())
+digest.update(model.forward(result.params, np.stack([x for x, _ in items[:8]]), config).tobytes())
+print(*np.diff(marks), digest.hexdigest())
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _run_train_script(mode: str) -> tuple[tuple[int, ...], str]:
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRAIN_SCRIPT, mode],
+        cwd=root, env=env, capture_output=True, text=True, check=True,
+    )
+    *faults, digest = proc.stdout.split()
+    return tuple(int(f) for f in faults), digest
+
+
+def test_allocator_setting_leaves_training_bits_unchanged():
+    """Parameters, trace and outputs hash the same with the heap setting
+    applied and with it swapped for a no-op, each in a fresh interpreter."""
+    kept, swapped = _run_train_script("keep")[1], _run_train_script("noop")[1]
+    assert len(kept) == 64
+    assert kept == swapped
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the setting is glibc's")
+def test_training_steps_reuse_their_pages():
+    # without the setting every step faults about 1,580 pages in again; with
+    # it the typical step faults none, and the heap's top now and then grows
+    # by some tens of pages
+    faults, _ = _run_train_script("keep")
+    assert len(faults) == 36
+    assert statistics.median(faults) < 1
+    assert sum(faults) < 10 * len(faults)
+
+
+def _no_mallopt(name):
+    return object()
+
+
+def _no_library(name):
+    raise OSError("no C library")
+
+
+def _no_default_library(name):
+    raise TypeError("a library path is required")
+
+
+@pytest.mark.parametrize("cdll", [_no_mallopt, _no_library, _no_default_library])
+def test_allocator_setting_without_mallopt_is_a_no_op(monkeypatch, cdll):
+    items = overfit_dataset()
+    config = ModelConfig(in_channels=2, hidden_channels=(4, 6), kernel_size=3)
+    tc = TrainConfig(epochs=2, batch_size=2)
+    want = train(items, config, tc)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    _keep_freed_heap()
+    got = train(items, config, tc)
+    assert same_bits(got.params.flat, want.params.flat)
+    assert got.trace == want.trace
 
 
 class TestFullGradients:
@@ -540,7 +670,8 @@ def reference_train(items, config, tc):
     """train written as a per-tensor global-norm clip and Adam loop: its oracle.
 
     No validation scorer, so the lowest-train-loss epoch wins.  Returns that
-    epoch's tensors, the epoch losses and the number of clipped steps.
+    epoch's tensors, the epoch losses, the number of clipped steps and each
+    epoch's (mean norm, max norm, clip rate, last step's lr).
     """
     rng = np.random.default_rng(config.seed)
     params = {k: v.copy() for k, v in init_params(config, rng).tensors.items()}
@@ -550,10 +681,10 @@ def reference_train(items, config, tc):
     n_batches = (n + batch - 1) // batch
     total_steps = tc.epochs * n_batches
     step = clipped = 0
-    best, losses = None, []
+    best, losses, stats = None, [], []
     for _ in range(tc.epochs):
         order = rng.permutation(n)
-        epoch_losses = []
+        epoch_losses, norms, epoch_clipped = [], [], 0
         for bi in range(n_batches):
             sel = order[bi * batch : (bi + 1) * batch]
             x = np.stack([items[j][0] for j in sel])
@@ -561,10 +692,12 @@ def reference_train(items, config, tc):
             loss_value, grads = _loss_and_gradients(Parameters(params), x, y, config)
             g = {k: t.copy() for k, t in grads.tensors.items()}
             norm = math.sqrt(sum(float(np.sum(t * t)) for t in g.values()))
+            norms.append(norm)
             if norm > tc.grad_clip_norm and norm > 0:
                 scale = tc.grad_clip_norm / norm
                 g = {k: t * scale for k, t in g.items()}
                 clipped += 1
+                epoch_clipped += 1
             lr = cosine_lr(step, total_steps, tc.learning_rate)
             step += 1
             b1c = 1.0 - _ADAM_BETA1**step
@@ -577,9 +710,10 @@ def reference_train(items, config, tc):
                 )
             epoch_losses.append(loss_value)
         losses.append(float(np.mean(epoch_losses)))
+        stats.append((sum(norms) / len(norms), max(norms), epoch_clipped / n_batches, lr))
         if best is None or losses[-1] < best[0]:
             best = (losses[-1], {k: t.copy() for k, t in params.items()})
-    return best[1], losses, clipped
+    return best[1], losses, clipped, stats
 
 
 def overfit_dataset(seed=0, n=4, steps=64):
@@ -628,10 +762,14 @@ class TestTrain:
             else:
                 items.append((x, rng.normal(size=(config.out_channels, 40))))
         tc = TrainConfig(epochs=4, batch_size=2, learning_rate=1e-2, grad_clip_norm=1.0)
-        expected, losses, clipped = reference_train(items, config, tc)
+        expected, losses, clipped, stats = reference_train(items, config, tc)
         assert 0 < clipped < 12  # 3 batches x 4 epochs, some of them clipped
         result = train(items, config, tc)
         assert [s.train_loss for s in result.trace] == losses
+        got = [(s.grad_norm_mean, s.grad_norm_max, s.clip_rate, s.lr) for s in result.trace]
+        np.testing.assert_allclose(got, stats, rtol=1e-15)
+        assert [s.clip_rate for s in result.trace] == [st[2] for st in stats]
+        assert [s.lr for s in result.trace] == [st[3] for st in stats]
         assert list(result.params.tensors) == list(expected)
         for name, tensor in expected.items():
             assert np.array_equal(result.params.tensors[name], tensor), name

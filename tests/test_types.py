@@ -206,6 +206,23 @@ class TestScoredEvents:
         with pytest.raises(InvalidEvents, match=r"^onsets\[0\]: step -3 is before step 0$"):
             ScoredEvents(onsets=((-3, 0.9), (5, 0.5)), offsets=((9, 0.4),))
 
+    @pytest.mark.parametrize("step,shown", [
+        (1.5, "1.5"), (True, "True"), (False, "False"), (np.bool_(True), "True"),
+        (np.float64(2.25), "2.25"), (-0.5, "-0.5"),
+    ])
+    @pytest.mark.parametrize("slot", ["onsets", "offsets"])
+    def test_fractional_and_boolean_steps_rejected(self, step, shown, slot):
+        # int() would truncate them: a detection at 1.5 would match as 1
+        pairs = [(0, 0.9), (step, 0.5)]
+        with pytest.raises(InvalidEvents, match=rf"^{slot}\[1\]: step {shown} is not an integer$"):
+            ScoredEvents(**{slot: pairs})
+
+    @pytest.mark.parametrize("step", [2, np.int64(2), np.int32(2), 2.0, np.float64(2.0)])
+    def test_integral_steps_kept_as_int(self, step):
+        se = ScoredEvents(onsets=[(step, np.float64(0.5))], offsets=[(step, 1)])
+        assert se.onsets == ((2, 0.5),) and se.offsets == ((2, 1.0),)
+        assert type(se.onsets[0][0]) is int and type(se.onsets[0][1]) is float
+
     def test_by_class(self):
         se = ScoredEvents(onsets=((1, 0.5),), offsets=((2, 0.25),))
         assert se.by_class("onset") == ((1, 0.5),)
