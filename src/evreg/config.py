@@ -31,8 +31,6 @@ from .model import ModelConfig, TrainConfig
 from .targets import PdfSpec, encode_cpd, encode_regression, encode_segmentation
 from .types import INTERVAL, POINT, EventSet
 
-SEG_METHODS = ("threshold", "peaks")
-
 
 @dataclass(frozen=True)
 class Objective:
@@ -40,11 +38,11 @@ class Objective:
 
     out_mode is the model head and metric_classes the default metric classes.
     encode(events, num_steps, pdf) gives a TargetSeries, decode(y, params,
-    seg_method, mus) one series' ScoredEvents at each mu in mus if seg_method
-    is mu_method (the one that reads mu), else a one-item list; both resolve
-    the encoder or decoder by its module-global name at call time, so
-    rebinding it works.  segmentation marks per-step label targets: no pdf,
-    no sigma schedule.  point_truth collapses intervals to onset points.
+    mus) one series' ScoredEvents at each mu in mus if reads_mu, else a
+    one-item list; both resolve the encoder or decoder by its module-global
+    name at call time, so rebinding it works.  segmentation marks per-step
+    label targets: no pdf, no sigma schedule.  point_truth collapses
+    intervals to onset points.
     """
 
     out_mode: str
@@ -53,30 +51,29 @@ class Objective:
     decode: Callable
     segmentation: bool = False
     point_truth: bool = False
-    mu_method: str | None = None
-
-
-def _decode_segmentation(y, params, seg_method, mus):
-    if seg_method == "threshold":
-        return list(sweep_seg_threshold(y[1], mus, params))
-    return [decode_seg_peaks(y[1], params)]
+    reads_mu: bool = False
 
 
 OBJECTIVES: dict[str, Objective] = {
     "regression": Objective(
         "regression_2ch", ("onset", "offset"),
         encode=lambda events, steps, pdf: encode_regression(events, steps, pdf),
-        decode=lambda y, params, *_: [decode_regression(y[0], y[1], params)],
+        decode=lambda y, params, _: [decode_regression(y[0], y[1], params)],
     ),
     "segmentation": Objective(
-        "segmentation_2class", ("onset", "offset"), segmentation=True, mu_method="threshold",
+        "segmentation_2class", ("onset", "offset"), segmentation=True, reads_mu=True,
         encode=lambda events, steps, _: encode_segmentation(events, steps),
-        decode=_decode_segmentation,
+        decode=lambda y, params, mus: list(sweep_seg_threshold(y[1], mus, params)),
+    ),
+    "segmentation_peaks": Objective(
+        "segmentation_2class", ("onset", "offset"), segmentation=True,
+        encode=lambda events, steps, _: encode_segmentation(events, steps),
+        decode=lambda y, params, _: [decode_seg_peaks(y[1], params)],
     ),
     "cpd": Objective(
         "regression_1ch", ("point",), point_truth=True,
         encode=lambda events, steps, pdf: encode_cpd(events, steps, pdf),
-        decode=lambda y, params, *_: [decode_points(y[0], params)],
+        decode=lambda y, params, _: [decode_points(y[0], params)],
     ),
 }
 
@@ -144,14 +141,9 @@ class ExperimentConfig:
     grid: GridSpec = field(default_factory=GridSpec)
     folds: int = 4
     downsample: int = 1
-    seg_method: str = "threshold"
 
     def __post_init__(self):
         spec = _objective(self.objective)
-        if self.seg_method not in SEG_METHODS:
-            raise InvalidConfig(
-                f"seg_method={self.seg_method!r}, expected one of {SEG_METHODS}"
-            )
         if self.folds < 2:
             raise InvalidConfig(f"folds={self.folds}, expected >= 2")
         if self.downsample < 1:
@@ -185,11 +177,6 @@ class ExperimentConfig:
     def spec(self) -> Objective:
         """The record of this config's objective."""
         return OBJECTIVES[self.objective]
-
-    @property
-    def reads_mu(self) -> bool:
-        """Whether this config's decoder reads decode.mu, so the grid sweeps it."""
-        return self.seg_method == self.spec.mu_method
 
 
 # -- YAML loading -------------------------------------------------------------

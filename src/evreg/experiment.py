@@ -139,9 +139,9 @@ def decode_outputs(
 
 
 def _decode_at(outputs, config, params, mus: tuple) -> list[dict[str, ScoredEvents]]:
-    """decode_outputs at each mu in mus, which holds one value unless config.reads_mu."""
+    """decode_outputs at each mu in mus, which holds one value unless the record reads_mu."""
     decode = config.spec.decode
-    decoded = {sid: decode(outputs[sid], params, config.seg_method, mus) for sid in sorted(outputs)}
+    decoded = {sid: decode(outputs[sid], params, mus) for sid in sorted(outputs)}
     return [{sid: preds[i] for sid, preds in decoded.items()} for i in range(len(mus))]
 
 
@@ -304,14 +304,14 @@ def grid_search(
 ) -> GridResult:
     """Sweep decode parameters over already-produced model outputs.
 
-    The cells are the mu x sigma product.  Unless config.reads_mu, mu is
+    The cells are the mu x sigma product.  Unless config.spec.reads_mu, mu is
     pinned at the configured default and only sigma is walked.  Each sigma is
     one call of the record's decoder per series with all of that sigma's mus,
     so a decoder that sweeps mu can smooth each series once per sigma.  Ties
     prefer no smoothing, then smaller sigma, then smaller mu.  score_fn, when
     given, replaces the decode-and-score pipeline (to test cell selection).
     """
-    mus = grid.mu if config.reads_mu else (config.decode.mu,)
+    mus = grid.mu if config.spec.reads_mu else (config.decode.mu,)
     cells = [(m, s) for m in mus for s in grid.sigma]
     if not cells:
         raise EmptyGrid("no grid cells to evaluate")

@@ -152,12 +152,15 @@ def edap_table(
         if num_truth == 0:
             raise EmptyTruth(f"no ground-truth events for class {cls!r}")
         pairs = [pred[sid].by_class(cls) if sid in pred else () for sid in sids]
-        # each series in match_events order, series in id order: a stable
-        # descending sort then breaks score ties by series id, then rank
-        scores = [v for p in pairs for v in sorted((v for _, v in p), reverse=True)]
-        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+        order = None
         for tol in config.tolerances:
-            flags = [f for p, t in zip(pairs, steps) if p for f in match_events(p, t, tol).flags]
+            results = [match_events(p, t, tol) for p, t in zip(pairs, steps) if p]
+            if order is None:
+                # each series in match_events order, series in id order: a stable
+                # descending sort then breaks score ties by series id, then rank
+                scores = [v for r in results for v in r.scores]
+                order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+            flags = [f for r in results for f in r.flags]
             table[(cls, tol)] = average_precision([flags[i] for i in order], num_truth)
     return table
 

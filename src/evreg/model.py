@@ -420,6 +420,8 @@ def _loss_and_dlogits(
     labels = np.asarray(y)
     if out.ndim != 3 or out.shape[1] != 2 or labels.shape != (out.shape[0], out.shape[2]):
         raise ShapeMismatch(f"pred {out.shape} vs labels {labels.shape}")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ShapeMismatch("segmentation labels must all be 0 or 1")
     idx = labels.astype(np.int64)[:, None, :]
     picked = np.take_along_axis(out, idx, axis=1)[:, 0, :]
     onehot = np.zeros_like(out)
@@ -432,7 +434,7 @@ def loss(pred: np.ndarray, target: np.ndarray, mode: str) -> float:
     """MSE for regression modes; mean per-step cross-entropy for segmentation.
 
     Segmentation expects pred as per-step class probabilities (B, 2, T) and
-    integer labels (B, T) in {0, 1}.
+    integer labels (B, T) in {0, 1}; any other label raises ShapeMismatch.
     """
     return _loss_and_dlogits(pred, target, mode)[0]
 

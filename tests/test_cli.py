@@ -81,6 +81,7 @@ class TestSubcommands:
         ("regression", ["onset", "offset"]),
         ("cpd", ["point"]),
         ("segmentation", ["label"]),
+        ("segmentation_peaks", ["label"]),
     ])
     def test_encode_target_channels(self, tmp_path, objective, names):
         over = {"objective": objective}
@@ -239,6 +240,18 @@ class TestSubcommands:
         printed = capsys.readouterr().out
         assert printed.startswith("best mu ")
         assert "(default " in printed
+
+    def test_grid_on_peaks_record(self, tmp_path, capsys):
+        # the peak decoder never reads mu: one row per sigma
+        config = write_config(
+            tmp_path / "config.yaml", objective="segmentation_peaks", pdf=None,
+            grid={"mu": [0.3, 0.5], "sigma": ["none", 1]},
+        )
+        out = tmp_path / "out"
+        assert main(["grid", "--config", config, "--out", str(out)]) == 0
+        table = (out / "grid_table.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in table[1:]] == [["0.5", "none"], ["0.5", "1"]]
+        assert capsys.readouterr().out.startswith("best mu ")
 
 
 class TestDeterminism:
@@ -412,7 +425,9 @@ class TestExitCodes:
         (("pdf",), {"kind": "edap", "day_length_d": 64, "width_w": 17, "thresholds": [1, 9]},
          "clips the staircase"),
         (("decode", "min_height"), float("inf"), "min_height=inf"),
-        (("seg_method",), 5, "seg_method: expected a string"),
+        (("pdf", "kind"), 5, "pdf.kind: expected a string"),
+        # the peak decoder is objective segmentation_peaks, not a knob
+        (("seg_method",), "peaks", "unknown top-level key 'seg_method'"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, keys, value, message):
         doc = config_doc()

@@ -214,8 +214,10 @@ class TestValidation:
             config_from_mapping(minimal_doc(downsample=0))
 
     def test_bad_seg_method(self):
-        with pytest.raises(InvalidConfig):
-            config_from_mapping(minimal_doc(seg_method="argmax"))
+        # the decoder is the objective's record: segmentation_peaks, not a knob
+        for method in ("threshold", "peaks", "argmax"):
+            with pytest.raises(InvalidConfig, match="unknown top-level key 'seg_method'"):
+                config_from_mapping(minimal_doc(objective="segmentation", seg_method=method))
 
     def test_grid_empty_candidates(self):
         with pytest.raises(EmptyGrid):

@@ -42,7 +42,7 @@ def make_config(objective="regression", **over):
         "metric": {"tolerances": [1, 2, 5]},
         "folds": 4,
     }
-    if objective != "segmentation":
+    if not OBJECTIVES[objective].segmentation:
         doc["pdf"] = {"kind": "gaussian", "day_length_d": 64, "width_w": 17, "sigma": 2}
     doc.update(over)
     return config_from_mapping(doc)
@@ -223,19 +223,29 @@ class TestDecodeOutputs:
             p[30:50] = 0.9
             outputs[f"s{i:03d}"] = np.stack([1.0 - p, p])
         threshold = make_config("segmentation")
-        peaks = make_config("segmentation", seg_method="peaks")
+        peaks = make_config("segmentation_peaks")
         decoded_t = decode_outputs(outputs, threshold, threshold.decode)
         decoded_p = decode_outputs(outputs, peaks, peaks.decode)
         for sid, y in outputs.items():
             assert decoded_t[sid] == decode_seg_threshold(y[1], threshold.decode)
             assert decoded_p[sid] == decode_seg_peaks(y[1], peaks.decode)
+        # the two records share the head, classes and targets; only the
+        # threshold decoder reads mu
+        assert (peaks.model, peaks.metric) == (threshold.model, threshold.metric)
+        assert (peaks.spec.reads_mu, threshold.spec.reads_mu) == (False, True)
+        series_list, truth = build_dataset(peaks)
+        for series in series_list:
+            events = truth[series.series_id]
+            x_p, y_p = encode_targets(series, events, peaks)
+            x_t, y_t = encode_targets(series, events, threshold)
+            assert np.array_equal(x_p, x_t) and np.array_equal(y_p, y_t)
 
 
 def test_new_objective_is_one_table_entry(monkeypatch):
     # a cpd variant that always smooths before peak picking
     smoothed = replace(
         OBJECTIVES["cpd"],
-        decode=lambda y, params, *_: [decode_points(y[0], replace(params, sigma=2.0))],
+        decode=lambda y, params, _: [decode_points(y[0], replace(params, sigma=2.0))],
     )
     monkeypatch.setitem(OBJECTIVES, "cpd_smoothed", smoothed)
     config = make_config("cpd_smoothed")
@@ -332,6 +342,15 @@ class TestRunCv:
     def test_truth_is_the_built_dataset(self, small_cv):
         config, result = small_cv
         assert result.truth == build_dataset(config)[1]
+
+    def test_peaks_record_cv_and_grid(self):
+        config = make_config("segmentation_peaks", train={"epochs": 1, "batch_size": 4})
+        result = run_cv(config)
+        for sid, y in result.outputs.items():
+            assert result.predictions[sid] == decode_seg_peaks(y[1], config.decode)
+        sweep = grid_search(result.outputs, result.truth, config.grid, config)
+        assert len(sweep.table) == len(config.grid.sigma) == 5
+        assert sweep.default_score == result.pooled_edap
 
     def test_deterministic_repeat(self, small_cv):
         config, result = small_cv
@@ -475,7 +494,7 @@ class TestGridSearch:
 
     def test_peaks_decoder_sweeps_sigma_only(self):
         # decode_seg_peaks never reads mu, so one cell per sigma at decode.mu
-        peaks = make_config("segmentation", seg_method="peaks")
+        peaks = make_config("segmentation_peaks")
         calls = []
         result = grid_search({}, {}, peaks.grid, peaks,
                              score_fn=lambda mu, sigma: calls.append(mu) or 0.5)
@@ -527,7 +546,7 @@ class TestGridSearch:
 
 def grid_loop_oracle(outputs, truth, grid, config):
     """The per-cell grid loop: every cell decodes and scores every series anew."""
-    reads_mu = config.spec.segmentation and config.seg_method == "threshold"
+    reads_mu = config.spec.segmentation and config.objective != "segmentation_peaks"
     mus = grid.mu if reads_mu else (config.decode.mu,)
     cells = [(m, s) for m in mus for s in grid.sigma]
     default = (config.decode.mu, config.decode.sigma)
@@ -578,8 +597,7 @@ SMALL_GRID = {"mu": [0.3, 0.5, 0.7], "sigma": ["none", 1, 3]}
     # default mu outside the grid, default sigma (an int) inside it
     ("segmentation", {"decode": {"alpha": 4, "mu": 0.45, "sigma": 1}, "grid": SMALL_GRID}),
     ("segmentation", {"grid": {"mu": [0.5], "sigma": ["none", 2, 5]}}),
-    ("segmentation", {"seg_method": "peaks", "decode": {"alpha": 4, "sigma": 1.5},
-                      "grid": SMALL_GRID}),
+    ("segmentation_peaks", {"decode": {"alpha": 4, "sigma": 1.5}, "grid": SMALL_GRID}),
 ])
 def test_grid_search_matches_per_cell_loop(objective, over):
     config = make_config(objective, **over)
@@ -595,8 +613,8 @@ def test_grid_decodes_through_the_record(monkeypatch):
     segmentation = OBJECTIVES["segmentation"]
     smoothed = replace(
         segmentation,
-        decode=lambda y, params, method, mus: segmentation.decode(
-            y, replace(params, sigma=3.0), method, mus
+        decode=lambda y, params, mus: segmentation.decode(
+            y, replace(params, sigma=3.0), mus
         ),
     )
     monkeypatch.setitem(OBJECTIVES, "segmentation_smoothed", smoothed)
@@ -612,7 +630,7 @@ def test_grid_decodes_through_the_record(monkeypatch):
     ("regression", {}, 5),
     ("cpd", {}, 5),
     ("segmentation", {}, 55),
-    ("segmentation", {"seg_method": "peaks"}, 5),
+    ("segmentation_peaks", {}, 5),
 ])
 def test_grid_without_outputs_scores_zero(objective, over, cells):
     config = make_config(objective, **over)

@@ -220,6 +220,18 @@ class TestLoss:
         with pytest.raises(ShapeMismatch):
             loss(np.zeros((1, 2, 8)), np.zeros((2, 8)), "segmentation_2class")
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_segmentation_label_outside_0_1(self, bad):
+        # 2 used to raise a raw IndexError, -1 scored as class 1, 0.5 as class 0
+        config = tiny_config(3, mode="segmentation_2class")
+        x, y = random_problem(config, 3)
+        labels = y.astype(np.asarray(bad).dtype)
+        labels[1, 5] = bad
+        with pytest.raises(ShapeMismatch, match="labels must all be 0 or 1"):
+            loss(np.full((2, 2, 19), 0.5), labels, "segmentation_2class")
+        with pytest.raises(ShapeMismatch, match="labels must all be 0 or 1"):
+            gradients(random_params(config, 3), (x, labels), config)
+
 
 class TestLayerGradients:
     """Finite-difference checks for each primitive in isolation."""

@@ -110,7 +110,7 @@ def test_traced_run_matches_untraced(layers):
 
 def test_traced_threshold_grid_smooths_each_series_once_per_sigma(layers):
     config = small_config("segmentation")
-    assert config.seg_method == "threshold"
+    assert config.spec.reads_mu
     recorder, smoothed = traced_run(layers, config)
     metrics = layers.operation_metrics(recorder, smoothed)
     # 8 pooled series x the default grid's 5 sigmas, each smoothed once
