@@ -13,7 +13,16 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidProbability, InvalidSpec, LengthMismatch
-from .signal import SmoothingParams, WindowParams, find_peaks, gaussian_smooth, window_convolve
+from .signal import (
+    SmoothingParams,
+    WindowParams,
+    _check_finite_1d,
+    _spaced_peaks,
+    check_min_height,
+    find_peaks,
+    gaussian_smooth,
+    window_convolve,
+)
 from .types import ScoredEvents
 
 
@@ -37,15 +46,15 @@ class DecodeParams:
         SmoothingParams(self.sigma)
         if not (np.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
             raise InvalidSpec(f"mu={self.mu}, expected in [0, 1]")
-        if self.min_height is not None and not np.isfinite(self.min_height):
-            raise InvalidSpec(f"min_height={self.min_height}, expected finite or None")
+        check_min_height(self.min_height)
 
 
 def _pick_channel(y: np.ndarray, params: DecodeParams) -> tuple[tuple[int, float], ...]:
-    """Peaks of the smoothed channel, scored by the raw channel value."""
-    smoothed = gaussian_smooth(y, SmoothingParams(params.sigma))
-    peaks = find_peaks(smoothed, min_distance=params.alpha, min_height=params.min_height)
-    return tuple([(p.index, float(y[p.index])) for p in peaks])
+    """Peaks of the smoothed channel (find_peaks indices), scored by the raw
+    channel value."""
+    smoothed = _check_finite_1d(gaussian_smooth(y, SmoothingParams(params.sigma)), "x")
+    kept = _spaced_peaks(smoothed, params.alpha, params.min_height)
+    return tuple(zip(kept, y[kept].tolist()))
 
 
 def decode_regression(

@@ -9,7 +9,6 @@ pooling all series, and the final score is the unweighted mean over cells.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -17,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyTruth, InvalidEvents, InvalidSpec
-from .types import EventSet, ScoredEvents
+from .types import EventSet, ScoredEvents, checked_detections, checked_steps
 
 
 def ascending_positive_ints(values, message: str) -> tuple[int, ...]:
@@ -70,28 +69,20 @@ class MatchResult:
         return len(self.flags) - self.num_tp
 
 
-def match_events(
-    pred: Sequence[tuple[int, float]], truth: Sequence[int], tol: int
-) -> MatchResult:
-    """Greedy matching of scored predictions against truth steps.
-
-    Predictions are processed by descending score (ties: ascending step).
-    Each claims the nearest unmatched truth step within |delta| <= tol,
-    ties going to the earlier truth step.  Returns per-prediction TP flags
-    in the processing order together with the scores in that order.
-    """
-    if tol < 0:
-        raise InvalidSpec(f"tol={tol}, expected >= 0")
-    pairs = [(int(s), float(v)) for s, v in pred]
-    if not all(math.isfinite(v) for _, v in pairs):
-        raise InvalidEvents("prediction scores must be finite")
+def _ranked(pairs: Sequence[tuple[int, float]]) -> list[tuple[int, float]]:
+    """(step, score) pairs by descending score, ties by ascending step."""
     # two stable sorts: by step, then by descending score, so ties keep step order
-    pairs.sort()
-    pairs.sort(key=itemgetter(1), reverse=True)
-    free = sorted(map(int, truth))
+    ranked = sorted(pairs)
+    ranked.sort(key=itemgetter(1), reverse=True)
+    return ranked
 
+
+def _greedy(steps: Sequence[int], truth: Sequence[int], tol: int) -> tuple[list[bool], int]:
+    """TP flags of ranked prediction steps against sorted truth steps at one
+    tolerance, and the number of truth steps left unmatched."""
+    free = list(truth)
     flags: list[bool] = []
-    for step, _ in pairs:
+    for step in steps:
         # free[j - 1] < step <= free[j]: the nearest free truth on each side
         j = bisect.bisect_left(free, step)
         best = j if j < len(free) and free[j] - step <= tol else None
@@ -102,7 +93,34 @@ def match_events(
         flags.append(best is not None)
         if best is not None:
             del free[best]
-    return MatchResult(tuple(flags), tuple([v for _, v in pairs]), len(free))
+    return flags, len(free)
+
+
+def match_events(
+    pred: Sequence[tuple[int, float]], truth: Sequence[int], tol: int
+) -> MatchResult:
+    """Greedy matching of scored predictions against truth steps.
+
+    Predictions are processed by descending score (ties: ascending step).
+    Each claims the nearest unmatched truth step within |delta| <= tol,
+    ties going to the earlier truth step.  Returns per-prediction TP flags
+    in the processing order together with the scores in that order.
+
+    tol must be a number >= 0, not NaN or a bool (InvalidSpec).  Every
+    prediction must pass types.detection_fault and every truth step
+    types.step_fault; InvalidEvents names the first that does not.
+    """
+    try:
+        valid_tol = not isinstance(tol, (bool, np.bool_)) and tol >= 0
+    except TypeError:
+        valid_tol = False
+    if not valid_tol:
+        raise InvalidSpec(f"tol={tol}, expected a number >= 0")
+    ranked = _ranked(checked_detections(pred, "pred"))
+    flags, unmatched = _greedy(
+        [s for s, _ in ranked], sorted(checked_steps(truth, "truth")), tol
+    )
+    return MatchResult(tuple(flags), tuple([v for _, v in ranked]), unmatched)
 
 
 def average_precision(flags: Sequence[bool], num_truth: int) -> float:
@@ -134,11 +152,12 @@ def edap_table(
 ) -> dict[tuple[str, int], float]:
     """AP per (class, tolerance) cell with all series pooled before ranking.
 
-    Each class is ranked once: descending score, ties by series id, then by
-    the order match_events processes a series in.  Matching runs within each
-    series, and every tolerance reads the flags in that pooled order.  A
-    series without detections of a class adds no flags, so it is not
-    matched.  A class with no pooled truth raises EmptyTruth.
+    Each (series, class) is ranked once as match_events ranks it, and each
+    class is pooled once: descending score, ties by series id, then by rank
+    within the series.  Matching runs within each series, and every
+    tolerance reads the flags in that pooled order.  A series without
+    detections of a class adds no flags, so it is not matched.  A class
+    with no pooled truth raises EmptyTruth.
     """
     missing = set(pred) - set(truth)
     if missing:
@@ -151,16 +170,23 @@ def edap_table(
         num_truth = sum(map(len, steps))
         if num_truth == 0:
             raise EmptyTruth(f"no ground-truth events for class {cls!r}")
-        pairs = [pred[sid].by_class(cls) if sid in pred else () for sid in sids]
-        order = None
+        # ScoredEvents holds checked (int, float) pairs, so each non-empty
+        # series is ranked and its truth sorted once for every tolerance
+        series = []
+        scores: list[float] = []
+        for sid, t in zip(sids, steps):
+            p = pred[sid].by_class(cls) if sid in pred else ()
+            if p:
+                ranked = _ranked(p)
+                series.append(([s for s, _ in ranked], sorted(map(int, t))))
+                scores += [v for _, v in ranked]
+        # series in id order, each in rank order: a stable descending sort
+        # then breaks score ties by series id, then by rank
+        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
         for tol in config.tolerances:
-            results = [match_events(p, t, tol) for p, t in zip(pairs, steps) if p]
-            if order is None:
-                # each series in match_events order, series in id order: a stable
-                # descending sort then breaks score ties by series id, then rank
-                scores = [v for r in results for v in r.scores]
-                order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-            flags = [f for r in results for f in r.flags]
+            flags = [
+                f for ranked_steps, free in series for f in _greedy(ranked_steps, free, tol)[0]
+            ]
             table[(cls, tol)] = average_precision([flags[i] for i in order], num_truth)
     return table
 

@@ -98,28 +98,22 @@ def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
     return np.correlate(padded, kernel, mode="valid")
 
 
-def find_peaks(
-    x: np.ndarray,
-    min_distance: int = 1,
-    min_height: float | None = None,
-) -> list[Peak]:
-    """Locate strict local maxima with plateau, height, and spacing rules.
+def check_min_height(min_height) -> None:
+    """InvalidSpec unless min_height is None or a finite number."""
+    try:
+        finite = min_height is None or math.isfinite(min_height)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise InvalidSpec(f"min_height={min_height}, expected finite or None")
 
-    A peak is a run of equal samples with strictly lower neighbors on both
-    sides; its index is the run midpoint floor((first + last) / 2).  Runs
-    touching either boundary are not peaks.  Candidates below min_height are
-    dropped, then peaks are kept greedily in order of descending height
-    (ties: ascending index) subject to pairwise spacing >= min_distance.
-    Prominence is measured on the surviving peaks: descend on each side
-    until a strictly higher sample or the boundary, take the minimum sample
-    over each descent, and subtract the higher of the two minima from the
-    peak height.  Boundaries act as valleys.
 
-    Returns peaks ordered by ascending index.
+def _spaced_peaks(arr: np.ndarray, min_distance: int, min_height: float | None) -> list[int]:
+    """Ascending indices of the peaks find_peaks keeps in a checked 1-D arr.
+
+    Plateau runs, the min_height gate and the greedy spacing follow
+    find_peaks; heights and prominences are not computed.
     """
-    arr = _check_finite_1d(x, "x")
-    if not (isinstance(min_distance, (int, np.integer)) and min_distance >= 1):
-        raise InvalidSpec(f"min_distance={min_distance}, expected integer >= 1")
     n = len(arr)
     if n < 3:
         return []
@@ -143,7 +137,42 @@ def find_peaks(
             pos == len(kept) or kept[pos] - c >= min_distance
         ):
             kept.insert(pos, c)
+    return kept
 
+
+def find_peaks(
+    x: np.ndarray,
+    min_distance: int = 1,
+    min_height: float | None = None,
+) -> list[Peak]:
+    """Locate strict local maxima with plateau, height, and spacing rules.
+
+    A peak is a run of equal samples with strictly lower neighbors on both
+    sides; its index is the run midpoint floor((first + last) / 2).  Runs
+    touching either boundary are not peaks.  Candidates below min_height are
+    dropped, then peaks are kept greedily in order of descending height
+    (ties: ascending index) subject to pairwise spacing >= min_distance.
+    Prominence is measured on the surviving peaks: descend on each side
+    until a strictly higher sample or the boundary, take the minimum sample
+    over each descent, and subtract the higher of the two minima from the
+    peak height.  Boundaries act as valleys.
+
+    min_distance must be an integer >= 1 (not a bool) and min_height finite
+    or None, else InvalidSpec.  Returns peaks ordered by ascending index.
+    """
+    arr = _check_finite_1d(x, "x")
+    if not (
+        isinstance(min_distance, (int, np.integer))
+        and not isinstance(min_distance, bool)
+        and min_distance >= 1
+    ):
+        raise InvalidSpec(f"min_distance={min_distance}, expected integer >= 1")
+    check_min_height(min_height)
+    kept = _spaced_peaks(arr, min_distance, min_height)
+    if not kept:
+        return []
+
+    n = len(arr)
     peaks = np.array(kept, dtype=np.intp)
     heights = arr[peaks]
     # each descent runs from the peak to the nearest strictly higher sample

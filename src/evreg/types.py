@@ -215,19 +215,60 @@ def points_from_intervals(events: EventSet, which: str = "onset") -> EventSet:
     return EventSet(events.series_id, POINT, points)
 
 
-def detection_fault(step, score) -> str | None:
-    """Why (step, score) is no valid detection, or None if it is one.
+def step_fault(step) -> str | None:
+    """Why step is no event step, or None if it is one.
 
     The step must be an integer >= 0: a numpy integer or an integral float
-    is one, a bool or a fractional value is not.  The score must be finite.
+    is one, a bool or a fractional value is not.
     """
     if type(step) is not int and (isinstance(step, (bool, np.bool_)) or step != int(step)):
         return f"step {step} is not an integer"
     if step < 0:
         return f"step {step} is before step 0"
-    if not math.isfinite(score):
-        return f"score {score} is not finite"
     return None
+
+
+def detection_fault(step, score) -> str | None:
+    """Why (step, score) is no valid detection, or None if it is one.
+
+    The step must pass step_fault and the score must be finite.
+    """
+    fault = step_fault(step)
+    if fault is None and not math.isfinite(score):
+        fault = f"score {score} is not finite"
+    return fault
+
+
+def checked_steps(steps, name: str) -> list[int]:
+    """steps as ints if each passes step_fault, else InvalidEvents naming the
+    first one that does not as name[index]."""
+    out: list[int] = []
+    try:
+        for step in steps:
+            fault = step_fault(step)
+            if fault is not None:
+                raise InvalidEvents(f"{name}[{len(out)}]: {fault}")
+            out.append(int(step))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidEvents(f"{name} must hold integer steps: {exc}") from None
+    return out
+
+
+def checked_detections(pairs, name: str) -> list[tuple[int, float]]:
+    """pairs as (int, float) detections if each passes detection_fault, else
+    InvalidEvents naming the first one that does not as name[index]."""
+    out: list[tuple[int, float]] = []
+    try:
+        for step, score in pairs:
+            fault = detection_fault(step, score)
+            if fault is not None:
+                raise InvalidEvents(f"{name}[{len(out)}]: {fault}")
+            out.append((int(step), float(score)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidEvents(
+            f"{name} must hold (step, score) pairs of numbers: {exc}"
+        ) from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,17 +285,7 @@ class ScoredEvents:
 
     def __post_init__(self):
         for name in ("onsets", "offsets"):
-            pairs = []
-            try:
-                for step, score in getattr(self, name):
-                    fault = detection_fault(step, score)
-                    if fault is not None:
-                        raise InvalidEvents(f"{name}[{len(pairs)}]: {fault}")
-                    pairs.append((int(step), float(score)))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidEvents(
-                    f"{name} must hold (step, score) pairs of numbers: {exc}"
-                ) from None
+            pairs = checked_detections(getattr(self, name), name)
             object.__setattr__(self, name, tuple(pairs))
             steps = [s for s, _ in pairs]
             if steps != sorted(steps):

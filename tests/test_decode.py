@@ -1,16 +1,27 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import window_contrast_oracle
 from evreg.decode import (
     DecodeParams,
+    decode_points,
     decode_regression,
     decode_seg_peaks,
     decode_seg_threshold,
     sweep_seg_threshold,
 )
-from evreg.errors import InvalidProbability, InvalidSpec, LengthMismatch
-from evreg.signal import SmoothingParams, WindowParams, gaussian_smooth, window_convolve
+from evreg.errors import InvalidProbability, InvalidSpec, LengthMismatch, NonFiniteInput
+from evreg.signal import (
+    SmoothingParams,
+    WindowParams,
+    find_peaks,
+    gaussian_smooth,
+    window_convolve,
+)
 from evreg.targets import PdfSpec, encode_regression
 from evreg.types import INTERVAL, EventSet, IntervalEvent, ScoredEvents
 
@@ -23,6 +34,63 @@ class TestDecodeParams:
             DecodeParams(alpha=5, mu=1.5)
         with pytest.raises(InvalidSpec):
             DecodeParams(alpha=5, sigma=-2.0)
+        with pytest.raises(InvalidSpec, match="min_height=high, expected finite or None"):
+            DecodeParams(alpha=5, min_height="high")
+
+
+def pick_channel_oracle(y, params):
+    """Peak picking through find_peaks: peaks of the smoothed channel, each
+    scored by the raw channel value at its index."""
+    smoothed = gaussian_smooth(y, SmoothingParams(params.sigma))
+    peaks = find_peaks(smoothed, min_distance=params.alpha, min_height=params.min_height)
+    return tuple([(p.index, float(y[p.index])) for p in peaks])
+
+
+def detection_bytes(pairs):
+    return [(step, struct.pack("<d", score)) for step, score in pairs]
+
+
+# few distinct values (+-0.0 among them) make plateaus and ties common
+channel = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]), max_size=48)
+decode_params = st.builds(
+    DecodeParams,
+    alpha=st.integers(1, 6),
+    sigma=st.sampled_from([None, 0.0, 0.5, 0.7, 2.0]),
+    min_height=st.sampled_from([None, -0.0, 0.0, 0.2, 0.5]),
+)
+
+
+class TestPickChannelOracle:
+    @given(channel, channel, decode_params)
+    @settings(max_examples=300, deadline=None)
+    def test_decode_regression_bytes(self, on, off, params):
+        n = min(len(on), len(off))
+        y_on, y_off = np.array(on[:n]), np.array(off[:n])
+        out = decode_regression(y_on, y_off, params)
+        assert detection_bytes(out.onsets) == detection_bytes(pick_channel_oracle(y_on, params))
+        assert detection_bytes(out.offsets) == detection_bytes(pick_channel_oracle(y_off, params))
+
+    @given(channel, decode_params)
+    @settings(max_examples=300, deadline=None)
+    def test_decode_points_bytes(self, values, params):
+        y = np.array(values)
+        out = decode_points(y, params)
+        assert out.offsets == ()
+        assert detection_bytes(out.onsets) == detection_bytes(pick_channel_oracle(y, params))
+
+    def test_negative_zero_score_keeps_its_sign(self):
+        y = np.array([-1.0, -0.0, -1.0, 0.0, 0.0, -1.0])
+        out = decode_points(y, DecodeParams(alpha=1, min_height=-0.0))
+        assert detection_bytes(out.onsets) == detection_bytes(((1, -0.0), (3, 0.0)))
+
+    def test_overflowing_smoothed_channel_is_rejected(self):
+        # finite input whose smoothed sums round past the float range
+        y = np.full(20, np.finfo(np.float64).max)
+        params = DecodeParams(alpha=2, sigma=0.7)
+        with pytest.raises(NonFiniteInput):
+            pick_channel_oracle(y, params)
+        with pytest.raises(NonFiniteInput):
+            decode_points(y, params)
 
 
 class TestDecodeRegression:

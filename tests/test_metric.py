@@ -190,6 +190,52 @@ class TestMatchEvents:
         with pytest.raises(InvalidEvents):
             match_events([(1, 0.5), (2, float("nan"))], [1], 1)
 
+    @pytest.mark.parametrize(
+        "pred, message",
+        [
+            ([(1.5, 0.5)], r"pred\[0\]: step 1.5 is not an integer"),
+            ([(1, 0.5), (True, 0.5)], r"pred\[1\]: step True is not an integer"),
+            ([(1, 0.5), (np.True_, 0.5)], r"pred\[1\]: step True is not an integer"),
+            ([(-1, 0.5)], r"pred\[0\]: step -1 is before step 0"),
+            ([(1, 0.5), (2, float("inf"))], r"pred\[1\]: score inf is not finite"),
+            ([("a", 0.5)], "pred must hold"),
+            ([(1, None)], "pred must hold"),
+            ([(1,)], "pred must hold"),
+        ],
+    )
+    def test_predictions_follow_the_detection_rule(self, pred, message):
+        with pytest.raises(InvalidEvents, match=message):
+            match_events(pred, [1], 0)
+        with pytest.raises(InvalidEvents, match=message):
+            prf_at_tolerance(pred, [1], 0)
+
+    @pytest.mark.parametrize(
+        "truth, message",
+        [
+            ([1, 2.7], r"truth\[1\]: step 2.7 is not an integer"),
+            ([True], r"truth\[0\]: step True is not an integer"),
+            ([-3], r"truth\[0\]: step -3 is before step 0"),
+            ([None], "truth must hold integer steps"),
+        ],
+    )
+    def test_truth_steps_must_be_integers(self, truth, message):
+        with pytest.raises(InvalidEvents, match=message):
+            match_events([(1, 0.5)], truth, 5)
+        with pytest.raises(InvalidEvents, match=message):
+            prf_at_tolerance([(1, 0.5)], truth, 5)
+
+    @pytest.mark.parametrize("tol", [float("nan"), True, np.True_, "1", None, -0.5])
+    def test_tolerance_is_a_number_at_least_zero(self, tol):
+        with pytest.raises(InvalidSpec, match="tol="):
+            match_events([(1, 0.5)], [1], tol)
+        with pytest.raises(InvalidSpec, match="tol="):
+            prf_at_tolerance([(1, 0.5)], [1], tol)
+
+    def test_numpy_and_integral_float_inputs_are_converted(self):
+        r = match_events([(np.int64(3), np.float32(0.5)), (4.0, 1)], [np.int64(4), 3.0], np.int64(0))
+        assert r.flags == (True, True) and r.scores == (1.0, 0.5)
+        assert all(type(v) is float for v in r.scores)
+
 
 class TestAveragePrecision:
     def test_single_tp(self):
@@ -286,12 +332,17 @@ class TestEdap:
         assert edap(pred, truth, config) == pytest.approx(0.5)
 
     def test_empty_detection_sets_are_not_matched(self, monkeypatch):
-        calls = []
+        ranked, matched = [], []
 
-        def counting_match(pred, truth, tol):
-            calls.append((tuple(pred), tuple(truth), tol))
-            return match_events(pred, truth, tol)
+        def counting_rank(pairs):
+            ranked.append(tuple(pairs))
+            return rank(pairs)
 
+        def counting_greedy(steps, truth, tol):
+            matched.append((tuple(steps), tuple(truth), tol))
+            return greedy(steps, truth, tol)
+
+        rank, greedy = metric._ranked, metric._greedy
         truth = {
             sid: EventSet(sid, INTERVAL, (IntervalEvent(10, 50), IntervalEvent(80, 90)))
             for sid in ("a", "b", "c")
@@ -300,9 +351,13 @@ class TestEdap:
         pred = {"a": ScoredEvents(onsets=((11, 0.9), (85, 0.4))), "b": ScoredEvents()}
         config = EdapConfig(tolerances=(1, 5, 20))
         expected = pooled_edap_table_oracle(pred, truth, config)
-        monkeypatch.setattr(metric, "match_events", counting_match)
+        monkeypatch.setattr(metric, "_ranked", counting_rank)
+        monkeypatch.setattr(metric, "_greedy", counting_greedy)
         assert edap_table(pred, truth, config) == expected
-        assert calls == [(((11, 0.9), (85, 0.4)), (10, 80), tol) for tol in (1, 5, 20)]
+        # series a's onsets are ranked once and matched once per tolerance;
+        # no empty set (b's classes, c, a's offsets) is ranked or matched
+        assert ranked == [((11, 0.9), (85, 0.4))]
+        assert matched == [((11, 85), (10, 80), tol) for tol in (1, 5, 20)]
 
     def test_duplicate_lower_scored_prediction_never_raises_ap(self):
         pred, truth = single_series([(100, 0.9)], [100, 200])
@@ -383,6 +438,20 @@ def pooled_problem(draw):
 
 class TestEdapProperties:
     @given(pooled_problem())
+    @example(
+        (
+            {
+                "a": ScoredEvents(onsets=((3, 0.0), (3, -0.0), (5, -0.0), (5, 0.5))),
+                "b": ScoredEvents(onsets=((2, -0.0), (4, 0.0), (4, 0.5))),
+            },
+            {
+                "a": EventSet("a", POINT, (PointEvent(3), PointEvent(3), PointEvent(6))),
+                "b": EventSet("b", POINT, (PointEvent(4),)),
+                "c": EventSet("c", POINT, (PointEvent(1),)),
+            },
+            EdapConfig(tolerances=(1, 2), classes=("point",)),
+        )
+    )
     @settings(max_examples=300, deadline=None)
     def test_matches_pooled_oracle(self, problem):
         pred, truth, config = problem

@@ -13,6 +13,7 @@ from evreg.config import DEFAULT_GRID_SIGMA
 from evreg.signal import (
     _MASK_CELLS,
     Peak,
+    _spaced_peaks,
     SmoothingParams,
     WindowParams,
     find_peaks,
@@ -212,6 +213,33 @@ class TestFindPeaks:
         x = np.array(values, dtype=np.float64)
         got = [tuple(p) for p in find_peaks(x, min_distance)]
         assert got == brute_force_peaks(x, min_distance)
+
+    @given(
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]), max_size=60),
+        st.integers(1, 8),
+        st.sampled_from([None, -1.0, -0.0, 0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_spaced_peaks_are_find_peaks_indices(self, values, min_distance, min_height):
+        # few distinct values: plateaus, height ties and +-0.0 ties are common
+        x = np.array(values, dtype=np.float64)
+        assert [p.index for p in find_peaks(x, min_distance, min_height)] == _spaced_peaks(
+            x, min_distance, min_height
+        )
+
+    @pytest.mark.parametrize("min_height", [float("nan"), float("inf"), -np.inf, "1", [1.0]])
+    def test_min_height_must_be_finite_or_none(self, min_height):
+        with pytest.raises(InvalidSpec, match="min_height=.*expected finite or None"):
+            find_peaks(np.array([0.0, 1.0, 0.0]), 1, min_height)
+
+    @pytest.mark.parametrize("min_distance", [True, False, np.True_, 1.0, 0, -2])
+    def test_min_distance_must_be_an_integer_not_a_bool(self, min_distance):
+        with pytest.raises(InvalidSpec, match="min_distance="):
+            find_peaks(np.array([0.0, 1.0, 0.0]), min_distance)
+
+    def test_numpy_integer_min_distance_and_height(self):
+        x = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
+        assert find_peaks(x, np.int64(3), np.float64(0.5)) == [Peak(3, 2.0, 2.0)]
 
 
 class TestWindowConvolve:
