@@ -213,15 +213,27 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out, (xp, w)
 
 
-def _conv_backward(dout: np.ndarray, cache):
+def _conv_backward(dout: np.ndarray, cache, input_grad: bool = True):
+    """(dx, dw, db) of _conv_forward under dout; dx is None without input_grad."""
     xp, w = cache
     n, out, t = dout.shape
-    # np.tensordot's GEMM per tap, with the (out, B*T) copy of dout made once
+    # np.tensordot's GEMM per tap, with the (out, B*T) copy of dout and the
+    # time-major (B, T + 2 half, in) copy of xp each made once per conv; one
+    # series keeps the strided view, which BLAS reads as a transposed operand,
+    # because a contiguous copy there moves the bits of dw
     dout_t = dout.transpose(1, 0, 2).reshape(out, n * t)
+    xp_t = xp.transpose(0, 2, 1)
+    if n > 1:
+        xp_t = np.ascontiguousarray(xp_t)
     dw = np.empty_like(w)
     for j in range(w.shape[2]):
-        dw[:, :, j] = np.dot(dout_t, xp[:, :, j : j + t].transpose(0, 2, 1).reshape(n * t, -1))
+        dw[:, :, j] = np.dot(dout_t, xp_t[:, j : j + t].reshape(n * t, -1))
     db = dout.sum(axis=(0, 2))
+    # the copy goes before dx allocates its own buffers, so that the peak
+    # memory of a step does not grow
+    del xp_t
+    if not input_grad:
+        return None, dw, db
     # dx is the same-padded conv of dout with the kernel flipped along its
     # taps and transposed in its channel axes
     w_t = np.ascontiguousarray(w[:, :, ::-1].transpose(1, 0, 2))
@@ -390,7 +402,10 @@ def _backward_impl(params: Parameters, cache: dict, dlogits: np.ndarray, config:
         conv_cache, mask, pool_cache = cache["enc"][i]
         da = _pool_backward(dh, pool_cache) + dskips[i]
         dz = _relu_backward(da, mask)
-        dh, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = _conv_backward(dz, conv_cache)
+        # the network input needs no gradient, so enc0 skips its dx
+        dh, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = _conv_backward(
+            dz, conv_cache, input_grad=i > 0
+        )
 
     return Parameters({name: grads[name] for name in params.tensors})
 

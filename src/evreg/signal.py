@@ -8,6 +8,7 @@ are implemented here rather than delegated to a library.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,6 +82,22 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+@functools.lru_cache(maxsize=64)
+def _folded_kernel(sigma: float, n: int) -> tuple[int, np.ndarray]:
+    """The radius of gaussian_kernel(sigma) and its taps folded onto one 2n
+    period, read-only.
+
+    Tap k reads the symmetric extension at offset k - radius, which repeats
+    every 2n samples, so taps k and k + 2n read the same sample: the folded
+    kernel sums them.  It holds min(2 radius + 1, 2n) taps and equals the
+    kernel, bit for bit, when that kernel fits in one period.
+    """
+    kernel = gaussian_kernel(sigma)
+    folded = np.bincount(np.arange(len(kernel)) % (2 * n), weights=kernel)
+    folded.flags.writeable = False
+    return (len(kernel) - 1) // 2, folded
+
+
 def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
     """Convolve x with a normalized Gaussian under reflected boundaries.
 
@@ -88,14 +105,23 @@ def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
     (pad of [a, b, c, ...] starts [b, a | a, b, c ...] -- numpy 'symmetric'),
     so constant inputs are preserved exactly up to rounding.  sigma None or 0,
     or an empty x, returns an unchanged copy.
+
+    The reflected series repeats every 2n samples, so the kernel is folded
+    onto one period first (_folded_kernel) and each output costs at most 2n
+    products, whatever sigma is.  A kernel of 2 ceil(4 sigma) + 1 <= 2n taps
+    is not folded: the output is then the bits of np.correlate on the padded
+    series.  A wider kernel sums its taps per period before it meets the
+    samples, which reassociates the sums: the result may differ from the
+    unfolded sum in its last bits.
     """
     arr = _check_finite_1d(x, "x")
     if params.sigma is None or params.sigma == 0 or arr.size == 0:
         return arr.copy()
-    kernel = gaussian_kernel(params.sigma)
-    radius = (len(kernel) - 1) // 2
-    padded = np.pad(arr, radius, mode="symmetric")
-    return np.correlate(padded, kernel, mode="valid")
+    n = len(arr)
+    radius, taps = _folded_kernel(float(params.sigma), n)
+    # the n + len(taps) - 1 samples of the symmetric extension from -radius on
+    j = np.arange(-radius, n - radius + len(taps) - 1) % (2 * n)
+    return np.correlate(arr[np.minimum(j, 2 * n - 1 - j)], taps, mode="valid")
 
 
 def check_min_height(min_height) -> None:

@@ -148,8 +148,9 @@ def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, Da
     Returns the event's index and the error it earns, not raised.  Intervals
     must hold 0 <= onset < offset and start no earlier than the previous one
     ended (touching is allowed); points must hold step >= 0 and not precede
-    the previous one.  With num_steps, each event is first checked to lie in
-    the series: offset <= num_steps, step < num_steps.
+    the previous one.  Every step must be an integer (step_fault: not a
+    bool, not fractional).  With num_steps, each event is first checked to
+    lie in the series: offset <= num_steps, step < num_steps.
     """
     prev = None
     for i, ev in enumerate(events.events):
@@ -163,6 +164,9 @@ def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, Da
                 return i, InvalidEvents(f"{span} starts before step 0")
             if ev.onset >= ev.offset:
                 return i, InvalidEvents(f"{span} has no positive duration")
+            fault = step_fault(ev.onset) or step_fault(ev.offset)
+            if fault is not None:
+                return i, InvalidEvents(f"{span}: {fault}")
             if prev is not None and ev.onset < prev:
                 return i, InvalidEvents(
                     f"event at onset {ev.onset} overlaps or precedes the previous "
@@ -176,6 +180,9 @@ def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, Da
                 return i, EventOutOfRange(f"point {ev.step} outside [0, {num_steps})")
             if ev.step < 0:
                 return i, InvalidEvents(f"point {ev.step} is before step 0")
+            fault = step_fault(ev.step)
+            if fault is not None:
+                return i, InvalidEvents(fault)
             if prev is not None and ev.step < prev:
                 return i, InvalidEvents(f"point {ev.step} precedes previous {prev}")
             prev = ev.step

@@ -461,6 +461,34 @@ class TestExactTrims:
         _, dw, _ = _conv_backward(dout, cache)
         assert same_bits(dw, tensordot_dw(dout, xp, kernel))
 
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_dw_matches_tensordot_on_signed_zeros_inf_and_nan(self, batch, kernel):
+        # every pair of special values meets in the input and in dout; one
+        # series reads a strided view of the padded input, more read a copy
+        rng = np.random.default_rng(batch * 10 + kernel)
+        x = with_specials(rng, (batch, 7, 28))
+        w = rng.normal(size=(4, 7, kernel))
+        dout = with_specials(rng, (batch, 4, 28))
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, cache = _conv_forward(x, w, np.zeros(4))
+            _, dw, db = _conv_backward(dout, cache)
+            want = tensordot_dw(dout, cache[0], kernel), dout.sum(axis=(0, 2))
+        assert same_bits(dw, want[0]) and same_bits(db, want[1])
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_input_grad_can_be_skipped(self, batch):
+        rng = np.random.default_rng(7 + batch)
+        x = with_specials(rng, (batch, 6, 20))
+        w = rng.normal(size=(5, 6, 3))
+        dout = with_specials(rng, (batch, 5, 20))
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, cache = _conv_forward(x, w, np.zeros(5))
+            _, dw, db = _conv_backward(dout, cache)
+            skipped = _conv_backward(dout, cache, input_grad=False)
+        assert skipped[0] is None
+        assert same_bits(skipped[1], dw) and same_bits(skipped[2], db)
+
 
 _HASH_SCRIPT = """
 import hashlib

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_peaks, dense_smooth_oracle, window_contrast_oracle
@@ -13,6 +13,7 @@ from evreg.config import DEFAULT_GRID_SIGMA
 from evreg.signal import (
     _MASK_CELLS,
     Peak,
+    _folded_kernel,
     _spaced_peaks,
     SmoothingParams,
     WindowParams,
@@ -113,6 +114,109 @@ class TestGaussianSmooth:
         x = np.array(values)
         out = gaussian_smooth(x, SmoothingParams(sigma=sigma))
         np.testing.assert_allclose(out, dense_smooth_oracle(x, sigma), atol=1e-9)
+
+
+def padded_correlate(x, sigma):
+    """gaussian_smooth before the fold: np.pad 'symmetric', then np.correlate."""
+    kernel = gaussian_kernel(sigma)
+    radius = (len(kernel) - 1) // 2
+    return np.correlate(np.pad(x, radius, mode="symmetric"), kernel, mode="valid")
+
+
+def unfolded_smooth(x, sigma):
+    """Direct sum over every tap of the unfolded kernel, one dot per output.
+
+    The same sum as dense_smooth_oracle with the reflection done by array
+    ops: that loop oracle steps through the reflection one period at a time,
+    which takes about half a minute at radius 20,000 on 3 samples.
+    """
+    n = len(x)
+    radius = math.ceil(4.0 * sigma)
+    lags = np.arange(-radius, radius + 1)
+    weights = np.exp(-(lags * lags) / (2.0 * sigma * sigma))
+    weights /= weights.sum()
+    out = np.empty(n)
+    for t in range(n):
+        j = (t + lags) % (2 * n)
+        out[t] = weights @ x[np.minimum(j, 2 * n - 1 - j)]
+    return out
+
+
+# a Gaussian of radius r has 2r + 1 taps, which fit in one 2n period of the
+# reflected series when n >= r + 1
+_NARROW = st.floats(0.01, 12.0).flatmap(
+    lambda sigma: st.tuples(
+        st.just(sigma),
+        st.lists(
+            st.floats(-100, 100),
+            min_size=math.ceil(4.0 * sigma) + 1,
+            max_size=math.ceil(4.0 * sigma) + 40,
+        ),
+    )
+)
+
+
+class TestFoldedSmoothing:
+    """The kernel folded onto one period of the reflected series."""
+
+    @given(_NARROW)
+    @settings(max_examples=300, deadline=None)
+    def test_narrow_kernels_are_the_padded_correlation_bit_for_bit(self, case):
+        sigma, values = case
+        x = np.array(values)
+        assert 2 * math.ceil(4.0 * sigma) + 1 <= 2 * len(x)
+        got = gaussian_smooth(x, SmoothingParams(sigma=sigma))
+        assert got.tobytes() == padded_correlate(x, sigma).tobytes()
+
+    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=12), st.floats(1.5, 60.0))
+    @settings(max_examples=100, deadline=None)
+    def test_wide_kernels_match_the_unfolded_sum(self, values, sigma):
+        x = np.array(values)
+        assume(2 * math.ceil(4.0 * sigma) + 1 > 2 * len(x))
+        got = gaussian_smooth(x, SmoothingParams(sigma=sigma))
+        want = unfolded_smooth(x, sigma)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(np.abs(x).max(), 1e-300))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 512])
+    @pytest.mark.parametrize("sigma", [100.0, 1000.0, 5000.0])
+    def test_wide_kernels_against_direct_sums(self, n, sigma):
+        rng = np.random.default_rng(n * 7 + int(sigma))
+        x = rng.normal(size=n) * 10
+        got = gaussian_smooth(x, SmoothingParams(sigma=sigma))
+        bound = 1e-12 * np.abs(x).max()
+        np.testing.assert_allclose(got, unfolded_smooth(x, sigma), rtol=0, atol=bound)
+        if sigma == 100.0:
+            # the loop oracle takes O(radius / n) steps per reflected tap, so
+            # it is run only at the smallest radius (400)
+            np.testing.assert_allclose(got, dense_smooth_oracle(x, sigma), rtol=0, atol=bound)
+
+    @pytest.mark.parametrize("sigma,n", [(1.0, 4), (1.0, 5), (1000.0, 512), (5000.0, 3)])
+    def test_folded_taps(self, sigma, n):
+        kernel = gaussian_kernel(sigma)
+        radius, taps = _folded_kernel(sigma, n)
+        assert radius == math.ceil(4.0 * sigma)
+        assert len(taps) == min(len(kernel), 2 * n)
+        np.testing.assert_allclose(taps.sum(), 1.0, rtol=1e-12)
+        if len(kernel) <= 2 * n:
+            assert taps.tobytes() == kernel.tobytes()
+
+    def test_cached_taps_are_read_only(self):
+        _, taps = _folded_kernel(1000.0, 512)
+        assert _folded_kernel(1000.0, 512)[1] is taps
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError):
+            taps[0] = 1.0
+
+    @pytest.mark.parametrize("sigma", [1, 1.0, np.float64(1.0), 1000, np.float64(1000.0)])
+    def test_repeated_calls_give_the_same_bytes(self, sigma):
+        x = np.random.default_rng(13).normal(size=512)
+        first = gaussian_smooth(x, SmoothingParams(sigma=sigma))
+        want = first.tobytes()
+        # the output is the caller's own array, not a view of cached state
+        first[:] = 0.0
+        for _ in range(3):
+            assert gaussian_smooth(x, SmoothingParams(sigma=sigma)).tobytes() == want
+        assert gaussian_smooth(x, SmoothingParams(sigma=float(sigma))).tobytes() == want
 
 
 class TestFindPeaks:

@@ -111,6 +111,39 @@ class TestValidateEvents:
         with pytest.raises(InvalidEvents):
             EventSet("s", "other", ())
 
+    @pytest.mark.parametrize("kind,events,error,message", [
+        # int() would truncate each of these: a truth point at 2.7 scored as 2
+        (POINT, (PointEvent(2.7),), InvalidEvents, "step 2.7 is not an integer"),
+        (POINT, (PointEvent(1), PointEvent(np.float64(3.5))), InvalidEvents,
+         "step 3.5 is not an integer"),
+        (POINT, (PointEvent(True),), InvalidEvents, "step True is not an integer"),
+        (POINT, (PointEvent(np.bool_(False)),), InvalidEvents, "step False is not an integer"),
+        (INTERVAL, (IntervalEvent(2.5, 4),), InvalidEvents,
+         "event [2.5, 4): step 2.5 is not an integer"),
+        (INTERVAL, (IntervalEvent(0, 2), IntervalEvent(3, 4.25)), InvalidEvents,
+         "event [3, 4.25): step 4.25 is not an integer"),
+        (INTERVAL, (IntervalEvent(False, True),), InvalidEvents,
+         "event [False, True): step False is not an integer"),
+        (INTERVAL, (IntervalEvent(0, np.True_),), InvalidEvents,
+         "event [0, True): step True is not an integer"),
+        # the range check still comes first, and the old messages stand
+        (POINT, (PointEvent(9.5),), EventOutOfRange, "point 9.5 outside [0, 8)"),
+        (INTERVAL, (IntervalEvent(4.5, 9),), EventOutOfRange, "event [4.5, 9) outside [0, 8]"),
+        (INTERVAL, (IntervalEvent(5.5, 2.5),), InvalidEvents,
+         "event [5.5, 2.5) has no positive duration"),
+    ])
+    def test_steps_must_be_integers(self, kind, events, error, message):
+        with pytest.raises(error) as err:
+            validate_events(EventSet("s", kind, events), 8)
+        assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("events", [
+        EventSet("s", POINT, (PointEvent(np.int64(1)), PointEvent(2.0), PointEvent(np.float64(5.0)))),
+        EventSet("s", INTERVAL, (IntervalEvent(np.int32(0), 2.0), IntervalEvent(2, np.int64(8)))),
+    ])
+    def test_integral_steps_of_any_type_pass(self, events):
+        validate_events(events, 8)
+
 
 class TestDeriveStateLabels:
     def test_empty(self):
