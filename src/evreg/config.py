@@ -63,7 +63,7 @@ OBJECTIVES: dict[str, Objective] = {
     "segmentation": Objective(
         "segmentation_2class", ("onset", "offset"), segmentation=True, reads_mu=True,
         encode=lambda events, steps, _: encode_segmentation(events, steps),
-        decode=lambda y, params, mus: list(sweep_seg_threshold(y[1], mus, params)),
+        decode=lambda y, params, mus: sweep_seg_threshold(y[1], mus, params),
     ),
     "segmentation_peaks": Objective(
         "segmentation_2class", ("onset", "offset"), segmentation=True,
@@ -209,6 +209,8 @@ def _coerce(value: Any, target: Any, where: str) -> Any:
         args = typing.get_args(target)
         item = args[0] if args else Any
         return tuple(_coerce(v, item, where) for v in value)
+    if target in (int, float) and isinstance(value, bool):
+        raise InvalidConfig(f"{where}: expected a number, got {value!r}")
     try:
         if target is float:
             return float(value)

@@ -2,18 +2,21 @@
 
 Three post-processing routes are provided: peak picking on regressed
 density channels, threshold crossings of the smoothed class-1 probability,
-and peak picking on the windowed contrast I of that probability.
+and peak picking on the windowed contrast I of that probability.  Both peak
+routes read only the indices find_peaks keeps (signal._spaced_peaks), never
+its heights or prominences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidProbability, InvalidSpec, LengthMismatch
-from .signal import (
+# find_peaks is not called here since every decoder picks indices only, but
+# perfbench's tests read it as decode.find_peaks
+from .signal import (  # noqa: F401
     SmoothingParams,
     WindowParams,
     _check_finite_1d,
@@ -107,39 +110,40 @@ def decode_seg_threshold(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     contrast of the smoothed probability.  A sequence already above mu at
     t=0 yields no synthetic onset.
     """
-    return next(sweep_seg_threshold(y, (params.mu,), params))
+    return sweep_seg_threshold(y, (params.mu,), params)[0]
 
 
-def sweep_seg_threshold(y: np.ndarray, mus: tuple, params: DecodeParams) -> Iterator[ScoredEvents]:
-    """decode_seg_threshold at each mu in turn (params.mu is unread), smoothing y once."""
+def sweep_seg_threshold(y: np.ndarray, mus: tuple, params: DecodeParams) -> list[ScoredEvents]:
+    """decode_seg_threshold at each mu in mus (params.mu is unread), smoothing y once."""
     arr = _check_probability(y)
     smoothed = gaussian_smooth(arr, SmoothingParams(params.sigma))
     score = np.abs(window_convolve(smoothed, WindowParams(params.alpha)))
     before, after = smoothed[:-1], smoothed[1:]
+    out = []
     for mu in mus:
         up = np.flatnonzero((before < mu) & (after > mu)) + 1
         down = np.flatnonzero((before > mu) & (after < mu)) + 1
-        yield ScoredEvents(
+        out.append(ScoredEvents(
             onsets=list(zip(up.tolist(), score[up].tolist())),
             offsets=list(zip(down.tolist(), score[down].tolist())),
-        )
+        ))
+    return out
 
 
 def decode_seg_peaks(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     """Extrema of the windowed contrast of the smoothed probability.
 
-    Onsets are peaks of I, offsets are peaks of -I, both with spacing >=
-    alpha; scores are |I| at the peak.  mu is unused by this decoder.
+    Onsets are peaks of I, offsets are peaks of -I, both at find_peaks
+    indices with spacing >= alpha; scores are |I| at the peak.  mu is unused
+    by this decoder.
     """
     arr = _check_probability(y)
     smoothed = gaussian_smooth(arr, SmoothingParams(params.sigma))
     contrast = window_convolve(smoothed, WindowParams(params.alpha))
-    onsets = tuple([
-        (p.index, abs(float(contrast[p.index])))
-        for p in find_peaks(contrast, min_distance=params.alpha)
-    ])
-    offsets = tuple([
-        (p.index, abs(float(contrast[p.index])))
-        for p in find_peaks(-contrast, min_distance=params.alpha)
-    ])
-    return ScoredEvents(onsets=onsets, offsets=offsets)
+    score = np.abs(contrast)
+    onsets = _spaced_peaks(contrast, params.alpha, None)
+    offsets = _spaced_peaks(-contrast, params.alpha, None)
+    return ScoredEvents(
+        onsets=tuple(zip(onsets, score[onsets].tolist())),
+        offsets=tuple(zip(offsets, score[offsets].tolist())),
+    )

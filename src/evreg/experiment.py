@@ -300,7 +300,6 @@ def grid_search(
     truth: Mapping[str, EventSet],
     grid: GridSpec,
     config: ExperimentConfig,
-    score_fn: Callable[[float, float | None], float] | None = None,
 ) -> GridResult:
     """Sweep decode parameters over already-produced model outputs.
 
@@ -308,8 +307,7 @@ def grid_search(
     pinned at the configured default and only sigma is walked.  Each sigma is
     one call of the record's decoder per series with all of that sigma's mus,
     so a decoder that sweeps mu can smooth each series once per sigma.  Ties
-    prefer no smoothing, then smaller sigma, then smaller mu.  score_fn, when
-    given, replaces the decode-and-score pipeline (to test cell selection).
+    prefer no smoothing, then smaller sigma, then smaller mu.
     """
     mus = grid.mu if config.spec.reads_mu else (config.decode.mu,)
     cells = [(m, s) for m in mus for s in grid.sigma]
@@ -321,11 +319,8 @@ def grid_search(
     for sigma in dict.fromkeys(s for _, s in wanted):
         sigma_mus = tuple(m for m, s in wanted if s == sigma)
         params = replace(config.decode, sigma=sigma)
-        if score_fn is not None:
-            found = [score_fn(mu, sigma) for mu in sigma_mus]
-        else:
-            decoded = _decode_at(outputs, config, params, sigma_mus)
-            found = [edap(preds, truth, config.metric) for preds in decoded]
+        decoded = _decode_at(outputs, config, params, sigma_mus)
+        found = [edap(preds, truth, config.metric) for preds in decoded]
         scores.update(zip([(mu, sigma) for mu in sigma_mus], found))
     table = tuple((mu, sigma, scores[mu, sigma]) for mu, sigma in cells)
     best_mu, best_sigma, best_score = min(

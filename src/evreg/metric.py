@@ -157,7 +157,8 @@ def edap_table(
     within the series.  Matching runs within each series, and every
     tolerance reads the flags in that pooled order.  A series without
     detections of a class adds no flags, so it is not matched.  A class
-    with no pooled truth raises EmptyTruth.
+    with no pooled truth raises EmptyTruth; a truth step of a series with
+    detections that fails types.step_fault raises InvalidEvents.
     """
     missing = set(pred) - set(truth)
     if missing:
@@ -171,14 +172,16 @@ def edap_table(
         if num_truth == 0:
             raise EmptyTruth(f"no ground-truth events for class {cls!r}")
         # ScoredEvents holds checked (int, float) pairs, so each non-empty
-        # series is ranked and its truth sorted once for every tolerance
+        # series is ranked, and its truth checked and sorted, once for every
+        # tolerance
         series = []
         scores: list[float] = []
         for sid, t in zip(sids, steps):
             p = pred[sid].by_class(cls) if sid in pred else ()
             if p:
                 ranked = _ranked(p)
-                series.append(([s for s, _ in ranked], sorted(map(int, t))))
+                free = sorted(checked_steps(t, f"truth[{sid!r}]"))
+                series.append(([s for s, _ in ranked], free))
                 scores += [v for _, v in ranked]
         # series in id order, each in rank order: a stable descending sort
         # then breaks score ties by series id, then by rank

@@ -41,8 +41,7 @@ class WindowParams:
     alpha: int
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, np.integer)) and self.alpha >= 1):
-            raise InvalidSpec(f"alpha={self.alpha}, expected integer >= 1")
+        _check_spacing(self.alpha, "alpha")
 
 
 # largest (peaks x samples) mask find_peaks builds at once
@@ -53,6 +52,12 @@ class Peak(NamedTuple):
     index: int
     height: float
     prominence: float
+
+
+def _check_spacing(value, name: str) -> None:
+    """InvalidSpec unless value is an integer >= 1 that is not a bool."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
+        raise InvalidSpec(f"{name}={value}, expected integer >= 1")
 
 
 def _check_finite_1d(x: np.ndarray, name: str) -> np.ndarray:
@@ -187,12 +192,7 @@ def find_peaks(
     or None, else InvalidSpec.  Returns peaks ordered by ascending index.
     """
     arr = _check_finite_1d(x, "x")
-    if not (
-        isinstance(min_distance, (int, np.integer))
-        and not isinstance(min_distance, bool)
-        and min_distance >= 1
-    ):
-        raise InvalidSpec(f"min_distance={min_distance}, expected integer >= 1")
+    _check_spacing(min_distance, "min_distance")
     check_min_height(min_height)
     kept = _spaced_peaks(arr, min_distance, min_height)
     if not kept:

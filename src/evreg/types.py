@@ -209,16 +209,11 @@ def derive_state_labels(events: EventSet, num_steps: int) -> np.ndarray:
     return labels
 
 
-def points_from_intervals(events: EventSet, which: str = "onset") -> EventSet:
-    """Collapse interval events to point events at their onset or offset."""
+def points_from_intervals(events: EventSet) -> EventSet:
+    """Collapse interval events to point events at their onsets."""
     if events.kind != INTERVAL:
         raise InvalidEvents("points_from_intervals requires interval events")
-    if which not in ("onset", "offset"):
-        raise InvalidEvents(f"which={which!r}, expected 'onset' or 'offset'")
-    points = tuple(
-        PointEvent(ev.onset if which == "onset" else ev.offset, ev.score)
-        for ev in events.events
-    )
+    points = tuple(PointEvent(ev.onset, ev.score) for ev in events.events)
     return EventSet(events.series_id, POINT, points)
 
 

@@ -428,6 +428,8 @@ class TestExitCodes:
         (("pdf", "kind"), 5, "pdf.kind: expected a string"),
         # the peak decoder is objective segmentation_peaks, not a knob
         (("seg_method",), "peaks", "unknown top-level key 'seg_method'"),
+        # YAML true is a bool, not the count 1
+        (("decode", "alpha"), True, "decode.alpha: expected a number, got True"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, keys, value, message):
         doc = config_doc()

@@ -163,6 +163,21 @@ class TestCoercion:
         with pytest.raises(InvalidConfig):
             config_from_mapping(minimal_doc(folds=4.5))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("decode", "alpha", True),
+        ("decode", "mu", False),
+        ("decode", "sigma", True),
+        ("train", "epochs", True),
+        ("metric", "tolerances", [1, True]),
+    ])
+    def test_bools_are_not_numbers(self, section, key, value):
+        # YAML true/false are Python bools, which int() and float() accept
+        doc = minimal_doc()
+        doc[section] = {**doc.get(section, {}), key: value}
+        bad = value[-1] if isinstance(value, list) else value
+        with pytest.raises(InvalidConfig, match=rf"{section}\.{key}: expected a number, got {bad}"):
+            config_from_mapping(doc)
+
     def test_numeric_lists_become_tuples(self):
         config = config_from_mapping(minimal_doc())
         assert config.metric.tolerances == (1, 2, 5)

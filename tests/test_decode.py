@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import window_contrast_oracle
@@ -37,6 +37,15 @@ class TestDecodeParams:
         with pytest.raises(InvalidSpec, match="min_height=high, expected finite or None"):
             DecodeParams(alpha=5, min_height="high")
 
+    @pytest.mark.parametrize("alpha", [True, np.True_, 2.0, 0, np.int64(0)])
+    def test_alpha_follows_the_find_peaks_spacing_rule(self, alpha):
+        with pytest.raises(InvalidSpec, match=f"alpha={alpha}, expected integer >= 1"):
+            DecodeParams(alpha=alpha)
+        with pytest.raises(InvalidSpec, match=f"alpha={alpha}, expected integer >= 1"):
+            WindowParams(alpha)
+        with pytest.raises(InvalidSpec, match=f"min_distance={alpha}, expected integer >= 1"):
+            find_peaks(np.zeros(4), min_distance=alpha)
+
 
 def pick_channel_oracle(y, params):
     """Peak picking through find_peaks: peaks of the smoothed channel, each
@@ -58,6 +67,22 @@ decode_params = st.builds(
     sigma=st.sampled_from([None, 0.0, 0.5, 0.7, 2.0]),
     min_height=st.sampled_from([None, -0.0, 0.0, 0.2, 0.5]),
 )
+
+
+def seg_peaks_oracle(y, params):
+    """Contrast peaks through find_peaks: onsets at peaks of I, offsets at
+    peaks of -I, each scored by |I| at its index."""
+    smoothed = gaussian_smooth(y, SmoothingParams(params.sigma))
+    contrast = window_convolve(smoothed, WindowParams(params.alpha))
+    onsets = [(p.index, abs(float(contrast[p.index])))
+              for p in find_peaks(contrast, min_distance=params.alpha)]
+    offsets = [(p.index, abs(float(contrast[p.index])))
+               for p in find_peaks(-contrast, min_distance=params.alpha)]
+    return onsets, offsets
+
+
+# plateaus and zero contrasts of either sign: -0.0 is a valid probability
+probability = st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), max_size=48)
 
 
 class TestPickChannelOracle:
@@ -231,9 +256,10 @@ class TestDecodeSegThreshold:
         y = rng.integers(0, 5, size=int(rng.integers(1, 120))) / 4.0
         params = DecodeParams(alpha=int(rng.integers(1, 5)), mu=0.9, sigma=sigma)
         mus = (0.5, 0.0, 0.25, 1.0, 0.6, 0.5)
-        swept = list(sweep_seg_threshold(y, mus, params))
-        assert len(swept) == len(mus)
+        swept = sweep_seg_threshold(y, mus, params)
+        assert type(swept) is list and len(swept) == len(mus)
         for mu, out in zip(mus, swept):
+            assert out == decode_seg_threshold(y, DecodeParams(params.alpha, mu, sigma))
             onsets, offsets = threshold_loop_oracle(y, DecodeParams(params.alpha, mu, sigma))
             assert list(out.onsets) == onsets
             assert list(out.offsets) == offsets
@@ -281,6 +307,18 @@ class TestDecodeSegPeaks:
         a = decode_seg_peaks(y, DecodeParams(alpha=4, mu=0.1, sigma=2.0))
         b = decode_seg_peaks(y, DecodeParams(alpha=4, mu=0.9, sigma=2.0))
         assert a == b
+
+    @given(probability, decode_params)
+    @example([0.5, 0.0, 0.5, 0.0], DecodeParams(alpha=1))  # onset peak at contrast 0.0
+    @example([0.0, 0.5, 0.0, 0.5], DecodeParams(alpha=1))  # offset peak at -contrast -0.0
+    @example([-0.0, 0.0, -0.0, 1.0], DecodeParams(alpha=1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_find_peaks_form_bytes(self, values, params):
+        y = np.array(values)
+        out = decode_seg_peaks(y, params)
+        onsets, offsets = seg_peaks_oracle(y, params)
+        assert detection_bytes(out.onsets) == detection_bytes(onsets)
+        assert detection_bytes(out.offsets) == detection_bytes(offsets)
 
     def test_monotone_step_agrees_with_threshold_decoder_on_counts(self):
         for alpha in (1, 2, 4):

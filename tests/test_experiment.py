@@ -1,5 +1,6 @@
 """Cross-validation pipeline: datasets, folds, pooled scoring, grid sweeps."""
 
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from evreg import config as config_module
 from evreg import decode as decode_module
 from evreg import experiment
+from evreg import signal as signal_module
 from evreg.config import OBJECTIVES, config_from_mapping
 from evreg.data import save_events, save_series, synth_generate, SynthConfig
 from evreg.decode import decode_points, decode_regression, decode_seg_peaks, decode_seg_threshold
@@ -171,7 +173,7 @@ class TestEncodeTargets:
     def test_cpd_single_channel(self, pair):
         _, series, events = pair
         config = make_config("cpd")
-        _, y = encode_targets(series, points_from_intervals(events, "onset"), config)
+        _, y = encode_targets(series, points_from_intervals(events), config)
         assert y.shape == (1, 128)
 
     def test_sigma_override_narrows_regression_target(self, pair):
@@ -239,6 +241,25 @@ class TestDecodeOutputs:
             x_p, y_p = encode_targets(series, events, peaks)
             x_t, y_t = encode_targets(series, events, threshold)
             assert np.array_equal(x_p, x_t) and np.array_equal(y_p, y_t)
+
+    @pytest.mark.parametrize("objective", list(OBJECTIVES))
+    def test_no_decode_route_calls_find_peaks(self, monkeypatch, objective):
+        # every decoder picks peak indices only; find_peaks also measures
+        # prominence, which no decoder reads
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_peaks called on the decode route")
+
+        real = signal_module.find_peaks
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("evreg"):
+                for name, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, name, refuse)
+        config = make_config(objective)
+        outputs, _ = synthetic_outputs(config)
+        decoded = decode_outputs(outputs, config, config.decode)
+        assert sorted(decoded) == sorted(outputs)
+        assert any(d.onsets for d in decoded.values())
 
 
 def test_new_objective_is_one_table_entry(monkeypatch):
@@ -462,12 +483,28 @@ class TestRunCv:
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.fixture
+def score_cells(monkeypatch):
+    """Make grid_search score each (mu, sigma) cell with score(mu, sigma).
+
+    The decode route hands edap the cell it decoded, so the cell-selection
+    tests run without model outputs or truth.
+    """
+    def install(score):
+        monkeypatch.setattr(
+            experiment, "_decode_at",
+            lambda outputs, config, params, mus: [(mu, params.sigma) for mu in mus],
+        )
+        monkeypatch.setattr(experiment, "edap", lambda cell, truth, metric: score(*cell))
+    return install
+
+
 class TestGridSearch:
-    def test_regression_sweeps_sigma_only(self):
+    def test_regression_sweeps_sigma_only(self, score_cells):
         config = make_config(grid={"mu": [0.2, 0.5], "sigma": ["none", 1, 10]})
         scores = {None: 0.3, 1.0: 0.5, 10.0: 0.9}
-        result = grid_search({}, {}, config.grid, config,
-                             score_fn=lambda mu, sigma: scores[sigma])
+        score_cells(lambda mu, sigma: scores[sigma])
+        result = grid_search({}, {}, config.grid, config)
         assert len(result.table) == 3
         assert all(mu == config.decode.mu for mu, _, _ in result.table)
         assert (result.best_mu, result.best_sigma) == (config.decode.mu, 10.0)
@@ -475,49 +512,53 @@ class TestGridSearch:
         # default cell is (decode.mu, decode.sigma) = (0.5, None)
         assert result.default_score == 0.3
 
-    def test_segmentation_sweeps_full_product(self):
+    def test_segmentation_sweeps_full_product(self, score_cells):
         config = make_config("segmentation",
                              grid={"mu": [0.3, 0.5], "sigma": ["none", 1]})
         calls = []
-        result = grid_search({}, {}, config.grid, config,
-                             score_fn=lambda mu, sigma: calls.append((mu, sigma)) or 0.5)
+        score_cells(lambda mu, sigma: calls.append((mu, sigma)) or 0.5)
+        result = grid_search({}, {}, config.grid, config)
         assert len(result.table) == 4
         assert set(calls[:4]) == {(0.3, None), (0.3, 1.0), (0.5, None), (0.5, 1.0)}
 
-    def test_default_grid_cell_counts(self):
+    def test_default_grid_cell_counts(self, score_cells):
         seg = make_config("segmentation")
         reg = make_config()
-        seg_result = grid_search({}, {}, seg.grid, seg, score_fn=lambda m, s: 0.0)
-        reg_result = grid_search({}, {}, reg.grid, reg, score_fn=lambda m, s: 0.0)
+        score_cells(lambda m, s: 0.0)
+        seg_result = grid_search({}, {}, seg.grid, seg)
+        reg_result = grid_search({}, {}, reg.grid, reg)
         assert len(seg_result.table) == 55
         assert len(reg_result.table) == 5
 
-    def test_peaks_decoder_sweeps_sigma_only(self):
+    def test_peaks_decoder_sweeps_sigma_only(self, score_cells):
         # decode_seg_peaks never reads mu, so one cell per sigma at decode.mu
         peaks = make_config("segmentation_peaks")
         calls = []
-        result = grid_search({}, {}, peaks.grid, peaks,
-                             score_fn=lambda mu, sigma: calls.append(mu) or 0.5)
+        score_cells(lambda mu, sigma: calls.append(mu) or 0.5)
+        result = grid_search({}, {}, peaks.grid, peaks)
         assert len(result.table) == len(peaks.grid.sigma)
         assert set(calls) == {peaks.decode.mu}
         assert [sigma for _, sigma, _ in result.table] == list(peaks.grid.sigma)
         assert result.best_mu == peaks.decode.mu
 
-    def test_tie_breaks_prefer_no_smoothing_then_small(self):
+    def test_tie_breaks_prefer_no_smoothing_then_small(self, score_cells):
         config = make_config("segmentation",
                              grid={"mu": [0.7, 0.3], "sigma": [10, "none", 1]})
-        result = grid_search({}, {}, config.grid, config, score_fn=lambda m, s: 1.0)
+        score_cells(lambda m, s: 1.0)
+        result = grid_search({}, {}, config.grid, config)
         assert result.best_sigma is None
         assert result.best_mu == 0.3
 
-    def test_tie_breaks_prefer_smaller_sigma(self):
+    def test_tie_breaks_prefer_smaller_sigma(self, score_cells):
         config = make_config(grid={"mu": [0.5], "sigma": [10, 1]})
-        result = grid_search({}, {}, config.grid, config, score_fn=lambda m, s: 1.0)
+        score_cells(lambda m, s: 1.0)
+        result = grid_search({}, {}, config.grid, config)
         assert result.best_sigma == 1.0
 
-    def test_singleton_grid(self):
+    def test_singleton_grid(self, score_cells):
         config = make_config(grid={"mu": [0.5], "sigma": ["none"]})
-        result = grid_search({}, {}, config.grid, config, score_fn=lambda m, s: 0.7)
+        score_cells(lambda m, s: 0.7)
+        result = grid_search({}, {}, config.grid, config)
         assert result.table == ((0.5, None, 0.7),)
 
     def test_tuned_never_beats_default_on_real_outputs(self, small_cv):

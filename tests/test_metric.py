@@ -366,6 +366,23 @@ class TestEdap:
         dup_pred, _ = single_series([(100, 0.9), (100, 0.4)], [100, 200])
         assert edap(dup_pred, truth, config) <= base
 
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (2.7, r"truth\['s'\]\[0\]: step 2.7 is not an integer"),
+            (True, r"truth\['s'\]\[0\]: step True is not an integer"),
+        ],
+        ids=["fraction", "bool"],
+    )
+    def test_truth_steps_must_be_integers(self, step, message):
+        # an EventSet checks only its kind, so the scorer checks the truth
+        # steps it matches instead of truncating 2.7 to 2 (within tol 1 of 1)
+        pred = {"s": ScoredEvents(onsets=((1, 0.9),))}
+        truth = {"s": EventSet("s", POINT, (PointEvent(step),))}
+        config = EdapConfig(tolerances=(1,), classes=("point",))
+        with pytest.raises(InvalidEvents, match=message):
+            edap_table(pred, truth, config)
+
     def test_classes_are_distinct_names(self):
         with pytest.raises(InvalidSpec, match="expected distinct class names"):
             EdapConfig(tolerances=(5,), classes=("onset", "onset"))

@@ -187,19 +187,10 @@ class TestDeriveStateLabels:
 class TestPointsFromIntervals:
     def test_onset_projection(self):
         ev = EventSet("s", INTERVAL, (IntervalEvent(2, 5, 0.5), IntervalEvent(7, 9)))
-        pts = points_from_intervals(ev, "onset")
+        pts = points_from_intervals(ev)
         assert pts.kind == POINT
         assert [e.step for e in pts.events] == [2, 7]
         assert pts.events[0].score == 0.5
-
-    def test_offset_projection(self):
-        ev = EventSet("s", INTERVAL, (IntervalEvent(2, 5),))
-        assert points_from_intervals(ev, "offset").events == (PointEvent(5),)
-
-    def test_bad_which(self):
-        ev = EventSet("s", INTERVAL, ())
-        with pytest.raises(InvalidEvents):
-            points_from_intervals(ev, "middle")
 
 
 class TestEventSetByClass:
