@@ -20,10 +20,10 @@ import yaml
 from .data import SynthConfig
 from .decode import (
     DecodeParams,
-    decode_points,
-    decode_regression,
-    decode_seg_peaks,
-    sweep_seg_threshold,
+    decode_points_batch,
+    decode_regression_batch,
+    decode_seg_peaks_batch,
+    sweep_seg_threshold_batch,
 )
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, InvalidSpec
 from .metric import EdapConfig
@@ -37,12 +37,13 @@ class Objective:
     """Everything that differs between training objectives.
 
     out_mode is the model head and metric_classes the default metric classes.
-    encode(events, num_steps, pdf) gives a TargetSeries, decode(y, params,
-    mus) one series' ScoredEvents at each mu in mus if reads_mu, else a
-    one-item list; both resolve the encoder or decoder by its module-global
-    name at call time, so rebinding it works.  segmentation marks per-step
-    label targets: no pdf, no sigma schedule.  point_truth collapses
-    intervals to onset points.
+    encode(events, num_steps, pdf) gives a TargetSeries.  decode(ys, params,
+    mus) takes the outputs of every series to decode, in id order, and gives
+    a list of their ScoredEvents, in the same order, at each mu in mus if
+    reads_mu, else a one-item list of them.  Both resolve the encoder or
+    decoder by its module-global name at call time, so rebinding it works.
+    segmentation marks per-step label targets: no pdf, no sigma schedule.
+    point_truth collapses intervals to onset points.
     """
 
     out_mode: str
@@ -58,22 +59,24 @@ OBJECTIVES: dict[str, Objective] = {
     "regression": Objective(
         "regression_2ch", ("onset", "offset"),
         encode=lambda events, steps, pdf: encode_regression(events, steps, pdf),
-        decode=lambda y, params, _: [decode_regression(y[0], y[1], params)],
+        decode=lambda ys, params, _: [
+            decode_regression_batch([y[0] for y in ys], [y[1] for y in ys], params)
+        ],
     ),
     "segmentation": Objective(
         "segmentation_2class", ("onset", "offset"), segmentation=True, reads_mu=True,
         encode=lambda events, steps, _: encode_segmentation(events, steps),
-        decode=lambda y, params, mus: sweep_seg_threshold(y[1], mus, params),
+        decode=lambda ys, params, mus: sweep_seg_threshold_batch([y[1] for y in ys], mus, params),
     ),
     "segmentation_peaks": Objective(
         "segmentation_2class", ("onset", "offset"), segmentation=True,
         encode=lambda events, steps, _: encode_segmentation(events, steps),
-        decode=lambda y, params, _: [decode_seg_peaks(y[1], params)],
+        decode=lambda ys, params, _: [decode_seg_peaks_batch([y[1] for y in ys], params)],
     ),
     "cpd": Objective(
         "regression_1ch", ("point",), point_truth=True,
         encode=lambda events, steps, pdf: encode_cpd(events, steps, pdf),
-        decode=lambda y, params, _: [decode_points(y[0], params)],
+        decode=lambda ys, params, _: [decode_points_batch([y[0] for y in ys], params)],
     ),
 }
 

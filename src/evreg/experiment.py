@@ -134,15 +134,16 @@ def decode_outputs(
     config: ExperimentConfig,
     params: DecodeParams,
 ) -> dict[str, ScoredEvents]:
-    """Run the objective's decoder over raw model outputs, series by series."""
+    """Run the objective's decoder over raw model outputs, in one call for all series."""
     return _decode_at(outputs, config, params, (params.mu,))[0]
 
 
 def _decode_at(outputs, config, params, mus: tuple) -> list[dict[str, ScoredEvents]]:
-    """decode_outputs at each mu in mus, which holds one value unless the record reads_mu."""
-    decode = config.spec.decode
-    decoded = {sid: decode(outputs[sid], params, mus) for sid in sorted(outputs)}
-    return [{sid: preds[i] for sid, preds in decoded.items()} for i in range(len(mus))]
+    """decode_outputs at each mu in mus, which holds one value unless the
+    record reads_mu; one call of the record's decoder decodes every series."""
+    sids = sorted(outputs)
+    decoded = config.spec.decode([outputs[sid] for sid in sids], params, mus)
+    return [dict(zip(sids, preds)) for preds in decoded]
 
 
 @dataclass(frozen=True)
@@ -305,9 +306,9 @@ def grid_search(
 
     The cells are the mu x sigma product.  Unless config.spec.reads_mu, mu is
     pinned at the configured default and only sigma is walked.  Each sigma is
-    one call of the record's decoder per series with all of that sigma's mus,
-    so a decoder that sweeps mu can smooth each series once per sigma.  Ties
-    prefer no smoothing, then smaller sigma, then smaller mu.
+    one call of the record's decoder, on every series, with all of that
+    sigma's mus, so a decoder that sweeps mu can smooth each series once per
+    sigma.  Ties prefer no smoothing, then smaller sigma, then smaller mu.
     """
     mus = grid.mu if config.spec.reads_mu else (config.decode.mu,)
     cells = [(m, s) for m in mus for s in grid.sigma]

@@ -9,7 +9,9 @@ pooling all series, and the final score is the unweighted mean over cells.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -96,6 +98,74 @@ def _greedy(steps: Sequence[int], truth: Sequence[int], tol: int) -> tuple[list[
     return flags, len(free)
 
 
+_LARGEST_FLOAT = int(np.finfo(np.float64).max)
+# relative slack that keeps _pooled_flags' reach a lower bound although
+# steps past 2**53 round when converted to float
+_REACH_SLACK = 2.0**-49
+
+
+def _float_steps(steps: list[int]) -> np.ndarray:
+    """steps as float64, those past the float range clamped to its largest
+    integer (which brings no two steps further apart)."""
+    try:
+        return np.array(steps, dtype=np.float64)
+    except OverflowError:
+        return np.array([min(s, _LARGEST_FLOAT) for s in steps], dtype=np.float64)
+
+
+def _keys(series: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """series + i values, as complex numbers, which numpy orders by real
+    part and then by imaginary part."""
+    keys = np.empty(len(values), dtype=np.complex128)
+    keys.real, keys.imag = series, values
+    return keys
+
+
+def _pooled_flags(
+    series: list[tuple[list[int], list[int]]], tolerances: Sequence
+) -> np.ndarray:
+    """TP flags of the ranked steps of several series, each matched against
+    its sorted truth steps: row k holds every series' flags at tolerances[k],
+    series after series, each in rank order.
+
+    A step's reach is a lower bound on its distance to the nearest truth
+    step of its series (inf without one), exact while steps stay below
+    2**53.  A step whose reach exceeds tol can neither match nor change what
+    the others match at tol, so at each tolerance each series sends only
+    its steps within reach, in rank order, through _greedy; the others are
+    not TPs.
+    """
+    steps = [s for ranked, _ in series for s in ranked]
+    num_steps = [len(ranked) for ranked, _ in series]
+    ids = np.arange(len(series))
+    p = _float_steps(steps)
+    # each series' truth between -inf and inf, so that one searchsorted of
+    # the (series, step) keys finds, within each step's own series, the
+    # truth steps on either side of it
+    t = _float_steps([v for _, free in series for v in (-math.inf, *free, math.inf)])
+    at = np.searchsorted(
+        _keys(np.repeat(ids, [len(free) + 2 for _, free in series]), t),
+        _keys(np.repeat(ids, num_steps), p),
+    )
+    reach = np.minimum(t[at] - p, p - t[at - 1]) - p * _REACH_SLACK
+
+    limits = np.array([float(min(tol, math.inf)) for tol in tolerances])
+    near = reach <= limits[:, None] * (1 + _REACH_SLACK)
+    # ahead[k, i]: steps before i within reach of tolerances[k]
+    ahead = np.zeros((len(limits), len(steps) + 1), dtype=np.intp)
+    np.cumsum(near, axis=1, out=ahead[:, 1:])
+    bounds = [0, *accumulate(num_steps)]
+    found: list[bool] = []
+    for tol, cuts, mask in zip(tolerances, ahead[:, bounds].tolist(), near.tolist()):
+        contested = list(compress(steps, mask))
+        for (_, free), a, b in zip(series, cuts, cuts[1:]):
+            if a < b:
+                found += _greedy(contested[a:b], free, tol)[0]
+    flags = np.zeros(near.shape, dtype=bool)
+    flags[near] = found
+    return flags
+
+
 def match_events(
     pred: Sequence[tuple[int, float]], truth: Sequence[int], tol: int
 ) -> MatchResult:
@@ -117,10 +187,20 @@ def match_events(
     if not valid_tol:
         raise InvalidSpec(f"tol={tol}, expected a number >= 0")
     ranked = _ranked(checked_detections(pred, "pred"))
-    flags, unmatched = _greedy(
-        [s for s, _ in ranked], sorted(checked_steps(truth, "truth")), tol
+    free = sorted(checked_steps(truth, "truth"))
+    flags = _pooled_flags([([s for s, _ in ranked], free)], (tol,))[0]
+    return MatchResult(
+        tuple(flags.tolist()), tuple([v for _, v in ranked]), len(free) - int(flags.sum())
     )
-    return MatchResult(tuple(flags), tuple([v for _, v in ranked]), unmatched)
+
+
+def _average_precisions(flags: np.ndarray, num_truth: int) -> np.ndarray:
+    """AP of each row of ranked boolean flags against num_truth >= 1 truth steps."""
+    precision = np.where(flags, np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1), 0.0)
+    # accumulate adds along each row in rank order, as a running sum over
+    # the TPs does: an FP adds 0.0, which changes no bits
+    column = np.zeros((len(flags), 1))
+    return np.add.accumulate(np.hstack((column, precision)), axis=1)[:, -1] / num_truth
 
 
 def average_precision(flags: Sequence[bool], num_truth: int) -> float:
@@ -136,13 +216,7 @@ def average_precision(flags: Sequence[bool], num_truth: int) -> float:
         if len(flags) > 0:
             return 0.0
         raise EmptyTruth("AP is undefined with no truth and no predictions")
-    tp = 0
-    total = 0.0
-    for i, flag in enumerate(flags):
-        if flag:
-            tp += 1
-            total += tp / (i + 1)
-    return total / num_truth
+    return float(_average_precisions(np.asarray(flags, dtype=bool)[None], num_truth)[0])
 
 
 def edap_table(
@@ -154,43 +228,48 @@ def edap_table(
 
     Each (series, class) is ranked once as match_events ranks it, and each
     class is pooled once: descending score, ties by series id, then by rank
-    within the series.  Matching runs within each series, and every
-    tolerance reads the flags in that pooled order.  A series without
-    detections of a class adds no flags, so it is not matched.  A class
-    with no pooled truth raises EmptyTruth; a truth step of a series with
-    detections that fails types.step_fault raises InvalidEvents.
+    within the series.  Matching runs within each series as match_events
+    matches, and every tolerance reads the flags in that pooled order.  A
+    series without detections of a class adds no flags, so it is not
+    matched.  A class with no pooled truth raises EmptyTruth; a truth step
+    of a series with detections that fails types.step_fault raises
+    InvalidEvents.
     """
     missing = set(pred) - set(truth)
     if missing:
         raise InvalidEvents(f"predictions for unknown series: {sorted(missing)}")
 
+    # ScoredEvents holds checked (int, float) pairs, so each non-empty
+    # (series, class) is ranked, and its truth checked and sorted, once for
+    # every tolerance; all of them are matched in one pool
     sids = sorted(truth)
-    table: dict[tuple[str, int], float] = {}
+    series: list[tuple[list[int], list[int]]] = []
+    scores: list[list[float]] = []
+    num_truth: list[int] = []
     for cls in config.classes:
         steps = [truth[sid].by_class(cls) for sid in sids]
-        num_truth = sum(map(len, steps))
-        if num_truth == 0:
+        num_truth.append(sum(map(len, steps)))
+        if num_truth[-1] == 0:
             raise EmptyTruth(f"no ground-truth events for class {cls!r}")
-        # ScoredEvents holds checked (int, float) pairs, so each non-empty
-        # series is ranked, and its truth checked and sorted, once for every
-        # tolerance
-        series = []
-        scores: list[float] = []
+        scores.append([])
         for sid, t in zip(sids, steps):
             p = pred[sid].by_class(cls) if sid in pred else ()
             if p:
                 ranked = _ranked(p)
                 free = sorted(checked_steps(t, f"truth[{sid!r}]"))
                 series.append(([s for s, _ in ranked], free))
-                scores += [v for _, v in ranked]
+                scores[-1] += [v for _, v in ranked]
+    flags = _pooled_flags(series, config.tolerances)
+
+    table: dict[tuple[str, int], float] = {}
+    start = 0
+    for cls, class_scores, n in zip(config.classes, scores, num_truth):
         # series in id order, each in rank order: a stable descending sort
         # then breaks score ties by series id, then by rank
-        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-        for tol in config.tolerances:
-            flags = [
-                f for ranked_steps, free in series for f in _greedy(ranked_steps, free, tol)[0]
-            ]
-            table[(cls, tol)] = average_precision([flags[i] for i in order], num_truth)
+        order = np.argsort(-np.array(class_scores, dtype=np.float64), kind="stable")
+        aps = _average_precisions(flags[:, start + order], n).tolist()
+        table.update(zip([(cls, tol) for tol in config.tolerances], aps))
+        start += len(class_scores)
     return table
 
 

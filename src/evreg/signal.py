@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +31,7 @@ class SmoothingParams:
 
     def __post_init__(self):
         if self.sigma is not None:
-            if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            if not (is_real(self.sigma) and math.isfinite(self.sigma) and self.sigma >= 0):
                 raise InvalidSpec(f"sigma={self.sigma}, expected nonnegative or None")
 
 
@@ -52,6 +53,11 @@ class Peak(NamedTuple):
     index: int
     height: float
     prominence: float
+
+
+def is_real(value) -> bool:
+    """True for a real number (numbers.Real) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
 def _check_spacing(value, name: str) -> None:
@@ -130,45 +136,93 @@ def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
 
 
 def check_min_height(min_height) -> None:
-    """InvalidSpec unless min_height is None or a finite number."""
-    try:
-        finite = min_height is None or math.isfinite(min_height)
-    except TypeError:
-        finite = False
-    if not finite:
+    """InvalidSpec unless min_height is None or a finite real number that is
+    not a bool."""
+    if not (min_height is None or (is_real(min_height) and math.isfinite(min_height))):
         raise InvalidSpec(f"min_height={min_height}, expected finite or None")
 
 
-def _spaced_peaks(arr: np.ndarray, min_distance: int, min_height: float | None) -> list[int]:
-    """Ascending indices of the peaks find_peaks keeps in a checked 1-D arr.
+# Priority rounds _spaced_peaks runs before its sequential loop decides the
+# rest.  A round settles every candidate that outranks its undecided
+# neighbours, which on decoded outputs is nearly all of them within a few
+# rounds; but a staircase of rising peaks settles only its top one per round,
+# and rounds past a handful cost more than the loop they would save.
+_SPACING_ROUNDS = 8
+
+
+def _spaced_peaks(arr: np.ndarray, min_distance: int, min_height: float | None) -> np.ndarray:
+    """Ascending flat indices of the peaks find_peaks keeps in each row of a
+    checked 2-D arr (row r's are those in [r n, (r + 1) n)).
 
     Plateau runs, the min_height gate and the greedy spacing follow
-    find_peaks; heights and prominences are not computed.
+    find_peaks row by row; heights and prominences are not computed.
     """
-    n = len(arr)
-    if n < 3:
-        return []
+    n = arr.shape[1]
+    if n < 3 or not arr.size:
+        return np.empty(0, dtype=np.intp)
+    flat = arr.ravel()
 
-    # runs of equal samples; a run is a peak when both neighbouring runs are
-    # strictly lower, so the first and last runs never are
-    starts = np.flatnonzero(np.r_[True, arr[1:] != arr[:-1]])
-    ends = np.append(starts[1:] - 1, n - 1)
-    vals = arr[starts]
-    inner = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
-    candidates = (starts[1:-1][inner] + ends[1:-1][inner]) // 2
+    # runs of equal samples, each within one row; a run is a peak when both
+    # neighbouring runs of its row are strictly lower, so the first and last
+    # runs of a row never are
+    new_run = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
+    new_run[::n] = True
+    starts = np.flatnonzero(new_run)
+    vals = flat[starts]
+    peak = np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])) + 1
+    first, last = starts[peak], starts[peak + 1] - 1
+    inside = (first % n != 0) & (last % n != n - 1)
+    candidates = (first[inside] + last[inside]) // 2
 
     if min_height is not None:
-        candidates = candidates[arr[candidates] >= min_height]
+        candidates = candidates[flat[candidates] >= min_height]
 
-    # kept stays sorted, so only the two kept peaks around c can be too close
-    kept: list[int] = []
-    for c in candidates[np.lexsort((candidates, -arr[candidates]))].tolist():
-        pos = bisect.bisect_left(kept, c)
-        if (pos == 0 or c - kept[pos - 1] >= min_distance) and (
-            pos == len(kept) or kept[pos] - c >= min_distance
+    # Greedy spacing takes candidates by height descending, then index
+    # ascending, and keeps each unless a kept one lies within min_distance.
+    # pos shifts each row min_distance past the one before, so candidates
+    # of different rows are never within reach of each other.
+    heights = flat[candidates]
+    pos = candidates + candidates // n * min_distance
+    kept = np.zeros(len(candidates), dtype=bool)
+    # A round keeps each undecided candidate that outranks every undecided
+    # one within reach, and drops the undecided within reach of those it
+    # keeps.  The sequential order would have decided them the same way, and
+    # no kept candidate is then within reach of an undecided one.
+    undecided = np.arange(len(candidates))
+    for _ in range(_SPACING_ROUNDS):
+        if not undecided.size:
+            break
+        p, h = pos[undecided], heights[undecided]
+        best = np.ones(len(p), dtype=bool)
+        reach = []
+        # the pairs k apart in pos order, the earlier outranking the later on
+        # a tie; once none of them is within reach, no pair further apart is
+        for k in range(1, len(p)):
+            close = p[k:] - p[:-k] < min_distance
+            if not close.any():
+                break
+            best[:-k] &= ~close | (h[:-k] >= h[k:])
+            best[k:] &= ~close | (h[k:] > h[:-k])
+            reach.append(close)
+        decided = best.copy()
+        for k, close in enumerate(reach, 1):
+            decided[k:] |= close & best[:-k]
+            decided[:-k] |= close & best[k:]
+        kept[undecided[best]] = True
+        undecided = undecided[~decided]
+
+    # the sequential loop over what the rounds left undecided; its kept list
+    # stays sorted, so only the two kept around c can be too close
+    done: list[int] = []
+    for c in pos[undecided[np.argsort(-heights[undecided], kind="stable")]].tolist():
+        at = bisect.bisect_left(done, c)
+        if (at == 0 or c - done[at - 1] >= min_distance) and (
+            at == len(done) or done[at] - c >= min_distance
         ):
-            kept.insert(pos, c)
-    return kept
+            done.insert(at, c)
+    kept[np.searchsorted(pos, done)] = True
+    return candidates[kept]
 
 
 def find_peaks(
@@ -188,18 +242,18 @@ def find_peaks(
     over each descent, and subtract the higher of the two minima from the
     peak height.  Boundaries act as valleys.
 
-    min_distance must be an integer >= 1 (not a bool) and min_height finite
-    or None, else InvalidSpec.  Returns peaks ordered by ascending index.
+    min_distance must be an integer >= 1 and min_height finite or None,
+    neither of them a bool, else InvalidSpec.  Returns peaks ordered by
+    ascending index.
     """
     arr = _check_finite_1d(x, "x")
     _check_spacing(min_distance, "min_distance")
     check_min_height(min_height)
-    kept = _spaced_peaks(arr, min_distance, min_height)
-    if not kept:
+    peaks = _spaced_peaks(arr[None], min_distance, min_height)
+    if not peaks.size:
         return []
 
     n = len(arr)
-    peaks = np.array(kept, dtype=np.intp)
     heights = arr[peaks]
     # each descent runs from the peak to the nearest strictly higher sample
     # on that side (exclusive), or to the boundary; the (peaks, n) masks are
@@ -222,7 +276,7 @@ def find_peaks(
     prominences = heights - np.maximum(minima[0::4], minima[2::4])
     return [
         Peak(c, h, p)
-        for c, h, p in zip(kept, heights.tolist(), prominences.tolist())
+        for c, h, p in zip(peaks.tolist(), heights.tolist(), prominences.tolist())
     ]
 
 

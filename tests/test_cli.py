@@ -264,6 +264,19 @@ class TestDeterminism:
                      "fold0_trace.csv", "fold3_trace.csv"]:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["cv", "grid"])
+    def test_jobs_change_no_output_byte(self, tmp_path, capsys, command):
+        config = write_config(tmp_path / "config.yaml", grid={"mu": [0.5], "sigma": ["none", 1]})
+        written, printed = [], []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main([command, "--config", config, "--out", str(out), "--jobs", jobs]) == 0
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            written.append({p.relative_to(out): p.read_bytes() for p in files})
+            printed.append(capsys.readouterr().out.replace(str(out), "<out>"))
+        assert written[0] and written[0] == written[1]
+        assert printed[0] == printed[1]
+
     def test_seed_flag_changes_data(self, tmp_path):
         config = write_config(tmp_path / "config.yaml")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

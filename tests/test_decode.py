@@ -37,6 +37,25 @@ class TestDecodeParams:
         with pytest.raises(InvalidSpec, match="min_height=high, expected finite or None"):
             DecodeParams(alpha=5, min_height="high")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("mu", "x", "mu=x, expected in"),
+        ("mu", True, "mu=True, expected in"),
+        ("mu", np.True_, "mu=True, expected in"),
+        ("mu", float("nan"), "mu=nan, expected in"),
+        ("sigma", "x", "sigma=x, expected nonnegative or None"),
+        ("sigma", True, "sigma=True, expected nonnegative or None"),
+        ("min_height", True, "min_height=True, expected finite or None"),
+        ("min_height", np.False_, "min_height=False, expected finite or None"),
+    ])
+    def test_bools_and_non_numbers_raise_invalid_spec(self, field, value, message):
+        with pytest.raises(InvalidSpec, match=message):
+            DecodeParams(alpha=1, **{field: value})
+
+    def test_numpy_numbers_are_accepted(self):
+        params = DecodeParams(alpha=np.int64(2), mu=np.float32(0.25), sigma=np.int64(3),
+                              min_height=np.float64(0.1))
+        assert (params.mu, params.sigma, params.min_height) == (0.25, 3, 0.1)
+
     @pytest.mark.parametrize("alpha", [True, np.True_, 2.0, 0, np.int64(0)])
     def test_alpha_follows_the_find_peaks_spacing_rule(self, alpha):
         with pytest.raises(InvalidSpec, match=f"alpha={alpha}, expected integer >= 1"):

@@ -13,7 +13,13 @@ from evreg import experiment
 from evreg import signal as signal_module
 from evreg.config import OBJECTIVES, config_from_mapping
 from evreg.data import save_events, save_series, synth_generate, SynthConfig
-from evreg.decode import decode_points, decode_regression, decode_seg_peaks, decode_seg_threshold
+from evreg.decode import (
+    decode_points,
+    decode_points_batch,
+    decode_regression,
+    decode_seg_peaks,
+    decode_seg_threshold,
+)
 from evreg.errors import InvalidConfig, InvalidEvents, IoError, TooFewSeries
 from evreg.experiment import (
     GridResult,
@@ -261,12 +267,29 @@ class TestDecodeOutputs:
         assert sorted(decoded) == sorted(outputs)
         assert any(d.onsets for d in decoded.values())
 
+    @pytest.mark.parametrize("objective", list(OBJECTIVES))
+    def test_series_of_two_lengths_decode_as_alone(self, objective):
+        # a peak route picks the series of each length in one call
+        config = make_config(objective, decode={"alpha": 4, "sigma": 1.5})
+        outputs, _ = synthetic_outputs(config)
+        outputs = {
+            sid: y[:, :97] if i % 2 else y for i, (sid, y) in enumerate(sorted(outputs.items()))
+        }
+        assert {y.shape[1] for y in outputs.values()} == {97, 128}
+        decoded = decode_outputs(outputs, config, config.decode)
+        assert list(decoded) == sorted(outputs)
+        for sid, y in outputs.items():
+            assert decoded[sid] == decode_outputs({sid: y}, config, config.decode)[sid]
+        assert any(d.onsets for d in decoded.values())
+
 
 def test_new_objective_is_one_table_entry(monkeypatch):
     # a cpd variant that always smooths before peak picking
     smoothed = replace(
         OBJECTIVES["cpd"],
-        decode=lambda y, params, _: [decode_points(y[0], replace(params, sigma=2.0))],
+        decode=lambda ys, params, _: [
+            decode_points_batch([y[0] for y in ys], replace(params, sigma=2.0))
+        ],
     )
     monkeypatch.setitem(OBJECTIVES, "cpd_smoothed", smoothed)
     config = make_config("cpd_smoothed")
@@ -654,8 +677,8 @@ def test_grid_decodes_through_the_record(monkeypatch):
     segmentation = OBJECTIVES["segmentation"]
     smoothed = replace(
         segmentation,
-        decode=lambda y, params, mus: segmentation.decode(
-            y, replace(params, sigma=3.0), mus
+        decode=lambda ys, params, mus: segmentation.decode(
+            ys, replace(params, sigma=3.0), mus
         ),
     )
     monkeypatch.setitem(OBJECTIVES, "segmentation_smoothed", smoothed)

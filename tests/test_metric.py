@@ -87,6 +87,86 @@ def pooled_edap_table_oracle(pred, truth, config):
     return table
 
 
+def loop_average_precision(flags, num_truth):
+    """average_precision as a running sum of the precision at each TP."""
+    tp, total = 0, 0.0
+    for i, flag in enumerate(flags):
+        if flag:
+            tp += 1
+            total += tp / (i + 1)
+    return total / num_truth
+
+
+def loop_edap_table_oracle(pred, truth, config):
+    """pooled_edap_table_oracle on the loop oracles alone: every prediction
+    of every series matched through match_events_oracle, AP as a running sum."""
+    table = {}
+    for cls in config.classes:
+        num_truth = sum(len(t.by_class(cls)) for t in truth.values())
+        for tol in config.tolerances:
+            pooled = []
+            for sid in sorted(truth):
+                p = pred[sid].by_class(cls) if sid in pred else ()
+                flags, scores, _ = match_events_oracle(p, truth[sid].by_class(cls), tol)
+                pooled += [(v, sid, rank, f) for rank, (v, f) in enumerate(zip(scores, flags))]
+            pooled.sort(key=lambda r: (-r[0], r[1], r[2]))
+            table[(cls, tol)] = loop_average_precision([r[3] for r in pooled], num_truth)
+    return table
+
+
+# steps where float64 no longer holds every integer (2**53 on), past int64
+# (2**63 on) and past the float range (10**400)
+HUGE_BASES = [0, 2**53 - 3, 2**63 - 2, 2**63, 2**64 + 1, 10**30, 10**400]
+
+
+class TestHugeSteps:
+    @pytest.mark.parametrize("base", HUGE_BASES)
+    @pytest.mark.parametrize("tol", [0, 1, 2, 5])
+    def test_match_events_matches_the_loop(self, base, tol):
+        pred = [(base + d, v) for d, v in [(0, 0.3), (1, 0.9), (3, 0.5), (4, 0.8), (9, 0.1)]]
+        truth = [base + d for d in (2, 3, 7)]
+        flags, scores, unmatched = match_events_oracle(pred, truth, tol)
+        result = match_events(pred, truth, tol)
+        assert result == metric.MatchResult(tuple(flags), tuple(scores), unmatched)
+
+    @pytest.mark.parametrize("base", HUGE_BASES)
+    def test_edap_table_matches_the_loop(self, base):
+        pred = {
+            "a": ScoredEvents(onsets=((base + 1, 0.9), (base + 2, 0.5), (base + 6, 0.7))),
+            "b": ScoredEvents(onsets=((base, 0.7), (base + 12, 0.6))),
+        }
+        truth = {
+            "a": EventSet("a", POINT, (PointEvent(base + 2), PointEvent(base + 5))),
+            "b": EventSet("b", POINT, (PointEvent(base + 3),)),
+            "c": EventSet("c", POINT, (PointEvent(base + 1),)),
+        }
+        config = EdapConfig(tolerances=(1, 2, 3, 12), classes=("point",))
+        assert edap_table(pred, truth, config) == loop_edap_table_oracle(pred, truth, config)
+
+    def test_rounding_steps_are_still_told_apart(self):
+        # 2**53 + 1 and 2**53 + 3 round to 2**53 and 2**53 + 4 as floats
+        base = 2**53
+        result = match_events([(base + 1, 0.9), (base + 4, 0.5)], [base + 3], 1)
+        assert result.flags == (False, True) and result.unmatched_truth == 0
+        result = match_events([(base + 1, 0.9)], [base + 3], 1)
+        assert result.flags == (False,) and result.unmatched_truth == 1
+
+    @given(
+        st.sampled_from(HUGE_BASES),
+        st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.0, 0.25, 0.5, 1.0]))),
+        st.lists(st.integers(0, 40), max_size=8),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_match_events_property(self, base, pred, truth, tol):
+        pred = [(base + s, v) for s, v in pred]
+        truth = [base + t for t in truth]
+        flags, scores, unmatched = match_events_oracle(pred, truth, tol)
+        assert match_events(pred, truth, tol) == metric.MatchResult(
+            tuple(flags), tuple(scores), unmatched
+        )
+
+
 class TestMatchEvents:
     def test_exact_hit(self):
         r = match_events([(100, 0.9)], [100], 10)
@@ -257,6 +337,13 @@ class TestAveragePrecision:
         with pytest.raises(EmptyTruth):
             average_precision([], 0)
 
+    @given(st.lists(st.booleans(), max_size=300), st.integers(1, 400))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_the_running_sum(self, flags, num_truth):
+        got = average_precision(flags, num_truth)
+        want = loop_average_precision(flags, num_truth)
+        assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+
 
 def single_series(pred_pairs, truth_steps):
     """Build one-series mappings for point-class scoring."""
@@ -354,10 +441,14 @@ class TestEdap:
         monkeypatch.setattr(metric, "_ranked", counting_rank)
         monkeypatch.setattr(metric, "_greedy", counting_greedy)
         assert edap_table(pred, truth, config) == expected
-        # series a's onsets are ranked once and matched once per tolerance;
-        # no empty set (b's classes, c, a's offsets) is ranked or matched
+        # series a's onsets are ranked once, and at each tolerance the steps
+        # with a truth step within it are matched once: 85 is 5 steps from
+        # 80, so tol 1 matches 11 alone; no empty set (b's classes, c, a's
+        # offsets) is ranked or matched
         assert ranked == [((11, 0.9), (85, 0.4))]
-        assert matched == [((11, 85), (10, 80), tol) for tol in (1, 5, 20)]
+        assert matched == [
+            ((11,), (10, 80), 1), ((11, 85), (10, 80), 5), ((11, 85), (10, 80), 20),
+        ]
 
     def test_duplicate_lower_scored_prediction_never_raises_ap(self):
         pred, truth = single_series([(100, 0.9)], [100, 200])

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_peaks, dense_smooth_oracle, window_contrast_oracle
+from evreg import signal
 from evreg.errors import InvalidSpec, NonFiniteInput
 from evreg.config import DEFAULT_GRID_SIGMA
 from evreg.signal import (
@@ -30,6 +31,11 @@ class TestGaussianSmooth:
         out = gaussian_smooth(x, SmoothingParams(sigma=None))
         np.testing.assert_array_equal(out, x)
         assert out is not x  # a copy, not the same buffer
+
+    @pytest.mark.parametrize("sigma", ["x", True, np.True_, float("nan"), -1.0, [1.0]])
+    def test_sigma_must_be_a_nonnegative_number(self, sigma):
+        with pytest.raises(InvalidSpec, match="sigma=.*expected nonnegative or None"):
+            SmoothingParams(sigma)
 
     def test_sigma_zero_is_identity(self):
         x = np.array([1.0, -2.0, 3.5])
@@ -328,10 +334,12 @@ class TestFindPeaks:
         # few distinct values: plateaus, height ties and +-0.0 ties are common
         x = np.array(values, dtype=np.float64)
         assert [p.index for p in find_peaks(x, min_distance, min_height)] == _spaced_peaks(
-            x, min_distance, min_height
-        )
+            x[None], min_distance, min_height
+        ).tolist()
 
-    @pytest.mark.parametrize("min_height", [float("nan"), float("inf"), -np.inf, "1", [1.0]])
+    @pytest.mark.parametrize(
+        "min_height", [float("nan"), float("inf"), -np.inf, "1", [1.0], True, False, np.True_]
+    )
     def test_min_height_must_be_finite_or_none(self, min_height):
         with pytest.raises(InvalidSpec, match="min_height=.*expected finite or None"):
             find_peaks(np.array([0.0, 1.0, 0.0]), 1, min_height)
@@ -344,6 +352,74 @@ class TestFindPeaks:
     def test_numpy_integer_min_distance_and_height(self):
         x = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
         assert find_peaks(x, np.int64(3), np.float64(0.5)) == [Peak(3, 2.0, 2.0)]
+
+
+def row_peaks(kept, rows: int, n: int) -> list[list[int]]:
+    """Flat _spaced_peaks indices as the list of each row's indices."""
+    return [[int(k) - r * n for k in kept if r * n <= k < (r + 1) * n] for r in range(rows)]
+
+
+def brute_force_rows(x, min_distance, min_height=None) -> list[list[int]]:
+    return [[c for c, _, _ in brute_force_peaks(row, min_distance, min_height)] for row in x]
+
+
+class TestSpacedPeaksRows:
+    """_spaced_peaks on several rows at once keeps each row's find_peaks indices."""
+
+    @pytest.mark.parametrize("rounds", [0, 1, signal._SPACING_ROUNDS])
+    @given(
+        st.integers(1, 4).flatmap(lambda rows: st.lists(
+            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]), min_size=12, max_size=12),
+            min_size=rows, max_size=rows,
+        )),
+        st.integers(1, 9),
+        st.sampled_from([None, -0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_brute_force(self, rounds, rows, min_distance, min_height):
+        # few distinct values: plateaus, height ties and +-0.0 ties are
+        # common, and with rounds 0 the sequential loop decides every peak
+        x = np.array(rows, dtype=np.float64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(signal, "_SPACING_ROUNDS", rounds)
+            kept = _spaced_peaks(x, min_distance, min_height)
+        assert row_peaks(kept, *x.shape) == brute_force_rows(x, min_distance, min_height)
+
+    def test_plateau_running_across_a_row_end(self):
+        # flat, 2 2 | 2 2 would be one plateau with lower runs on both sides
+        x = np.array([[0.0, 1.0, 2.0, 2.0], [2.0, 2.0, 1.0, 0.0]])
+        assert _spaced_peaks(x, 1, None).size == 0
+        assert brute_force_rows(x, 1) == [[], []]
+
+    def test_row_ending_on_a_rise(self):
+        # 3 ends row 0 and row 1 starts lower: the run touches a row end
+        x = np.array([[0.0, 2.0, 0.0, 1.0, 3.0], [0.0, 1.0, 0.0, 0.5, 0.0]])
+        assert row_peaks(_spaced_peaks(x, 1, None), 2, 5) == [[1], [1, 3]]
+        assert brute_force_rows(x, 1) == [[1], [1, 3]]
+
+    def test_min_height_gates_every_row(self):
+        x = np.array([[0.0, 0.4, 0.0, 0.6, 0.0], [0.0, 0.7, 0.0, 0.3, 0.0]])
+        assert row_peaks(_spaced_peaks(x, 1, 0.5), 2, 5) == [[3], [1]]
+        assert brute_force_rows(x, 1, 0.5) == [[3], [1]]
+
+    def test_spacing_never_reaches_across_rows(self):
+        # row 1's peak is 3 flat samples after row 0's last, within 6
+        x = np.array([[0.0, 1.0, 0.0, 0.0, 0.0, 3.0, 0.0], [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        assert row_peaks(_spaced_peaks(x, 6, None), 2, 7) == [[5], [1]]
+
+    @pytest.mark.parametrize("rounds", [0, signal._SPACING_ROUNDS, 10**6])
+    def test_rising_staircase_beyond_the_round_cap(self, rounds):
+        # each round keeps only the highest undecided step of the staircase
+        # and drops the two below it, so it needs about a third as many
+        # rounds as it has peaks: far more than the cap
+        peaks = 30 * signal._SPACING_ROUNDS
+        x = np.zeros((2, 2 * peaks + 1))
+        x[0, 1::2] = np.arange(peaks)
+        x[1, 1::2] = np.arange(peaks)[::-1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(signal, "_SPACING_ROUNDS", rounds)
+            kept = _spaced_peaks(x, 5, None)
+        assert row_peaks(kept, *x.shape) == brute_force_rows(x, 5)
 
 
 class TestWindowConvolve:
