@@ -28,6 +28,7 @@ from .decode import (
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, InvalidSpec
 from .metric import EdapConfig
 from .model import ModelConfig, TrainConfig
+from .signal import SmoothingParams
 from .targets import PdfSpec, encode_cpd, encode_regression, encode_segmentation
 from .types import INTERVAL, POINT, EventSet
 
@@ -128,6 +129,8 @@ class GridSpec:
             raise InvalidConfig(
                 f"grid sigma values must be finite and positive or None, got {self.sigma}"
             )
+        for s in self.sigma:
+            SmoothingParams(s)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,12 @@ routes read only the indices find_peaks keeps (signal._spaced_peaks), never
 its heights or prominences.
 
 Each decoder has a *_batch form that decodes a list of series; the
-one-series decoder is its one-item case.  A peak batch smooths each channel
-on its own, then picks the peaks of all channels of one length in a single
-_spaced_peaks call.
+one-series decoder is its one-item case.  A batch smooths each channel on
+its own, then treats the channels of one length as one 2-D array: a peak
+batch picks their peaks in a single _spaced_peaks call, the threshold sweep
+finds the crossings of every (mu, channel) in one comparison.  Records are
+built with ScoredEvents._trusted, since every pair comes from checked
+arrays in ascending step order.
 """
 
 from __future__ import annotations
@@ -59,6 +62,23 @@ class DecodeParams:
         check_min_height(self.min_height)
 
 
+def _by_length(rows: list[np.ndarray]) -> dict[int, list[int]]:
+    """The indices of rows, grouped by row length in first-seen order."""
+    groups: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(len(row), []).append(i)
+    return groups
+
+
+def _pairs_per_cell(
+    flat: np.ndarray, cells: int, width: int, steps: list, values: list
+) -> list[tuple[tuple[int, float], ...]]:
+    """The (step, value) pairs at the ascending flat indices, split into
+    cells of width consecutive indices each."""
+    bounds = np.searchsorted(flat, np.arange(cells + 1) * width).tolist()
+    return [tuple(zip(steps[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 def _scored_peaks(
     located: list[np.ndarray], scores: list[np.ndarray], min_distance: int, min_height
 ) -> list[tuple[tuple[int, float], ...]]:
@@ -68,16 +88,12 @@ def _scored_peaks(
     The rows of one length are picked in one _spaced_peaks call.
     """
     out: list[tuple[tuple[int, float], ...]] = [()] * len(located)
-    by_length: dict[int, list[int]] = {}
-    for i, row in enumerate(located):
-        by_length.setdefault(len(row), []).append(i)
-    for n, members in by_length.items():
+    for n, members in _by_length(located).items():
         kept = _spaced_peaks(np.stack([located[i] for i in members]), min_distance, min_height)
         values = np.stack([scores[i] for i in members]).ravel()[kept].tolist()
-        steps = (kept % n).tolist()
-        bounds = np.searchsorted(kept, np.arange(len(members) + 1) * n).tolist()
-        for i, a, b in zip(members, bounds, bounds[1:]):
-            out[i] = tuple(zip(steps[a:b], values[a:b]))
+        picked = _pairs_per_cell(kept, len(members), n, (kept % n).tolist(), values)
+        for i, pairs in zip(members, picked):
+            out[i] = pairs
     return out
 
 
@@ -104,7 +120,7 @@ def decode_regression_batch(
             )
     picked = _pick_channels(ys_on + ys_off, params)
     return [
-        ScoredEvents(onsets=on, offsets=off)
+        ScoredEvents._trusted(on, off)
         for on, off in zip(picked[: len(ys_on)], picked[len(ys_on) :])
     ]
 
@@ -124,7 +140,7 @@ def decode_regression(
 def decode_points_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
     """decode_points of each channel in ys."""
     picked = _pick_channels([np.asarray(y, dtype=np.float64) for y in ys], params)
-    return [ScoredEvents(onsets=onsets) for onsets in picked]
+    return [ScoredEvents._trusted(onsets) for onsets in picked]
 
 
 def decode_points(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
@@ -160,28 +176,52 @@ def decode_seg_threshold(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
 
 def sweep_seg_threshold(y: np.ndarray, mus: tuple, params: DecodeParams) -> list[ScoredEvents]:
     """decode_seg_threshold at each mu in mus (params.mu is unread), smoothing y once."""
-    arr = _check_probability(y)
-    smoothed = gaussian_smooth(arr, SmoothingParams(params.sigma))
-    score = np.abs(window_convolve(smoothed, WindowParams(params.alpha)))
-    before, after = smoothed[:-1], smoothed[1:]
-    out = []
-    for mu in mus:
-        up = np.flatnonzero((before < mu) & (after > mu)) + 1
-        down = np.flatnonzero((before > mu) & (after < mu)) + 1
-        out.append(ScoredEvents(
-            onsets=list(zip(up.tolist(), score[up].tolist())),
-            offsets=list(zip(down.tolist(), score[down].tolist())),
-        ))
-    return out
+    return [per_mu[0] for per_mu in sweep_seg_threshold_batch([y], mus, params)]
+
+
+# largest (mus x rows x steps) crossing mask sweep_seg_threshold_batch builds at once
+_CROSSING_CELLS = 1 << 22
 
 
 def sweep_seg_threshold_batch(
     ys: list[np.ndarray], mus: tuple, params: DecodeParams
 ) -> list[list[ScoredEvents]]:
     """sweep_seg_threshold of each probability sequence in ys, as one list of
-    series per mu."""
-    swept = [sweep_seg_threshold(y, mus, params) for y in ys]
-    return [[per_mu[i] for per_mu in swept] for i in range(len(mus))]
+    series per mu.
+
+    Each sequence is smoothed and scored on its own.  The smoothed sequences
+    of one length are stacked into S (rows, n), and one comparison of its
+    adjacent samples against every mu finds the onsets and offsets of each
+    (mu, row), in blocks of mus of at most _CROSSING_CELLS mask cells.
+    """
+    smoothing, window = SmoothingParams(params.sigma), WindowParams(params.alpha)
+    smoothed = [gaussian_smooth(_check_probability(y), smoothing) for y in ys]
+    scores = [np.abs(window_convolve(s, window)) for s in smoothed]
+    empty = ScoredEvents._trusted(())
+    out = [[empty] * len(ys) for _ in mus]
+    thresholds = np.asarray(mus, dtype=np.float64)
+    for n, members in _by_length(smoothed).items():
+        if n < 2:
+            continue
+        rows, pairs = len(members), n - 1
+        stacked = np.stack([smoothed[i] for i in members])
+        before, after = stacked[:, :-1], stacked[:, 1:]
+        score = np.stack([scores[i] for i in members]).ravel()
+        block = max(1, _CROSSING_CELLS // stacked.size)
+        for k0 in range(0, len(mus), block):
+            mu = thresholds[k0 : k0 + block, None, None]
+            cells = len(mu) * rows
+            found = []
+            # cell c = (mu offset) * rows + row; its pair t fires at step t + 1
+            for mask in ((before < mu) & (after > mu), (before > mu) & (after < mu)):
+                flat = np.flatnonzero(mask)
+                cell, t = np.divmod(flat, pairs)
+                values = score[(cell % rows) * n + t + 1].tolist()
+                found.append(_pairs_per_cell(flat, cells, pairs, (t + 1).tolist(), values))
+            for c, (onsets, offsets) in enumerate(zip(*found)):
+                k, r = divmod(c, rows)
+                out[k0 + k][members[r]] = ScoredEvents._trusted(onsets, offsets)
+    return out
 
 
 def decode_seg_peaks_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
@@ -194,7 +234,7 @@ def decode_seg_peaks_batch(ys: list[np.ndarray], params: DecodeParams) -> list[S
     # onsets are the peaks of each contrast, offsets those of its negation
     picked = _scored_peaks(contrasts + [-c for c in contrasts], scores + scores, params.alpha, None)
     return [
-        ScoredEvents(onsets=on, offsets=off)
+        ScoredEvents._trusted(on, off)
         for on, off in zip(picked[: len(ys)], picked[len(ys) :])
     ]
 

@@ -11,6 +11,7 @@ import bisect
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,20 +20,34 @@ import numpy as np
 from .errors import InvalidSpec, NonFiniteInput
 
 
+# Largest kernel radius ceil(4 sigma) SmoothingParams accepts, so sigma <=
+# 2**18.  _folded_kernel builds all 2 radius + 1 taps before it folds them:
+# at this bound, 16 MiB of float64 taps and as much again in indices.
+MAX_SMOOTHING_RADIUS = 1 << 20
+
+
 @dataclass(frozen=True)
 class SmoothingParams:
     """Gaussian smoothing configuration.
 
     sigma is the kernel standard deviation in steps; None (or 0) disables
-    smoothing.  The kernel radius is ceil(4 * sigma).
+    smoothing.  The kernel radius is ceil(4 * sigma), at most
+    MAX_SMOOTHING_RADIUS.
     """
 
     sigma: float | None = None
 
     def __post_init__(self):
         if self.sigma is not None:
-            if not (is_real(self.sigma) and math.isfinite(self.sigma) and self.sigma >= 0):
+            # compared, not converted: float() of a huge int overflows
+            if not (is_real(self.sigma) and 0 <= self.sigma < math.inf):
                 raise InvalidSpec(f"sigma={self.sigma}, expected nonnegative or None")
+            # ceil(4 sigma) > R exactly when sigma > R / 4, an exact float
+            if self.sigma > MAX_SMOOTHING_RADIUS / 4:
+                raise InvalidSpec(
+                    f"sigma={self.sigma}: kernel radius ceil(4 sigma) exceeds "
+                    f"MAX_SMOOTHING_RADIUS={MAX_SMOOTHING_RADIUS}"
+                )
 
 
 @dataclass(frozen=True)
@@ -136,9 +151,13 @@ def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
 
 
 def check_min_height(min_height) -> None:
-    """InvalidSpec unless min_height is None or a finite real number that is
-    not a bool."""
-    if not (min_height is None or (is_real(min_height) and math.isfinite(min_height))):
+    """InvalidSpec unless min_height is None or a real number that is not a
+    bool and lies within the float range (so neither NaN nor inf).
+
+    It is compared, not converted: float() of a huge int overflows.
+    """
+    largest = sys.float_info.max
+    if not (min_height is None or (is_real(min_height) and -largest <= min_height <= largest)):
         raise InvalidSpec(f"min_height={min_height}, expected finite or None")
 
 

@@ -293,6 +293,27 @@ class ScoredEvents:
             if steps != sorted(steps):
                 raise InvalidEvents(f"{name} must be sorted by step")
 
+    @classmethod
+    def _trusted(cls, onsets, offsets=()) -> "ScoredEvents":
+        """The record of pairs a decoder built, set without the checks above.
+
+        Only the decoders of decode.py call it.  Their pairs already hold
+        what __post_init__ checks:
+
+        * each step is a Python int taken from sorted intp indices, each
+          below the series length;
+        * each score is a Python float taken from an array already checked
+          finite (decode._check_probability and signal._check_finite_1d);
+        * the pairs of each slot are in ascending step order.
+
+        The record then equals, hashes, pickles and saves as
+        ScoredEvents(onsets, offsets) does.
+        """
+        record = object.__new__(cls)
+        object.__setattr__(record, "onsets", tuple(onsets))
+        object.__setattr__(record, "offsets", tuple(offsets))
+        return record
+
     def __len__(self) -> int:
         return len(self.onsets) + len(self.offsets)
 

@@ -443,6 +443,9 @@ class TestExitCodes:
         (("seg_method",), "peaks", "unknown top-level key 'seg_method'"),
         # YAML true is a bool, not the count 1
         (("decode", "alpha"), True, "decode.alpha: expected a number, got True"),
+        # a kernel this wide would take gigabytes before it is folded
+        (("decode", "sigma"), 1e8, "exceeds MAX_SMOOTHING_RADIUS"),
+        (("grid",), {"sigma": [1.0, 1e8]}, "exceeds MAX_SMOOTHING_RADIUS"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, keys, value, message):
         doc = config_doc()

@@ -6,13 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import window_contrast_oracle
+from evreg import decode
 from evreg.decode import (
     DecodeParams,
     decode_points,
+    decode_points_batch,
     decode_regression,
+    decode_regression_batch,
     decode_seg_peaks,
+    decode_seg_peaks_batch,
     decode_seg_threshold,
     sweep_seg_threshold,
+    sweep_seg_threshold_batch,
 )
 from evreg.errors import InvalidProbability, InvalidSpec, LengthMismatch, NonFiniteInput
 from evreg.signal import (
@@ -46,6 +51,9 @@ class TestDecodeParams:
         ("sigma", True, "sigma=True, expected nonnegative or None"),
         ("min_height", True, "min_height=True, expected finite or None"),
         ("min_height", np.False_, "min_height=False, expected finite or None"),
+        # a huge int is compared, never converted to float (OverflowError)
+        pytest.param("min_height", 10**400, "expected finite or None", id="huge-min-height"),
+        pytest.param("sigma", 10**400, "exceeds MAX_SMOOTHING_RADIUS", id="huge-sigma"),
     ])
     def test_bools_and_non_numbers_raise_invalid_spec(self, field, value, message):
         with pytest.raises(InvalidSpec, match=message):
@@ -348,3 +356,63 @@ class TestDecodeSegPeaks:
             crossings = decode_seg_threshold(y, params)
             assert len(peaks.onsets) == len(crossings.onsets) == 1
             assert len(peaks.offsets) == len(crossings.offsets) == 0
+
+
+def assert_trusted_record(record, n):
+    """record holds what ScoredEvents._trusted relies on for a series of n
+    steps, and equals the record the public constructor checks."""
+    assert record == ScoredEvents(onsets=list(record.onsets), offsets=list(record.offsets))
+    for pairs in (record.onsets, record.offsets):
+        assert all(type(s) is int and 0 <= s < n and type(v) is float for s, v in pairs)
+
+
+MU_VALUES = [0.0, 0.25, 0.5, 0.75, 1.0]
+# rows of mixed lengths, 0 to 2 among them; a constant row on a mu only
+# touches it, which never fires
+batch_rows = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(MU_VALUES), max_size=24),
+        st.builds(lambda v, n: [v] * n, st.sampled_from(MU_VALUES), st.integers(1, 24)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestBatchRecords:
+    @given(batch_rows, decode_params, st.lists(st.sampled_from(MU_VALUES), max_size=6))
+    @example([[0.5, 0.5], [1.0], [0.0, 1.0, 0.0, 1.0]], DecodeParams(alpha=1),
+             [0.0, 0.5, 1.0])
+    @example([[0.0] * 5, [1.0] * 5, [0.0, 1.0]], DecodeParams(alpha=2, sigma=0.7),
+             [1.0, 0.0, 0.25])
+    @settings(max_examples=200, deadline=None)
+    def test_every_record_equals_its_checked_twin(self, rows, params, mus):
+        ys = [np.array(row, dtype=np.float64) for row in rows]
+        swept = sweep_seg_threshold_batch(ys, tuple(mus), params)
+        assert len(swept) == len(mus)
+        cells = swept + [
+            decode_regression_batch(ys, [y[::-1] for y in ys], params),
+            decode_points_batch(ys, params),
+            decode_seg_peaks_batch(ys, params),
+        ]
+        for records in cells:
+            assert len(records) == len(ys)
+            for record, y in zip(records, ys):
+                assert_trusted_record(record, len(y))
+        # the stacked sweep finds each (mu, row) crossing as the per-sample scan does
+        for mu, records in zip(mus, swept):
+            at_mu = DecodeParams(params.alpha, mu, params.sigma)
+            for y, record in zip(ys, records):
+                onsets, offsets = threshold_loop_oracle(y, at_mu)
+                assert list(record.onsets) == onsets and list(record.offsets) == offsets
+
+    @pytest.mark.parametrize("cells", [1, 160])
+    def test_mu_blocks_give_the_one_block_result(self, monkeypatch, cells):
+        # the rows of length 40 make 80 mask cells per mu: blocks of 1 or 2 mus
+        rng = np.random.default_rng(3)
+        ys = [rng.integers(0, 5, size=n) / 4.0 for n in (40, 7, 40, 1)]
+        params = DecodeParams(alpha=2, sigma=1.0)
+        mus = (0.0, 0.25, 0.5, 0.6, 1.0)
+        whole = sweep_seg_threshold_batch(ys, mus, params)
+        monkeypatch.setattr(decode, "_CROSSING_CELLS", cells)
+        assert sweep_seg_threshold_batch(ys, mus, params) == whole

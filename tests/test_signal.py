@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from evreg.errors import InvalidSpec, NonFiniteInput
 from evreg.config import DEFAULT_GRID_SIGMA
 from evreg.signal import (
     _MASK_CELLS,
+    MAX_SMOOTHING_RADIUS,
     Peak,
     _folded_kernel,
     _spaced_peaks,
@@ -36,6 +38,19 @@ class TestGaussianSmooth:
     def test_sigma_must_be_a_nonnegative_number(self, sigma):
         with pytest.raises(InvalidSpec, match="sigma=.*expected nonnegative or None"):
             SmoothingParams(sigma)
+
+    def test_sigma_radius_is_bounded_before_any_kernel_is_built(self):
+        # 4 sigma is exact, so sigma = R / 4 has radius R, the largest allowed
+        SmoothingParams(MAX_SMOOTHING_RADIUS / 4)
+        tracemalloc.start()
+        try:
+            for sigma in (np.nextafter(MAX_SMOOTHING_RADIUS / 4, np.inf), 1e8, 1e308, 10**400):
+                with pytest.raises(InvalidSpec, match="exceeds MAX_SMOOTHING_RADIUS"):
+                    SmoothingParams(sigma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_sigma_zero_is_identity(self):
         x = np.array([1.0, -2.0, 3.5])

@@ -1,6 +1,12 @@
+import ast
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import evreg
+from evreg.data import load_scored_events, save_events
 from evreg.errors import (
     EmptySeries,
     EventOutOfRange,
@@ -253,3 +259,51 @@ class TestScoredEvents:
         assert se.by_class("point") == ((1, 0.5),)
         assert se.by_class("offset") == ((2, 0.25),)
         assert len(se) == 2
+
+
+class TestTrustedScoredEvents:
+    """ScoredEvents._trusted: decoder records set without the checks."""
+
+    onsets = ((1, 0.5), (4, -0.0), (9, 2.0))
+    offsets = ((2, 0.25),)
+
+    def test_equals_hashes_and_pickles_as_its_checked_twin(self):
+        trusted = ScoredEvents._trusted(self.onsets, self.offsets)
+        checked = ScoredEvents(onsets=list(self.onsets), offsets=list(self.offsets))
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert pickle.loads(pickle.dumps(trusted)) == checked
+        assert ScoredEvents._trusted(()) == ScoredEvents()
+
+    def test_survives_the_events_csv_round_trip(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        records = {
+            "a": ScoredEvents._trusted(self.onsets, self.offsets),
+            "b": ScoredEvents._trusted(()),
+        }
+        save_events(path, records)
+        assert load_scored_events(path) == records
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([(5, 1.0), (2, 1.0)], "must be sorted by step"),
+        ([(1, float("inf"))], r"\[0\]: score inf is not finite"),
+        ([(0, 0.5), (True, 0.5)], r"\[1\]: step True is not an integer"),
+    ])
+    @pytest.mark.parametrize("slot", ["onsets", "offsets"])
+    def test_public_constructor_keeps_every_check(self, slot, pairs, message):
+        with pytest.raises(InvalidEvents, match=message):
+            ScoredEvents(**{slot: pairs})
+
+
+def test_only_the_decoders_build_trusted_records():
+    # _trusted skips the checks, so only decode.py, whose pairs come from
+    # checked arrays, may name it
+    package = Path(evreg.__file__).parent
+    named = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "_trusted") or (
+                isinstance(node, ast.Name) and node.id == "_trusted"
+            ):
+                named.setdefault(path.relative_to(package).as_posix(), []).append(node.lineno)
+    assert "decode.py" in named
+    assert {name: lines for name, lines in named.items() if name != "decode.py"} == {}
