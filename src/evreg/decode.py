@@ -8,15 +8,16 @@ its heights or prominences.
 
 Each decoder has a *_batch form that decodes a list of series; the
 one-series decoder is its one-item case.  A batch smooths each channel on
-its own, then treats the channels of one length as one 2-D array: a peak
-batch picks their peaks in a single _spaced_peaks call, the threshold sweep
-finds the crossings of every (mu, channel) in one comparison.  Records are
+its own, then stacks the channels of one length into one 2-D array: a peak
+batch picks their peaks in a single _spaced_peaks call, and the threshold
+sweep compares the stacked rows with one mu at a time.  Records are
 built with ScoredEvents._trusted, since every pair comes from checked
 arrays in ascending step order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,13 @@ from .signal import (  # noqa: F401
 from .types import ScoredEvents
 
 
+def _checked_mu(mu) -> float:
+    """mu as a float if it is a real number in [0, 1], else InvalidSpec (NaN or a bool)."""
+    if not (is_real(mu) and 0.0 <= mu <= 1.0):
+        raise InvalidSpec(f"mu={mu}, expected in [0, 1]")
+    return float(mu)
+
+
 @dataclass(frozen=True)
 class DecodeParams:
     """Post-processing knobs shared by all decoders.
@@ -57,41 +65,44 @@ class DecodeParams:
     def __post_init__(self):
         WindowParams(self.alpha)
         SmoothingParams(self.sigma)
-        if not (is_real(self.mu) and 0.0 <= self.mu <= 1.0):
-            raise InvalidSpec(f"mu={self.mu}, expected in [0, 1]")
+        _checked_mu(self.mu)
         check_min_height(self.min_height)
 
 
-def _by_length(rows: list[np.ndarray]) -> dict[int, list[int]]:
-    """The indices of rows, grouped by row length in first-seen order."""
+def _by_length(rows: list[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(members, stacked) for each row length in first-seen order: the indices
+    of the rows of that length and those rows stacked into one 2-D array."""
     groups: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
         groups.setdefault(len(row), []).append(i)
-    return groups
+    for members in groups.values():
+        yield members, np.stack([rows[i] for i in members])
 
 
-def _pairs_per_cell(
-    flat: np.ndarray, cells: int, width: int, steps: list, values: list
+def _pairs_per_row(
+    flat: np.ndarray, rows: int, width: int, shift: int, values: np.ndarray
 ) -> list[tuple[tuple[int, float], ...]]:
-    """The (step, value) pairs at the ascending flat indices, split into
-    cells of width consecutive indices each."""
-    bounds = np.searchsorted(flat, np.arange(cells + 1) * width).tolist()
-    return [tuple(zip(steps[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
+    """The (step, score) pairs of each row, from ascending flat indices into
+    a (rows, width) array: index r * width + t is step t + shift of row r,
+    scored by values[r, t + shift]."""
+    row, steps = np.divmod(flat, width)
+    steps += shift
+    pairs = list(zip(steps.tolist(), values[row, steps].tolist()))
+    bounds = np.searchsorted(flat, np.arange(rows + 1) * width).tolist()
+    return [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _scored_peaks(
     located: list[np.ndarray], scores: list[np.ndarray], min_distance: int, min_height
 ) -> list[tuple[tuple[int, float], ...]]:
     """(index, score) pairs of the peaks _spaced_peaks keeps in each checked
-    1-D row of located, scored by the same row of scores.
-
-    The rows of one length are picked in one _spaced_peaks call.
-    """
+    1-D row of located, scored by the same row of scores; the rows of one
+    length are picked in one _spaced_peaks call."""
     out: list[tuple[tuple[int, float], ...]] = [()] * len(located)
-    for n, members in _by_length(located).items():
-        kept = _spaced_peaks(np.stack([located[i] for i in members]), min_distance, min_height)
-        values = np.stack([scores[i] for i in members]).ravel()[kept].tolist()
-        picked = _pairs_per_cell(kept, len(members), n, (kept % n).tolist(), values)
+    for members, stacked in _by_length(located):
+        kept = _spaced_peaks(stacked, min_distance, min_height)
+        values = np.stack([scores[i] for i in members])
+        picked = _pairs_per_row(kept, len(members), stacked.shape[1], 0, values)
         for i, pairs in zip(members, picked):
             out[i] = pairs
     return out
@@ -113,6 +124,8 @@ def decode_regression_batch(
     """decode_regression of each (ys_on[i], ys_off[i]) pair."""
     ys_on = [np.asarray(y, dtype=np.float64) for y in ys_on]
     ys_off = [np.asarray(y, dtype=np.float64) for y in ys_off]
+    if len(ys_on) != len(ys_off):
+        raise LengthMismatch(f"{len(ys_on)} onset channels but {len(ys_off)} offset channels")
     for y_on, y_off in zip(ys_on, ys_off):
         if y_on.shape != y_off.shape:
             raise LengthMismatch(
@@ -153,15 +166,6 @@ def decode_points(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     return decode_points_batch([y], params)[0]
 
 
-def _check_probability(y: np.ndarray) -> np.ndarray:
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidSpec(f"probability sequence must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise InvalidProbability("probabilities must be finite and within [0, 1]")
-    return arr
-
-
 def decode_seg_threshold(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     """Threshold crossings of the smoothed class-1 probability.
 
@@ -179,8 +183,19 @@ def sweep_seg_threshold(y: np.ndarray, mus: tuple, params: DecodeParams) -> list
     return [per_mu[0] for per_mu in sweep_seg_threshold_batch([y], mus, params)]
 
 
-# largest (mus x rows x steps) crossing mask sweep_seg_threshold_batch builds at once
-_CROSSING_CELLS = 1 << 22
+def _contrasts(ys: list[np.ndarray], params: DecodeParams) -> tuple[list, list]:
+    """The smoothed class-1 probability sequences in ys and their windowed
+    contrasts I, after checking each sequence is 1-D and within [0, 1]."""
+    smoothing, window = SmoothingParams(params.sigma), WindowParams(params.alpha)
+    smoothed = []
+    for y in ys:
+        arr = np.asarray(y, dtype=np.float64)
+        if arr.ndim != 1:
+            raise InvalidSpec(f"probability sequence must be 1-D, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+            raise InvalidProbability("probabilities must be finite and within [0, 1]")
+        smoothed.append(gaussian_smooth(arr, smoothing))
+    return smoothed, [window_convolve(s, window) for s in smoothed]
 
 
 def sweep_seg_threshold_batch(
@@ -189,47 +204,31 @@ def sweep_seg_threshold_batch(
     """sweep_seg_threshold of each probability sequence in ys, as one list of
     series per mu.
 
-    Each sequence is smoothed and scored on its own.  The smoothed sequences
-    of one length are stacked into S (rows, n), and one comparison of its
-    adjacent samples against every mu finds the onsets and offsets of each
-    (mu, row), in blocks of mus of at most _CROSSING_CELLS mask cells.
+    Each sequence is smoothed and scored on its own.  For each mu, one 2-D
+    mask over the adjacent samples of the stacked sequences of one length
+    holds the onsets of every row, and another their offsets.
     """
-    smoothing, window = SmoothingParams(params.sigma), WindowParams(params.alpha)
-    smoothed = [gaussian_smooth(_check_probability(y), smoothing) for y in ys]
-    scores = [np.abs(window_convolve(s, window)) for s in smoothed]
-    empty = ScoredEvents._trusted(())
-    out = [[empty] * len(ys) for _ in mus]
-    thresholds = np.asarray(mus, dtype=np.float64)
-    for n, members in _by_length(smoothed).items():
-        if n < 2:
-            continue
-        rows, pairs = len(members), n - 1
-        stacked = np.stack([smoothed[i] for i in members])
+    thresholds = [_checked_mu(mu) for mu in mus]
+    smoothed, contrasts = _contrasts(ys, params)
+    out: list[list] = [[None] * len(ys) for _ in mus]
+    for members, stacked in _by_length(smoothed):
+        rows, n = stacked.shape
         before, after = stacked[:, :-1], stacked[:, 1:]
-        score = np.stack([scores[i] for i in members]).ravel()
-        block = max(1, _CROSSING_CELLS // stacked.size)
-        for k0 in range(0, len(mus), block):
-            mu = thresholds[k0 : k0 + block, None, None]
-            cells = len(mu) * rows
-            found = []
-            # cell c = (mu offset) * rows + row; its pair t fires at step t + 1
-            for mask in ((before < mu) & (after > mu), (before > mu) & (after < mu)):
-                flat = np.flatnonzero(mask)
-                cell, t = np.divmod(flat, pairs)
-                values = score[(cell % rows) * n + t + 1].tolist()
-                found.append(_pairs_per_cell(flat, cells, pairs, (t + 1).tolist(), values))
-            for c, (onsets, offsets) in enumerate(zip(*found)):
-                k, r = divmod(c, rows)
-                out[k0 + k][members[r]] = ScoredEvents._trusted(onsets, offsets)
+        score = np.abs(np.stack([contrasts[i] for i in members]))
+        for per_mu, mu in zip(out, thresholds):
+            # pair t of a row fires at step t + 1
+            onsets, offsets = [
+                _pairs_per_row(np.flatnonzero(mask), rows, n - 1, 1, score)
+                for mask in ((before < mu) & (after > mu), (before > mu) & (after < mu))
+            ]
+            for i, on, off in zip(members, onsets, offsets):
+                per_mu[i] = ScoredEvents._trusted(on, off)
     return out
 
 
 def decode_seg_peaks_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
     """decode_seg_peaks of each probability sequence in ys."""
-    smoothing, window = SmoothingParams(params.sigma), WindowParams(params.alpha)
-    contrasts = [
-        window_convolve(gaussian_smooth(_check_probability(y), smoothing), window) for y in ys
-    ]
+    _, contrasts = _contrasts(ys, params)
     scores = [np.abs(c) for c in contrasts]
     # onsets are the peaks of each contrast, offsets those of its negation
     picked = _scored_peaks(contrasts + [-c for c in contrasts], scores + scores, params.alpha, None)

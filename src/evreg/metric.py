@@ -22,11 +22,12 @@ from .types import EventSet, ScoredEvents, checked_detections, checked_steps
 
 
 def ascending_positive_ints(values, message: str) -> tuple[int, ...]:
-    """values as a tuple of ints if they are nonempty, integral, >= 1 and
-    strictly ascending, else InvalidSpec(message.format(values))."""
+    """values as a tuple of ints if they are nonempty, integral, >= 1, not
+    bools and strictly ascending, else InvalidSpec(message.format(values))."""
     try:
         t = tuple(values)
-        if t and all(int(v) == v and v >= 1 for v in t) and list(t) == sorted(set(t)):
+        valid = all(not isinstance(v, (bool, np.bool_)) and int(v) == v and v >= 1 for v in t)
+        if t and valid and list(t) == sorted(set(t)):
             return tuple(int(v) for v in t)
     except (TypeError, ValueError, OverflowError):
         t = values

@@ -303,7 +303,7 @@ class ScoredEvents:
         * each step is a Python int taken from sorted intp indices, each
           below the series length;
         * each score is a Python float taken from an array already checked
-          finite (decode._check_probability and signal._check_finite_1d);
+          finite (decode._contrasts and signal._check_finite_1d);
         * the pairs of each slot are in ascending step order.
 
         The record then equals, hashes, pickles and saves as

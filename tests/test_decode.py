@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import window_contrast_oracle
-from evreg import decode
 from evreg.decode import (
     DecodeParams,
     decode_points,
@@ -193,6 +193,9 @@ class TestDecodeRegression:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             decode_regression(np.zeros(5), np.zeros(6), DecodeParams(alpha=1))
+        # two onset channels and one offset channel must not decode one pair
+        with pytest.raises(LengthMismatch, match="2 onset channels but 1 offset channels"):
+            decode_regression_batch([np.zeros(5)] * 2, [np.zeros(5)], DecodeParams(alpha=1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -290,6 +293,16 @@ class TestDecodeSegThreshold:
             onsets, offsets = threshold_loop_oracle(y, DecodeParams(params.alpha, mu, sigma))
             assert list(out.onsets) == onsets
             assert list(out.offsets) == offsets
+
+    @pytest.mark.parametrize("mu", [1.5, -0.1, float("nan"), True, np.True_])
+    def test_sweep_checks_mu_as_decode_params_does(self, mu):
+        with pytest.raises(InvalidSpec, match="expected in"):
+            DecodeParams(alpha=1, mu=mu)
+        y = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(InvalidSpec, match="expected in"):
+            sweep_seg_threshold(y, (0.5, mu), DecodeParams(alpha=1))
+        with pytest.raises(InvalidSpec, match="expected in"):
+            sweep_seg_threshold_batch([y], (mu,), DecodeParams(alpha=1))
 
     def test_empty_probabilities(self):
         out = decode_seg_threshold(np.array([]), DecodeParams(alpha=2, sigma=1.0))
@@ -406,13 +419,19 @@ class TestBatchRecords:
                 onsets, offsets = threshold_loop_oracle(y, at_mu)
                 assert list(record.onsets) == onsets and list(record.offsets) == offsets
 
-    @pytest.mark.parametrize("cells", [1, 160])
-    def test_mu_blocks_give_the_one_block_result(self, monkeypatch, cells):
-        # the rows of length 40 make 80 mask cells per mu: blocks of 1 or 2 mus
-        rng = np.random.default_rng(3)
-        ys = [rng.integers(0, 5, size=n) / 4.0 for n in (40, 7, 40, 1)]
-        params = DecodeParams(alpha=2, sigma=1.0)
-        mus = (0.0, 0.25, 0.5, 0.6, 1.0)
-        whole = sweep_seg_threshold_batch(ys, mus, params)
-        monkeypatch.setattr(decode, "_CROSSING_CELLS", cells)
-        assert sweep_seg_threshold_batch(ys, mus, params) == whole
+    def test_sweep_memory_does_not_grow_with_the_mu_count(self):
+        # 64 constant rows of 4096 steps cross no mu, so each (mu, row) record
+        # is empty: a (mu x rows x steps) mask would add 0.25 MiB per mu
+        ys = [np.full(4096, 0.3) for _ in range(64)]
+        params = DecodeParams(alpha=2)
+        peaks = []
+        for count in (11, 201):
+            mus = tuple(np.linspace(0.0, 1.0, count).tolist())
+            tracemalloc.start()
+            try:
+                swept = sweep_seg_threshold_batch(ys, mus, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(swept) == count and swept[-1][0] == ScoredEvents()
+        assert peaks[1] - peaks[0] < 1 << 20

@@ -495,6 +495,8 @@ class TestEdap:
         with pytest.raises(InvalidSpec):
             EdapConfig(tolerances=("x",))
         with pytest.raises(InvalidSpec):
+            EdapConfig(tolerances=(True,))
+        with pytest.raises(InvalidSpec):
             EdapConfig(tolerances=5)
         with pytest.raises(InvalidSpec) as err:
             EdapConfig(tolerances=[1, float("inf")])

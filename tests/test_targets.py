@@ -89,7 +89,7 @@ class TestMakeKernel:
     def test_edap_needs_sorted_thresholds(self):
         with pytest.raises(InvalidSpec):
             PdfSpec(kind="edap", day_length_d=100, width_w=9, thresholds=(3, 1))
-        for thresholds in [(1, math.inf), ("a",), (1, math.nan), None]:
+        for thresholds in [(1, math.inf), ("a",), (1, math.nan), None, (True,)]:
             with pytest.raises(InvalidSpec, match="ascending distinct positive integer"):
                 PdfSpec(kind="edap", day_length_d=100, width_w=9, thresholds=thresholds)
 
