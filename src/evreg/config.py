@@ -28,7 +28,7 @@ from .decode import (
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, InvalidSpec
 from .metric import EdapConfig
 from .model import ModelConfig, TrainConfig
-from .signal import SmoothingParams
+from .signal import SmoothingParams, is_real
 from .targets import PdfSpec, encode_cpd, encode_regression, encode_segmentation
 from .types import INTERVAL, POINT, EventSet
 
@@ -113,12 +113,16 @@ class GridSpec:
 
     def __post_init__(self):
         try:
-            mu = tuple(float(m) for m in self.mu)
-            sigma = tuple(None if s is None else float(s) for s in self.sigma)
+            mu, sigma = tuple(self.mu), tuple(self.sigma)
+            numbers = all(map(is_real, mu)) and all(s is None or is_real(s) for s in sigma)
+            mu = tuple(float(m) for m in mu)
+            sigma = tuple(None if s is None else float(s) for s in sigma)
         except (TypeError, ValueError, OverflowError):
+            numbers = False
+        if not numbers:
             raise InvalidConfig(
                 f"grid mu and sigma must be lists of numbers, got {self.mu!r} and {self.sigma!r}"
-            ) from None
+            )
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         if not self.mu or not self.sigma:

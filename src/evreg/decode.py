@@ -175,12 +175,7 @@ def decode_seg_threshold(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     contrast of the smoothed probability.  A sequence already above mu at
     t=0 yields no synthetic onset.
     """
-    return sweep_seg_threshold(y, (params.mu,), params)[0]
-
-
-def sweep_seg_threshold(y: np.ndarray, mus: tuple, params: DecodeParams) -> list[ScoredEvents]:
-    """decode_seg_threshold at each mu in mus (params.mu is unread), smoothing y once."""
-    return [per_mu[0] for per_mu in sweep_seg_threshold_batch([y], mus, params)]
+    return sweep_seg_threshold_batch([y], (params.mu,), params)[0][0]
 
 
 def _contrasts(ys: list[np.ndarray], params: DecodeParams) -> tuple[list, list]:
@@ -201,8 +196,8 @@ def _contrasts(ys: list[np.ndarray], params: DecodeParams) -> tuple[list, list]:
 def sweep_seg_threshold_batch(
     ys: list[np.ndarray], mus: tuple, params: DecodeParams
 ) -> list[list[ScoredEvents]]:
-    """sweep_seg_threshold of each probability sequence in ys, as one list of
-    series per mu.
+    """decode_seg_threshold of each probability sequence in ys at each mu in
+    mus (params.mu is unread), as one list of series per mu.
 
     Each sequence is smoothed and scored on its own.  For each mu, one 2-D
     mask over the adjacent samples of the stacked sequences of one length

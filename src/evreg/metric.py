@@ -9,7 +9,6 @@ pooling all series, and the final score is the unweighted mean over cells.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import itemgetter
@@ -99,19 +98,14 @@ def _greedy(steps: Sequence[int], truth: Sequence[int], tol: int) -> tuple[list[
     return flags, len(free)
 
 
-_LARGEST_FLOAT = int(np.finfo(np.float64).max)
-# relative slack that keeps _pooled_flags' reach a lower bound although
-# steps past 2**53 round when converted to float
-_REACH_SLACK = 2.0**-49
+# every integer within _CAP of 0 is a float64, and so is the difference of any two
+_CAP = 2**52
 
 
-def _float_steps(steps: list[int]) -> np.ndarray:
-    """steps as float64, those past the float range clamped to its largest
-    integer (which brings no two steps further apart)."""
-    try:
-        return np.array(steps, dtype=np.float64)
-    except OverflowError:
-        return np.array([min(s, _LARGEST_FLOAT) for s in steps], dtype=np.float64)
+def _clamped(values) -> np.ndarray:
+    """values (numbers, ints of any size) as float64, each above _CAP
+    clamped to it, which brings no two values further apart."""
+    return np.minimum(values, _CAP).astype(np.float64, copy=False)
 
 
 def _keys(series: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -129,29 +123,31 @@ def _pooled_flags(
     its sorted truth steps: row k holds every series' flags at tolerances[k],
     series after series, each in rank order.
 
-    A step's reach is a lower bound on its distance to the nearest truth
-    step of its series (inf without one), exact while steps stay below
-    2**53.  A step whose reach exceeds tol can neither match nor change what
-    the others match at tol, so at each tolerance each series sends only
-    its steps within reach, in rank order, through _greedy; the others are
-    not TPs.
+    A step's reach is its distance to the nearest truth step of its series
+    with steps and tolerances clamped to _CAP: every float difference is
+    exact, and clamping moves no step further from a truth step, so the
+    reach is a lower bound on the true distance.  A step whose reach
+    exceeds tol can neither match nor change what the others match at tol,
+    so at each tolerance each series sends only its steps within reach, in
+    rank order, through _greedy, which matches the unclamped ints; the
+    others are not TPs.
     """
     steps = [s for ranked, _ in series for s in ranked]
     num_steps = [len(ranked) for ranked, _ in series]
     ids = np.arange(len(series))
-    p = _float_steps(steps)
-    # each series' truth between -inf and inf, so that one searchsorted of
+    p = _clamped(steps)
+    # each series' truth between -_CAP and _CAP, so that one searchsorted of
     # the (series, step) keys finds, within each step's own series, the
-    # truth steps on either side of it
-    t = _float_steps([v for _, free in series for v in (-math.inf, *free, math.inf)])
+    # truth steps on either side of it (a sentinel only lowers a reach)
+    t = _clamped([v for _, free in series for v in (-_CAP, *free, _CAP)])
     at = np.searchsorted(
         _keys(np.repeat(ids, [len(free) + 2 for _, free in series]), t),
         _keys(np.repeat(ids, num_steps), p),
     )
-    reach = np.minimum(t[at] - p, p - t[at - 1]) - p * _REACH_SLACK
+    reach = np.minimum(t[at] - p, p - t[at - 1])
 
-    limits = np.array([float(min(tol, math.inf)) for tol in tolerances])
-    near = reach <= limits[:, None] * (1 + _REACH_SLACK)
+    limits = _clamped(tolerances)
+    near = reach <= limits[:, None]
     # ahead[k, i]: steps before i within reach of tolerances[k]
     ahead = np.zeros((len(limits), len(steps) + 1), dtype=np.intp)
     np.cumsum(near, axis=1, out=ahead[:, 1:])

@@ -42,6 +42,14 @@ _M_TOP_PAD = -2
 _HEAP_TOP_PAD = 16 << 20
 
 
+def _check_ints(name: str, *values) -> None:
+    """InvalidConfig naming the first of values that is a bool or no int
+    (a numpy integer is an int)."""
+    for value in values:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise InvalidConfig(f"{name}: {value!r} is not an int")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture description; seed fixes initialization and batch order."""
@@ -53,9 +61,17 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "hidden_channels", tuple(int(h) for h in self.hidden_channels)
-        )
+        try:
+            hidden = tuple(self.hidden_channels)
+        except TypeError:
+            raise InvalidConfig(
+                f"hidden_channels={self.hidden_channels!r}, expected a list of ints"
+            ) from None
+        _check_ints("hidden_channels", *hidden)
+        _check_ints("in_channels", self.in_channels)
+        _check_ints("kernel_size", self.kernel_size)
+        _check_ints("seed", self.seed)
+        object.__setattr__(self, "hidden_channels", tuple(int(h) for h in hidden))
         if self.in_channels < 1:
             raise InvalidConfig(f"in_channels={self.in_channels}, expected >= 1")
         if not self.hidden_channels or any(h < 1 for h in self.hidden_channels):
@@ -92,6 +108,8 @@ class TrainConfig:
     sigma_end: float | None = None
 
     def __post_init__(self):
+        _check_ints("epochs", self.epochs)
+        _check_ints("batch_size", self.batch_size)
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfig("epochs and batch_size must be >= 1")
         if not (0 < self.learning_rate < math.inf and self.grad_clip_norm > 0):

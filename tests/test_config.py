@@ -245,7 +245,15 @@ class TestValidation:
             GridSpec(mu=(1.5,), sigma=(None,))
         with pytest.raises(InvalidConfig):
             GridSpec(mu=(0.5,), sigma=(0.0,))
-        for bad in [dict(mu=("a",)), dict(sigma=("a",)), dict(mu=None), dict(sigma=5)]:
+        for bad in [
+            dict(mu=("a",)),
+            dict(sigma=("a",)),
+            dict(mu=None),
+            dict(sigma=5),
+            dict(mu=(True,)),
+            dict(sigma=(True,)),
+            dict(mu=("0.5",)),
+        ]:
             with pytest.raises(InvalidConfig, match="must be lists of numbers"):
                 GridSpec(**bad)
 

@@ -16,7 +16,6 @@ from evreg.decode import (
     decode_seg_peaks,
     decode_seg_peaks_batch,
     decode_seg_threshold,
-    sweep_seg_threshold,
     sweep_seg_threshold_batch,
 )
 from evreg.errors import InvalidProbability, InvalidSpec, LengthMismatch, NonFiniteInput
@@ -286,9 +285,10 @@ class TestDecodeSegThreshold:
         y = rng.integers(0, 5, size=int(rng.integers(1, 120))) / 4.0
         params = DecodeParams(alpha=int(rng.integers(1, 5)), mu=0.9, sigma=sigma)
         mus = (0.5, 0.0, 0.25, 1.0, 0.6, 0.5)
-        swept = sweep_seg_threshold(y, mus, params)
+        swept = sweep_seg_threshold_batch([y], mus, params)
         assert type(swept) is list and len(swept) == len(mus)
-        for mu, out in zip(mus, swept):
+        assert all(type(per_mu) is list and len(per_mu) == 1 for per_mu in swept)
+        for mu, (out,) in zip(mus, swept):
             assert out == decode_seg_threshold(y, DecodeParams(params.alpha, mu, sigma))
             onsets, offsets = threshold_loop_oracle(y, DecodeParams(params.alpha, mu, sigma))
             assert list(out.onsets) == onsets
@@ -300,7 +300,7 @@ class TestDecodeSegThreshold:
             DecodeParams(alpha=1, mu=mu)
         y = np.array([0.0, 1.0, 0.0])
         with pytest.raises(InvalidSpec, match="expected in"):
-            sweep_seg_threshold(y, (0.5, mu), DecodeParams(alpha=1))
+            sweep_seg_threshold_batch([y], (0.5, mu), DecodeParams(alpha=1))
         with pytest.raises(InvalidSpec, match="expected in"):
             sweep_seg_threshold_batch([y], (mu,), DecodeParams(alpha=1))
 

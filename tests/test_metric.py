@@ -114,9 +114,24 @@ def loop_edap_table_oracle(pred, truth, config):
     return table
 
 
-# steps where float64 no longer holds every integer (2**53 on), past int64
-# (2**63 on) and past the float range (10**400)
-HUGE_BASES = [0, 2**53 - 3, 2**63 - 2, 2**63, 2**64 + 1, 10**30, 10**400]
+# steps across the metric's clamp (2**52), where float64 no longer holds
+# every integer (2**53 on), past int64 (2**63 on) and past the float range
+# (10**400)
+HUGE_BASES = [0, 2**52 - 3, 2**53 - 3, 2**63 - 2, 2**63, 2**64 + 1, 10**30, 10**400]
+
+
+@st.composite
+def dense_window(draw):
+    """About 30 scored predictions and 10 truth steps within one 40-step
+    window, so that many contend for the same truth at each tolerance."""
+    pred = draw(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+            min_size=25,
+            max_size=35,
+        ).map(sorted)
+    )
+    return pred, sorted(draw(st.lists(st.integers(0, 40), min_size=8, max_size=12)))
 
 
 class TestHugeSteps:
@@ -165,6 +180,24 @@ class TestHugeSteps:
         assert match_events(pred, truth, tol) == metric.MatchResult(
             tuple(flags), tuple(scores), unmatched
         )
+
+
+    @given(st.sampled_from(HUGE_BASES), st.lists(dense_window(), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_windows_match_the_loop(self, base, windows):
+        pred, truth = {}, {}
+        for sid, (p, t) in zip("abc", windows):
+            pred[sid] = ScoredEvents(onsets=tuple((base + s, v) for s, v in p))
+            truth[sid] = EventSet(sid, POINT, tuple(PointEvent(base + s) for s in t))
+        config = EdapConfig(tolerances=(1, 2, 3, 12), classes=("point",))
+        assert edap_table(pred, truth, config) == loop_edap_table_oracle(pred, truth, config)
+        for sid in pred:
+            p, t = pred[sid].onsets, truth[sid].by_class("point")
+            for tol in config.tolerances:
+                flags, scores, unmatched = match_events_oracle(p, t, tol)
+                assert match_events(p, t, tol) == metric.MatchResult(
+                    tuple(flags), tuple(scores), unmatched
+                )
 
 
 class TestMatchEvents:

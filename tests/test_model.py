@@ -884,6 +884,55 @@ class TestTrain:
         with pytest.raises(InvalidConfig):
             TrainConfig(sigma_start=1.0, sigma_end=4.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 2.5),
+            ("batch_size", 1.5),
+            ("epochs", 2.0),
+            ("epochs", True),
+            ("batch_size", "8"),
+        ],
+    )
+    def test_train_config_rejects_non_int_counts(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field}: .* is not an int"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("in_channels", 2.5),
+            ("in_channels", True),
+            ("hidden_channels", (1.5,)),
+            ("hidden_channels", (4, np.True_)),
+            ("kernel_size", 3.0),
+            ("kernel_size", np.float64(3.0)),
+            ("seed", 1.5),
+            ("seed", False),
+        ],
+    )
+    def test_model_config_rejects_non_int_fields(self, field, value):
+        kwargs = dict(in_channels=2, hidden_channels=(4,), kernel_size=3, seed=0)
+        with pytest.raises(InvalidConfig, match=f"{field}: .* is not an int"):
+            ModelConfig(**{**kwargs, field: value})
+
+    def test_configs_accept_numpy_integers(self):
+        config = ModelConfig(
+            in_channels=np.int64(2),
+            hidden_channels=[np.int32(4), np.uint8(6)],
+            kernel_size=np.int16(3),
+            seed=np.int64(1),
+        )
+        assert config.hidden_channels == (4, 6)
+        assert all(type(h) is int for h in config.hidden_channels)
+        plain = ModelConfig(in_channels=2, hidden_channels=(4, 6), kernel_size=3, seed=1)
+        np.testing.assert_array_equal(init_params(config).flat, init_params(plain).flat)
+        assert TrainConfig(epochs=np.int64(2), batch_size=np.int32(3)).epochs == 2
+
+    def test_model_config_hidden_channels_must_be_a_list(self):
+        with pytest.raises(InvalidConfig, match="expected a list of ints"):
+            ModelConfig(in_channels=2, hidden_channels=4)
+
 
 class TestCheckpoints:
     def test_roundtrip_exact(self, tmp_path):
