@@ -8,6 +8,7 @@ work and sigma entries may be written as null or "none".
 
 from __future__ import annotations
 
+import contextlib
 import math
 import types
 import typing
@@ -27,7 +28,7 @@ from .decode import (
 )
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, InvalidSpec
 from .metric import EdapConfig
-from .model import ModelConfig, TrainConfig
+from .model import ModelConfig, TrainConfig, _check_ints
 from .signal import SmoothingParams, is_real
 from .targets import PdfSpec, encode_cpd, encode_regression, encode_segmentation
 from .types import INTERVAL, POINT, EventSet
@@ -154,6 +155,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         spec = _objective(self.objective)
+        _check_ints("folds", self.folds)
+        _check_ints("downsample", self.downsample)
         if self.folds < 2:
             raise InvalidConfig(f"folds={self.folds}, expected >= 2")
         if self.downsample < 1:
@@ -225,6 +228,12 @@ def _coerce(value: Any, target: Any, where: str) -> Any:
         if target is float:
             return float(value)
         if target is int:
+            # an int, or a string int() reads, stays exact; float() rounds past 2**53
+            if isinstance(value, str):
+                with contextlib.suppress(ValueError):
+                    value = int(value)
+            if isinstance(value, int):
+                return value
             as_float = float(value)
             if as_float != int(as_float):
                 raise InvalidConfig(f"{where}: expected an integer, got {value!r}")

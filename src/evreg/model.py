@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
+from .signal import is_real
 
 OUT_MODES = ("regression_2ch", "regression_1ch", "segmentation_2class")
 
@@ -110,6 +111,10 @@ class TrainConfig:
     def __post_init__(self):
         _check_ints("epochs", self.epochs)
         _check_ints("batch_size", self.batch_size)
+        for name in ("learning_rate", "grad_clip_norm", "sigma_start", "sigma_end"):
+            value = getattr(self, name)
+            if not (is_real(value) or (value is None and name.startswith("sigma"))):
+                raise InvalidConfig(f"{name}: {value!r} is not a real number")
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfig("epochs and batch_size must be >= 1")
         if not (0 < self.learning_rate < math.inf and self.grad_clip_norm > 0):
@@ -334,47 +339,32 @@ def _forward_impl(params: Parameters, x: np.ndarray, config: ModelConfig):
     if not params.all_finite():
         raise NonFiniteParameters("parameters contain NaN or Inf")
     t_in = arr.shape[2]
-    block = 2**config.levels
-    pad = (-t_in) % block
+    pad = (-t_in) % 2**config.levels
     h = np.pad(arr, ((0, 0), (0, 0), (0, pad)), mode="edge") if pad else arr
 
     p = params.tensors
-    enc_caches = []
-    skips = []
-    for i in range(config.levels):
-        z, conv_cache = _conv_forward(h, p[f"enc{i}.w"], p[f"enc{i}.b"])
+    tape = []
+
+    def block(name: str, h: np.ndarray) -> np.ndarray:
+        """conv -> ReLU of the named conv, recorded on the tape."""
+        z, conv_cache = _conv_forward(h, p[f"{name}.w"], p[f"{name}.b"])
         a, mask = _relu_forward(z)
-        pooled, pool_cache = _pool_forward(a)
-        enc_caches.append((conv_cache, mask, pool_cache))
-        skips.append(a)
-        h = pooled
+        tape.append((name, conv_cache, mask))
+        return a
 
-    z, bott_cache = _conv_forward(h, p["bottleneck.w"], p["bottleneck.b"])
-    cur, bott_mask = _relu_forward(z)
-
-    dec_caches = []
+    skips, pools = [], []
+    for i in range(config.levels):
+        skips.append(block(f"enc{i}", h))
+        h, to_first = _pool_forward(skips[i])
+        pools.append(to_first)
+    h = block("bottleneck", h)
     for i in reversed(range(config.levels)):
-        cat = _decoder_input(cur, skips[i])
-        z, conv_cache = _conv_forward(cat, p[f"dec{i}.w"], p[f"dec{i}.b"])
-        up_channels = cur.shape[1]
-        cur, mask = _relu_forward(z)
-        dec_caches.append((i, up_channels, conv_cache, mask))
+        h = block(f"dec{i}", _decoder_input(h, skips[i]))
 
-    logits_full, head_cache = _conv_forward(cur, p["head.w"], p["head.b"])
-    logits = logits_full[:, :, :t_in]
-    if config.is_segmentation:
-        out = _softmax(logits)
-    else:
-        out = logits
-    cache = {
-        "enc": enc_caches,
-        "bottleneck": (bott_cache, bott_mask),
-        "dec": dec_caches,
-        "head": head_cache,
-        "t_in": t_in,
-        "t_pad": logits_full.shape[2],
-    }
-    return out, cache
+    logits, head_cache = _conv_forward(h, p["head.w"], p["head.b"])
+    logits = logits[:, :, :t_in]
+    out = _softmax(logits) if config.is_segmentation else logits
+    return out, (tape, pools, head_cache, pad)
 
 
 def forward(params: Parameters, x: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -391,39 +381,35 @@ def predict(params: Parameters, x: np.ndarray, config: ModelConfig) -> np.ndarra
     return forward(params, arr[None], config)[0]
 
 
-def _backward_impl(params: Parameters, cache: dict, dlogits: np.ndarray, config: ModelConfig):
-    """Push dL/dlogits back through the tape; returns the gradient container."""
+def _backward_impl(params: Parameters, cache: tuple, dlogits: np.ndarray, config: ModelConfig):
+    """Push dL/dlogits back through the forward pass's cache, the tuple (tape,
+    pools, head_cache, pad), replaying the tape's conv -> ReLU blocks from its
+    end; returns the gradient container."""
+    tape, pools, head_cache, pad = cache
     grads: dict[str, np.ndarray] = {}
+    # an iterator, so the same cache can be pushed through again
+    blocks = reversed(tape)
 
-    pad = cache["t_pad"] - cache["t_in"]
-    if pad:
-        dlogits_full = np.pad(dlogits, ((0, 0), (0, 0), (0, pad)))
-    else:
-        dlogits_full = dlogits
-    dcur, grads["head.w"], grads["head.b"] = _conv_backward(
-        dlogits_full, cache["head"]
-    )
-
-    dskips = [None] * config.levels
-    for i, up_channels, conv_cache, mask in reversed(cache["dec"]):
-        dz = _relu_backward(dcur, mask)
-        dcat, grads[f"dec{i}.w"], grads[f"dec{i}.b"] = _conv_backward(dz, conv_cache)
-        dup = dcat[:, :up_channels]
-        dskips[i] = dcat[:, up_channels:]
-        dcur = _upsample_backward(dup)
-
-    bott_cache, bott_mask = cache["bottleneck"]
-    dz = _relu_backward(dcur, bott_mask)
-    dh, grads["bottleneck.w"], grads["bottleneck.b"] = _conv_backward(dz, bott_cache)
-
-    for i in reversed(range(config.levels)):
-        conv_cache, mask, pool_cache = cache["enc"][i]
-        da = _pool_backward(dh, pool_cache) + dskips[i]
-        dz = _relu_backward(da, mask)
-        # the network input needs no gradient, so enc0 skips its dx
-        dh, grads[f"enc{i}.w"], grads[f"enc{i}.b"] = _conv_backward(
-            dz, conv_cache, input_grad=i > 0
+    def unblock(dout: np.ndarray, input_grad: bool = True):
+        name, conv_cache, mask = next(blocks)
+        dx, grads[f"{name}.w"], grads[f"{name}.b"] = _conv_backward(
+            _relu_backward(dout, mask), conv_cache, input_grad
         )
+        return dx
+
+    dlogits = np.pad(dlogits, ((0, 0), (0, 0), (0, pad))) if pad else dlogits
+    dh, grads["head.w"], grads["head.b"] = _conv_backward(dlogits, head_cache)
+
+    # dec0 first; each decoder's input is the upsampled path, then the skip
+    dskips = []
+    for skip in config.hidden_channels:
+        dcat = unblock(dh)
+        dskips.append(dcat[:, -skip:])
+        dh = _upsample_backward(dcat[:, :-skip])
+    dh = unblock(dh)
+    for i in reversed(range(config.levels)):
+        # the network input needs no gradient, so enc0 skips its dx
+        dh = unblock(_pool_backward(dh, pools[i]) + dskips[i], input_grad=i > 0)
 
     return Parameters({name: grads[name] for name in params.tensors})
 

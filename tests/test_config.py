@@ -1,7 +1,8 @@
 """YAML experiment config: strict keys, coercions, derived defaults."""
 
 import textwrap
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 import yaml
@@ -21,6 +22,8 @@ from evreg.decode import DecodeParams
 from evreg.errors import ConfigError, EmptyGrid, InvalidConfig
 from evreg.metric import EdapConfig
 from evreg.model import ModelConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def minimal_doc(**over):
@@ -163,6 +166,27 @@ class TestCoercion:
         with pytest.raises(InvalidConfig):
             config_from_mapping(minimal_doc(folds=4.5))
 
+    @pytest.mark.parametrize(
+        "seed", [9007199254740993, "9007199254740993"], ids=["number", "string"]
+    )
+    def test_large_int_loads_exactly(self, tmp_path, seed):
+        # 2**53 + 1 is the first int a float cannot hold
+        doc = minimal_doc()
+        doc["model"]["seed"] = seed
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert load_config(path).model.seed == 9007199254740993
+
+    @pytest.mark.parametrize("value, expected", [("20.0", 20), (20.0, 20), (" 7 ", 7)])
+    def test_integral_values_load_as_ints(self, value, expected):
+        epochs = config_from_mapping(minimal_doc(train={"epochs": value})).train.epochs
+        assert epochs == expected and type(epochs) is int
+
+    @pytest.mark.parametrize("value", [2.5, "2.5", "two"])
+    def test_fractional_or_unreadable_counts_rejected(self, value):
+        with pytest.raises(InvalidConfig, match=r"train\.epochs: "):
+            config_from_mapping(minimal_doc(train={"epochs": value}))
+
     @pytest.mark.parametrize("section, key, value", [
         ("decode", "alpha", True),
         ("decode", "mu", False),
@@ -227,6 +251,15 @@ class TestValidation:
     def test_downsample_lower_bound(self):
         with pytest.raises(InvalidConfig):
             config_from_mapping(minimal_doc(downsample=0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("folds", 2.5), ("folds", "4"), ("folds", True),
+        ("downsample", 1.5), ("downsample", "4"), ("downsample", True),
+    ])
+    def test_counts_must_be_ints(self, field, value):
+        config = load_config(CONFIGS / "cpd.yaml")
+        with pytest.raises(InvalidConfig, match=f"{field}: .* is not an int"):
+            replace(config, **{field: value})
 
     def test_bad_seg_method(self):
         # the decoder is the objective's record: segmentation_peaks, not a knob

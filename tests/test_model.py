@@ -621,9 +621,15 @@ class TestFullGradients:
         assert grads.global_norm() == 0.0
 
     @pytest.mark.parametrize("mode", ["regression_2ch", "regression_1ch", "segmentation_2class"])
-    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("seed", [3, 17, pytest.param(None, id="depth3")])
     def test_fd_agreement_per_mode(self, mode, seed):
-        config = tiny_config(seed, mode=mode)
+        if seed is None:
+            # the benchmark model's three levels; 19 steps pad to 24 at the edge
+            seed, config = 5, ModelConfig(
+                in_channels=2, hidden_channels=(2, 2, 3), kernel_size=3, out_mode=mode
+            )
+        else:
+            config = tiny_config(seed, mode=mode)
         params = random_params(config, seed)
         assert params.num_params <= 500
         x, y = random_problem(config, seed)
@@ -897,6 +903,30 @@ class TestTrain:
     def test_train_config_rejects_non_int_counts(self, field, value):
         with pytest.raises(InvalidConfig, match=f"{field}: .* is not an int"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", True),
+            ("learning_rate", "0.1"),
+            ("learning_rate", None),
+            ("grad_clip_norm", np.True_),
+            ("grad_clip_norm", "1"),
+            ("sigma_start", True),
+            ("sigma_end", "2"),
+        ],
+    )
+    def test_train_config_rejects_non_real_floats(self, field, value):
+        sigmas = dict(sigma_start=4.0, sigma_end=2.0) if field.startswith("sigma") else {}
+        with pytest.raises(InvalidConfig, match=f"{field}: .* is not a real number"):
+            TrainConfig(**{**sigmas, field: value})
+
+    def test_train_config_accepts_numpy_floats(self):
+        config = TrainConfig(
+            learning_rate=np.float64(0.1), grad_clip_norm=np.float32(1.0),
+            sigma_start=np.float64(4.0), sigma_end=np.int64(2),
+        )
+        assert config.learning_rate == 0.1
 
     @pytest.mark.parametrize(
         "field, value",
