@@ -28,8 +28,8 @@ from .decode import (
 )
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, InvalidSpec
 from .metric import EdapConfig
-from .model import ModelConfig, TrainConfig, _check_ints
-from .signal import SmoothingParams, is_real
+from .model import ModelConfig, TrainConfig
+from .signal import SmoothingParams, _check_ints, is_real
 from .targets import PdfSpec, encode_cpd, encode_regression, encode_segmentation
 from .types import INTERVAL, POINT, EventSet
 
@@ -101,6 +101,9 @@ class PathsSpec:
     events: str
 
     def __post_init__(self):
+        for name in ("series_dir", "events"):
+            if not isinstance(value := getattr(self, name), str):
+                raise InvalidConfig(f"{name}: expected a string, got {value!r}")
         if not self.series_dir or not self.events:
             raise InvalidConfig("paths dataset needs series_dir and events")
 

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import DataError, InvalidConfig, InvalidEvents, InvalidFactor, IoError, ParseError
+from .signal import _check_ints, is_finite_real, is_real
 from .types import (
     INTERVAL,
     POINT,
@@ -50,6 +51,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_series", "length", "mean_event_duration", "mean_gap", "seed"):
+            _check_ints(name, getattr(self, name))
+        for name in ("noise_std", "signal_shift", "drift_std"):
+            if not is_real(value := getattr(self, name)):
+                raise InvalidConfig(f"{name}: {value!r} is not a real number")
         if self.num_series < 1:
             raise InvalidConfig(f"num_series={self.num_series}, expected >= 1")
         if self.mean_event_duration < 1 or self.mean_gap < 1:
@@ -58,11 +64,11 @@ class SynthConfig:
             raise InvalidConfig(
                 f"length={self.length} shorter than one mean gap+event cycle"
             )
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+        if not (is_finite_real(self.noise_std) and self.noise_std >= 0):
             raise InvalidConfig(f"noise_std={self.noise_std}, expected >= 0")
-        if not (np.isfinite(self.drift_std) and self.drift_std >= 0):
+        if not (is_finite_real(self.drift_std) and self.drift_std >= 0):
             raise InvalidConfig(f"drift_std={self.drift_std}, expected >= 0")
-        if not np.isfinite(self.signal_shift):
+        if not is_finite_real(self.signal_shift):
             raise InvalidConfig("signal_shift must be finite")
         if self.seed < 0:
             raise InvalidConfig(f"seed={self.seed}, expected >= 0")

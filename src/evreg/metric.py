@@ -12,7 +12,7 @@ import bisect
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,9 +45,12 @@ class EdapConfig:
             self.tolerances, "tolerances={}, expected nonempty ascending distinct positive ints"
         )
         object.__setattr__(self, "tolerances", t)
-        if isinstance(self.classes, str):
+        classes = self.classes
+        if isinstance(classes, Iterable) and not isinstance(classes, str):
+            classes = tuple(classes)
+        if not (isinstance(classes, tuple) and all(isinstance(c, str) for c in classes)):
             raise InvalidSpec(f"classes={self.classes!r}, expected a sequence of class names")
-        object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "classes", classes)
         if not self.classes:
             raise InvalidSpec("classes must be nonempty")
         if len(set(self.classes)) != len(self.classes):

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .signal import is_real
+from .signal import _check_ints, is_finite_real, is_real
 
 OUT_MODES = ("regression_2ch", "regression_1ch", "segmentation_2class")
 
@@ -41,14 +41,6 @@ _ADAM_EPS = 1e-8
 # glibc's M_TOP_PAD: how much freed memory at the top of the heap stays mapped
 _M_TOP_PAD = -2
 _HEAP_TOP_PAD = 16 << 20
-
-
-def _check_ints(name: str, *values) -> None:
-    """InvalidConfig naming the first of values that is a bool or no int
-    (a numpy integer is an int)."""
-    for value in values:
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-            raise InvalidConfig(f"{name}: {value!r} is not an int")
 
 
 @dataclass(frozen=True)
@@ -117,14 +109,15 @@ class TrainConfig:
                 raise InvalidConfig(f"{name}: {value!r} is not a real number")
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfig("epochs and batch_size must be >= 1")
-        if not (0 < self.learning_rate < math.inf and self.grad_clip_norm > 0):
+        lr = self.learning_rate
+        if not (is_finite_real(lr) and lr > 0 and self.grad_clip_norm > 0):
             raise InvalidConfig(
                 "learning_rate must be finite and positive, grad_clip_norm positive"
             )
         if (self.sigma_start is None) != (self.sigma_end is None):
             raise InvalidConfig("sigma_start and sigma_end must be set together")
         if self.sigma_start is not None and not (
-            self.sigma_start >= self.sigma_end > 0
+            is_finite_real(self.sigma_start) and self.sigma_start >= self.sigma_end > 0
         ):
             raise InvalidConfig("need sigma_start >= sigma_end > 0")
 

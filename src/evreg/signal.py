@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidSpec, NonFiniteInput
+from .errors import ConfigError, InvalidConfig, InvalidSpec, NonFiniteInput
 
 
 # Largest kernel radius ceil(4 sigma) SmoothingParams accepts, so sigma <=
@@ -60,10 +60,6 @@ class WindowParams:
         _check_spacing(self.alpha, "alpha")
 
 
-# largest (peaks x samples) mask find_peaks builds at once
-_MASK_CELLS = 1 << 20
-
-
 class Peak(NamedTuple):
     index: int
     height: float
@@ -73,6 +69,20 @@ class Peak(NamedTuple):
 def is_real(value) -> bool:
     """True for a real number (numbers.Real) that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def is_finite_real(value) -> bool:
+    """is_real and within the float range, compared as a Python number:
+    float() of a huge int overflows, and the range overflows a float32."""
+    value = value.item() if isinstance(value, np.generic) else value
+    return is_real(value) and -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _check_ints(name: str, *values, error: type[ConfigError] = InvalidConfig) -> None:
+    """error naming the first of values that is a bool or no int (numpy ints are ints)."""
+    for value in values:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name}: {value!r} is not an int")
 
 
 def _check_spacing(value, name: str) -> None:
@@ -151,13 +161,8 @@ def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
 
 
 def check_min_height(min_height) -> None:
-    """InvalidSpec unless min_height is None or a real number that is not a
-    bool and lies within the float range (so neither NaN nor inf).
-
-    It is compared, not converted: float() of a huge int overflows.
-    """
-    largest = sys.float_info.max
-    if not (min_height is None or (is_real(min_height) and -largest <= min_height <= largest)):
+    """InvalidSpec unless min_height is None or is_finite_real."""
+    if not (min_height is None or is_finite_real(min_height)):
         raise InvalidSpec(f"min_height={min_height}, expected finite or None")
 
 
@@ -269,34 +274,14 @@ def find_peaks(
     _check_spacing(min_distance, "min_distance")
     check_min_height(min_height)
     peaks = _spaced_peaks(arr[None], min_distance, min_height)
-    if not peaks.size:
-        return []
-
-    n = len(arr)
-    heights = arr[peaks]
-    # each descent runs from the peak to the nearest strictly higher sample
-    # on that side (exclusive), or to the boundary; the (peaks, n) masks are
-    # taken in blocks of rows so that long series stay in bounded memory
-    lo = np.empty_like(peaks)
-    hi = np.empty_like(peaks)
-    index = np.arange(n)
-    rows = max(1, _MASK_CELLS // n)
-    for b in range(0, len(peaks), rows):
-        p = peaks[b : b + rows, None]
-        higher = arr > heights[b : b + rows, None]
-        left = higher & (index < p)
-        right = higher & (index > p)
-        lo[b : b + rows] = np.where(left.any(axis=1), n - np.argmax(left[:, ::-1], axis=1), 0)
-        hi[b : b + rows] = np.where(right.any(axis=1), np.argmax(right, axis=1), n)
-    # minima over arr[lo : peak + 1] and arr[peak : hi]; the odd segments
-    # in between are discarded, and the appended sample makes hi == n valid
-    bounds = np.column_stack((lo, peaks + 1, peaks, hi)).ravel()
-    minima = np.minimum.reduceat(np.append(arr, np.inf), bounds)
-    prominences = heights - np.maximum(minima[0::4], minima[2::4])
-    return [
-        Peak(c, h, p)
-        for c, h, p in zip(peaks.tolist(), heights.tolist(), prominences.tolist())
-    ]
+    out = []
+    for c, h in zip(peaks.tolist(), arr[peaks].tolist()):
+        # left reads the samples before c backwards; a peak is never at 0
+        left, right = arr[c - 1 :: -1] > h, arr[c + 1 :] > h
+        lo = c - left.argmax() if left.any() else 0
+        hi = c + 1 + right.argmax() if right.any() else len(arr)
+        out.append(Peak(c, h, float(h - max(arr[lo : c + 1].min(), arr[c:hi].min()))))
+    return out
 
 
 def window_convolve(x: np.ndarray, params: WindowParams) -> np.ndarray:

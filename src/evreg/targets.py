@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidEvents, InvalidRange, InvalidSpec, ZeroKernel
 from .metric import ascending_positive_ints
-from .signal import gaussian_taps
+from .signal import _check_ints, gaussian_taps, is_finite_real, is_real
 from .types import INTERVAL, POINT, EventSet, derive_state_labels, validate_events
 
 KERNEL_KINDS = ("hard", "gaussian", "edap")
@@ -47,6 +47,10 @@ class PdfSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InvalidSpec(f"kind={self.kind!r}, expected one of {KERNEL_KINDS}")
+        _check_ints("day_length_d", self.day_length_d, error=InvalidSpec)
+        _check_ints("width_w", self.width_w, error=InvalidSpec)
+        if not (self.sigma is None or is_real(self.sigma)):
+            raise InvalidSpec(f"sigma: {self.sigma!r} is not a real number")
         if self.width_w < 1 or self.width_w % 2 == 0:
             raise InvalidSpec(f"width_w={self.width_w}, expected odd and positive")
         if self.day_length_d < max(1, self.width_w):
@@ -54,7 +58,7 @@ class PdfSpec:
                 f"day_length_d={self.day_length_d} must be >= width_w={self.width_w}"
             )
         if self.kind == "gaussian":
-            if self.sigma is None or not (np.isfinite(self.sigma) and self.sigma > 0):
+            if not (is_finite_real(self.sigma) and self.sigma > 0):
                 raise InvalidSpec("gaussian kernel requires positive sigma")
             if self.width_w < 2 * math.ceil(4.0 * self.sigma) + 1:
                 raise InvalidSpec(

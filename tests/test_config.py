@@ -261,6 +261,15 @@ class TestValidation:
         with pytest.raises(InvalidConfig, match=f"{field}: .* is not an int"):
             replace(config, **{field: value})
 
+    @pytest.mark.parametrize("args, match", [
+        ((1, "x"), "series_dir: expected a string, got 1"),
+        (("s", None), "events: expected a string, got None"),
+        ((Path("s"), "e.csv"), "series_dir: expected a string"),
+    ])
+    def test_paths_must_be_strings(self, args, match):
+        with pytest.raises(InvalidConfig, match=match):
+            PathsSpec(*args)
+
     def test_bad_seg_method(self):
         # the decoder is the objective's record: segmentation_peaks, not a knob
         for method in ("threshold", "peaks", "argmax"):

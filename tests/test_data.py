@@ -84,6 +84,29 @@ class TestSynthGenerate:
         with pytest.raises(InvalidConfig):
             SynthConfig(1, 1000, 50, 50, -0.5)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("num_series", True, "num_series: True is not an int"),
+            ("length", 256.5, "length: 256.5 is not an int"),
+            ("mean_gap", np.float64(20.0), "mean_gap: .* is not an int"),
+            ("seed", "1", "seed: '1' is not an int"),
+            ("noise_std", "0.5", "noise_std: '0.5' is not a real number"),
+            ("noise_std", True, "noise_std: True is not a real number"),
+            pytest.param("noise_std", 10**400, "noise_std=1000+, expected >= 0", id="huge-noise"),
+            pytest.param("drift_std", 10**400, "drift_std=1000+, expected >= 0", id="huge-drift"),
+            pytest.param("signal_shift", -(10**400), "signal_shift must be finite", id="huge-shift"),
+        ],
+    )
+    def test_field_types(self, field, value, match):
+        fields = dict(num_series=2, length=256, mean_event_duration=10, mean_gap=20, noise_std=0.5)
+        with pytest.raises(InvalidConfig, match=match):
+            SynthConfig(**{**fields, field: value})
+
+    def test_numpy_fields_accepted(self):
+        cfg = SynthConfig(np.int64(2), np.int32(256), 10, 20, np.float32(0.5), seed=np.uint8(3))
+        assert len(synth_generate(cfg)) == 2
+
 
 class TestDownsample:
     def test_identity_factor(self):

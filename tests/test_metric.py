@@ -516,6 +516,11 @@ class TestEdap:
             "offset", "onset"
         )
 
+    @pytest.mark.parametrize("classes", [None, 3, ("onset", 3), ["onset", None]])
+    def test_classes_must_be_a_sequence_of_strings(self, classes):
+        with pytest.raises(InvalidSpec, match="expected a sequence of class names"):
+            EdapConfig(tolerances=(1,), classes=classes)
+
     def test_bad_config(self):
         with pytest.raises(InvalidSpec):
             EdapConfig(tolerances=())

@@ -921,6 +921,18 @@ class TestTrain:
         with pytest.raises(InvalidConfig, match=f"{field}: .* is not a real number"):
             TrainConfig(**{**sigmas, field: value})
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (dict(learning_rate=10**400), "learning_rate must be finite and positive"),
+            (dict(sigma_start=10**400, sigma_end=1.0), "need sigma_start >= sigma_end > 0"),
+        ],
+    )
+    def test_train_config_rejects_values_past_the_float_range(self, fields, match):
+        # float() of these overflowed in cosine_lr and sigma_schedule
+        with pytest.raises(InvalidConfig, match=match):
+            TrainConfig(**fields)
+
     def test_train_config_accepts_numpy_floats(self):
         config = TrainConfig(
             learning_rate=np.float64(0.1), grad_clip_norm=np.float32(1.0),

@@ -97,6 +97,24 @@ class TestMakeKernel:
         with pytest.raises(InvalidSpec):
             PdfSpec(kind="hard", day_length_d=3, width_w=5)
 
+    @pytest.mark.parametrize(
+        "args, sigma, match",
+        [
+            (("hard", 10, True), None, "width_w: True is not an int"),
+            (("hard", 10.5, 3), None, "day_length_d: 10.5 is not an int"),
+            (("hard", 10, "3"), None, "width_w: '3' is not an int"),
+            (("gaussian", 100, 9), True, "sigma: True is not a real number"),
+            (("gaussian", 100, 9), "1", "sigma: '1' is not a real number"),
+            pytest.param(
+                ("gaussian", 100, 9), 10**400, "gaussian kernel requires positive sigma",
+                id="huge-sigma",
+            ),
+        ],
+    )
+    def test_field_types(self, args, sigma, match):
+        with pytest.raises(InvalidSpec, match=match):
+            PdfSpec(*args, sigma=sigma)
+
 
 class TestGamma:
     def test_hard_d100(self):
