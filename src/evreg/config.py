@@ -158,6 +158,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         spec = _objective(self.objective)
+        for name, kinds in _RECORD_FIELDS.items():
+            if not isinstance(value := getattr(self, name), kinds):
+                expected = " or ".join(
+                    "None" if kind is type(None) else kind.__name__ for kind in kinds
+                )
+                raise InvalidConfig(f"{name}: expected {expected}, got {value!r}")
         _check_ints("folds", self.folds)
         _check_ints("downsample", self.downsample)
         if self.folds < 2:
@@ -193,6 +199,16 @@ class ExperimentConfig:
     def spec(self) -> Objective:
         """The record of this config's objective."""
         return OBJECTIVES[self.objective]
+
+
+# the types each nested-record field of ExperimentConfig may hold (None
+# included), read from the annotations that _build_section reads
+_RECORD_FIELDS: dict[str, tuple[type, ...]] = {
+    name: kinds
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    for kinds in [typing.get_args(hint) or (hint,)]
+    if all(is_dataclass(kind) or kind is type(None) for kind in kinds)
+}
 
 
 # -- YAML loading -------------------------------------------------------------

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -185,27 +186,48 @@ def downsample(
 # -- CSV persistence --------------------------------------------------------
 
 
+def _field(value) -> str:
+    """value as one CSV field, quoted as csv.writer quotes it.
+
+    None is empty, a float is written with %.17g and anything else with str.
+    The text is quoted when it holds a comma, a quote or a line break, and
+    each quote in it is doubled.
+    """
+    if isinstance(value, float):
+        return _FLOAT_FMT % value
+    if value is None:
+        return ""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _line(row: Iterable) -> str:
+    """One CSV line without its LF; a lone empty field is quoted, so that the
+    line does not read back as a row of no fields."""
+    fields = [_field(v) for v in row]
+    return '""' if fields == [""] else ",".join(fields)
+
+
+def _write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line followed by LF, in one call."""
+    path = Path(path)
+    text = "".join([line + "\n" for line in lines])
+    try:
+        with path.open("w", encoding="utf-8", newline="") as f:
+            f.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write a CSV file: the header line, then one line per row.
 
-    None is written as an empty field, a float with %.17g and anything else
-    with str; fields holding a comma, a quote or a line break are quoted.
-    Lines end in LF.
+    Each field is written by _field, the bytes csv.writer writes for it;
+    lines end in LF.
     """
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8", newline="") as f:
-            # csv quotes the characters of its line terminator besides ',' and
-            # '"': rows end in CRLF so '\r' is quoted too, then lose the CR
-            lf = SimpleNamespace(write=lambda line: f.write(line[:-2] + "\n"))
-            writer = csv.writer(lf, lineterminator="\r\n")
-            writer.writerow(header)
-            # csv itself writes None as an empty field and str() of the rest
-            writer.writerows(
-                [_FLOAT_FMT % v if isinstance(v, float) else v for v in row] for row in rows
-            )
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    _write_lines(path, map(_line, itertools.chain([header], rows)))
 
 
 def _read_table(
@@ -282,22 +304,23 @@ def load_series(path: str | Path) -> TimeSeries:
 _EVENT_HEADER = ["series_id", "event", "step", "score"]
 
 
-def _event_rows(sid: str, obj: EventSet | ScoredEvents) -> Iterable[list]:
+def _event_rows(obj: EventSet | ScoredEvents) -> Iterable[tuple]:
+    """(event, step, score) of each row of one series."""
     if not len(obj):
-        yield [sid, None, None, None]
+        yield "", None, None
     elif isinstance(obj, EventSet):
         if obj.kind == INTERVAL:
             for ev in obj.events:
-                yield [sid, "onset", ev.onset, ev.score]
-                yield [sid, "offset", ev.offset, ev.score]
+                yield "onset", ev.onset, ev.score
+                yield "offset", ev.offset, ev.score
         else:
             for ev in obj.events:
-                yield [sid, "point", ev.step, ev.score]
+                yield "point", ev.step, ev.score
     else:
         for step, score in obj.onsets:
-            yield [sid, "onset", step, score]
+            yield "onset", step, score
         for step, score in obj.offsets:
-            yield [sid, "offset", step, score]
+            yield "offset", step, score
 
 
 def save_events(
@@ -308,10 +331,17 @@ def save_events(
     Interval ground truth emits alternating onset/offset rows per event;
     decoded ScoredEvents emit their onset rows then offset rows.  The score
     column is left empty for unscored ground truth.  A series without events
-    keeps one row whose event, step and score fields are empty.
+    keeps one row whose event, step and score fields are empty.  The bytes
+    are write_table's for the same rows.
     """
-    rows = (row for sid in sorted(events) for row in _event_rows(sid, events[sid]))
-    write_table(path, _EVENT_HEADER, rows)
+    lines = [_line(_EVENT_HEADER)]
+    for sid in sorted(events):
+        head = _field(sid)
+        lines += [
+            f"{head},{kind},{_field(step)},{_field(score)}"
+            for kind, step, score in _event_rows(events[sid])
+        ]
+    _write_lines(path, lines)
 
 
 def _check_event_header(header: list[str]) -> None:
@@ -319,9 +349,12 @@ def _check_event_header(header: list[str]) -> None:
         raise ParseError("expected header 'series_id,event,step,score'", line=1, column=1)
 
 
+_EVENT_KINDS = ("onset", "offset", "point")
+
+
 def _event_row(line: int, kind: str, step_text: str, score_text: str) -> tuple:
     """(event, step, score, line) of one data row, or the ParseError of its first bad cell."""
-    if kind not in ("onset", "offset", "point"):
+    if kind not in _EVENT_KINDS:
         raise ParseError(f"bad event type {kind!r}", line=line, column=2)
     try:
         step = int(step_text)
@@ -415,6 +448,7 @@ def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
     _, table = _read_table(Path(path), _check_event_header)
     # per series: its onset/point pairs and its offset pairs
     detections: dict[str, tuple[list, list]] = {}
+    isfinite = math.isfinite
     for line, (sid, kind, step_text, score_text) in table:
         # not setdefault, which would build two lists for every row
         pairs = detections.get(sid)
@@ -422,12 +456,22 @@ def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
             pairs = detections[sid] = ([], [])
         if kind == step_text == score_text == "":
             continue
-        kind, step, score, _ = _event_row(line, kind, step_text, score_text)
-        if score is None:
-            raise ParseError(f"series {sid!r}: detection rows need a score", line=line, column=4)
-        fault = detection_fault(step, score)
-        if fault is not None:
-            raise InvalidEvents(f"{path}: series {sid!r}, line {line}: {fault}")
+        # a valid row in one go; the checks below name the first fault of
+        # any other, cell by cell, and are only run for it
+        try:
+            step, score = int(step_text), float(score_text)
+            valid = kind in _EVENT_KINDS and step >= 0 and isfinite(score)
+        except ValueError:
+            valid = False
+        if not valid:
+            _, step, score, _ = _event_row(line, kind, step_text, score_text)
+            if score is None:
+                raise ParseError(
+                    f"series {sid!r}: detection rows need a score", line=line, column=4
+                )
+            raise InvalidEvents(
+                f"{path}: series {sid!r}, line {line}: {detection_fault(step, score)}"
+            )
         pairs[kind == "offset"].append((step, score))
     return {
         sid: ScoredEvents(onsets=sorted(onsets), offsets=sorted(offsets))

@@ -116,6 +116,9 @@ def fold_splits(
 ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """(train_ids, val_ids) per fold; contiguous blocks of the sorted ids."""
     ids = sorted(series_ids)
+    # a bool is an int here, and True reads as folds=True below
+    if not isinstance(folds, (int, np.integer)):
+        raise InvalidConfig(f"folds: {folds!r} is not an int")
     if folds < 2:
         raise InvalidConfig(f"folds={folds}, expected >= 2")
     if len(ids) < folds:

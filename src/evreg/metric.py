@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyTruth, InvalidEvents, InvalidSpec
+from .signal import _check_ints, is_finite_real, is_real
 from .types import EventSet, ScoredEvents, checked_detections, checked_steps
 
 
@@ -180,11 +181,7 @@ def match_events(
     prediction must pass types.detection_fault and every truth step
     types.step_fault; InvalidEvents names the first that does not.
     """
-    try:
-        valid_tol = not isinstance(tol, (bool, np.bool_)) and tol >= 0
-    except TypeError:
-        valid_tol = False
-    if not valid_tol:
+    if not (is_real(tol) and tol >= 0):
         raise InvalidSpec(f"tol={tol}, expected a number >= 0")
     ranked = _ranked(checked_detections(pred, "pred"))
     free = sorted(checked_steps(truth, "truth"))
@@ -210,6 +207,10 @@ def average_precision(flags: Sequence[bool], num_truth: int) -> float:
     num_truth == 0 the value is 0.0 when predictions exist and undefined
     (EmptyTruth) when there are none.
     """
+    _check_ints("num_truth", num_truth, error=InvalidSpec)
+    # the float sums are divided by it
+    if not is_finite_real(num_truth):
+        raise InvalidSpec("num_truth is past the float range")
     if num_truth < 0:
         raise InvalidSpec(f"num_truth={num_truth}, expected >= 0")
     if num_truth == 0:

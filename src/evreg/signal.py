@@ -184,6 +184,9 @@ def _spaced_peaks(arr: np.ndarray, min_distance: int, min_height: float | None) 
     n = arr.shape[1]
     if n < 3 or not arr.size:
         return np.empty(0, dtype=np.intp)
+    # any spacing of n or more keeps one peak per row; a larger one would
+    # overflow the intp positions below
+    min_distance = min(min_distance, n)
     flat = arr.ravel()
 
     # runs of equal samples, each within one row; a run is a peak when both

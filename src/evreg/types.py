@@ -262,6 +262,10 @@ def checked_detections(pairs, name: str) -> list[tuple[int, float]]:
     out: list[tuple[int, float]] = []
     try:
         for step, score in pairs:
+            # an (int, float) pair that passes is kept as it is, as below
+            if type(step) is int and type(score) is float and step >= 0 and math.isfinite(score):
+                out.append((step, score))
+                continue
             fault = detection_fault(step, score)
             if fault is not None:
                 raise InvalidEvents(f"{name}[{len(out)}]: {fault}")

@@ -7,6 +7,8 @@ correctness rather than of shared bugs.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -101,3 +103,18 @@ def window_contrast_oracle(x, alpha: int) -> np.ndarray:
         before = sum(at(t - k) for k in range(1, alpha + 1)) / alpha
         out[t] = after - before
     return out
+
+
+def csv_table_oracle(header, rows) -> str:
+    """The text the csv module writes for a header and rows, as data.write_table
+    wrote it before it formatted fields itself: each float as %.17g, then
+    csv.writer with CRLF line ends (so a '\r' in a field is quoted), and the
+    CR of each line end dropped."""
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(
+            ["%.17g" % v if isinstance(v, float) else v for v in row]
+        )
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)

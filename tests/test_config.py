@@ -393,3 +393,22 @@ class TestProgrammaticConstruction:
                 metric=EdapConfig(tolerances=(1,)),
                 pdf=None,  # regression needs a pdf
             )
+
+    @pytest.mark.parametrize("field", ["data", "model", "decode", "metric", "train", "grid"])
+    @pytest.mark.parametrize("value", [None, True, "x", {}], ids=["None", "True", "str", "dict"])
+    def test_nested_records_are_checked(self, field, value):
+        config = load_config(CONFIGS / "cpd.yaml")
+        with pytest.raises(InvalidConfig, match=f"^{field}: expected .*, got "):
+            replace(config, **{field: value})
+
+    def test_nested_record_message(self):
+        config = load_config(CONFIGS / "cpd.yaml")
+        with pytest.raises(InvalidConfig) as err:
+            replace(config, model=None)
+        assert str(err.value) == "model: expected ModelConfig, got None"
+        with pytest.raises(InvalidConfig) as err:
+            replace(config, data=config.model)
+        assert str(err.value).startswith("data: expected SynthConfig or PathsSpec, got ModelConfig(")
+        with pytest.raises(InvalidConfig) as err:
+            replace(config, pdf="gaussian")
+        assert str(err.value) == "pdf: expected PdfSpec or None, got 'gaussian'"

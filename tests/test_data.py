@@ -1,5 +1,9 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from conftest import csv_table_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +16,7 @@ from evreg.data import (
     save_events,
     save_series,
     synth_generate,
+    write_table,
 )
 from evreg.errors import DataError, InvalidConfig, InvalidEvents, InvalidFactor, ParseError
 from evreg.types import (
@@ -333,6 +338,88 @@ def _interval_sets(draw) -> dict[str, EventSet]:
     return out
 
 
+# UTF-8 text (no lone surrogates), the characters csv quotes drawn often
+_CSV_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",)) | st.sampled_from(',"\r\n'), max_size=6
+)
+_ODD_FLOATS = st.sampled_from(
+    [-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e308]
+)
+_FLOAT_FIELDS = st.one_of(
+    st.floats(), _ODD_FLOATS, st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+)
+_CSV_FIELDS = st.one_of(
+    st.none(), _FLOAT_FIELDS, st.integers(), st.integers(-(10**400), 10**400),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans(), st.just(np.True_), _CSV_TEXT,
+    st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", "é", 'a,"b"', "日本"]),
+)
+
+
+def _event_table_rows(events) -> list[list]:
+    """The rows save_events documents: per series in id order, interval onset
+    and offset rows in turn, point rows, or detection onset rows then offset
+    rows; one row of empty fields for a series without events."""
+    rows = []
+    for sid in sorted(events):
+        obj = events[sid]
+        if not len(obj):
+            rows.append([sid, None, None, None])
+        elif isinstance(obj, ScoredEvents):
+            rows += [[sid, "onset", step, score] for step, score in obj.onsets]
+            rows += [[sid, "offset", step, score] for step, score in obj.offsets]
+        elif obj.kind == INTERVAL:
+            for ev in obj.events:
+                rows += [[sid, "onset", ev.onset, ev.score], [sid, "offset", ev.offset, ev.score]]
+        else:
+            rows += [[sid, "point", ev.step, ev.score] for ev in obj.events]
+    return rows
+
+
+_STEPS = st.integers(0, 10**30) | st.integers(0, 2**62).map(np.int64)
+_EVENT_SCORES = st.none() | _FLOAT_FIELDS
+_EVENT_RECORDS = st.one_of(
+    st.builds(ScoredEvents, onsets=_PAIRS, offsets=_PAIRS),
+    st.builds(
+        lambda sid, events: EventSet(sid, INTERVAL, events), _CSV_TEXT,
+        st.lists(st.builds(IntervalEvent, _STEPS, _STEPS, _EVENT_SCORES), max_size=3),
+    ),
+    st.builds(
+        lambda sid, events: EventSet(sid, POINT, events), _CSV_TEXT,
+        st.lists(st.builds(PointEvent, _STEPS, _EVENT_SCORES), max_size=3),
+    ),
+)
+
+
+class TestCsvBytes:
+    """write_table and save_events write the bytes csv.writer wrote."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.lists(_CSV_TEXT, min_size=1, max_size=4),
+        rows=st.lists(st.lists(_CSV_FIELDS, max_size=4), max_size=6),
+    )
+    def test_write_table_matches_csv_writer(self, tmp_path_factory, header, rows):
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        write_table(path, header, rows)
+        assert path.read_bytes() == csv_table_oracle(header, rows).encode("utf-8")
+
+    @pytest.mark.parametrize("row", [[""], [None], [], ["", ""], [None, None], [","], ["\r"]])
+    def test_single_and_empty_fields(self, tmp_path, row):
+        path = tmp_path / "table.csv"
+        write_table(path, [""], [row])
+        assert path.read_bytes() == csv_table_oracle([""], [row]).encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.dictionaries(_CSV_TEXT, _EVENT_RECORDS, max_size=4))
+    def test_save_events_matches_csv_writer(self, tmp_path_factory, events):
+        path = tmp_path_factory.mktemp("events") / "events.csv"
+        save_events(path, events)
+        want = csv_table_oracle(
+            ["series_id", "event", "step", "score"], _event_table_rows(events)
+        )
+        assert path.read_bytes() == want.encode("utf-8")
+
+
 class TestEventsCsv:
     @settings(max_examples=60, deadline=None)
     @given(events=_interval_sets())
@@ -535,6 +622,45 @@ class TestEventsCsv:
         with pytest.raises(DataError) as err:
             loader(path)
         assert str(err.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("rows,error,message", [
+        ("s,onset,1,0.5\ns,start,2,0.5\n", ParseError, "line 3, column 2: bad event type 'start'"),
+        ("s,onset,1,0.5\ns,,1,0.5\n", ParseError, "line 3, column 2: bad event type ''"),
+        ("s,onset,1,0.5\ns,offset,2.5,0.5\n", ParseError, "line 3, column 3: bad step '2.5'"),
+        ("s,onset,1,0.5\ns,offset,2,high\n", ParseError, "line 3, column 4: bad score 'high'"),
+        ("s,onset,1,0.5\ns,point,2,\n", ParseError,
+         "line 3, column 4: series 's': detection rows need a score"),
+        ("s,onset,-1,0.5\n", InvalidEvents, "{path}: series 's', line 2: step -1 is before step 0"),
+        ("s,onset,1,nan\n", InvalidEvents, "{path}: series 's', line 2: score nan is not finite"),
+        ("s,offset,1,1e999\n", InvalidEvents,
+         "{path}: series 's', line 2: score inf is not finite"),
+        ("s,onset,1\n", ParseError, "line 2, column 0: expected 4 fields, found 3"),
+        ("s,onset,1,0.5,x\n", ParseError, "line 2, column 0: expected 4 fields, found 5"),
+        # the first cell in row order names the fault: kind, step, then score
+        ("s,begin,-1,nan\n", ParseError, "line 2, column 2: bad event type 'begin'"),
+        ("s,onset,x,\n", ParseError, "line 2, column 3: bad step 'x'"),
+        ("s,onset,-1,\n", ParseError, "line 2, column 4: series 's': detection rows need a score"),
+        # two faults in different series: the one on the earlier line is raised
+        ("a,onset,1,0.5\nb,onset,-2,0.5\na,offset,3,inf\n", InvalidEvents,
+         "{path}: series 'b', line 3: step -2 is before step 0"),
+        ("a,onset,1,0.5\nb,onset,x,0.5\na,offset,-3,0.5\n", ParseError,
+         "line 3, column 3: bad step 'x'"),
+    ], ids=[
+        "bad-kind", "empty-kind", "bad-step", "bad-score", "missing-score", "negative-step",
+        "nan-score", "overflowing-score", "too-few-fields", "too-many-fields",
+        "kind-before-step", "step-before-score", "score-before-step-rule",
+        "two-series-detection-first", "two-series-cell-first",
+    ])
+    def test_bad_detection_rows_keep_their_errors(self, tmp_path, rows, error, message):
+        path = tmp_path / "events.csv"
+        path.write_text("series_id,event,step,score\n" + rows)
+        with pytest.raises(DataError) as err:
+            load_scored_events(path)
+        assert type(err.value) is error
+        assert str(err.value) == message.format(path=path)
+        if error is ParseError:
+            line, column = map(int, re.match(r"line (\d+), column (\d+): ", message).groups())
+            assert (err.value.line, err.value.column) == (line, column)
 
     @pytest.mark.parametrize("rows,line,fault", [
         ("s,point,3,\ns,point,-4,\n", 3, "point -4 is before step 0"),

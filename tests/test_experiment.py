@@ -88,6 +88,22 @@ class TestFoldSplits:
         with pytest.raises(InvalidConfig):
             fold_splits(["a", "b"], 1)
 
+    @pytest.mark.parametrize("folds,message", [
+        ("2", "folds: '2' is not an int"),
+        (None, "folds: None is not an int"),
+        (2.5, "folds: 2.5 is not an int"),
+        (2.0, "folds: 2.0 is not an int"),
+        (True, "folds=True, expected >= 2"),
+        (1, "folds=1, expected >= 2"),
+    ])
+    def test_folds_must_be_an_int(self, folds, message):
+        with pytest.raises(InvalidConfig) as err:
+            fold_splits(["a", "b", "c"], folds)
+        assert str(err.value) == message
+
+    def test_numpy_int_folds(self):
+        assert fold_splits(["a", "b"], np.int64(2)) == fold_splits(["a", "b"], 2)
+
 
 class TestBuildDataset:
     def test_synth(self):

@@ -337,7 +337,7 @@ class TestMatchEvents:
         with pytest.raises(InvalidEvents, match=message):
             prf_at_tolerance([(1, 0.5)], truth, 5)
 
-    @pytest.mark.parametrize("tol", [float("nan"), True, np.True_, "1", None, -0.5])
+    @pytest.mark.parametrize("tol", [float("nan"), True, np.True_, "1", None, -0.5, np.array([1, 2])])
     def test_tolerance_is_a_number_at_least_zero(self, tol):
         with pytest.raises(InvalidSpec, match="tol="):
             match_events([(1, 0.5)], [1], tol)
@@ -369,6 +369,25 @@ class TestAveragePrecision:
     def test_no_truth_no_predictions_undefined(self):
         with pytest.raises(EmptyTruth):
             average_precision([], 0)
+
+    @pytest.mark.parametrize("num_truth,message", [
+        ("1", "num_truth: '1' is not an int"),
+        (None, "num_truth: None is not an int"),
+        ((), "num_truth: () is not an int"),
+        ([1, 2], "num_truth: [1, 2] is not an int"),
+        (1.5, "num_truth: 1.5 is not an int"),
+        (float("nan"), "num_truth: nan is not an int"),
+        (True, "num_truth: True is not an int"),
+        (10**400, "num_truth is past the float range"),
+        (-1, "num_truth=-1, expected >= 0"),
+    ], ids=["str", "None", "tuple", "list", "fraction", "nan", "bool", "huge", "negative"])
+    def test_num_truth_is_an_int_at_least_zero(self, num_truth, message):
+        with pytest.raises(InvalidSpec) as err:
+            average_precision([True], num_truth)
+        assert str(err.value) == message
+
+    def test_numpy_int_num_truth(self):
+        assert average_precision([True, False], np.int64(2)) == 0.5
 
     @given(st.lists(st.booleans(), max_size=300), st.integers(1, 400))
     @settings(max_examples=200, deadline=None)

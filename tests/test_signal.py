@@ -375,6 +375,20 @@ class TestFindPeaks:
         x = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
         assert find_peaks(x, np.int64(3), np.float64(0.5)) == [Peak(3, 2.0, 2.0)]
 
+    @pytest.mark.parametrize(
+        "min_distance", [10**400, 2**63, 2**63 - 1, np.int64(2**63 - 1), np.uint64(2**64 - 1)],
+        ids=["10**400", "2**63", "2**63-1", "int64-max", "uint64-max"],
+    )
+    def test_spacing_past_the_series_keeps_one_peak(self, min_distance):
+        x = np.random.default_rng(3).normal(size=64)
+        got = [tuple(p) for p in find_peaks(x, min_distance)]
+        assert got == [tuple(p) for p in find_peaks(x, len(x))]
+        assert got == brute_force_peaks(x, min_distance) and len(got) == 1
+        rows = np.stack([x, x[::-1]])
+        assert row_peaks(_spaced_peaks(rows, min_distance, None), 2, 64) == brute_force_rows(
+            rows, min_distance
+        )
+
 
 def row_peaks(kept, rows: int, n: int) -> list[list[int]]:
     """Flat _spaced_peaks indices as the list of each row's indices."""
