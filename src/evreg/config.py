@@ -29,7 +29,7 @@ from .decode import (
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, InvalidSpec
 from .metric import EdapConfig
 from .model import ModelConfig, TrainConfig
-from .signal import SmoothingParams, _check_ints, is_real
+from .signal import SmoothingParams, check_fields, expect, is_real, shown
 from .targets import PdfSpec, encode_cpd, encode_regression, encode_segmentation
 from .types import INTERVAL, POINT, EventSet
 
@@ -84,8 +84,8 @@ OBJECTIVES: dict[str, Objective] = {
 
 
 def _objective(name: Any) -> Objective:
-    if not isinstance(name, str) or name not in OBJECTIVES:
-        raise InvalidConfig(f"objective={name!r}, expected one of {tuple(OBJECTIVES)}")
+    ok = isinstance(name, str) and name in OBJECTIVES
+    expect(ok, "objective", shown(name, repr), f"one of {tuple(OBJECTIVES)}", InvalidConfig)
     return OBJECTIVES[name]
 
 
@@ -101,9 +101,7 @@ class PathsSpec:
     events: str
 
     def __post_init__(self):
-        for name in ("series_dir", "events"):
-            if not isinstance(value := getattr(self, name), str):
-                raise InvalidConfig(f"{name}: expected a string, got {value!r}")
+        check_fields(self, InvalidConfig)
         if not self.series_dir or not self.events:
             raise InvalidConfig("paths dataset needs series_dir and events")
 
@@ -119,13 +117,15 @@ class GridSpec:
         try:
             mu, sigma = tuple(self.mu), tuple(self.sigma)
             numbers = all(map(is_real, mu)) and all(s is None or is_real(s) for s in sigma)
-            mu = tuple(float(m) for m in mu)
-            sigma = tuple(None if s is None else float(s) for s in sigma)
+            if numbers:
+                mu = tuple(float(m) for m in mu)
+                sigma = tuple(None if s is None else float(s) for s in sigma)
         except (TypeError, ValueError, OverflowError):
             numbers = False
         if not numbers:
             raise InvalidConfig(
-                f"grid mu and sigma must be lists of numbers, got {self.mu!r} and {self.sigma!r}"
+                f"grid mu and sigma must be lists of numbers, got {shown(self.mu, repr)} "
+                f"and {shown(self.sigma, repr)}"
             )
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -157,26 +157,15 @@ class ExperimentConfig:
     downsample: int = 1
 
     def __post_init__(self):
+        check_fields(self, InvalidConfig)
         spec = _objective(self.objective)
-        for name, kinds in _RECORD_FIELDS.items():
-            if not isinstance(value := getattr(self, name), kinds):
-                expected = " or ".join(
-                    "None" if kind is type(None) else kind.__name__ for kind in kinds
-                )
-                raise InvalidConfig(f"{name}: expected {expected}, got {value!r}")
-        _check_ints("folds", self.folds)
-        _check_ints("downsample", self.downsample)
-        if self.folds < 2:
-            raise InvalidConfig(f"folds={self.folds}, expected >= 2")
-        if self.downsample < 1:
-            raise InvalidConfig(f"downsample={self.downsample}, expected >= 1")
+        expect(self.folds >= 2, "folds", self.folds, ">= 2", InvalidConfig)
+        expect(self.downsample >= 1, "downsample", self.downsample, ">= 1", InvalidConfig)
         if not spec.segmentation and self.pdf is None:
             raise InvalidConfig(f"objective {self.objective!r} needs a pdf section")
-        if self.model.out_mode != spec.out_mode:
-            raise InvalidConfig(
-                f"objective {self.objective!r} needs model out_mode {spec.out_mode!r}, "
-                f"got {self.model.out_mode!r}"
-            )
+        ok = self.model.out_mode == spec.out_mode
+        expected = f"{spec.out_mode!r} for objective {self.objective!r}"
+        expect(ok, "model.out_mode", repr(self.model.out_mode), expected, InvalidConfig)
         if self.train.sigma_start is not None:
             kind = getattr(self.pdf, "kind", None)
             if spec.segmentation or kind != "gaussian":
@@ -199,16 +188,6 @@ class ExperimentConfig:
     def spec(self) -> Objective:
         """The record of this config's objective."""
         return OBJECTIVES[self.objective]
-
-
-# the types each nested-record field of ExperimentConfig may hold (None
-# included), read from the annotations that _build_section reads
-_RECORD_FIELDS: dict[str, tuple[type, ...]] = {
-    name: kinds
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
-    for kinds in [typing.get_args(hint) or (hint,)]
-    if all(is_dataclass(kind) or kind is type(None) for kind in kinds)
-}
 
 
 # -- YAML loading -------------------------------------------------------------

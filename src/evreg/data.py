@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import DataError, InvalidConfig, InvalidEvents, InvalidFactor, IoError, ParseError
-from .signal import _check_ints, is_finite_real, is_real
+from .signal import check_fields, check_int, expect, is_finite_real
 from .types import (
     INTERVAL,
     POINT,
@@ -52,27 +52,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_series", "length", "mean_event_duration", "mean_gap", "seed"):
-            _check_ints(name, getattr(self, name))
-        for name in ("noise_std", "signal_shift", "drift_std"):
-            if not is_real(value := getattr(self, name)):
-                raise InvalidConfig(f"{name}: {value!r} is not a real number")
-        if self.num_series < 1:
-            raise InvalidConfig(f"num_series={self.num_series}, expected >= 1")
-        if self.mean_event_duration < 1 or self.mean_gap < 1:
-            raise InvalidConfig("mean_event_duration and mean_gap must be >= 1")
-        if self.length < self.mean_event_duration + self.mean_gap:
-            raise InvalidConfig(
-                f"length={self.length} shorter than one mean gap+event cycle"
-            )
-        if not (is_finite_real(self.noise_std) and self.noise_std >= 0):
-            raise InvalidConfig(f"noise_std={self.noise_std}, expected >= 0")
-        if not (is_finite_real(self.drift_std) and self.drift_std >= 0):
-            raise InvalidConfig(f"drift_std={self.drift_std}, expected >= 0")
+        check_fields(self, InvalidConfig)
+        for name in ("num_series", "mean_event_duration", "mean_gap"):
+            value = getattr(self, name)
+            expect(value >= 1, name, value, ">= 1", InvalidConfig)
+        ok = self.length >= self.mean_event_duration + self.mean_gap
+        expect(ok, "length", self.length, ">= mean_event_duration + mean_gap", InvalidConfig)
+        for name in ("noise_std", "drift_std"):
+            value = getattr(self, name)
+            expect(is_finite_real(value) and value >= 0, name, value, ">= 0", InvalidConfig)
         if not is_finite_real(self.signal_shift):
             raise InvalidConfig("signal_shift must be finite")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed={self.seed}, expected >= 0")
+        expect(self.seed >= 0, "seed", self.seed, ">= 0", InvalidConfig)
 
 
 def _draw_duration(rng: np.random.Generator, mean: int) -> int:
@@ -161,12 +152,10 @@ def downsample(
     Std is the population standard deviation (zero for D=1).  Event steps
     map t -> floor(t/D).
     """
-    if factor_D < 1:
-        raise InvalidFactor(f"factor_D={factor_D}, expected >= 1")
-    if series.num_steps < factor_D:
-        raise InvalidFactor(
-            f"factor_D={factor_D} exceeds series length {series.num_steps}"
-        )
+    check_int("factor_D", factor_D, InvalidFactor)
+    expect(factor_D >= 1, "factor_D", factor_D, ">= 1", InvalidFactor)
+    expected = f"<= series length {series.num_steps}"
+    expect(factor_D <= series.num_steps, "factor_D", factor_D, expected, InvalidFactor)
     new_len = series.num_steps // factor_D
     channels: dict[str, np.ndarray] = {}
     for name, values in series.channels.items():

@@ -18,7 +18,7 @@ arrays in ascending step order.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,20 +30,14 @@ from .signal import (  # noqa: F401
     WindowParams,
     _check_finite_1d,
     _spaced_peaks,
-    check_min_height,
+    expect,
     find_peaks,
     gaussian_smooth,
+    is_finite_real,
     is_real,
     window_convolve,
 )
 from .types import ScoredEvents
-
-
-def _checked_mu(mu) -> float:
-    """mu as a float if it is a real number in [0, 1], else InvalidSpec (NaN or a bool)."""
-    if not (is_real(mu) and 0.0 <= mu <= 1.0):
-        raise InvalidSpec(f"mu={mu}, expected in [0, 1]")
-    return float(mu)
 
 
 @dataclass(frozen=True)
@@ -65,8 +59,9 @@ class DecodeParams:
     def __post_init__(self):
         WindowParams(self.alpha)
         SmoothingParams(self.sigma)
-        _checked_mu(self.mu)
-        check_min_height(self.min_height)
+        expect(is_real(self.mu) and 0.0 <= self.mu <= 1.0, "mu", self.mu, "in [0, 1]", InvalidSpec)
+        ok = self.min_height is None or is_finite_real(self.min_height)
+        expect(ok, "min_height", self.min_height, "finite or None", InvalidSpec)
 
 
 def _by_length(rows: list[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]:
@@ -203,7 +198,7 @@ def sweep_seg_threshold_batch(
     mask over the adjacent samples of the stacked sequences of one length
     holds the onsets of every row, and another their offsets.
     """
-    thresholds = [_checked_mu(mu) for mu in mus]
+    thresholds = [float(replace(params, mu=mu).mu) for mu in mus]
     smoothed, contrasts = _contrasts(ys, params)
     out: list[list] = [[None] * len(ys) for _ in mus]
     for members, stacked in _by_length(smoothed):

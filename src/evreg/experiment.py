@@ -24,6 +24,7 @@ from .metric import edap, edap_table
 # predict is not called here since validation runs batched forwards, but
 # perfbench's tests read it as experiment.predict
 from .model import EpochStats, TrainResult, forward, predict, train  # noqa: F401
+from .signal import check_int, expect, shown
 from .targets import sigma_schedule
 from .types import POINT, EventSet, ScoredEvents, TimeSeries, event_fault, points_from_intervals
 
@@ -117,12 +118,11 @@ def fold_splits(
     """(train_ids, val_ids) per fold; contiguous blocks of the sorted ids."""
     ids = sorted(series_ids)
     # a bool is an int here, and True reads as folds=True below
-    if not isinstance(folds, (int, np.integer)):
-        raise InvalidConfig(f"folds: {folds!r} is not an int")
-    if folds < 2:
-        raise InvalidConfig(f"folds={folds}, expected >= 2")
+    if not isinstance(folds, bool):
+        check_int("folds", folds, InvalidConfig)
+    expect(folds >= 2, "folds", folds, ">= 2", InvalidConfig)
     if len(ids) < folds:
-        raise TooFewSeries(f"{len(ids)} series cannot fill {folds} folds")
+        raise TooFewSeries(f"{len(ids)} series cannot fill {shown(folds)} folds")
     parts = np.array_split(np.asarray(ids, dtype=object), folds)
     out = []
     for part in parts:
@@ -253,8 +253,8 @@ def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
     either way because each fold is deterministic and the pooling step sorts
     by series id.  jobs < 1 raises InvalidConfig.
     """
-    if jobs < 1:
-        raise InvalidConfig(f"jobs={jobs}, expected >= 1")
+    check_int("jobs", jobs, InvalidConfig)
+    expect(jobs >= 1, "jobs", jobs, ">= 1", InvalidConfig)
     series_list, truth = build_dataset(config)
     by_id = {s.series_id: (s, truth[s.series_id]) for s in series_list}
     payloads = [

@@ -17,21 +17,21 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyTruth, InvalidEvents, InvalidSpec
-from .signal import _check_ints, is_finite_real, is_real
+from .signal import check_int, expect, is_finite_real, is_real, shown
 from .types import EventSet, ScoredEvents, checked_detections, checked_steps
 
 
-def ascending_positive_ints(values, message: str) -> tuple[int, ...]:
-    """values as a tuple of ints if they are nonempty, integral, >= 1, not
-    bools and strictly ascending, else InvalidSpec(message.format(values))."""
+def ascending_positive_ints(values) -> tuple[int, ...] | None:
+    """values as a tuple of ints if they are nonempty, real (is_real),
+    integral, >= 1 and strictly ascending, else None."""
     try:
         t = tuple(values)
-        valid = all(not isinstance(v, (bool, np.bool_)) and int(v) == v and v >= 1 for v in t)
-        if t and valid and list(t) == sorted(set(t)):
-            return tuple(int(v) for v in t)
+        valid = all(is_real(v) and int(v) == v and v >= 1 for v in t)
     except (TypeError, ValueError, OverflowError):
-        t = values
-    raise InvalidSpec(message.format(t))
+        return None
+    if t and valid and list(t) == sorted(set(t)):
+        return tuple(int(v) for v in t)
+    return None
 
 
 @dataclass(frozen=True)
@@ -42,20 +42,18 @@ class EdapConfig:
     classes: tuple[str, ...] = ("onset", "offset")
 
     def __post_init__(self):
-        t = ascending_positive_ints(
-            self.tolerances, "tolerances={}, expected nonempty ascending distinct positive ints"
-        )
+        t = ascending_positive_ints(self.tolerances)
+        expected = "nonempty ascending distinct positive ints"
+        expect(t is not None, "tolerances", self.tolerances, expected, InvalidSpec)
         object.__setattr__(self, "tolerances", t)
         classes = self.classes
         if isinstance(classes, Iterable) and not isinstance(classes, str):
             classes = tuple(classes)
-        if not (isinstance(classes, tuple) and all(isinstance(c, str) for c in classes)):
-            raise InvalidSpec(f"classes={self.classes!r}, expected a sequence of class names")
+        ok = isinstance(classes, tuple) and all(isinstance(c, str) for c in classes)
+        expect(ok, "classes", shown(self.classes, repr), "a sequence of class names", InvalidSpec)
         object.__setattr__(self, "classes", classes)
-        if not self.classes:
-            raise InvalidSpec("classes must be nonempty")
-        if len(set(self.classes)) != len(self.classes):
-            raise InvalidSpec(f"classes={self.classes}, expected distinct class names")
+        ok = len(set(classes)) == len(classes) > 0
+        expect(ok, "classes", classes, "distinct class names, at least one", InvalidSpec)
 
 
 @dataclass(frozen=True)
@@ -181,8 +179,7 @@ def match_events(
     prediction must pass types.detection_fault and every truth step
     types.step_fault; InvalidEvents names the first that does not.
     """
-    if not (is_real(tol) and tol >= 0):
-        raise InvalidSpec(f"tol={tol}, expected a number >= 0")
+    expect(is_real(tol) and tol >= 0, "tol", tol, "a number >= 0", InvalidSpec)
     ranked = _ranked(checked_detections(pred, "pred"))
     free = sorted(checked_steps(truth, "truth"))
     flags = _pooled_flags([([s for s, _ in ranked], free)], (tol,))[0]
@@ -207,12 +204,11 @@ def average_precision(flags: Sequence[bool], num_truth: int) -> float:
     num_truth == 0 the value is 0.0 when predictions exist and undefined
     (EmptyTruth) when there are none.
     """
-    _check_ints("num_truth", num_truth, error=InvalidSpec)
+    check_int("num_truth", num_truth, InvalidSpec)
     # the float sums are divided by it
     if not is_finite_real(num_truth):
         raise InvalidSpec("num_truth is past the float range")
-    if num_truth < 0:
-        raise InvalidSpec(f"num_truth={num_truth}, expected >= 0")
+    expect(num_truth >= 0, "num_truth", num_truth, ">= 0", InvalidSpec)
     if num_truth == 0:
         if len(flags) > 0:
             return 0.0

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .signal import _check_ints, is_finite_real, is_real
+from .signal import check_fields, check_int, expect, is_finite_real, shown
 
 OUT_MODES = ("regression_2ch", "regression_1ch", "segmentation_2class")
 
@@ -54,27 +54,24 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, InvalidConfig)
         try:
             hidden = tuple(self.hidden_channels)
         except TypeError:
-            raise InvalidConfig(
-                f"hidden_channels={self.hidden_channels!r}, expected a list of ints"
-            ) from None
-        _check_ints("hidden_channels", *hidden)
-        _check_ints("in_channels", self.in_channels)
-        _check_ints("kernel_size", self.kernel_size)
-        _check_ints("seed", self.seed)
+            hidden = None
+        shown_hidden = shown(self.hidden_channels, repr)
+        expect(hidden is not None, "hidden_channels", shown_hidden, "a list of ints", InvalidConfig)
+        for h in hidden:
+            check_int("hidden_channels", h, InvalidConfig)
         object.__setattr__(self, "hidden_channels", tuple(int(h) for h in hidden))
-        if self.in_channels < 1:
-            raise InvalidConfig(f"in_channels={self.in_channels}, expected >= 1")
+        expect(self.in_channels >= 1, "in_channels", self.in_channels, ">= 1", InvalidConfig)
         if not self.hidden_channels or any(h < 1 for h in self.hidden_channels):
             raise InvalidConfig("hidden_channels must be a nonempty list of ints >= 1")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise InvalidConfig(f"kernel_size={self.kernel_size}, expected odd >= 1")
-        if self.out_mode not in OUT_MODES:
-            raise InvalidConfig(f"out_mode={self.out_mode!r}, expected one of {OUT_MODES}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed={self.seed}, expected >= 0")
+        ok = self.kernel_size >= 1 and self.kernel_size % 2 == 1
+        expect(ok, "kernel_size", self.kernel_size, "odd >= 1", InvalidConfig)
+        ok = self.out_mode in OUT_MODES
+        expect(ok, "out_mode", repr(self.out_mode), f"one of {OUT_MODES}", InvalidConfig)
+        expect(self.seed >= 0, "seed", self.seed, ">= 0", InvalidConfig)
 
     @property
     def levels(self) -> int:
@@ -101,14 +98,9 @@ class TrainConfig:
     sigma_end: float | None = None
 
     def __post_init__(self):
-        _check_ints("epochs", self.epochs)
-        _check_ints("batch_size", self.batch_size)
-        for name in ("learning_rate", "grad_clip_norm", "sigma_start", "sigma_end"):
-            value = getattr(self, name)
-            if not (is_real(value) or (value is None and name.startswith("sigma"))):
-                raise InvalidConfig(f"{name}: {value!r} is not a real number")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise InvalidConfig("epochs and batch_size must be >= 1")
+        check_fields(self, InvalidConfig)
+        expect(self.epochs >= 1, "epochs", self.epochs, ">= 1", InvalidConfig)
+        expect(self.batch_size >= 1, "batch_size", self.batch_size, ">= 1", InvalidConfig)
         lr = self.learning_rate
         if not (is_finite_real(lr) and lr > 0 and self.grad_clip_norm > 0):
             raise InvalidConfig(
@@ -479,8 +471,7 @@ def gradients(
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     """Cosine decay from base_lr (step 0) toward 0 at step == total_steps."""
-    if total_steps < 1:
-        raise InvalidConfig(f"total_steps={total_steps}, expected >= 1")
+    expect(total_steps >= 1, "total_steps", total_steps, ">= 1", InvalidConfig)
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 

@@ -8,16 +8,18 @@ are implemented here rather than delegated to a library.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import math
 import numbers
 import sys
+import typing
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidConfig, InvalidSpec, NonFiniteInput
+from .errors import EvregError, InvalidSpec, NonFiniteInput
 
 
 # Largest kernel radius ceil(4 sigma) SmoothingParams accepts, so sigma <=
@@ -40,12 +42,12 @@ class SmoothingParams:
     def __post_init__(self):
         if self.sigma is not None:
             # compared, not converted: float() of a huge int overflows
-            if not (is_real(self.sigma) and 0 <= self.sigma < math.inf):
-                raise InvalidSpec(f"sigma={self.sigma}, expected nonnegative or None")
+            ok = is_real(self.sigma) and 0 <= self.sigma < math.inf
+            expect(ok, "sigma", self.sigma, "nonnegative or None", InvalidSpec)
             # ceil(4 sigma) > R exactly when sigma > R / 4, an exact float
             if self.sigma > MAX_SMOOTHING_RADIUS / 4:
                 raise InvalidSpec(
-                    f"sigma={self.sigma}: kernel radius ceil(4 sigma) exceeds "
+                    f"sigma={shown(self.sigma)}: kernel radius ceil(4 sigma) exceeds "
                     f"MAX_SMOOTHING_RADIUS={MAX_SMOOTHING_RADIUS}"
                 )
 
@@ -57,7 +59,8 @@ class WindowParams:
     alpha: int
 
     def __post_init__(self):
-        _check_spacing(self.alpha, "alpha")
+        ok = is_int(self.alpha) and self.alpha >= 1
+        expect(ok, "alpha", self.alpha, "integer >= 1", InvalidSpec)
 
 
 class Peak(NamedTuple):
@@ -71,6 +74,11 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
+def is_int(value) -> bool:
+    """True for an int or a numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_finite_real(value) -> bool:
     """is_real and within the float range, compared as a Python number:
     float() of a huge int overflows, and the range overflows a float32."""
@@ -78,21 +86,74 @@ def is_finite_real(value) -> bool:
     return is_real(value) and -sys.float_info.max <= value <= sys.float_info.max
 
 
-def _check_ints(name: str, *values, error: type[ConfigError] = InvalidConfig) -> None:
-    """error naming the first of values that is a bool or no int (numpy ints are ints)."""
-    for value in values:
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-            raise error(f"{name}: {value!r} is not an int")
+def shown(value, text: Callable[[object], str] = str) -> str:
+    """text(value) for an error message, or a short form such as <int of 16610
+    bits> where it raises ValueError, as past Python's 4300-digit str limit."""
+    try:
+        return text(value)
+    except ValueError:
+        size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{size}>"
 
 
-def _check_spacing(value, name: str) -> None:
-    """InvalidSpec unless value is an integer >= 1 that is not a bool."""
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
-        raise InvalidSpec(f"{name}={value}, expected integer >= 1")
+def expect(ok: bool, name: str, value, expected: str, error: type[EvregError]) -> None:
+    """error("name=value, expected ...") unless ok.  ok is the caller's test,
+    so it must only compare a value whose type is already known."""
+    if not ok:
+        raise error(f"{name}={shown(value)}, expected {expected}")
+
+
+# the test of each annotation check_fields reads, and the message of a value
+# that fails it, formatted with the field name and shown(value, repr)
+_TYPE_RULES: dict[type, tuple[Callable[[object], bool], str]] = {
+    int: (is_int, "{}: {} is not an int"),
+    float: (is_real, "{}: {} is not a real number"),
+    str: (lambda value: isinstance(value, str), "{}: expected a string, got {}"),
+}
+
+
+def check_int(name: str, value, error: type[EvregError]) -> None:
+    """error unless value is_int: the rule of an int annotation."""
+    if not is_int(value):
+        raise error(_TYPE_RULES[int][1].format(name, shown(value, repr)))
+
+
+@functools.cache
+def _field_rules(cls: type) -> tuple[tuple[str, bool, Callable[[object], bool], str], ...]:
+    """(name, takes None, test, message) of each field of the dataclass cls
+    annotated int, float, str, a dataclass, or a union of these with None."""
+    rules = []
+    for name, hint in typing.get_type_hints(cls).items():
+        kinds = (hint,) if typing.get_origin(hint) is tuple else typing.get_args(hint) or (hint,)
+        present = tuple(kind for kind in kinds if kind is not type(None))
+        takes_none = present != kinds
+        if len(present) == 1 and present[0] in _TYPE_RULES:
+            rules.append((name, takes_none, *_TYPE_RULES[present[0]]))
+        elif all(map(dataclasses.is_dataclass, present)):
+            names = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+            test = lambda value, present=present: isinstance(value, present)
+            rules.append((name, takes_none, test, f"{{}}: expected {names}, got {{}}"))
+        # a tuple field is left to its record
+    return tuple(rules)
+
+
+def check_fields(record, error: type[EvregError]) -> None:
+    """error naming the first field of record whose value fails the rule of
+    its annotation (_field_rules); the rules are read once per class."""
+    for name, takes_none, test, message in _field_rules(type(record)):
+        value = getattr(record, name)
+        if not (takes_none and value is None or test(value)):
+            raise error(message.format(name, shown(value, repr)))
 
 
 def _check_finite_1d(x: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    try:
+        # as float64, a complex value would keep its real part and only warn
+        arr = None if np.iscomplexobj(x) else np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None:
+        raise InvalidSpec(f"{name} must hold real numbers")
     if arr.ndim != 1:
         raise InvalidSpec(f"{name} must be 1-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -158,12 +219,6 @@ def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
     # the n + len(taps) - 1 samples of the symmetric extension from -radius on
     j = np.arange(-radius, n - radius + len(taps) - 1) % (2 * n)
     return np.correlate(arr[np.minimum(j, 2 * n - 1 - j)], taps, mode="valid")
-
-
-def check_min_height(min_height) -> None:
-    """InvalidSpec unless min_height is None or is_finite_real."""
-    if not (min_height is None or is_finite_real(min_height)):
-        raise InvalidSpec(f"min_height={min_height}, expected finite or None")
 
 
 # Priority rounds _spaced_peaks runs before its sequential loop decides the
@@ -274,8 +329,10 @@ def find_peaks(
     ascending index.
     """
     arr = _check_finite_1d(x, "x")
-    _check_spacing(min_distance, "min_distance")
-    check_min_height(min_height)
+    ok = is_int(min_distance) and min_distance >= 1
+    expect(ok, "min_distance", min_distance, "integer >= 1", InvalidSpec)
+    ok = min_height is None or is_finite_real(min_height)
+    expect(ok, "min_height", min_height, "finite or None", InvalidSpec)
     peaks = _spaced_peaks(arr[None], min_distance, min_height)
     out = []
     for c, h in zip(peaks.tolist(), arr[peaks].tolist()):

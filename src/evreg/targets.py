@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidEvents, InvalidRange, InvalidSpec, ZeroKernel
 from .metric import ascending_positive_ints
-from .signal import _check_ints, gaussian_taps, is_finite_real, is_real
+from .signal import check_fields, expect, gaussian_taps, is_finite_real, shown
 from .types import INTERVAL, POINT, EventSet, derive_state_labels, validate_events
 
 KERNEL_KINDS = ("hard", "gaussian", "edap")
@@ -45,35 +45,32 @@ class PdfSpec:
     thresholds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise InvalidSpec(f"kind={self.kind!r}, expected one of {KERNEL_KINDS}")
-        _check_ints("day_length_d", self.day_length_d, error=InvalidSpec)
-        _check_ints("width_w", self.width_w, error=InvalidSpec)
-        if not (self.sigma is None or is_real(self.sigma)):
-            raise InvalidSpec(f"sigma: {self.sigma!r} is not a real number")
-        if self.width_w < 1 or self.width_w % 2 == 0:
-            raise InvalidSpec(f"width_w={self.width_w}, expected odd and positive")
-        if self.day_length_d < max(1, self.width_w):
-            raise InvalidSpec(
-                f"day_length_d={self.day_length_d} must be >= width_w={self.width_w}"
-            )
+        check_fields(self, InvalidSpec)
+        ok = self.kind in KERNEL_KINDS
+        expect(ok, "kind", repr(self.kind), f"one of {KERNEL_KINDS}", InvalidSpec)
+        ok = self.width_w >= 1 and self.width_w % 2 == 1
+        expect(ok, "width_w", self.width_w, "odd and positive", InvalidSpec)
+        ok = self.day_length_d >= self.width_w
+        expect(ok, "day_length_d", self.day_length_d, ">= width_w", InvalidSpec)
         if self.kind == "gaussian":
             if not (is_finite_real(self.sigma) and self.sigma > 0):
                 raise InvalidSpec("gaussian kernel requires positive sigma")
-            if self.width_w < 2 * math.ceil(4.0 * self.sigma) + 1:
+            # 2 ceil(4 sigma) + 1 taps, in ints: 4.0 * sigma can pass the float range
+            n, d = float(self.sigma).as_integer_ratio()
+            need = 2 * -(-4 * n // d) + 1
+            if self.width_w < need:
                 raise InvalidSpec(
-                    f"width_w={self.width_w} clips the gaussian; need >= "
-                    f"{2 * math.ceil(4.0 * self.sigma) + 1} for sigma={self.sigma}"
+                    f"width_w={self.width_w} clips the gaussian; need >= {need} "
+                    f"for sigma={self.sigma}"
                 )
         if self.kind == "edap":
-            t = ascending_positive_ints(
-                self.thresholds,
-                "edap kernel requires ascending distinct positive integer thresholds",
-            )
+            t = ascending_positive_ints(self.thresholds)
+            expected = "ascending distinct positive integer thresholds for an edap kernel"
+            expect(t is not None, "thresholds", self.thresholds, expected, InvalidSpec)
             if self.width_w < 2 * max(t) + 1:
                 raise InvalidSpec(
-                    f"width_w={self.width_w} clips the staircase; need >= "
-                    f"{2 * max(t) + 1}"
+                    f"width_w={shown(self.width_w)} clips the staircase; need >= "
+                    f"{shown(2 * max(t) + 1)}"
                 )
 
 
@@ -109,8 +106,7 @@ def make_kernel(spec: PdfSpec) -> np.ndarray:
 def gamma(kernel: np.ndarray, day_length_d: int) -> float:
     """Normalizer sqrt((1/d) * sum(kernel^2)); raises ZeroKernel if degenerate."""
     arr = np.asarray(kernel, dtype=np.float64)
-    if day_length_d < 1:
-        raise InvalidRange(f"day_length_d={day_length_d}, expected >= 1")
+    expect(day_length_d >= 1, "day_length_d", day_length_d, ">= 1", InvalidRange)
     energy = float(np.dot(arr, arr))
     if energy == 0.0:
         raise ZeroKernel("kernel has zero energy; gamma is undefined")
@@ -178,12 +174,8 @@ def sigma_schedule(
     fit trains epoch e of E at epoch / total_epochs = e / E, so its last
     epoch (E - 1) stops one step short of sigma_end.
     """
-    if total_epochs < 1:
-        raise InvalidRange(f"total_epochs={total_epochs}, expected >= 1")
-    if not (0 <= epoch <= total_epochs):
-        raise InvalidRange(f"epoch={epoch} outside [0, {total_epochs}]")
-    if not (sigma_start >= sigma_end > 0):
-        raise InvalidRange(
-            f"expected sigma_start >= sigma_end > 0, got {sigma_start}, {sigma_end}"
-        )
+    expect(total_epochs >= 1, "total_epochs", total_epochs, ">= 1", InvalidRange)
+    expect(0 <= epoch <= total_epochs, "epoch", epoch, f"in [0, {total_epochs}]", InvalidRange)
+    expected = f">= sigma_end={shown(sigma_end)} > 0"
+    expect(sigma_start >= sigma_end > 0, "sigma_start", sigma_start, expected, InvalidRange)
     return sigma_start + (sigma_end - sigma_start) * (epoch / total_epochs)

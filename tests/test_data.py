@@ -183,6 +183,24 @@ class TestDownsample:
         with pytest.raises(InvalidFactor):
             downsample(series, 5)
 
+    @pytest.mark.parametrize("factor, message", [
+        ("2", "factor_D: '2' is not an int"),
+        (2.5, "factor_D: 2.5 is not an int"),
+        (None, "factor_D: None is not an int"),
+        (True, "factor_D: True is not an int"),
+        (np.array([1, 2]), "factor_D: array([1, 2]) is not an int"),
+        (0, "factor_D=0, expected >= 1"),
+    ])
+    def test_factor_follows_the_int_rule(self, factor, message):
+        series = TimeSeries.build("s", {"a": np.arange(4.0)})
+        with pytest.raises(InvalidFactor) as err:
+            downsample(series, factor)
+        assert str(err.value) == message
+
+    def test_numpy_int_factor(self):
+        series = TimeSeries.build("s", {"a": np.arange(4.0)})
+        assert downsample(series, np.int64(2))[0].num_steps == 2
+
     def test_onsets_in_one_window_merge(self):
         # [9, 11) maps to [1, 2) and [12, 30) to [1, 3): the second would
         # overlap the first, so it extends it instead

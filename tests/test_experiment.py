@@ -451,6 +451,22 @@ class TestRunCv:
         with pytest.raises(InvalidConfig, match=f"jobs={jobs}"):
             run_cv(make_config(), jobs=jobs)
 
+    @pytest.mark.parametrize("jobs, message", [
+        ("2", "jobs: '2' is not an int"),
+        (None, "jobs: None is not an int"),
+        (2.5, "jobs: 2.5 is not an int"),
+        (np.array([1, 2]), "jobs: array([1, 2]) is not an int"),
+        (True, "jobs: True is not an int"),
+    ])
+    def test_jobs_follows_the_int_rule(self, monkeypatch, jobs, message):
+        def no_dataset(config):
+            raise AssertionError("dataset built before jobs was checked")
+
+        monkeypatch.setattr(experiment, "build_dataset", no_dataset)
+        with pytest.raises(InvalidConfig) as err:
+            run_cv(make_config(), jobs=jobs)
+        assert str(err.value) == message
+
     def test_parallel_matches_serial(self, small_cv):
         config, result = small_cv
         parallel = run_cv(config, jobs=2)

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_peaks, dense_smooth_oracle, window_contrast_oracle
 from evreg import signal
-from evreg.errors import InvalidSpec, NonFiniteInput
+from evreg.errors import InvalidConfig, InvalidSpec, NonFiniteInput
 from evreg.config import DEFAULT_GRID_SIGMA
 from evreg.signal import (
     MAX_SMOOTHING_RADIUS,
@@ -19,9 +20,12 @@ from evreg.signal import (
     _spaced_peaks,
     SmoothingParams,
     WindowParams,
+    check_fields,
+    expect,
     find_peaks,
     gaussian_kernel,
     gaussian_smooth,
+    shown,
     window_convolve,
 )
 
@@ -100,6 +104,20 @@ class TestGaussianSmooth:
     def test_bad_params(self):
         with pytest.raises(InvalidSpec):
             SmoothingParams(sigma=-1.0)
+
+    @pytest.mark.parametrize("x", [
+        10**400, {}, object(), 1 + 1j, [[1.0], [1.0, 2.0]], np.array([1 + 5j, 2, 3]),
+    ], ids=["huge", "dict", "object", "complex", "ragged", "complex-array"])
+    @pytest.mark.parametrize("call", [
+        lambda x: gaussian_smooth(x, SmoothingParams(None)),
+        lambda x: gaussian_smooth(x, SmoothingParams(1.0)),
+        lambda x: window_convolve(x, WindowParams(1)),
+        lambda x: find_peaks(x),
+    ], ids=["copy", "smooth", "window", "peaks"])
+    def test_input_must_hold_real_numbers(self, call, x):
+        # a complex array lost its imaginary part with only a ComplexWarning
+        with pytest.raises(InvalidSpec, match="^x must hold real numbers$"):
+            call(x)
 
     def test_empty_input(self):
         out = gaussian_smooth(np.array([]), SmoothingParams(sigma=2.0))
@@ -506,3 +524,66 @@ class TestWindowConvolve:
         x = np.array(values)
         p = WindowParams(alpha=alpha)
         assert np.all(window_convolve(-x, p) == -window_convolve(x, p))
+
+
+
+@dataclass(frozen=True)
+class _Fields:
+    count: int
+    scale: float | None
+    name: str
+    window: WindowParams | None
+    pairs: tuple[int, ...] = ()
+
+
+class TestFieldRules:
+    def test_shown_is_str_within_the_digit_limit(self):
+        assert shown(10**400) == str(10**400)
+        assert shown("high") == "high" and shown("high", repr) == "'high'"
+
+    def test_shown_past_the_digit_limit(self):
+        assert shown(-(10**5000)) == "<int of 16610 bits>"
+        assert shown(10**5000, repr) == "<int of 16610 bits>"
+        assert shown((1, 10**5000), repr) == "<tuple>"
+
+    def test_expect_message(self):
+        expect(True, "alpha", 0, ">= 1", InvalidSpec)
+        with pytest.raises(InvalidConfig) as err:
+            expect(False, "folds", -(10**5000), ">= 2", InvalidConfig)
+        assert str(err.value) == "folds=<int of 16610 bits>, expected >= 2"
+
+    def test_accepted_values(self):
+        # numpy scalars pass, None passes where the annotation allows it, and
+        # a tuple field is left to its record
+        check_fields(_Fields(np.int64(2), None, "a", None, pairs="junk"), InvalidSpec)
+        check_fields(_Fields(2, np.float32(0.5), "", WindowParams(1)), InvalidSpec)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("count", True, "count: True is not an int"),
+        ("count", 2.0, "count: 2.0 is not an int"),
+        ("scale", np.True_, f"scale: {np.True_!r} is not a real number"),
+        ("scale", "1", "scale: '1' is not a real number"),
+        ("name", None, "name: expected a string, got None"),
+        pytest.param("name", -(10**5000), "name: expected a string, got <int of 16610 bits>",
+                     id="huge"),
+        ("name", np.array([1, 2]), "name: expected a string, got array([1, 2])"),
+        ("window", 1, "window: expected WindowParams or None, got 1"),
+    ])
+    def test_message_of_each_annotation(self, field, value, message):
+        fields = {"count": 1, "scale": 0.5, "name": "a", "window": None, field: value}
+        with pytest.raises(InvalidSpec) as err:
+            check_fields(_Fields(**fields), InvalidSpec)
+        assert str(err.value) == message
+
+    def test_annotations_are_read_once_per_class(self, monkeypatch):
+        calls = []
+        read = signal.typing.get_type_hints
+        monkeypatch.setattr(signal.typing, "get_type_hints", lambda cls: calls.append(cls) or read(cls))
+
+        @dataclass(frozen=True)
+        class Fresh:
+            count: int
+
+        for count in range(3):
+            check_fields(Fresh(count), InvalidSpec)
+        assert calls == [Fresh]
