@@ -321,8 +321,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     try:
+        # PyYAML's int constructor raises ValueError past Python's 4300-digit limit
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise InvalidConfig(f"malformed config {path}{where}") from exc

@@ -284,10 +284,7 @@ def load_series(path: str | Path) -> TimeSeries:
                 columns[j - 2].append(float(cell))
             except ValueError:
                 raise ParseError(f"bad number {cell!r}", line=i, column=j) from None
-    channels = {
-        name: np.asarray(col, dtype=np.float64) for name, col in zip(names, columns)
-    }
-    return TimeSeries.build(path.stem, channels)
+    return TimeSeries.build(path.stem, dict(zip(names, columns)))
 
 
 _EVENT_HEADER = ["series_id", "event", "step", "score"]

@@ -35,6 +35,7 @@ from .signal import (  # noqa: F401
     gaussian_smooth,
     is_finite_real,
     is_real,
+    real_array,
     window_convolve,
 )
 from .types import ScoredEvents
@@ -117,8 +118,8 @@ def decode_regression_batch(
     ys_on: list[np.ndarray], ys_off: list[np.ndarray], params: DecodeParams
 ) -> list[ScoredEvents]:
     """decode_regression of each (ys_on[i], ys_off[i]) pair."""
-    ys_on = [np.asarray(y, dtype=np.float64) for y in ys_on]
-    ys_off = [np.asarray(y, dtype=np.float64) for y in ys_off]
+    ys_on = [real_array(y, "onset channel", None, InvalidSpec) for y in ys_on]
+    ys_off = [real_array(y, "offset channel", None, InvalidSpec) for y in ys_off]
     if len(ys_on) != len(ys_off):
         raise LengthMismatch(f"{len(ys_on)} onset channels but {len(ys_off)} offset channels")
     for y_on, y_off in zip(ys_on, ys_off):
@@ -147,7 +148,7 @@ def decode_regression(
 
 def decode_points_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
     """decode_points of each channel in ys."""
-    picked = _pick_channels([np.asarray(y, dtype=np.float64) for y in ys], params)
+    picked = _pick_channels([real_array(y, "channel", None, InvalidSpec) for y in ys], params)
     return [ScoredEvents._trusted(onsets) for onsets in picked]
 
 
@@ -179,9 +180,7 @@ def _contrasts(ys: list[np.ndarray], params: DecodeParams) -> tuple[list, list]:
     smoothing, window = SmoothingParams(params.sigma), WindowParams(params.alpha)
     smoothed = []
     for y in ys:
-        arr = np.asarray(y, dtype=np.float64)
-        if arr.ndim != 1:
-            raise InvalidSpec(f"probability sequence must be 1-D, got shape {arr.shape}")
+        arr = real_array(y, "probability sequence", 1, InvalidSpec)
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
             raise InvalidProbability("probabilities must be finite and within [0, 1]")
         smoothed.append(gaussian_smooth(arr, smoothing))

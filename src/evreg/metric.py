@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyTruth, InvalidEvents, InvalidSpec
-from .signal import check_int, expect, is_finite_real, is_real, shown
+from .signal import check_int, expect, is_finite_real, is_real, real_array, shown
 from .types import EventSet, ScoredEvents, checked_detections, checked_steps
 
 
@@ -209,11 +209,12 @@ def average_precision(flags: Sequence[bool], num_truth: int) -> float:
     if not is_finite_real(num_truth):
         raise InvalidSpec("num_truth is past the float range")
     expect(num_truth >= 0, "num_truth", num_truth, ">= 0", InvalidSpec)
+    flags = real_array(flags, "flags", 1, InvalidSpec) != 0
     if num_truth == 0:
         if len(flags) > 0:
             return 0.0
         raise EmptyTruth("AP is undefined with no truth and no predictions")
-    return float(_average_precisions(np.asarray(flags, dtype=bool)[None], num_truth)[0])
+    return float(_average_precisions(flags[None], num_truth)[0])
 
 
 def edap_table(

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .signal import check_fields, check_int, expect, is_finite_real, shown
+from .signal import check_fields, check_int, expect, is_finite_real, real_array, shown
 
 OUT_MODES = ("regression_2ch", "regression_1ch", "segmentation_2class")
 
@@ -299,9 +299,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _check_input(x: np.ndarray, config: ModelConfig) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ShapeMismatch(f"x must be (batch, channels, steps), got {arr.shape}")
+    arr = real_array(x, "x", 3, ShapeMismatch)
     if arr.shape[1] != config.in_channels:
         raise ShapeMismatch(
             f"x has {arr.shape[1]} channels, config expects {config.in_channels}"
@@ -360,10 +358,7 @@ def forward(params: Parameters, x: np.ndarray, config: ModelConfig) -> np.ndarra
 
 def predict(params: Parameters, x: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Single-series convenience wrapper: (in_channels, T) -> (out_channels, T)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"x must be (channels, steps), got {arr.shape}")
-    return forward(params, arr[None], config)[0]
+    return forward(params, real_array(x, "x", 2, ShapeMismatch)[None], config)[0]
 
 
 def _backward_impl(params: Parameters, cache: tuple, dlogits: np.ndarray, config: ModelConfig):
@@ -409,9 +404,9 @@ def _loss_and_dlogits(
     {0, 1}; the softmax and cross-entropy gradients fold into
     (probabilities - onehot) / (B * T).
     """
-    out = np.asarray(out, dtype=np.float64)
+    out = real_array(out, "pred", None, ShapeMismatch)
     if mode in ("regression_2ch", "regression_1ch"):
-        target = np.asarray(y, dtype=np.float64)
+        target = real_array(y, "target", None, ShapeMismatch)
         if out.shape != target.shape:
             raise ShapeMismatch(f"pred {out.shape} vs target {target.shape}")
         # overflow to inf is fine here: the training loop turns it into
@@ -421,7 +416,7 @@ def _loss_and_dlogits(
             return float(np.mean(diff * diff)), 2.0 * diff / out.size
     if mode != "segmentation_2class":
         raise InvalidConfig(f"unknown loss mode {mode!r}")
-    labels = np.asarray(y)
+    labels = real_array(y, "labels", None, ShapeMismatch)
     if out.ndim != 3 or out.shape[1] != 2 or labels.shape != (out.shape[0], out.shape[2]):
         raise ShapeMismatch(f"pred {out.shape} vs labels {labels.shape}")
     if not ((labels == 0) | (labels == 1)).all():
@@ -461,8 +456,7 @@ def gradients(
     params: Parameters, batch: tuple[np.ndarray, np.ndarray], config: ModelConfig
 ) -> Parameters:
     """Exact gradients of the scalar batch loss with respect to every tensor."""
-    x, y = batch
-    _, grads = _loss_and_gradients(params, np.asarray(x), y, config)
+    _, grads = _loss_and_gradients(params, *batch, config)
     return grads
 
 
@@ -505,15 +499,22 @@ class TrainResult:
     trace: list[EpochStats] = field(default_factory=list)
 
 
-def _check_item_shapes(items: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Batches stack items, so every input and every target needs one shape."""
-    x0, y0 = np.shape(items[0][0]), np.shape(items[0][1])
+def _checked_items(items: Sequence[tuple[np.ndarray, np.ndarray]]) -> list:
+    """items as (input, target) float64 arrays.  Batches stack them, so every
+    input and every target needs one shape."""
+    items = [
+        (real_array(x, f"dataset item {j} input", None, ShapeMismatch),
+         real_array(y, f"dataset item {j} target", None, ShapeMismatch))
+        for j, (x, y) in enumerate(items)
+    ]
+    x0, y0 = items[0][0].shape, items[0][1].shape
     for j, (x, y) in enumerate(items):
-        if (np.shape(x), np.shape(y)) != (x0, y0):
+        if (x.shape, y.shape) != (x0, y0):
             raise ShapeMismatch(
-                f"dataset item {j} has input shape {np.shape(x)} and target shape "
-                f"{np.shape(y)}, item 0 has {x0} and {y0}"
+                f"dataset item {j} has input shape {x.shape} and target shape "
+                f"{y.shape}, item 0 has {x0} and {y0}"
             )
+    return items
 
 
 def _keep_freed_heap() -> None:
@@ -551,7 +552,7 @@ def train(
     items = list(dataset)
     if not items:
         raise InvalidConfig("dataset is empty")
-    _check_item_shapes(items)
+    items = _checked_items(items)
     _keep_freed_heap()
     rng = np.random.default_rng(model_config.seed)
     params = init_params(model_config, rng)
@@ -573,14 +574,14 @@ def train(
             items = list(refresh_targets(epoch))
             if len(items) != n:
                 raise InvalidConfig("refresh_targets changed the dataset size")
-            _check_item_shapes(items)
+            items = _checked_items(items)
         order = rng.permutation(n)
         epoch_losses = []
         norms = []
         for bi in range(n_batches):
             sel = order[bi * batch : (bi + 1) * batch]
-            x = np.stack([np.asarray(items[j][0], dtype=np.float64) for j in sel])
-            y = np.stack([np.asarray(items[j][1]) for j in sel])
+            x = np.stack([items[j][0] for j in sel])
+            y = np.stack([items[j][1] for j in sel])
             loss_value, grads = _loss_and_gradients(params, x, y, model_config)
             if not np.isfinite(loss_value):
                 raise DivergedLoss(f"loss {loss_value} at epoch {epoch}, batch {bi}")

@@ -146,16 +146,25 @@ def check_fields(record, error: type[EvregError]) -> None:
             raise error(message.format(name, shown(value, repr)))
 
 
-def _check_finite_1d(x: np.ndarray, name: str) -> np.ndarray:
+def real_array(x, name: str, ndim: int | None, error: type[EvregError]) -> np.ndarray:
+    """x as a float64 array, the one gate of every array a caller hands in; a
+    float64 array comes back as itself.  error("{name} must hold real numbers")
+    if float64 cannot hold x, and error("{name} must be {ndim}-D, got shape
+    ...") for another number of dimensions unless ndim is None."""
     try:
         # as float64, a complex value would keep its real part and only warn
         arr = None if np.iscomplexobj(x) else np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None:
-        raise InvalidSpec(f"{name} must hold real numbers")
-    if arr.ndim != 1:
-        raise InvalidSpec(f"{name} must be 1-D, got shape {arr.shape}")
+        raise error(f"{name} must hold real numbers")
+    if ndim is not None and arr.ndim != ndim:
+        raise error(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    return arr
+
+
+def _check_finite_1d(x: np.ndarray, name: str) -> np.ndarray:
+    arr = real_array(x, name, 1, InvalidSpec)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput(f"{name} contains NaN or Inf")
     return arr

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidEvents, InvalidRange, InvalidSpec, ZeroKernel
 from .metric import ascending_positive_ints
-from .signal import check_fields, expect, gaussian_taps, is_finite_real, shown
+from .signal import check_fields, expect, gaussian_taps, is_finite_real, real_array, shown
 from .types import INTERVAL, POINT, EventSet, derive_state_labels, validate_events
 
 KERNEL_KINDS = ("hard", "gaussian", "edap")
@@ -83,8 +83,8 @@ class TargetSeries:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.channels, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != len(self.names):
+        arr = real_array(self.channels, "channels", 2, InvalidSpec)
+        if arr.shape[0] != len(self.names):
             raise InvalidSpec(
                 f"channels shape {arr.shape} does not match names {self.names}"
             )
@@ -105,7 +105,7 @@ def make_kernel(spec: PdfSpec) -> np.ndarray:
 
 def gamma(kernel: np.ndarray, day_length_d: int) -> float:
     """Normalizer sqrt((1/d) * sum(kernel^2)); raises ZeroKernel if degenerate."""
-    arr = np.asarray(kernel, dtype=np.float64)
+    arr = real_array(kernel, "kernel", 1, InvalidSpec)
     expect(day_length_d >= 1, "day_length_d", day_length_d, ">= 1", InvalidRange)
     energy = float(np.dot(arr, arr))
     if energy == 0.0:

@@ -27,6 +27,7 @@ from .errors import (
     LengthMismatch,
     NonFiniteValue,
 )
+from .signal import real_array, shown
 
 INTERVAL = "interval"
 POINT = "point"
@@ -49,10 +50,10 @@ class TimeSeries:
         cls, series_id: str, channels: Mapping[str, Iterable[float]]
     ) -> "TimeSeries":
         """Construct from raw channel data, deriving num_steps and validating."""
-        converted = {
-            name: np.asarray(values, dtype=np.float64)
-            for name, values in channels.items()
-        }
+        converted = {}
+        for name, values in channels.items():
+            where = f"channel {name!r} of series {series_id!r}"
+            converted[name] = real_array(values, where, 1, NonFiniteValue)
         if not converted:
             raise EmptySeries(f"series {series_id!r} has no channels")
         num_steps = len(next(iter(converted.values())))
@@ -79,21 +80,18 @@ def validate_series(series: TimeSeries) -> None:
     if not series.channels or series.num_steps < 1:
         raise EmptySeries(
             f"series {series.series_id!r} is empty "
-            f"(num_steps={series.num_steps}, channels={len(series.channels)})"
+            f"(num_steps={shown(series.num_steps)}, channels={len(series.channels)})"
         )
     for name, values in series.channels.items():
-        arr = np.asarray(values)
+        where = f"channel {name!r} of series {series.series_id!r}"
+        arr = real_array(values, where, None, NonFiniteValue)
         if arr.ndim != 1 or len(arr) != series.num_steps:
             raise LengthMismatch(
-                f"channel {name!r} of series {series.series_id!r} has length "
-                f"{arr.shape}, expected ({series.num_steps},)"
+                f"{where} has length {arr.shape}, expected ({shown(series.num_steps)},)"
             )
         if not np.all(np.isfinite(arr)):
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise NonFiniteValue(
-                f"channel {name!r} of series {series.series_id!r} is non-finite "
-                f"at step {bad}"
-            )
+            raise NonFiniteValue(f"{where} is non-finite at step {bad}")
 
 
 @dataclass(frozen=True)
@@ -157,9 +155,9 @@ def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, Da
         if events.kind == INTERVAL:
             if not isinstance(ev, IntervalEvent):
                 return i, InvalidEvents(f"expected IntervalEvent, got {type(ev).__name__}")
-            span = f"event [{ev.onset}, {ev.offset})"
+            span = f"event [{shown(ev.onset)}, {shown(ev.offset)})"
             if num_steps is not None and not (0 <= ev.onset and ev.offset <= num_steps):
-                return i, EventOutOfRange(f"{span} outside [0, {num_steps}]")
+                return i, EventOutOfRange(f"{span} outside [0, {shown(num_steps)}]")
             if ev.onset < 0:
                 return i, InvalidEvents(f"{span} starts before step 0")
             if ev.onset >= ev.offset:
@@ -169,22 +167,22 @@ def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, Da
                 return i, InvalidEvents(f"{span}: {fault}")
             if prev is not None and ev.onset < prev:
                 return i, InvalidEvents(
-                    f"event at onset {ev.onset} overlaps or precedes the previous "
-                    f"event ending at {prev}"
+                    f"event at onset {shown(ev.onset)} overlaps or precedes the previous "
+                    f"event ending at {shown(prev)}"
                 )
             prev = ev.offset
         else:
             if not isinstance(ev, PointEvent):
                 return i, InvalidEvents(f"expected PointEvent, got {type(ev).__name__}")
             if num_steps is not None and not 0 <= ev.step < num_steps:
-                return i, EventOutOfRange(f"point {ev.step} outside [0, {num_steps})")
+                return i, EventOutOfRange(f"point {shown(ev.step)} outside [0, {shown(num_steps)})")
             if ev.step < 0:
-                return i, InvalidEvents(f"point {ev.step} is before step 0")
+                return i, InvalidEvents(f"point {shown(ev.step)} is before step 0")
             fault = step_fault(ev.step)
             if fault is not None:
                 return i, InvalidEvents(fault)
             if prev is not None and ev.step < prev:
-                return i, InvalidEvents(f"point {ev.step} precedes previous {prev}")
+                return i, InvalidEvents(f"point {shown(ev.step)} precedes previous {shown(prev)}")
             prev = ev.step
     return None
 
@@ -192,7 +190,7 @@ def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, Da
 def validate_events(events: EventSet, num_steps: int) -> None:
     """Raise the error of event_fault against a series of num_steps >= 1 steps."""
     if num_steps < 1:
-        raise EventOutOfRange(f"num_steps={num_steps} must be positive")
+        raise EventOutOfRange(f"num_steps={shown(num_steps)} must be positive")
     fault = event_fault(events, num_steps)
     if fault is not None:
         raise fault[1]
@@ -224,9 +222,9 @@ def step_fault(step) -> str | None:
     is one, a bool or a fractional value is not.
     """
     if type(step) is not int and (isinstance(step, (bool, np.bool_)) or step != int(step)):
-        return f"step {step} is not an integer"
+        return f"step {shown(step)} is not an integer"
     if step < 0:
-        return f"step {step} is before step 0"
+        return f"step {shown(step)} is before step 0"
     return None
 
 
@@ -306,8 +304,9 @@ class ScoredEvents:
 
         * each step is a Python int taken from sorted intp indices, each
           below the series length;
-        * each score is a Python float taken from an array already checked
-          finite (decode._contrasts and signal._check_finite_1d);
+        * each score is a Python float taken from an array that passed
+          signal.real_array, the one gate of every caller's array, and was
+          checked finite (decode._contrasts and signal._check_finite_1d);
         * the pairs of each slot are in ascending step order.
 
         The record then equals, hashes, pickles and saves as

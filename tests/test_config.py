@@ -357,6 +357,15 @@ class TestYamlLoading:
         with pytest.raises(InvalidConfig, match="cannot read"):
             load_config(path)
 
+    def test_int_past_the_digit_limit_is_malformed(self, tmp_path):
+        # PyYAML's int constructor raises ValueError for more than 4300 digits
+        text = (CONFIGS / "cpd.yaml").read_text()
+        path = tmp_path / "huge_folds.yaml"
+        path.write_text(text.replace("folds: 4\n", f"folds: {'9' * 5000}\n"))
+        assert path.read_text() != text
+        with pytest.raises(InvalidConfig, match="^malformed config "):
+            load_config(path)
+
     def test_all_errors_are_config_errors(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("objective: regression\n")

@@ -30,6 +30,21 @@ from evreg.targets import PdfSpec, encode_regression
 from evreg.types import INTERVAL, EventSet, IntervalEvent, ScoredEvents
 
 
+# the decoders that took their input with a bare np.asarray, which kept only
+# the real part of a complex array and warned
+@pytest.mark.parametrize("decode", [
+    lambda y: decode_seg_threshold(y, DecodeParams(alpha=1)),
+    lambda y: decode_seg_peaks(y, DecodeParams(alpha=1)),
+    lambda y: decode_regression_batch([y], [np.zeros(3)], DecodeParams(alpha=1)),
+    lambda y: decode_regression_batch([np.zeros(3)], [y], DecodeParams(alpha=1)),
+    lambda y: decode_points_batch([y], DecodeParams(alpha=1)),
+], ids=["_contrasts-threshold", "_contrasts-peaks", "decode_regression_batch-onsets",
+        "decode_regression_batch-offsets", "decode_points_batch"])
+def test_complex_decoder_input_is_invalid_spec(decode):
+    with pytest.raises(InvalidSpec, match="must hold real numbers$"):
+        decode(np.array([0.1 + 1j, 0.9, 0.1]))
+
+
 class TestDecodeParams:
     def test_validation(self):
         with pytest.raises(InvalidSpec):

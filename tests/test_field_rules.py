@@ -5,9 +5,13 @@ replaced by a junk value: a bool, a string, None, an int past the float range
 or past Python's 4300-digit str limit, NaN, an infinity, a tuple, a dict, an
 array, a complex number or a bare object.  The number arguments of the
 public signal, metric, fold and downsampling functions get the same values.
-Each call either succeeds or raises a subclass of EvregError.
+The array arguments of the model, decoders, targets, series and AP get array
+junk: complex arrays, strings, ragged lists, dicts, a bare object, None and
+an int past the float range.  Each call either succeeds or raises a subclass
+of EvregError.
 """
 
+import functools
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -19,11 +23,28 @@ from hypothesis import strategies as st
 
 from evreg.config import GridSpec, PathsSpec, load_config
 from evreg.data import SynthConfig, downsample
-from evreg.decode import DecodeParams
+from evreg.decode import (
+    DecodeParams,
+    decode_points,
+    decode_points_batch,
+    decode_regression,
+    decode_regression_batch,
+    decode_seg_peaks,
+    decode_seg_threshold,
+)
 from evreg.errors import EvregError, InvalidConfig, InvalidFactor, InvalidSpec
 from evreg.experiment import fold_splits
 from evreg.metric import EdapConfig, average_precision, match_events
-from evreg.model import ModelConfig, TrainConfig
+from evreg.model import (
+    ModelConfig,
+    TrainConfig,
+    forward,
+    gradients,
+    init_params,
+    loss,
+    predict,
+    train,
+)
 from evreg.signal import (
     SmoothingParams,
     WindowParams,
@@ -31,8 +52,8 @@ from evreg.signal import (
     gaussian_smooth,
     window_convolve,
 )
-from evreg.targets import PdfSpec
-from evreg.types import TimeSeries
+from evreg.targets import PdfSpec, TargetSeries, gamma
+from evreg.types import TimeSeries, validate_series
 
 CONFIG = load_config(Path(__file__).resolve().parents[1] / "configs" / "cpd.yaml")
 SERIES = TimeSeries.build("s", {"a": np.arange(6.0)})
@@ -97,8 +118,50 @@ SITES = {
 }
 
 
-def _with_every_junk_value(test):
-    for value in JUNK:
+# complex arrays of each shape the array sites below accept, strings, ragged
+# lists, dicts, a bare object, None and an int past the float range
+ARRAY_JUNK = [
+    np.array([0.1 + 1j, 0.9, 0.1]), np.full((2, 8), 1j), np.full((1, 2, 8), 0.5 + 1j),
+    "abc", "", [[1.0], [1.0, 2.0]], [[[0.0] * 8, [0.0] * 7]], {}, {"a": 1}, object(), None,
+    10**400, [10**400, 1.0],
+]
+
+MODEL = ModelConfig(in_channels=2, hidden_channels=(2,), kernel_size=3)
+SEG_MODEL = ModelConfig(in_channels=2, hidden_channels=(2,), kernel_size=3,
+                        out_mode="segmentation_2class")
+PARAMS = init_params(MODEL)
+X, Y = np.zeros((2, 8)), np.zeros((2, 8))
+ONE_STEP = TrainConfig(epochs=1, batch_size=1)
+DECODE = DecodeParams(alpha=1)
+
+# every public entry that takes a caller's array, with that array replaced
+ARRAY_SITES = {
+    "forward.x": lambda v: forward(PARAMS, v, MODEL),
+    "predict.x": lambda v: predict(PARAMS, v, MODEL),
+    "train.input": lambda v: train([(v, Y)], MODEL, ONE_STEP),
+    "train.target": lambda v: train([(X, v)], MODEL, ONE_STEP),
+    "train.labels": lambda v: train([(X, v)], SEG_MODEL, ONE_STEP),
+    "gradients.x": lambda v: gradients(PARAMS, (v, Y[None]), MODEL),
+    "loss.pred": lambda v: loss(v, Y[None], "regression_2ch"),
+    "loss.target": lambda v: loss(Y[None], v, "regression_2ch"),
+    "loss.labels": lambda v: loss(np.full((1, 2, 8), 0.5), v, "segmentation_2class"),
+    "TimeSeries.build": lambda v: TimeSeries.build("s", {"a": v}),
+    "validate_series": lambda v: validate_series(TimeSeries("s", 3, {"a": v})),
+    "decode_regression.y_on": lambda v: decode_regression(v, np.zeros(3), DECODE),
+    "decode_regression.y_off": lambda v: decode_regression(np.zeros(3), v, DECODE),
+    "decode_regression_batch": lambda v: decode_regression_batch([v], [v], DECODE),
+    "decode_points.y": lambda v: decode_points(v, DECODE),
+    "decode_points_batch": lambda v: decode_points_batch([v], DECODE),
+    "decode_seg_threshold.y": lambda v: decode_seg_threshold(v, DECODE),
+    "decode_seg_peaks.y": lambda v: decode_seg_peaks(v, DECODE),
+    "TargetSeries.channels": lambda v: TargetSeries(v, 1.0, ("a",)),
+    "gamma.kernel": lambda v: gamma(v, 10),
+    "average_precision.flags": lambda v: average_precision(v, 1),
+}
+
+
+def _with_every_junk_value(test, junk=JUNK):
+    for value in junk:
         test = example(value=value)(test)
     return test
 
@@ -112,6 +175,30 @@ def test_junk_is_accepted_or_raises_an_evreg_error(site, value):
         warnings.simplefilter("error")
         try:
             SITES[site](value)
+        except EvregError:
+            pass
+
+
+# items of every kind an array may be built from, small enough that the model
+# and decoders take them without overflowing
+ITEMS = st.one_of(
+    st.integers(-2, 2), st.floats(-2, 2), st.booleans(), st.text(max_size=2),
+    st.complex_numbers(max_magnitude=2), st.none(),
+)
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+@functools.partial(_with_every_junk_value, junk=ARRAY_JUNK)
+@given(value=st.one_of(
+    st.lists(ITEMS, max_size=8),
+    st.lists(st.lists(ITEMS, min_size=8, max_size=8), min_size=2, max_size=2),
+))
+@settings(max_examples=15, deadline=None)
+def test_array_junk_is_accepted_or_raises_an_evreg_error(site, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ARRAY_SITES[site](value)
         except EvregError:
             pass
 

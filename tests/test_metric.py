@@ -396,6 +396,20 @@ class TestAveragePrecision:
         want = loop_average_precision(flags, num_truth)
         assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
 
+    @pytest.mark.parametrize("flags,message", [
+        ("abc", "flags must hold real numbers"),
+        (None, "flags must be 1-D, got shape ()"),
+        (object(), "flags must hold real numbers"),
+        (10**400, "flags must hold real numbers"),
+        (np.ones((1, 1, 2)), "flags must be 1-D, got shape (1, 1, 2)"),
+        (np.array([1 + 1j, 0]), "flags must hold real numbers"),
+        ([[True], [True, False]], "flags must hold real numbers"),
+    ], ids=["str", "None", "object", "huge", "3-D", "complex", "ragged"])
+    def test_flags_are_one_real_row(self, flags, message):
+        with pytest.raises(InvalidSpec) as err:
+            average_precision(flags, 1)
+        assert str(err.value) == message
+
 
 def single_series(pred_pairs, truth_steps):
     """Build one-series mappings for point-class scoring."""

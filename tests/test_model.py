@@ -186,6 +186,39 @@ class TestForward:
         np.testing.assert_array_equal(forward(params, x, config), forward(params, x, config))
 
 
+_GATE_CONFIG = ModelConfig(in_channels=2, hidden_channels=(4,))
+_GATE_PARAMS = init_params(_GATE_CONFIG)
+_ONE_STEP = TrainConfig(epochs=1, batch_size=1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: forward(_GATE_PARAMS, np.zeros((3, 16)), _GATE_CONFIG),
+     "x must be 3-D, got shape (3, 16)"),
+    (lambda: forward(_GATE_PARAMS, np.full((1, 2, 16), 1j), _GATE_CONFIG),
+     "x must hold real numbers"),
+    (lambda: predict(_GATE_PARAMS, np.zeros(16), _GATE_CONFIG), "x must be 2-D, got shape (16,)"),
+    (lambda: predict(_GATE_PARAMS, [[0.0], [0.0, 1.0]], _GATE_CONFIG), "x must hold real numbers"),
+    (lambda: gradients(_GATE_PARAMS, ("abc", np.zeros((1, 2, 16))), _GATE_CONFIG),
+     "x must hold real numbers"),
+    (lambda: loss(np.full((1, 2, 8), 1j), np.zeros((1, 2, 8)), "regression_2ch"),
+     "pred must hold real numbers"),
+    (lambda: loss(np.zeros((1, 2, 8)), object(), "regression_2ch"), "target must hold real numbers"),
+    (lambda: loss(np.full((1, 2, 8), 0.5), "abc", "segmentation_2class"),
+     "labels must hold real numbers"),
+    (lambda: train([(np.zeros((2, 16)), np.zeros((2, 16))), (np.zeros((2, 16)), {})],
+                   _GATE_CONFIG, _ONE_STEP),
+     "dataset item 1 target must hold real numbers"),
+    (lambda: train([(np.full((2, 16), 1j), np.zeros((2, 16)))], _GATE_CONFIG, _ONE_STEP),
+     "dataset item 0 input must hold real numbers"),
+], ids=["forward-2-D", "forward-complex", "predict-1-D", "predict-ragged", "gradients-str",
+        "loss-complex-pred", "loss-object-target", "loss-str-labels", "train-dict-target",
+        "train-complex-input"])
+def test_arrays_pass_the_real_array_gate(call, message):
+    with pytest.raises(ShapeMismatch) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestLoss:
     def test_mse_zero_at_target(self):
         pred = np.random.default_rng(0).normal(size=(2, 2, 30))

@@ -145,6 +145,19 @@ class TestGamma:
             gamma(np.ones(5), 0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: TargetSeries(np.zeros(5), 1.0, ("onset",)), "channels must be 2-D, got shape (5,)"),
+    (lambda: TargetSeries(np.full((1, 5), 1j), 1.0, ("onset",)), "channels must hold real numbers"),
+    (lambda: gamma(np.array([1 + 1j, 1]), 10), "kernel must hold real numbers"),
+    (lambda: gamma(np.ones((2, 2)), 10), "kernel must be 1-D, got shape (2, 2)"),
+    (lambda: gamma([[1.0], [1.0, 2.0]], 10), "kernel must hold real numbers"),
+], ids=["channels-1-D", "channels-complex", "kernel-complex", "kernel-2-D", "kernel-ragged"])
+def test_target_arrays_are_real_and_of_their_dimension(call, message):
+    with pytest.raises(InvalidSpec) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_target_series_needs_one_name_per_channel():
     with pytest.raises(InvalidSpec, match=r"channels shape \(2, 5\) does not match names"):
         TargetSeries(np.zeros((2, 5)), 1.0, ("onset",))

@@ -24,6 +24,7 @@ from evreg.types import (
     TimeSeries,
     derive_state_labels,
     points_from_intervals,
+    step_fault,
     validate_events,
     validate_series,
 )
@@ -37,6 +38,26 @@ class TestValidateSeries:
     def test_two_finite_channels_ok(self):
         s = make_series(a=np.zeros(100), b=np.ones(100))
         validate_series(s)  # no raise
+
+    @pytest.mark.parametrize("values,message", [
+        (np.array([1 + 1j, 2]), "channel 'a' of series 's' must hold real numbers"),
+        ([[1.0], [1.0, 2.0]], "channel 'a' of series 's' must hold real numbers"),
+        (5.0, "channel 'a' of series 's' must be 1-D, got shape ()"),
+    ], ids=["complex", "ragged", "scalar"])
+    def test_build_takes_one_real_row_per_channel(self, values, message):
+        with pytest.raises(NonFiniteValue) as err:
+            make_series(a=values)
+        assert str(err.value) == message
+
+    def test_num_steps_past_the_digit_limit_is_shown(self):
+        with pytest.raises(EmptySeries, match=r"\(num_steps=<int of 16610 bits>, channels=1\)"):
+            validate_series(TimeSeries("s", -10**5000, {"a": np.zeros(3)}))
+        with pytest.raises(LengthMismatch, match=r"expected \(<int of 16610 bits>,\)$"):
+            validate_series(TimeSeries("s", 10**5000, {"a": np.zeros(3)}))
+
+    def test_ragged_channel_is_non_finite_value(self):
+        with pytest.raises(NonFiniteValue, match="^channel 'a' of series 's' must hold real"):
+            validate_series(TimeSeries("s", 2, {"a": [[1.0], [1.0, 2.0]]}))
 
     def test_length_mismatch(self):
         s = TimeSeries("s", 100, {"a": np.zeros(100), "b": np.zeros(99)})
@@ -149,6 +170,21 @@ class TestValidateEvents:
     ])
     def test_integral_steps_of_any_type_pass(self, events):
         validate_events(events, 8)
+
+    @pytest.mark.parametrize("events,num_steps,message", [
+        (EventSet("s", INTERVAL), -10**5000, "num_steps=<int of 16610 bits> must be positive"),
+        (EventSet("s", INTERVAL, (IntervalEvent(0, 10**5000),)), 8,
+         "event [0, <int of 16610 bits>) outside [0, 8]"),
+        (EventSet("s", POINT, (PointEvent(10**5000),)), 8,
+         "point <int of 16610 bits> outside [0, 8)"),
+    ], ids=["num_steps", "offset", "point"])
+    def test_ints_past_the_digit_limit_are_out_of_range(self, events, num_steps, message):
+        with pytest.raises(EventOutOfRange) as err:
+            validate_events(events, num_steps)
+        assert str(err.value) == message
+
+    def test_step_fault_shows_an_int_past_the_digit_limit(self):
+        assert step_fault(-10**5000) == "step <int of 16610 bits> is before step 0"
 
 
 class TestDeriveStateLabels:
