@@ -20,7 +20,7 @@ from .config import ExperimentConfig, GridSpec, PathsSpec
 from .data import SynthConfig, downsample, load_events, load_series, synth_generate
 from .decode import DecodeParams
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, ShapeMismatch, TooFewSeries
-from .metric import edap, edap_table
+from .metric import edap, edap_batch, edap_table
 # predict is not called here since validation runs batched forwards, but
 # perfbench's tests read it as experiment.predict
 from .model import EpochStats, TrainResult, forward, predict, train  # noqa: F401
@@ -324,7 +324,7 @@ def grid_search(
         sigma_mus = tuple(m for m, s in wanted if s == sigma)
         params = replace(config.decode, sigma=sigma)
         decoded = _decode_at(outputs, config, params, sigma_mus)
-        found = [edap(preds, truth, config.metric) for preds in decoded]
+        found = edap_batch(decoded, truth, config.metric)
         scores.update(zip([(mu, sigma) for mu in sigma_mus], found))
     table = tuple((mu, sigma, scores[mu, sigma]) for mu, sigma in cells)
     best_mu, best_sigma, best_score = min(

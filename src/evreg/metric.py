@@ -4,6 +4,9 @@ Predictions are matched to ground-truth steps greedily in descending score
 order; each prediction may claim the nearest still-unmatched truth within
 the tolerance.  AP is computed per (event class x tolerance) cell after
 pooling all series, and the final score is the unweighted mean over cells.
+edap_table_batch (and its mean, edap_batch) scores several prediction sets
+against one truth, as a decode sweep produces them: each truth is read once
+and every set's series are matched in one pool.
 """
 
 from __future__ import annotations
@@ -217,6 +220,69 @@ def average_precision(flags: Sequence[bool], num_truth: int) -> float:
     return float(_average_precisions(flags[None], num_truth)[0])
 
 
+def edap_table_batch(
+    preds: Sequence[Mapping[str, ScoredEvents]],
+    truth: Mapping[str, EventSet],
+    config: EdapConfig,
+) -> list[dict[tuple[str, int], float]]:
+    """edap_table of each prediction set in preds against one truth.
+
+    Each (class, series) truth is read, checked and sorted once for every
+    set, and the series of every set are matched in one pool, so each table
+    holds the bits edap_table gives that set alone.  Errors are raised as
+    scoring the sets one by one raises them: the first set that fails names
+    its fault.
+    """
+    sids = sorted(truth)
+    # per class: the truth steps of each series and their count, read when
+    # the first set reaches the class; per (class, series): the checked and
+    # sorted steps, made when the first set with detections there needs them
+    read: dict[str, tuple[list, int]] = {}
+    free: dict[tuple[str, str], list[int]] = {}
+    series: list[tuple[list[int], list[int]]] = []
+    # per set and class: the ranked scores, series after series, and the truth count
+    scored: list[list[tuple[list[float], int]]] = []
+    for pred in preds:
+        missing = set(pred) - set(truth)
+        if missing:
+            raise InvalidEvents(f"predictions for unknown series: {sorted(missing)}")
+        scored.append([])
+        for cls in config.classes:
+            if cls not in read:
+                steps = [truth[sid].by_class(cls) for sid in sids]
+                read[cls] = (steps, sum(map(len, steps)))
+            steps, num_truth = read[cls]
+            if num_truth == 0:
+                raise EmptyTruth(f"no ground-truth events for class {cls!r}")
+            # ScoredEvents holds checked (int, float) pairs, so each non-empty
+            # (series, class) is ranked once for every tolerance
+            scores: list[float] = []
+            for sid, t in zip(sids, steps):
+                p = pred[sid].by_class(cls) if sid in pred else ()
+                if p:
+                    if (cls, sid) not in free:
+                        free[cls, sid] = sorted(checked_steps(t, f"truth[{sid!r}]"))
+                    ranked = _ranked(p)
+                    series.append(([s for s, _ in ranked], free[cls, sid]))
+                    scores += [v for _, v in ranked]
+            scored[-1].append((scores, num_truth))
+    flags = _pooled_flags(series, config.tolerances)
+
+    tables = []
+    start = 0
+    for set_scores in scored:
+        table: dict[tuple[str, int], float] = {}
+        for cls, (scores, n) in zip(config.classes, set_scores):
+            # series in id order, each in rank order: a stable descending sort
+            # then breaks score ties by series id, then by rank
+            order = np.argsort(-np.array(scores, dtype=np.float64), kind="stable")
+            aps = _average_precisions(flags[:, start + order], n).tolist()
+            table.update(zip([(cls, tol) for tol in config.tolerances], aps))
+            start += len(scores)
+        tables.append(table)
+    return tables
+
+
 def edap_table(
     pred: Mapping[str, ScoredEvents],
     truth: Mapping[str, EventSet],
@@ -229,46 +295,11 @@ def edap_table(
     within the series.  Matching runs within each series as match_events
     matches, and every tolerance reads the flags in that pooled order.  A
     series without detections of a class adds no flags, so it is not
-    matched.  A class with no pooled truth raises EmptyTruth; a truth step
-    of a series with detections that fails types.step_fault raises
-    InvalidEvents.
+    matched.  A prediction for a series not in truth raises InvalidEvents, a
+    class with no pooled truth EmptyTruth, and a truth step of a series with
+    detections that fails types.step_fault InvalidEvents.
     """
-    missing = set(pred) - set(truth)
-    if missing:
-        raise InvalidEvents(f"predictions for unknown series: {sorted(missing)}")
-
-    # ScoredEvents holds checked (int, float) pairs, so each non-empty
-    # (series, class) is ranked, and its truth checked and sorted, once for
-    # every tolerance; all of them are matched in one pool
-    sids = sorted(truth)
-    series: list[tuple[list[int], list[int]]] = []
-    scores: list[list[float]] = []
-    num_truth: list[int] = []
-    for cls in config.classes:
-        steps = [truth[sid].by_class(cls) for sid in sids]
-        num_truth.append(sum(map(len, steps)))
-        if num_truth[-1] == 0:
-            raise EmptyTruth(f"no ground-truth events for class {cls!r}")
-        scores.append([])
-        for sid, t in zip(sids, steps):
-            p = pred[sid].by_class(cls) if sid in pred else ()
-            if p:
-                ranked = _ranked(p)
-                free = sorted(checked_steps(t, f"truth[{sid!r}]"))
-                series.append(([s for s, _ in ranked], free))
-                scores[-1] += [v for _, v in ranked]
-    flags = _pooled_flags(series, config.tolerances)
-
-    table: dict[tuple[str, int], float] = {}
-    start = 0
-    for cls, class_scores, n in zip(config.classes, scores, num_truth):
-        # series in id order, each in rank order: a stable descending sort
-        # then breaks score ties by series id, then by rank
-        order = np.argsort(-np.array(class_scores, dtype=np.float64), kind="stable")
-        aps = _average_precisions(flags[:, start + order], n).tolist()
-        table.update(zip([(cls, tol) for tol in config.tolerances], aps))
-        start += len(class_scores)
-    return table
+    return edap_table_batch([pred], truth, config)[0]
 
 
 def edap(
@@ -279,6 +310,15 @@ def edap(
     """Unweighted mean AP over every (class, tolerance) cell."""
     table = edap_table(pred, truth, config)
     return float(np.mean(list(table.values())))
+
+
+def edap_batch(
+    preds: Sequence[Mapping[str, ScoredEvents]],
+    truth: Mapping[str, EventSet],
+    config: EdapConfig,
+) -> list[float]:
+    """edap of each prediction set in preds, scored in one edap_table_batch."""
+    return [float(np.mean(list(t.values()))) for t in edap_table_batch(preds, truth, config)]
 
 
 def prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -24,8 +24,10 @@ import numpy as np
 from .errors import (
     DivergedLoss,
     InvalidConfig,
+    InvalidProbability,
     IoError,
     NonFiniteGradient,
+    NonFiniteInput,
     NonFiniteParameters,
     ParseError,
     ShapeMismatch,
@@ -306,6 +308,9 @@ def _check_input(x: np.ndarray, config: ModelConfig) -> np.ndarray:
         )
     if arr.shape[2] < 1:
         raise ShapeMismatch("x must contain at least one step")
+    # an inf warns in the convolutions and a NaN flows through to the outputs
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput("x contains NaN or Inf")
     return arr
 
 
@@ -395,14 +400,17 @@ def _backward_impl(params: Parameters, cache: tuple, dlogits: np.ndarray, config
 
 
 def _loss_and_dlogits(
-    out: np.ndarray, y: np.ndarray, mode: str
+    out: np.ndarray, y: np.ndarray, mode: str, check_pred: bool = False
 ) -> tuple[float, np.ndarray]:
     """The loss of head outputs against targets and its gradient dL/dlogits.
 
     MSE for regression modes, whose heads are linear.  Segmentation takes
     per-step class probabilities (B, 2, T) and integer labels (B, T) in
     {0, 1}; the softmax and cross-entropy gradients fold into
-    (probabilities - onehot) / (B * T).
+    (probabilities - onehot) / (B * T).  With check_pred, as loss sets it,
+    probabilities that are not finite or lie outside [0, 1] raise
+    InvalidProbability.  Training passes its own softmax unchecked, so a run
+    whose logits overflow still ends in DivergedLoss.
     """
     out = real_array(out, "pred", None, ShapeMismatch)
     if mode in ("regression_2ch", "regression_1ch"):
@@ -421,21 +429,29 @@ def _loss_and_dlogits(
         raise ShapeMismatch(f"pred {out.shape} vs labels {labels.shape}")
     if not ((labels == 0) | (labels == 1)).all():
         raise ShapeMismatch("segmentation labels must all be 0 or 1")
+    # NaN fails both comparisons
+    if check_pred and not ((out >= 0) & (out <= 1)).all():
+        raise InvalidProbability("pred must hold probabilities in [0, 1]")
     idx = labels.astype(np.int64)[:, None, :]
     picked = np.take_along_axis(out, idx, axis=1)[:, 0, :]
     onehot = np.zeros_like(out)
     np.put_along_axis(onehot, idx, 1.0, axis=1)
     dlogits = (out - onehot) / (out.shape[0] * out.shape[2])
-    return float(-np.mean(np.log(picked))), dlogits
+    # a 0.0 probability on the labelled class is an infinite loss, which the
+    # training loop turns into DivergedLoss instead of warning
+    with np.errstate(divide="ignore"):
+        return float(-np.mean(np.log(picked))), dlogits
 
 
 def loss(pred: np.ndarray, target: np.ndarray, mode: str) -> float:
     """MSE for regression modes; mean per-step cross-entropy for segmentation.
 
     Segmentation expects pred as per-step class probabilities (B, 2, T) and
-    integer labels (B, T) in {0, 1}; any other label raises ShapeMismatch.
+    integer labels (B, T) in {0, 1}; any other label raises ShapeMismatch,
+    and a probability that is not finite or outside [0, 1]
+    InvalidProbability.  A 0.0 probability on the labelled class gives inf.
     """
-    return _loss_and_dlogits(pred, target, mode)[0]
+    return _loss_and_dlogits(pred, target, mode, check_pred=True)[0]
 
 
 def _loss_and_gradients(

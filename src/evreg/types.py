@@ -219,9 +219,14 @@ def step_fault(step) -> str | None:
     """Why step is no event step, or None if it is one.
 
     The step must be an integer >= 0: a numpy integer or an integral float
-    is one, a bool or a fractional value is not.
+    is one, a bool, a fractional value or a float inf or NaN is not.
     """
-    if type(step) is not int and (isinstance(step, (bool, np.bool_)) or step != int(step)):
+    if type(step) is not int and (
+        isinstance(step, (bool, np.bool_))
+        # int() raises for these
+        or isinstance(step, (float, np.floating)) and not math.isfinite(step)
+        or step != int(step)
+    ):
         return f"step {shown(step)} is not an integer"
     if step < 0:
         return f"step {shown(step)} is before step 0"

@@ -542,15 +542,18 @@ class TestRunCv:
 def score_cells(monkeypatch):
     """Make grid_search score each (mu, sigma) cell with score(mu, sigma).
 
-    The decode route hands edap the cell it decoded, so the cell-selection
-    tests run without model outputs or truth.
+    The decode route hands edap_batch the cells it decoded, so the
+    cell-selection tests run without model outputs or truth.
     """
     def install(score):
         monkeypatch.setattr(
             experiment, "_decode_at",
             lambda outputs, config, params, mus: [(mu, params.sigma) for mu in mus],
         )
-        monkeypatch.setattr(experiment, "edap", lambda cell, truth, metric: score(*cell))
+        monkeypatch.setattr(
+            experiment, "edap_batch",
+            lambda cells, truth, metric: [score(*cell) for cell in cells],
+        )
     return install
 
 

@@ -6,8 +6,8 @@ or past Python's 4300-digit str limit, NaN, an infinity, a tuple, a dict, an
 array, a complex number or a bare object.  The number arguments of the
 public signal, metric, fold and downsampling functions get the same values.
 The array arguments of the model, decoders, targets, series and AP get array
-junk: complex arrays, strings, ragged lists, dicts, a bare object, None and
-an int past the float range.  Each call either succeeds or raises a subclass
+junk: complex arrays, strings, ragged lists, dicts, a bare object, None, an
+int past the float range, and arrays holding NaN or an infinity.  Each call either succeeds or raises a subclass
 of EvregError.
 """
 
@@ -119,11 +119,15 @@ SITES = {
 
 
 # complex arrays of each shape the array sites below accept, strings, ragged
-# lists, dicts, a bare object, None and an int past the float range
+# lists, dicts, a bare object, None, an int past the float range, and arrays
+# holding NaN or an infinity
 ARRAY_JUNK = [
     np.array([0.1 + 1j, 0.9, 0.1]), np.full((2, 8), 1j), np.full((1, 2, 8), 0.5 + 1j),
     "abc", "", [[1.0], [1.0, 2.0]], [[[0.0] * 8, [0.0] * 7]], {}, {"a": 1}, object(), None,
     10**400, [10**400, 1.0],
+    # NaN and an infinity in arrays of each shape the sites accept
+    np.array([0.1, np.nan, 0.1]), np.full((2, 8), np.inf), np.full((1, 2, 8), -np.inf),
+    np.where(np.arange(16).reshape(1, 2, 8) == 5, np.nan, 0.5),
 ]
 
 MODEL = ModelConfig(in_channels=2, hidden_channels=(2,), kernel_size=3)
@@ -145,6 +149,7 @@ ARRAY_SITES = {
     "loss.pred": lambda v: loss(v, Y[None], "regression_2ch"),
     "loss.target": lambda v: loss(Y[None], v, "regression_2ch"),
     "loss.labels": lambda v: loss(np.full((1, 2, 8), 0.5), v, "segmentation_2class"),
+    "loss.probabilities": lambda v: loss(v, np.zeros((1, 8)), "segmentation_2class"),
     "TimeSeries.build": lambda v: TimeSeries.build("s", {"a": v}),
     "validate_series": lambda v: validate_series(TimeSeries("s", 3, {"a": v})),
     "decode_regression.y_on": lambda v: decode_regression(v, np.zeros(3), DECODE),
@@ -179,19 +184,33 @@ def test_junk_is_accepted_or_raises_an_evreg_error(site, value):
             pass
 
 
-# items of every kind an array may be built from, small enough that the model
-# and decoders take them without overflowing
-ITEMS = st.one_of(
-    st.integers(-2, 2), st.floats(-2, 2), st.booleans(), st.text(max_size=2),
-    st.complex_numbers(max_magnitude=2), st.none(),
+# reals small enough that the model and decoders take them without
+# overflowing, and NaN and the infinities, which each site takes or rejects
+REALS = st.one_of(
+    st.integers(-2, 2), st.floats(-2, 2), st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
 )
+# items of every kind an array may be built from
+ITEMS = st.one_of(
+    REALS, st.text(max_size=2), st.complex_numbers(max_magnitude=2), st.none()
+)
+
+
+def rows(items):
+    """(channels, steps) lists as predict and train take one series."""
+    return st.lists(st.lists(items, min_size=8, max_size=8), min_size=2, max_size=2)
 
 
 @pytest.mark.parametrize("site", ARRAY_SITES)
 @functools.partial(_with_every_junk_value, junk=ARRAY_JUNK)
 @given(value=st.one_of(
     st.lists(ITEMS, max_size=8),
-    st.lists(st.lists(ITEMS, min_size=8, max_size=8), min_size=2, max_size=2),
+    rows(ITEMS),
+    # all real, so that a non-finite value reaches the model's own checks;
+    # as one series and as a batch of one, as forward takes it
+    st.lists(REALS, max_size=8),
+    rows(REALS),
+    rows(REALS).map(lambda value: [value]),
 ))
 @settings(max_examples=15, deadline=None)
 def test_array_junk_is_accepted_or_raises_an_evreg_error(site, value):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evreg import metric
-from evreg.errors import EmptyTruth, InvalidEvents, InvalidSpec
+from evreg.errors import EmptyTruth, EvregError, InvalidEvents, InvalidSpec
 from evreg.metric import (
     EdapConfig,
     average_precision,
@@ -615,6 +615,146 @@ def pooled_problem(draw):
     tolerances = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
     classes = ("point",) if point else ("onset", "offset")
     return pred, truth, EdapConfig(tolerances=tuple(sorted(tolerances)), classes=classes)
+
+
+@st.composite
+def batch_problem(draw):
+    """One truth and 0-4 prediction sets scored against it, every step offset
+    by one base, some past 2**52; empty sets, series absent from a set,
+    duplicate steps and tied scores (0.0 and -0.0 among them) are common."""
+    base = draw(st.sampled_from([0, 2**52 - 3, 2**53 + 1, 2**63]))
+    point = draw(st.booleans())
+    sids = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True))
+    truth = {}
+    for sid in sids:
+        if point:
+            steps = sorted(draw(st.lists(st.integers(0, 30), max_size=6)))
+            truth[sid] = EventSet(sid, POINT, tuple(PointEvent(base + t) for t in steps))
+        else:
+            cuts = sorted(set(draw(st.lists(st.integers(0, 30), max_size=8))))
+            events = tuple(
+                IntervalEvent(base + a, base + b) for a, b in zip(cuts[::2], cuts[1::2])
+            )
+            truth[sid] = EventSet(sid, INTERVAL, events)
+    detections = st.lists(
+        st.tuples(
+            st.integers(0, 30).map(lambda s: base + s),
+            st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+        ),
+        max_size=6,
+    ).map(sorted)
+    preds = []
+    for _ in range(draw(st.integers(0, 4))):
+        preds.append({
+            sid: ScoredEvents(onsets=draw(detections), offsets=() if point else draw(detections))
+            for sid in draw(st.lists(st.sampled_from(sids), unique=True))
+        })
+    tolerances = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    classes = ("point",) if point else ("onset", "offset")
+    return preds, truth, EdapConfig(tolerances=tuple(sorted(tolerances)), classes=classes)
+
+
+def hexed(tables):
+    return [{key: value.hex() for key, value in table.items()} for table in tables]
+
+
+def one_by_one_error(preds, truth, config):
+    """The error that scoring each set through edap_table in turn raises first."""
+    for pred in preds:
+        try:
+            edap_table(pred, truth, config)
+        except EvregError as exc:
+            return exc
+    return None
+
+
+def _point_truth(steps):
+    return {
+        sid: EventSet(sid, POINT, tuple(PointEvent(t) for t in sid_steps))
+        for sid, sid_steps in steps.items()
+    }
+
+
+# (preds, truth, config) of a batch of three sets whose set k holds a fault
+BATCH_FAULTS = {
+    "unknown-series": lambda k: (
+        [{"a": ScoredEvents(onsets=((1, 0.5),))} if i != k else {"zz": ScoredEvents()}
+         for i in range(3)],
+        _point_truth({"a": (1,), "b": (4,)}),
+        EdapConfig(tolerances=(1,), classes=("point",)),
+    ),
+    # only set k has detections on b, whose truth step is fractional
+    "bad-truth-step": lambda k: (
+        [{"a": ScoredEvents(onsets=((1, 0.5),)), **({"b": ScoredEvents(onsets=((2, 0.9),))}
+          if i == k else {})} for i in range(3)],
+        _point_truth({"a": (1,), "b": (2.5,)}),
+        EdapConfig(tolerances=(1,), classes=("point",)),
+    ),
+    # every set meets EmptyTruth after its unknown-series check
+    "empty-truth": lambda k: (
+        [{"a": ScoredEvents(onsets=((1, 0.5),))} if i != k else {"zz": ScoredEvents()}
+         for i in range(3)],
+        _point_truth({"a": (), "b": ()}),
+        EdapConfig(tolerances=(1,), classes=("point",)),
+    ),
+    # every set meets the undefined second class once its first is scored
+    "bad-second-class": lambda k: (
+        [{"a": ScoredEvents(onsets=((1, 0.5),)), **({"b": ScoredEvents(onsets=((2, 0.9),))}
+          if i == k else {})} for i in range(3)],
+        _point_truth({"a": (1,), "b": (2.5,)}),
+        EdapConfig(tolerances=(1,), classes=("point", "offset")),
+    ),
+}
+
+
+class TestEdapBatch:
+    @given(batch_problem())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_oracle_set_by_set(self, problem):
+        preds, truth, config = problem
+        try:
+            expected = [pooled_edap_table_oracle(p, truth, config) for p in preds]
+        except EmptyTruth:
+            with pytest.raises(EmptyTruth):
+                metric.edap_table_batch(preds, truth, config)
+            return
+        got = metric.edap_table_batch(preds, truth, config)
+        assert hexed(got) == hexed(expected)
+        assert [list(table) for table in got] == [list(table) for table in expected]
+        assert metric.edap_batch(preds, truth, config) == [edap(p, truth, config) for p in preds]
+
+    def test_empty_batch(self):
+        truth = _point_truth({"a": ()})
+        assert metric.edap_table_batch([], truth, EdapConfig(tolerances=(1,))) == []
+        assert metric.edap_batch([], truth, EdapConfig(tolerances=(1,))) == []
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("fault", BATCH_FAULTS)
+    def test_raises_as_scoring_one_by_one(self, fault, k):
+        preds, truth, config = BATCH_FAULTS[fault](k)
+        expected = one_by_one_error(preds, truth, config)
+        assert expected is not None
+        with pytest.raises(EvregError) as err:
+            metric.edap_table_batch(preds, truth, config)
+        assert (type(err.value), str(err.value)) == (type(expected), str(expected))
+        with pytest.raises(EvregError) as err:
+            metric.edap_batch(preds, truth, config)
+        assert (type(err.value), str(err.value)) == (type(expected), str(expected))
+
+    def test_truth_is_read_and_checked_once(self, monkeypatch):
+        checked, original = [], metric.checked_steps
+
+        def counting(steps, name):
+            checked.append(name)
+            return original(steps, name)
+
+        monkeypatch.setattr(metric, "checked_steps", counting)
+        truth = _point_truth({"a": (1, 5), "b": (3,)})
+        preds = [{"a": ScoredEvents(onsets=((1, v),)), "b": ScoredEvents(onsets=((3, v),))}
+                 for v in (0.1, 0.5, 0.9)]
+        config = EdapConfig(tolerances=(1, 2), classes=("point",))
+        metric.edap_table_batch(preds, truth, config)
+        assert checked == ["truth['a']", "truth['b']"]
 
 
 class TestEdapProperties:

@@ -11,6 +11,7 @@ import statistics
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from evreg.errors import (
     DivergedLoss,
     InvalidConfig,
+    InvalidProbability,
+    NonFiniteInput,
     NonFiniteParameters,
     ParseError,
     ShapeMismatch,
@@ -55,6 +58,7 @@ from evreg.model import (
     save_params,
     train,
 )
+from evreg import model
 
 
 def fd_gradients(params, x, y, config, h=1e-5):
@@ -179,6 +183,23 @@ class TestForward:
         with pytest.raises(NonFiniteParameters):
             forward(params, np.zeros((1, 1, 8)), config)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda x: forward(_GATE_PARAMS, x[None], _GATE_CONFIG),
+        lambda x: predict(_GATE_PARAMS, x, _GATE_CONFIG),
+        lambda x: gradients(_GATE_PARAMS, (x[None], np.zeros((1, 2, 16))), _GATE_CONFIG),
+        lambda x: train([(x, np.zeros((2, 16)))], _GATE_CONFIG, _ONE_STEP),
+    ], ids=["forward", "predict", "gradients", "train"])
+    def test_non_finite_input_rejected(self, call, value):
+        # an inf warned in the convolutions and a NaN gave NaN outputs
+        x = np.zeros((2, 16))
+        x[1, 3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput) as err:
+                call(x)
+        assert str(err.value) == "x contains NaN or Inf"
+
     def test_deterministic(self):
         config = ModelConfig(in_channels=2, hidden_channels=(4, 6), seed=11)
         params = init_params(config)
@@ -252,6 +273,42 @@ class TestLoss:
             loss(np.zeros((1, 2, 8)), np.zeros((1, 2, 9)), "regression_2ch")
         with pytest.raises(ShapeMismatch):
             loss(np.zeros((1, 2, 8)), np.zeros((2, 8)), "segmentation_2class")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25, 1.5])
+    def test_segmentation_probabilities_are_checked(self, bad):
+        # nan and a negative value warned in the log, others gave a wrong loss
+        pred = np.full((1, 2, 8), 0.5)
+        pred[0, 1, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProbability) as err:
+                loss(pred, np.zeros((1, 8)), "segmentation_2class")
+        assert str(err.value) == "pred must hold probabilities in [0, 1]"
+
+    def test_zero_probability_on_the_label_is_an_infinite_loss(self):
+        pred = np.zeros((1, 2, 8))
+        pred[0, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert loss(pred, np.zeros((1, 8)), "segmentation_2class") == math.inf
+            # 0.0 on the other class costs nothing
+            assert loss(pred, np.ones((1, 8)), "segmentation_2class") == 0.0
+
+    def test_training_turns_a_zero_probability_into_diverged_loss(self, monkeypatch):
+        def certain(z):
+            # class 1 with probability one: labels of 0 get probability 0.0
+            out = np.zeros_like(z)
+            out[:, 1] = 1.0
+            return out
+
+        config = tiny_config(3, mode="segmentation_2class")
+        x, _ = random_problem(config, 3)
+        items = [(xi, np.zeros(x.shape[2], dtype=np.int64)) for xi in x]
+        monkeypatch.setattr(model, "_softmax", certain)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedLoss, match=r"^loss inf at epoch 0, batch 0$"):
+                train(items, config, TrainConfig(epochs=1, batch_size=2))
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
     def test_segmentation_label_outside_0_1(self, bad):

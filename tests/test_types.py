@@ -23,6 +23,7 @@ from evreg.types import (
     ScoredEvents,
     TimeSeries,
     derive_state_labels,
+    event_fault,
     points_from_intervals,
     step_fault,
     validate_events,
@@ -186,6 +187,28 @@ class TestValidateEvents:
     def test_step_fault_shows_an_int_past_the_digit_limit(self):
         assert step_fault(-10**5000) == "step <int of 16610 bits> is before step 0"
 
+    @pytest.mark.parametrize("step, message", [
+        (float("inf"), "step inf is not an integer"),
+        (float("-inf"), "step -inf is not an integer"),
+        (float("nan"), "step nan is not an integer"),
+        (np.float64("inf"), "step inf is not an integer"),
+        (np.float32("nan"), "step nan is not an integer"),
+    ])
+    def test_step_fault_names_a_non_finite_float(self, step, message):
+        # int() of these raises OverflowError or ValueError
+        assert step_fault(step) == message
+
+    @pytest.mark.parametrize("kind, event, message", [
+        (POINT, PointEvent(float("inf")), "step inf is not an integer"),
+        (POINT, PointEvent(float("nan")), "step nan is not an integer"),
+        (POINT, PointEvent(float("-inf")), "point -inf is before step 0"),
+        (INTERVAL, IntervalEvent(0, float("inf")), "event [0, inf): step inf is not an integer"),
+        (INTERVAL, IntervalEvent(float("nan"), 3), "event [nan, 3): step nan is not an integer"),
+    ])
+    def test_event_fault_without_num_steps_names_a_non_finite_step(self, kind, event, message):
+        index, error = event_fault(EventSet("s", kind, (event,)))
+        assert (index, type(error), str(error)) == (0, InvalidEvents, message)
+
 
 class TestDeriveStateLabels:
     def test_empty(self):
@@ -263,9 +286,12 @@ class TestScoredEvents:
         with pytest.raises(InvalidEvents):
             ScoredEvents(onsets=((1, float("nan")),))
         # a pair that does not convert to (int, float) is no raw ValueError either
-        for pairs in ([(float("nan"), 0.5)], [(1, "x")], [(1,)]):
+        for pairs in ([(1, "x")], [(1,)]):
             with pytest.raises(InvalidEvents, match=r"^onsets must hold \(step, score\) pairs"):
                 ScoredEvents(onsets=pairs)
+        # step_fault names a NaN step before int() could raise for it
+        with pytest.raises(InvalidEvents, match=r"^onsets\[0\]: step nan is not an integer$"):
+            ScoredEvents(onsets=[(float("nan"), 0.5)])
 
     def test_negative_step_rejected(self):
         # a step before 0 could otherwise match truth near the series start
