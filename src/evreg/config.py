@@ -16,8 +16,6 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-import yaml
-
 from .data import SynthConfig
 from .decode import (
     DecodeParams,
@@ -320,6 +318,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
+    import yaml  # here, not at module scope: only config files need PyYAML
+
     try:
         # PyYAML's int constructor raises ValueError past Python's 4300-digit limit
         doc = yaml.safe_load(text)

@@ -9,7 +9,6 @@ are tuned afterwards on those pooled outputs, so the sweep never retrains.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -263,6 +262,8 @@ def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
     ]
     workers = min(jobs, len(payloads))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for this import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             folds = list(pool.map(_run_fold, payloads))
     else:

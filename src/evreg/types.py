@@ -148,7 +148,8 @@ def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, Da
     ended (touching is allowed); points must hold step >= 0 and not precede
     the previous one.  Every step must be an integer (step_fault: not a
     bool, not fractional).  With num_steps, each event is first checked to
-    lie in the series: offset <= num_steps, step < num_steps.
+    lie in the series: offset <= num_steps, step < num_steps.  A decimal NaN
+    step, which cannot be ordered, is named before any of these checks.
     """
     prev = None
     for i, ev in enumerate(events.events):
@@ -156,6 +157,9 @@ def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, Da
             if not isinstance(ev, IntervalEvent):
                 return i, InvalidEvents(f"expected IntervalEvent, got {type(ev).__name__}")
             span = f"event [{shown(ev.onset)}, {shown(ev.offset)})"
+            fault = _nan_fault(ev.onset) or _nan_fault(ev.offset)
+            if fault is not None:
+                return i, InvalidEvents(f"{span}: {fault}")
             if num_steps is not None and not (0 <= ev.onset and ev.offset <= num_steps):
                 return i, EventOutOfRange(f"{span} outside [0, {shown(num_steps)}]")
             if ev.onset < 0:
@@ -174,6 +178,9 @@ def event_fault(events: EventSet, num_steps: int | None = None) -> tuple[int, Da
         else:
             if not isinstance(ev, PointEvent):
                 return i, InvalidEvents(f"expected PointEvent, got {type(ev).__name__}")
+            fault = _nan_fault(ev.step)
+            if fault is not None:
+                return i, InvalidEvents(fault)
             if num_steps is not None and not 0 <= ev.step < num_steps:
                 return i, EventOutOfRange(f"point {shown(ev.step)} outside [0, {shown(num_steps)})")
             if ev.step < 0:
@@ -219,18 +226,33 @@ def step_fault(step) -> str | None:
     """Why step is no event step, or None if it is one.
 
     The step must be an integer >= 0: a numpy integer or an integral float
-    is one, a bool, a fractional value or a float inf or NaN is not.
+    is one, a bool, a fractional value or an inf or NaN (a float, numpy float
+    or decimal.Decimal one) is not.
     """
-    if type(step) is not int and (
-        isinstance(step, (bool, np.bool_))
-        # int() raises for these
-        or isinstance(step, (float, np.floating)) and not math.isfinite(step)
-        or step != int(step)
-    ):
-        return f"step {shown(step)} is not an integer"
+    if type(step) is not int:
+        if isinstance(step, (bool, np.bool_)):
+            return f"step {shown(step)} is not an integer"
+        try:
+            fractional = step != int(step)
+        except (OverflowError, ValueError):  # int() of an inf, a NaN or a string
+            if isinstance(step, (str, bytes, bytearray)):
+                raise  # no number at all: callers name that fault themselves
+            fractional = True
+        if fractional:
+            return f"step {shown(step)} is not an integer"
     if step < 0:
         return f"step {shown(step)} is before step 0"
     return None
+
+
+def _nan_fault(step) -> str | None:
+    """step_fault of a decimal NaN, else None.  A decimal NaN's < and > raise
+    where a float NaN's give False, so event_fault names it before it orders
+    the steps."""
+    if type(step) is int:
+        return None
+    is_nan = getattr(step, "is_nan", None)  # a decimal.Decimal method
+    return step_fault(step) if is_nan is not None and is_nan() else None
 
 
 def detection_fault(step, score) -> str | None:

@@ -1,5 +1,6 @@
 """Cross-validation pipeline: datasets, folds, pooled scoring, grid sweeps."""
 
+import concurrent.futures
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -436,7 +437,7 @@ class TestRunCv:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         config = make_config(train={"epochs": 1, "batch_size": 4})
         result = run_cv(config, jobs=jobs)
         assert started == [workers]

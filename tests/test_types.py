@@ -1,5 +1,6 @@
 import ast
 import pickle
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -204,10 +205,36 @@ class TestValidateEvents:
         (POINT, PointEvent(float("-inf")), "point -inf is before step 0"),
         (INTERVAL, IntervalEvent(0, float("inf")), "event [0, inf): step inf is not an integer"),
         (INTERVAL, IntervalEvent(float("nan"), 3), "event [nan, 3): step nan is not an integer"),
+        (POINT, PointEvent(Decimal("Infinity")), "step Infinity is not an integer"),
+        (POINT, PointEvent(Decimal("-Infinity")), "point -Infinity is before step 0"),
+        (POINT, PointEvent(Decimal("NaN")), "step NaN is not an integer"),
+        (POINT, PointEvent(Decimal("sNaN")), "step sNaN is not an integer"),
+        (INTERVAL, IntervalEvent(0, Decimal("Infinity")),
+         "event [0, Infinity): step Infinity is not an integer"),
+        (INTERVAL, IntervalEvent(0, Decimal("-Infinity")),
+         "event [0, -Infinity) has no positive duration"),
+        (INTERVAL, IntervalEvent(0, Decimal("NaN")), "event [0, NaN): step NaN is not an integer"),
+        (INTERVAL, IntervalEvent(0, Decimal("sNaN")), "event [0, sNaN): step sNaN is not an integer"),
     ])
     def test_event_fault_without_num_steps_names_a_non_finite_step(self, kind, event, message):
         index, error = event_fault(EventSet("s", kind, (event,)))
         assert (index, type(error), str(error)) == (0, InvalidEvents, message)
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "sNaN"])
+    def test_step_fault_names_a_non_finite_decimal(self, text):
+        # int() raises OverflowError or ValueError, and a NaN's < raises InvalidOperation
+        assert step_fault(Decimal(text)) == f"step {text} is not an integer"
+
+    @pytest.mark.parametrize("kind, event, error, message", [
+        (POINT, PointEvent(Decimal("NaN")), InvalidEvents, "step NaN is not an integer"),
+        (POINT, PointEvent(Decimal("Infinity")), EventOutOfRange, "point Infinity outside [0, 8)"),
+        (INTERVAL, IntervalEvent(Decimal("sNaN"), 3), InvalidEvents,
+         "event [sNaN, 3): step sNaN is not an integer"),
+    ])
+    def test_validate_events_names_a_non_finite_decimal_step(self, kind, event, error, message):
+        with pytest.raises(error) as err:
+            validate_events(EventSet("s", kind, (event,)), 8)
+        assert str(err.value) == message
 
 
 class TestDeriveStateLabels:
