@@ -12,7 +12,9 @@ its own, then stacks the channels of one length into one 2-D array: a peak
 batch picks their peaks in a single _spaced_peaks call, and the threshold
 sweep compares the stacked rows with one mu at a time.  Records are
 built with ScoredEvents._trusted, since every pair comes from checked
-arrays in ascending step order.
+arrays in ascending step order.  Smoothing reads cached taps and indices
+per (sigma, length); smoothed channels of one length are checked finite
+once, a batch's probabilities once, and row by row only if a batch fails.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidProbability, InvalidSpec, LengthMismatch
+from .errors import EvregError, InvalidProbability, InvalidSpec, LengthMismatch
 # find_peaks is not called here since every decoder picks indices only, but
 # perfbench's tests read it as decode.find_peaks
 from .signal import (  # noqa: F401
@@ -75,6 +77,13 @@ def _by_length(rows: list[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]
         yield members, np.stack([rows[i] for i in members])
 
 
+def _check_probabilities(rows: list[np.ndarray]) -> None:
+    """InvalidProbability unless every sample of the 1-D rows is in [0, 1]."""
+    flat = np.concatenate([np.empty(0), *rows])
+    if not np.all((flat >= 0.0) & (flat <= 1.0)):  # a NaN fails both
+        raise InvalidProbability("probabilities must be finite and within [0, 1]")
+
+
 def _pairs_per_row(
     flat: np.ndarray, rows: int, width: int, shift: int, values: np.ndarray
 ) -> list[tuple[tuple[int, float], ...]]:
@@ -91,11 +100,12 @@ def _pairs_per_row(
 def _scored_peaks(
     located: list[np.ndarray], scores: list[np.ndarray], min_distance: int, min_height
 ) -> list[tuple[tuple[int, float], ...]]:
-    """(index, score) pairs of the peaks _spaced_peaks keeps in each checked
-    1-D row of located, scored by the same row of scores; the rows of one
-    length are picked in one _spaced_peaks call."""
+    """(index, score) pairs of the peaks _spaced_peaks keeps in each 1-D
+    row of located, scored by the same row of scores; the rows of one length
+    are checked finite and picked in one _spaced_peaks call."""
     out: list[tuple[tuple[int, float], ...]] = [()] * len(located)
     for members, stacked in _by_length(located):
+        _check_finite_1d(stacked.ravel(), "x")
         kept = _spaced_peaks(stacked, min_distance, min_height)
         values = np.stack([scores[i] for i in members])
         picked = _pairs_per_row(kept, len(members), stacked.shape[1], 0, values)
@@ -108,9 +118,14 @@ def _pick_channels(
     ys: list[np.ndarray], params: DecodeParams
 ) -> list[tuple[tuple[int, float], ...]]:
     """Peaks of each smoothed channel (find_peaks indices), scored by the raw
-    channel value."""
+    channel value; _scored_peaks checks that no smoothed sum overflowed."""
     smoothing = SmoothingParams(params.sigma)
-    located = [_check_finite_1d(gaussian_smooth(y, smoothing), "x") for y in ys]
+    try:
+        located = [gaussian_smooth(y, smoothing) for y in ys]
+    except EvregError:
+        for y in ys:  # row by row, so that an earlier overflow raises first
+            _check_finite_1d(gaussian_smooth(y, smoothing), "x")
+        raise
     return _scored_peaks(located, ys, params.alpha, params.min_height)
 
 
@@ -178,12 +193,14 @@ def _contrasts(ys: list[np.ndarray], params: DecodeParams) -> tuple[list, list]:
     """The smoothed class-1 probability sequences in ys and their windowed
     contrasts I, after checking each sequence is 1-D and within [0, 1]."""
     smoothing, window = SmoothingParams(params.sigma), WindowParams(params.alpha)
-    smoothed = []
-    for y in ys:
-        arr = real_array(y, "probability sequence", 1, InvalidSpec)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise InvalidProbability("probabilities must be finite and within [0, 1]")
-        smoothed.append(gaussian_smooth(arr, smoothing))
+    try:
+        arrs = [real_array(y, "probability sequence", 1, InvalidSpec) for y in ys]
+    except EvregError:
+        for y in ys:  # row by row, so that an earlier fault raises first
+            _check_probabilities([real_array(y, "probability sequence", 1, InvalidSpec)])
+        raise
+    _check_probabilities(arrs)
+    smoothed = [gaussian_smooth(arr, smoothing) for arr in arrs]
     return smoothed, [window_convolve(s, window) for s in smoothed]
 
 

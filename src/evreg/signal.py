@@ -189,19 +189,24 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _folded_kernel(sigma: float, n: int) -> tuple[int, np.ndarray]:
-    """The radius of gaussian_kernel(sigma) and its taps folded onto one 2n
-    period, read-only.
+def _folded_kernel(sigma: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The radius of gaussian_kernel(sigma), its taps folded onto one 2n
+    period and their gather index, all read-only.
 
     Tap k reads the symmetric extension at offset k - radius, which repeats
     every 2n samples, so taps k and k + 2n read the same sample: the folded
     kernel sums them.  It holds min(2 radius + 1, 2n) taps and equals the
-    kernel, bit for bit, when that kernel fits in one period.
+    kernel, bit for bit, when that kernel fits in one period.  The index
+    holds where in x the n + len(taps) - 1 extension samples from -radius
+    lie: an entry holds at most 2n taps plus 3n indices, the cache 64 entries.
     """
     kernel = gaussian_kernel(sigma)
+    radius = (len(kernel) - 1) // 2
     folded = np.bincount(np.arange(len(kernel)) % (2 * n), weights=kernel)
-    folded.flags.writeable = False
-    return (len(kernel) - 1) // 2, folded
+    j = np.arange(-radius, n - radius + len(folded) - 1) % (2 * n)
+    index = np.minimum(j, 2 * n - 1 - j)
+    folded.flags.writeable = index.flags.writeable = False
+    return radius, folded, index
 
 
 def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
@@ -213,21 +218,19 @@ def gaussian_smooth(x: np.ndarray, params: SmoothingParams) -> np.ndarray:
     or an empty x, returns an unchanged copy.
 
     The reflected series repeats every 2n samples, so the kernel is folded
-    onto one period first (_folded_kernel) and each output costs at most 2n
-    products, whatever sigma is.  A kernel of 2 ceil(4 sigma) + 1 <= 2n taps
-    is not folded: the output is then the bits of np.correlate on the padded
-    series.  A wider kernel sums its taps per period before it meets the
-    samples, which reassociates the sums: the result may differ from the
-    unfolded sum in its last bits.
+    onto one period first: _folded_kernel caches at most 2n taps plus 3n
+    indices of the padded series per (sigma, n), in 64 entries.  So each
+    output costs at most 2n products, whatever sigma is.  A kernel of
+    2 ceil(4 sigma) + 1 <= 2n taps is not folded: the output is then the
+    bits of np.correlate on the padded series.  A wider kernel sums its taps
+    per period before it meets the samples, which reassociates the sums: the
+    result may differ from the unfolded sum in its last bits.
     """
     arr = _check_finite_1d(x, "x")
     if params.sigma is None or params.sigma == 0 or arr.size == 0:
         return arr.copy()
-    n = len(arr)
-    radius, taps = _folded_kernel(float(params.sigma), n)
-    # the n + len(taps) - 1 samples of the symmetric extension from -radius on
-    j = np.arange(-radius, n - radius + len(taps) - 1) % (2 * n)
-    return np.correlate(arr[np.minimum(j, 2 * n - 1 - j)], taps, mode="valid")
+    _, taps, index = _folded_kernel(float(params.sigma), len(arr))
+    return np.correlate(arr[index], taps, mode="valid")
 
 
 # Priority rounds _spaced_peaks runs before its sequential loop decides the

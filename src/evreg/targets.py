@@ -135,7 +135,7 @@ def _encode_density(
     channels = np.zeros((len(classes), num_steps), dtype=np.float64)
     for channel, cls in zip(channels, classes):
         for step in events.by_class(cls):
-            _add_kernel(channel, step, kernel)
+            _add_kernel(channel, int(step), kernel)  # a checked step may be a float
     channels /= g
     return TargetSeries(channels, g, classes)
 

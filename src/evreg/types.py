@@ -210,7 +210,7 @@ def derive_state_labels(events: EventSet, num_steps: int) -> np.ndarray:
         raise InvalidEvents("state labels are defined for interval events only")
     labels = np.zeros(num_steps, dtype=np.int64)
     for ev in events.events:
-        labels[ev.onset : ev.offset] = 1
+        labels[int(ev.onset) : int(ev.offset)] = 1  # a checked step may be a float
     return labels
 
 

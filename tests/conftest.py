@@ -10,8 +10,23 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
+
+# When a property fails, hypothesis's pytest plugin imports
+# hypothesis.extra._patching to print an explicit-example patch.  With
+# libcst installed, that import warns (libcst uses the deprecated
+# mypy_extensions.TypedDict), and under the suite's filterwarnings =
+# ["error"] the warning is an INTERNALERROR that ends the run at the first
+# failing property.  Imported here, with warnings ignored for this one
+# import only, the filter stays an error for the rest.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def reflect_index(i: int, n: int) -> int:

@@ -450,3 +450,68 @@ class TestBatchRecords:
                 tracemalloc.stop()
             assert len(swept) == count and swept[-1][0] == ScoredEvents()
         assert peaks[1] - peaks[0] < 1 << 20
+
+
+# a finite channel whose smoothed sums round past the float range at sigma=0.7
+OVERFLOWING = np.full(20, np.finfo(np.float64).max)
+TWO_D = np.zeros((2, 20))
+# a probability sequence outside [0, 1]
+IMPROBABLE = np.array([0.5, 1.5, 0.5])
+
+
+class TestBatchErrorOrder:
+    """A batch raises the error of its first faulty row, as checking each row
+    in turn would, though it checks the rows of a batch together."""
+
+    POINT_DECODERS = [
+        lambda ys, params: decode_points_batch(ys, params),
+        lambda ys, params: decode_regression_batch(ys, ys, params),
+    ]
+    SEG_DECODERS = [
+        lambda ys, params: sweep_seg_threshold_batch(ys, (0.5,), params),
+        lambda ys, params: decode_seg_peaks_batch(ys, params),
+    ]
+
+    @pytest.mark.parametrize("decode", POINT_DECODERS)
+    def test_an_overflow_before_a_2d_channel_raises_first(self, decode):
+        params = DecodeParams(alpha=2, sigma=0.7)
+        with pytest.raises(NonFiniteInput, match="^x contains NaN or Inf$"):
+            decode([OVERFLOWING, TWO_D], params)
+        with pytest.raises(InvalidSpec, match=r"^x must be 1-D, got shape \(2, 20\)$"):
+            decode([TWO_D, OVERFLOWING], params)
+
+    @pytest.mark.parametrize("decode", POINT_DECODERS)
+    def test_an_overflow_in_any_length_group_raises(self, decode):
+        params = DecodeParams(alpha=2, sigma=0.7)
+        for ys in ([np.zeros(7), OVERFLOWING], [OVERFLOWING, np.zeros(7)],
+                   [np.zeros(20), np.zeros(7), OVERFLOWING]):
+            with pytest.raises(NonFiniteInput, match="^x contains NaN or Inf$"):
+                decode(ys, params)
+
+    @pytest.mark.parametrize("decode", SEG_DECODERS)
+    def test_an_improbable_sequence_before_a_bad_one_raises_first(self, decode):
+        params = DecodeParams(alpha=1, sigma=1.0)
+        for bad in (np.full((2, 3), 0.5), "abc", [[0.5], [0.5, 0.5]]):
+            with pytest.raises(InvalidProbability):
+                decode([np.full(3, 0.5), IMPROBABLE, bad], params)
+            with pytest.raises(InvalidSpec):
+                decode([bad, IMPROBABLE], params)
+
+    @pytest.mark.parametrize("decode", SEG_DECODERS)
+    @pytest.mark.parametrize("fault", [1.5, -0.5, np.nan, np.inf, -np.inf])
+    def test_a_fault_in_any_sequence_raises(self, decode, fault):
+        params = DecodeParams(alpha=1, sigma=1.0)
+        faulty = np.array([0.5, fault, 0.5, 0.5])
+        for ys in ([np.full(3, 0.5), faulty], [faulty, np.full(3, 0.5)], [np.empty(0), faulty]):
+            with pytest.raises(InvalidProbability, match="^probabilities must be finite"):
+                decode(ys, params)
+
+    def test_empty_batches_and_sequences_decode_as_alone(self):
+        params = DecodeParams(alpha=1, sigma=1.0)
+        assert decode_points_batch([], params) == decode_seg_peaks_batch([], params) == []
+        assert sweep_seg_threshold_batch([], (0.5,), params) == [[]]
+        ys = [np.empty(0), np.full(3, 0.5), np.empty(0)]
+        assert decode_points_batch(ys, params) == [decode_points(y, params) for y in ys]
+        assert decode_seg_peaks_batch(ys, params) == [decode_seg_peaks(y, params) for y in ys]
+        swept = sweep_seg_threshold_batch(ys, (0.5,), params)
+        assert swept == [[decode_seg_threshold(y, params) for y in ys]]

@@ -8,11 +8,14 @@ public signal, metric, fold and downsampling functions get the same values.
 The array arguments of the model, decoders, targets, series and AP get array
 junk: complex arrays, strings, ragged lists, dicts, a bare object, None, an
 int past the float range, and arrays holding NaN or an infinity.  Each call either succeeds or raises a subclass
-of EvregError.
+of EvregError.  Every public function that takes an EventSet gets event
+steps of each integral type validate_events accepts (floats, numpy floats,
+Decimals and numpy ints), and must give what it gives for int steps.
 """
 
 import functools
 import warnings
+from decimal import Decimal
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evreg.config import GridSpec, PathsSpec, load_config
-from evreg.data import SynthConfig, downsample
+from evreg.data import SynthConfig, downsample, save_events
 from evreg.decode import (
     DecodeParams,
     decode_points,
@@ -33,8 +36,16 @@ from evreg.decode import (
     decode_seg_threshold,
 )
 from evreg.errors import EvregError, InvalidConfig, InvalidFactor, InvalidSpec
-from evreg.experiment import fold_splits
-from evreg.metric import EdapConfig, average_precision, match_events
+from evreg.experiment import encode_targets, fit, fold_splits, grid_search
+from evreg.metric import (
+    EdapConfig,
+    average_precision,
+    edap,
+    edap_batch,
+    edap_table,
+    edap_table_batch,
+    match_events,
+)
 from evreg.model import (
     ModelConfig,
     TrainConfig,
@@ -52,10 +63,31 @@ from evreg.signal import (
     gaussian_smooth,
     window_convolve,
 )
-from evreg.targets import PdfSpec, TargetSeries, gamma
-from evreg.types import TimeSeries, validate_series
+from evreg.targets import (
+    PdfSpec,
+    TargetSeries,
+    encode_cpd,
+    encode_regression,
+    encode_segmentation,
+    gamma,
+)
+from evreg.types import (
+    INTERVAL,
+    POINT,
+    EventSet,
+    IntervalEvent,
+    PointEvent,
+    ScoredEvents,
+    TimeSeries,
+    derive_state_labels,
+    event_fault,
+    points_from_intervals,
+    validate_events,
+    validate_series,
+)
 
-CONFIG = load_config(Path(__file__).resolve().parents[1] / "configs" / "cpd.yaml")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CONFIG = load_config(CONFIGS / "cpd.yaml")
 SERIES = TimeSeries.build("s", {"a": np.arange(6.0)})
 HUGE = 10**5000
 
@@ -257,3 +289,97 @@ def test_array_junk_is_accepted_or_raises_an_evreg_error(site, value):
 def test_huge_ints_and_array_choices_raise_their_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+# integral event steps of each type validate_events accepts, int first
+STEP_TYPES = [int, float, np.float64, np.float32, Decimal, np.int64, np.int32, np.uint8]
+STEPS = 32
+STEP_SERIES = TimeSeries.build("s", {"a": np.sin(np.arange(STEPS) / 3.0)})
+REGRESSION = load_config(CONFIGS / "benchmark_regression.yaml")
+SEGMENTATION = load_config(CONFIGS / "benchmark_segmentation.yaml")
+PDF = PdfSpec("gaussian", 64, 17, sigma=2.0)
+EDAP = EdapConfig(tolerances=(1, 2))
+POINT_EDAP = EdapConfig(tolerances=(1, 2), classes=("point",))
+PRED = {"s": ScoredEvents(((3, 0.9), (12, 0.4)), ((9, 0.8),))}
+POINT_PRED = {"s": ScoredEvents(((3, 0.9), (11, 0.4)))}
+OUTPUT = np.abs(np.sin(np.arange(STEPS) / 2.0))[None]
+TINY = replace(
+    CONFIG,
+    model=replace(CONFIG.model, in_channels=1, hidden_channels=(2,), kernel_size=3),
+    train=replace(CONFIG.train, epochs=1, batch_size=1),
+)
+
+
+def _intervals(step) -> EventSet:
+    return EventSet("s", INTERVAL, (IntervalEvent(step(2), step(5)), IntervalEvent(step(9), step(14))))
+
+
+def _points(step) -> EventSet:
+    return EventSet("s", POINT, (PointEvent(step(3)), PointEvent(step(11))))
+
+
+def _plain(value):
+    """value with each array replaced by its dtype, shape and bytes, and each
+    record by its type name and fields, so that results compare with ==."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return type(value).__name__, {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _saved_rows(step, tmp):
+    save_events(tmp / "events.csv", {"s": _intervals(step), "t": _points(step)})
+    return [line.split(",")[:2] for line in (tmp / "events.csv").read_text().splitlines()]
+
+
+# every public entry that takes an EventSet, called with events whose steps
+# are built by step
+EVENT_SITES = {
+    "event_fault": lambda step, tmp: (event_fault(_intervals(step), STEPS),
+                                      event_fault(_points(step), STEPS)),
+    "validate_events": lambda step, tmp: (validate_events(_intervals(step), STEPS),
+                                          validate_events(_points(step), STEPS)),
+    "derive_state_labels": lambda step, tmp: derive_state_labels(_intervals(step), STEPS),
+    "points_from_intervals": lambda step, tmp: points_from_intervals(_intervals(step)),
+    "encode_regression": lambda step, tmp: encode_regression(_intervals(step), STEPS, PDF),
+    "encode_cpd": lambda step, tmp: encode_cpd(_points(step), STEPS, PDF),
+    "encode_segmentation": lambda step, tmp: encode_segmentation(_intervals(step), STEPS),
+    "encode_targets-regression": lambda step, tmp: encode_targets(
+        STEP_SERIES, _intervals(step), REGRESSION),
+    "encode_targets-segmentation": lambda step, tmp: encode_targets(
+        STEP_SERIES, _intervals(step), SEGMENTATION),
+    "encode_targets-cpd": lambda step, tmp: encode_targets(STEP_SERIES, _points(step), CONFIG),
+    "downsample": lambda step, tmp: (downsample(STEP_SERIES, 3, _intervals(step)),
+                                     downsample(STEP_SERIES, 3, _points(step))),
+    # the step field is written as the step's type prints it, so only the
+    # series and event fields are compared
+    "save_events": _saved_rows,
+    "edap_table": lambda step, tmp: edap_table(PRED, {"s": _intervals(step)}, EDAP),
+    "edap": lambda step, tmp: edap(PRED, {"s": _intervals(step)}, EDAP),
+    "edap_batch": lambda step, tmp: edap_batch([PRED, PRED], {"s": _intervals(step)}, EDAP),
+    "edap_table_batch": lambda step, tmp: edap_table_batch(
+        [POINT_PRED], {"s": _points(step)}, POINT_EDAP),
+    "grid_search": lambda step, tmp: grid_search(
+        {"s": OUTPUT}, {"s": _points(step)}, CONFIG.grid, CONFIG),
+    "fit": lambda step, tmp: fit(TINY, [(STEP_SERIES, _points(step))]).params.flat,
+}
+
+
+@pytest.mark.parametrize("site", EVENT_SITES)
+@pytest.mark.parametrize("step", STEP_TYPES[1:], ids=lambda step: step.__name__)
+def test_integral_event_steps_of_any_type_work_as_ints(site, step, tmp_path):
+    # validate_events accepts each of these steps, so each site works with
+    # them (an EvregError would be allowed, but none is raised) and gives
+    # what it gives for the ints they equal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = EVENT_SITES[site](step, tmp_path)
+        except EvregError:
+            return
+    assert _plain(got) == _plain(EVENT_SITES[site](int, tmp_path))

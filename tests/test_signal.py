@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_peaks, dense_smooth_oracle, window_contrast_oracle
+from conftest import brute_force_peaks, dense_smooth_oracle, reflect_index, window_contrast_oracle
 from evreg import signal
 from evreg.errors import InvalidConfig, InvalidSpec, NonFiniteInput
 from evreg.config import DEFAULT_GRID_SIGMA
@@ -231,15 +231,23 @@ class TestFoldedSmoothing:
     @pytest.mark.parametrize("sigma,n", [(1.0, 4), (1.0, 5), (1000.0, 512), (5000.0, 3)])
     def test_folded_taps(self, sigma, n):
         kernel = gaussian_kernel(sigma)
-        radius, taps = _folded_kernel(sigma, n)
+        radius, taps, _ = _folded_kernel(sigma, n)
         assert radius == math.ceil(4.0 * sigma)
         assert len(taps) == min(len(kernel), 2 * n)
         np.testing.assert_allclose(taps.sum(), 1.0, rtol=1e-12)
         if len(kernel) <= 2 * n:
             assert taps.tobytes() == kernel.tobytes()
 
+    @pytest.mark.parametrize("sigma,n", [(1.0, 1), (1.0, 4), (1.0, 5), (1000.0, 512), (5000.0, 3)])
+    def test_cached_index_reflects_and_is_read_only(self, sigma, n):
+        radius, taps, index = _folded_kernel(sigma, n)
+        span = range(-radius, n - radius + len(taps) - 1)
+        assert index.tolist() == [reflect_index(i, n) for i in span]
+        assert _folded_kernel(sigma, n)[2] is index
+        assert not index.flags.writeable
+
     def test_cached_taps_are_read_only(self):
-        _, taps = _folded_kernel(1000.0, 512)
+        _, taps, _ = _folded_kernel(1000.0, 512)
         assert _folded_kernel(1000.0, 512)[1] is taps
         assert not taps.flags.writeable
         with pytest.raises(ValueError):

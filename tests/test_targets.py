@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -264,6 +265,23 @@ class TestEncodeSegmentation:
         ts = encode_segmentation(ev, 8)
         assert ts.gamma == 1.0
         assert ts.channels.tolist() == [[0, 0, 1, 1, 1, 0, 0, 0]]
+
+    @pytest.mark.parametrize("step", [float, np.float64, np.float32, Decimal, np.int64])
+    def test_integral_steps_of_any_type(self, step):
+        ev = EventSet("s", INTERVAL, (IntervalEvent(step(2), step(5)),))
+        assert encode_segmentation(ev, 8).channels.tolist() == [[0, 0, 1, 1, 1, 0, 0, 0]]
+
+
+# np.uint8 steps wrapped around below zero at the kernel's left edge
+@pytest.mark.parametrize("step", [float, np.float64, np.float32, Decimal, np.int64, np.uint8])
+def test_density_targets_place_integral_steps_of_any_type_as_ints(step):
+    spec = PdfSpec(kind="gaussian", day_length_d=64, width_w=17, sigma=2.0)
+    ints = EventSet("s", INTERVAL, (IntervalEvent(2, 5), IntervalEvent(9, 30)))
+    typed = EventSet("s", INTERVAL, (IntervalEvent(step(2), step(5)), IntervalEvent(step(9), step(30))))
+    want = encode_regression(ints, 30, spec).channels
+    assert encode_regression(typed, 30, spec).channels.tobytes() == want.tobytes()
+    got = encode_cpd(points_from_intervals(typed), 30, spec).channels
+    assert got.tobytes() == want[:1].tobytes()
 
 
 class TestSigmaSchedule:

@@ -254,6 +254,12 @@ class TestDeriveStateLabels:
         with pytest.raises(InvalidEvents):
             derive_state_labels(EventSet("s", POINT, (PointEvent(1),)), 4)
 
+    @pytest.mark.parametrize("step", [float, np.float64, np.float32, Decimal, np.int64])
+    def test_integral_steps_of_any_type_label_as_ints(self, step):
+        # validate_events accepts these steps, so they slice as the ints they equal
+        ev = EventSet("s", INTERVAL, (IntervalEvent(step(0), step(3)), IntervalEvent(step(5), step(6))))
+        assert derive_state_labels(ev, 8).tolist() == [1, 1, 1, 0, 0, 1, 0, 0]
+
     def test_changepoint_recovery(self):
         # extracting label change-points recovers the original pairs when
         # events are separated by at least one step
