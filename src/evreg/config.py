@@ -19,10 +19,10 @@ from typing import Any, Callable, Mapping
 from .data import SynthConfig
 from .decode import (
     DecodeParams,
-    decode_points_batch,
-    decode_regression_batch,
-    decode_seg_peaks_batch,
-    sweep_seg_threshold_batch,
+    decode_points_arrays,
+    decode_regression_arrays,
+    decode_seg_peaks_arrays,
+    sweep_seg_threshold_arrays,
 )
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, InvalidSpec
 from .metric import EdapConfig
@@ -39,9 +39,10 @@ class Objective:
     out_mode is the model head and metric_classes the default metric classes.
     encode(events, num_steps, pdf) gives a TargetSeries.  decode(ys, params,
     mus) takes the outputs of every series to decode, in id order, and gives
-    a list of their ScoredEvents, in the same order, at each mu in mus if
-    reads_mu, else a one-item list of them.  Both resolve the encoder or
-    decoder by its module-global name at call time, so rebinding it works.
+    their detection arrays (types.scored_rows' layout, rows in that order)
+    at each mu in mus if reads_mu, else a one-item list of them.  Both
+    resolve the encoder or decoder by its module-global name at call time,
+    so rebinding it works.
     segmentation marks per-step label targets: no pdf, no sigma schedule.
     point_truth collapses intervals to onset points.
     """
@@ -60,23 +61,23 @@ OBJECTIVES: dict[str, Objective] = {
         "regression_2ch", ("onset", "offset"),
         encode=lambda events, steps, pdf: encode_regression(events, steps, pdf),
         decode=lambda ys, params, _: [
-            decode_regression_batch([y[0] for y in ys], [y[1] for y in ys], params)
+            decode_regression_arrays([y[0] for y in ys], [y[1] for y in ys], params)
         ],
     ),
     "segmentation": Objective(
         "segmentation_2class", ("onset", "offset"), segmentation=True, reads_mu=True,
         encode=lambda events, steps, _: encode_segmentation(events, steps),
-        decode=lambda ys, params, mus: sweep_seg_threshold_batch([y[1] for y in ys], mus, params),
+        decode=lambda ys, params, mus: sweep_seg_threshold_arrays([y[1] for y in ys], mus, params),
     ),
     "segmentation_peaks": Objective(
         "segmentation_2class", ("onset", "offset"), segmentation=True,
         encode=lambda events, steps, _: encode_segmentation(events, steps),
-        decode=lambda ys, params, _: [decode_seg_peaks_batch([y[1] for y in ys], params)],
+        decode=lambda ys, params, _: [decode_seg_peaks_arrays([y[1] for y in ys], params)],
     ),
     "cpd": Objective(
         "regression_1ch", ("point",), point_truth=True,
         encode=lambda events, steps, pdf: encode_cpd(events, steps, pdf),
-        decode=lambda ys, params, _: [decode_points_batch([y[0] for y in ys], params)],
+        decode=lambda ys, params, _: [decode_points_arrays([y[0] for y in ys], params)],
     ),
 }
 

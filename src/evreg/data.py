@@ -31,6 +31,7 @@ from .types import (
     TimeSeries,
     detection_fault,
     event_fault,
+    step_fault,
     validate_events,
 )
 
@@ -290,6 +291,16 @@ def load_series(path: str | Path) -> TimeSeries:
 _EVENT_HEADER = ["series_id", "event", "step", "score"]
 
 
+def _truth_step(step):
+    """step as an int if it passes step_fault, so that an integral float,
+    numpy or Decimal step is written as load_events reads it back; any other
+    step is written as it prints, and fails to load."""
+    try:
+        return int(step) if step_fault(step) is None else step
+    except (TypeError, ValueError):
+        return step
+
+
 def _event_rows(obj: EventSet | ScoredEvents) -> Iterable[tuple]:
     """(event, step, score) of each row of one series."""
     if not len(obj):
@@ -297,11 +308,11 @@ def _event_rows(obj: EventSet | ScoredEvents) -> Iterable[tuple]:
     elif isinstance(obj, EventSet):
         if obj.kind == INTERVAL:
             for ev in obj.events:
-                yield "onset", ev.onset, ev.score
-                yield "offset", ev.offset, ev.score
+                yield "onset", _truth_step(ev.onset), ev.score
+                yield "offset", _truth_step(ev.offset), ev.score
         else:
             for ev in obj.events:
-                yield "point", ev.step, ev.score
+                yield "point", _truth_step(ev.step), ev.score
     else:
         for step, score in obj.onsets:
             yield "onset", step, score
@@ -314,8 +325,9 @@ def save_events(
 ) -> None:
     """Write a long-form events CSV covering one or more series.
 
-    Interval ground truth emits alternating onset/offset rows per event;
-    decoded ScoredEvents emit their onset rows then offset rows.  The score
+    Interval ground truth emits alternating onset/offset rows per event, each
+    integral step written as an int; decoded ScoredEvents emit their onset
+    rows then offset rows.  The score
     column is left empty for unscored ground truth.  A series without events
     keeps one row whose event, step and score fields are empty.  The bytes
     are write_table's for the same rows.
@@ -459,7 +471,9 @@ def load_scored_events(path: str | Path) -> dict[str, ScoredEvents]:
                 f"{path}: series {sid!r}, line {line}: {detection_fault(step, score)}"
             )
         pairs[kind == "offset"].append((step, score))
+    # every pair passed the checks ScoredEvents makes, so the sorted pairs
+    # are set without running them again
     return {
-        sid: ScoredEvents(onsets=sorted(onsets), offsets=sorted(offsets))
+        sid: ScoredEvents._trusted(sorted(onsets), sorted(offsets))
         for sid, (onsets, offsets) in detections.items()
     }

@@ -6,15 +6,18 @@ and peak picking on the windowed contrast I of that probability.  Both peak
 routes read only the indices find_peaks keeps (signal._spaced_peaks), never
 its heights or prominences.
 
-Each decoder has a *_batch form that decodes a list of series; the
-one-series decoder is its one-item case.  A batch smooths each channel on
-its own, then stacks the channels of one length into one 2-D array: a peak
-batch picks their peaks in a single _spaced_peaks call, and the threshold
-sweep compares the stacked rows with one mu at a time.  Records are
-built with ScoredEvents._trusted, since every pair comes from checked
-arrays in ascending step order.  Smoothing reads cached taps and indices
-per (sigma, length); smoothed channels of one length are checked finite
-once, a batch's probabilities once, and row by row only if a batch fails.
+Each decoder has an *_arrays form that decodes a list of series into
+detection arrays (rows, steps, scores), in types.scored_rows' layout: row r
+holds the onsets (or points) of series r, row len(ys) + r its offsets,
+listed by row, then by step.  metric.edap_arrays scores them as they are;
+the *_batch form builds their records with scored_rows, and the one-series
+decoder is its one-item case.  A batch smooths each channel on its own,
+then stacks the channels of one length into one 2-D array: a peak batch
+picks their peaks in a single _spaced_peaks call, and the threshold sweep
+compares the stacked rows with one mu at a time.  Smoothing reads cached
+taps and indices per (sigma, length); smoothed channels of one length are
+checked finite once, a batch's probabilities once, and row by row only if
+a batch fails.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .signal import (  # noqa: F401
     real_array,
     window_convolve,
 )
-from .types import ScoredEvents
+from .types import ScoredEvents, scored_rows
 
 
 @dataclass(frozen=True)
@@ -84,39 +87,43 @@ def _check_probabilities(rows: list[np.ndarray]) -> None:
         raise InvalidProbability("probabilities must be finite and within [0, 1]")
 
 
-def _pairs_per_row(
-    flat: np.ndarray, rows: int, width: int, shift: int, values: np.ndarray
-) -> list[tuple[tuple[int, float], ...]]:
-    """The (step, score) pairs of each row, from ascending flat indices into
-    a (rows, width) array: index r * width + t is step t + shift of row r,
-    scored by values[r, t + shift]."""
+def _found(flat: np.ndarray, members: list[int], width: int, shift: int, values: np.ndarray):
+    """(rows, steps, scores) of ascending flat indices into a (len(members),
+    width) array: index i * width + t is step t + shift of row members[i],
+    scored by values[i, t + shift]."""
     row, steps = np.divmod(flat, width)
     steps += shift
-    pairs = list(zip(steps.tolist(), values[row, steps].tolist()))
-    bounds = np.searchsorted(flat, np.arange(rows + 1) * width).tolist()
-    return [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return np.asarray(members)[row], steps, values[row, steps]
+
+
+def _joined(parts: list) -> tuple:
+    """parts, each a (rows, steps, scores) triple listed by row, then by
+    step, as one triple listed so."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    rows, steps, scores = (np.concatenate(a) for a in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], steps[order], scores[order]
 
 
 def _scored_peaks(
     located: list[np.ndarray], scores: list[np.ndarray], min_distance: int, min_height
-) -> list[tuple[tuple[int, float], ...]]:
-    """(index, score) pairs of the peaks _spaced_peaks keeps in each 1-D
-    row of located, scored by the same row of scores; the rows of one length
-    are checked finite and picked in one _spaced_peaks call."""
-    out: list[tuple[tuple[int, float], ...]] = [()] * len(located)
+) -> tuple:
+    """Detection arrays of the peaks _spaced_peaks keeps in each 1-D row of
+    located, scored by the same row of scores; the rows of one length are
+    checked finite and picked in one _spaced_peaks call."""
+    parts = []
     for members, stacked in _by_length(located):
         _check_finite_1d(stacked.ravel(), "x")
         kept = _spaced_peaks(stacked, min_distance, min_height)
         values = np.stack([scores[i] for i in members])
-        picked = _pairs_per_row(kept, len(members), stacked.shape[1], 0, values)
-        for i, pairs in zip(members, picked):
-            out[i] = pairs
-    return out
+        parts.append(_found(kept, members, stacked.shape[1], 0, values))
+    return _joined(parts)
 
 
-def _pick_channels(
-    ys: list[np.ndarray], params: DecodeParams
-) -> list[tuple[tuple[int, float], ...]]:
+def _pick_channels(ys: list[np.ndarray], params: DecodeParams) -> tuple:
     """Peaks of each smoothed channel (find_peaks indices), scored by the raw
     channel value; _scored_peaks checks that no smoothed sum overflowed."""
     smoothing = SmoothingParams(params.sigma)
@@ -129,10 +136,10 @@ def _pick_channels(
     return _scored_peaks(located, ys, params.alpha, params.min_height)
 
 
-def decode_regression_batch(
+def decode_regression_arrays(
     ys_on: list[np.ndarray], ys_off: list[np.ndarray], params: DecodeParams
-) -> list[ScoredEvents]:
-    """decode_regression of each (ys_on[i], ys_off[i]) pair."""
+) -> tuple:
+    """decode_regression_batch as detection arrays."""
     ys_on = [real_array(y, "onset channel", None, InvalidSpec) for y in ys_on]
     ys_off = [real_array(y, "offset channel", None, InvalidSpec) for y in ys_off]
     if len(ys_on) != len(ys_off):
@@ -142,11 +149,14 @@ def decode_regression_batch(
             raise LengthMismatch(
                 f"onset/offset channels differ in shape: {y_on.shape} vs {y_off.shape}"
             )
-    picked = _pick_channels(ys_on + ys_off, params)
-    return [
-        ScoredEvents._trusted(on, off)
-        for on, off in zip(picked[: len(ys_on)], picked[len(ys_on) :])
-    ]
+    return _pick_channels(ys_on + ys_off, params)
+
+
+def decode_regression_batch(
+    ys_on: list[np.ndarray], ys_off: list[np.ndarray], params: DecodeParams
+) -> list[ScoredEvents]:
+    """decode_regression of each (ys_on[i], ys_off[i]) pair."""
+    return scored_rows(*decode_regression_arrays(ys_on, ys_off, params), len(ys_on))
 
 
 def decode_regression(
@@ -161,10 +171,14 @@ def decode_regression(
     return decode_regression_batch([y_on], [y_off], params)[0]
 
 
+def decode_points_arrays(ys: list[np.ndarray], params: DecodeParams) -> tuple:
+    """decode_points_batch as detection arrays."""
+    return _pick_channels([real_array(y, "channel", None, InvalidSpec) for y in ys], params)
+
+
 def decode_points_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
     """decode_points of each channel in ys."""
-    picked = _pick_channels([real_array(y, "channel", None, InvalidSpec) for y in ys], params)
-    return [ScoredEvents._trusted(onsets) for onsets in picked]
+    return scored_rows(*decode_points_arrays(ys, params), len(ys))
 
 
 def decode_points(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
@@ -204,11 +218,8 @@ def _contrasts(ys: list[np.ndarray], params: DecodeParams) -> tuple[list, list]:
     return smoothed, [window_convolve(s, window) for s in smoothed]
 
 
-def sweep_seg_threshold_batch(
-    ys: list[np.ndarray], mus: tuple, params: DecodeParams
-) -> list[list[ScoredEvents]]:
-    """decode_seg_threshold of each probability sequence in ys at each mu in
-    mus (params.mu is unread), as one list of series per mu.
+def sweep_seg_threshold_arrays(ys: list[np.ndarray], mus: tuple, params: DecodeParams) -> list:
+    """sweep_seg_threshold_batch as detection arrays, one triple per mu.
 
     Each sequence is smoothed and scored on its own.  For each mu, one 2-D
     mask over the adjacent samples of the stacked sequences of one length
@@ -216,32 +227,39 @@ def sweep_seg_threshold_batch(
     """
     thresholds = [float(replace(params, mu=mu).mu) for mu in mus]
     smoothed, contrasts = _contrasts(ys, params)
-    out: list[list] = [[None] * len(ys) for _ in mus]
+    parts: list[list] = [[] for _ in mus]
     for members, stacked in _by_length(smoothed):
-        rows, n = stacked.shape
+        n = stacked.shape[1]
         before, after = stacked[:, :-1], stacked[:, 1:]
         score = np.abs(np.stack([contrasts[i] for i in members]))
-        for per_mu, mu in zip(out, thresholds):
+        offset_rows = [i + len(ys) for i in members]
+        for per_mu, mu in zip(parts, thresholds):
             # pair t of a row fires at step t + 1
-            onsets, offsets = [
-                _pairs_per_row(np.flatnonzero(mask), rows, n - 1, 1, score)
-                for mask in ((before < mu) & (after > mu), (before > mu) & (after < mu))
-            ]
-            for i, on, off in zip(members, onsets, offsets):
-                per_mu[i] = ScoredEvents._trusted(on, off)
-    return out
+            for rows, mask in ((members, (before < mu) & (after > mu)),
+                               (offset_rows, (before > mu) & (after < mu))):
+                per_mu.append(_found(np.flatnonzero(mask), rows, n - 1, 1, score))
+    return [_joined(per_mu) for per_mu in parts]
+
+
+def sweep_seg_threshold_batch(
+    ys: list[np.ndarray], mus: tuple, params: DecodeParams
+) -> list[list[ScoredEvents]]:
+    """decode_seg_threshold of each probability sequence in ys at each mu in
+    mus (params.mu is unread), as one list of series per mu."""
+    return [scored_rows(*found, len(ys)) for found in sweep_seg_threshold_arrays(ys, mus, params)]
+
+
+def decode_seg_peaks_arrays(ys: list[np.ndarray], params: DecodeParams) -> tuple:
+    """decode_seg_peaks_batch as detection arrays."""
+    _, contrasts = _contrasts(ys, params)
+    scores = [np.abs(c) for c in contrasts]
+    # onsets are the peaks of each contrast, offsets those of its negation
+    return _scored_peaks(contrasts + [-c for c in contrasts], scores + scores, params.alpha, None)
 
 
 def decode_seg_peaks_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
     """decode_seg_peaks of each probability sequence in ys."""
-    _, contrasts = _contrasts(ys, params)
-    scores = [np.abs(c) for c in contrasts]
-    # onsets are the peaks of each contrast, offsets those of its negation
-    picked = _scored_peaks(contrasts + [-c for c in contrasts], scores + scores, params.alpha, None)
-    return [
-        ScoredEvents._trusted(on, off)
-        for on, off in zip(picked[: len(ys)], picked[len(ys) :])
-    ]
+    return scored_rows(*decode_seg_peaks_arrays(ys, params), len(ys))
 
 
 def decode_seg_peaks(y: np.ndarray, params: DecodeParams) -> ScoredEvents:

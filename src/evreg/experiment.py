@@ -19,13 +19,15 @@ from .config import ExperimentConfig, GridSpec, PathsSpec
 from .data import SynthConfig, downsample, load_events, load_series, synth_generate
 from .decode import DecodeParams
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, ShapeMismatch, TooFewSeries
-from .metric import edap, edap_batch, edap_table
+from .metric import edap_arrays, edap_table
 # predict is not called here since validation runs batched forwards, but
 # perfbench's tests read it as experiment.predict
 from .model import EpochStats, TrainResult, forward, predict, train  # noqa: F401
 from .signal import check_int, expect, shown
 from .targets import sigma_schedule
-from .types import POINT, EventSet, ScoredEvents, TimeSeries, event_fault, points_from_intervals
+from .types import (
+    POINT, EventSet, ScoredEvents, TimeSeries, event_fault, points_from_intervals, scored_rows,
+)
 
 
 def build_dataset(
@@ -137,15 +139,20 @@ def decode_outputs(
     params: DecodeParams,
 ) -> dict[str, ScoredEvents]:
     """Run the objective's decoder over raw model outputs, in one call for all series."""
-    return _decode_at(outputs, config, params, (params.mu,))[0]
+    sids, found = _decode_at(outputs, config, params, (params.mu,))
+    return _records(sids, found[0])
 
 
-def _decode_at(outputs, config, params, mus: tuple) -> list[dict[str, ScoredEvents]]:
-    """decode_outputs at each mu in mus, which holds one value unless the
-    record reads_mu; one call of the record's decoder decodes every series."""
+def _decode_at(outputs, config, params, mus: tuple) -> tuple[list[str], list]:
+    """The sorted series ids of outputs and their detection arrays at each mu
+    in mus, which holds one value unless the record reads_mu; one call of the
+    record's decoder decodes every series."""
     sids = sorted(outputs)
-    decoded = config.spec.decode([outputs[sid] for sid in sids], params, mus)
-    return [dict(zip(sids, preds)) for preds in decoded]
+    return sids, config.spec.decode([outputs[sid] for sid in sids], params, mus)
+
+
+def _records(sids: list[str], found: tuple) -> dict[str, ScoredEvents]:
+    return dict(zip(sids, scored_rows(*found, len(sids))))
 
 
 @dataclass(frozen=True)
@@ -218,8 +225,9 @@ def _run_fold(payload) -> FoldResult:
     val_truth = {s.series_id: e for s, e in val_pairs}
     batch = config.train.batch_size
 
-    # (outputs, predictions) of every epoch; the fold keeps its best epoch's
-    scored: list[tuple[dict[str, np.ndarray], dict[str, ScoredEvents]]] = []
+    # (outputs, series ids, detection arrays) of every epoch; the fold keeps
+    # its best epoch's, and builds only those records
+    scored: list[tuple[dict[str, np.ndarray], list[str], tuple]] = []
 
     def val_scorer(params) -> float:
         # forward is per series, so batching gives each series predict's bytes
@@ -227,12 +235,13 @@ def _run_fold(payload) -> FoldResult:
         for start in range(0, len(val_ids), batch):
             out = forward(params, val_x[start : start + batch], config.model)
             outputs.update(zip(val_ids[start : start + batch], out))
-        preds = decode_outputs(outputs, config, config.decode)
-        scored.append((outputs, preds))
-        return edap(preds, val_truth, config.metric)
+        sids, found = _decode_at(outputs, config, config.decode, (config.decode.mu,))
+        scored.append((outputs, sids, found[0]))
+        return edap_arrays(sids, found, val_truth, config.metric)[0]
 
     result = fit(config, train_pairs, fold_index, val_scorer)
-    outputs, preds = scored[result.best_epoch]
+    outputs, sids, found = scored[result.best_epoch]
+    preds = _records(sids, found)
     return FoldResult(
         fold_index=fold_index,
         val_ids=tuple(sorted(val_ids)),
@@ -324,8 +333,8 @@ def grid_search(
     for sigma in dict.fromkeys(s for _, s in wanted):
         sigma_mus = tuple(m for m, s in wanted if s == sigma)
         params = replace(config.decode, sigma=sigma)
-        decoded = _decode_at(outputs, config, params, sigma_mus)
-        found = edap_batch(decoded, truth, config.metric)
+        sids, decoded = _decode_at(outputs, config, params, sigma_mus)
+        found = edap_arrays(sids, decoded, truth, config.metric)
         scores.update(zip([(mu, sigma) for mu in sigma_mus], found))
     table = tuple((mu, sigma, scores[mu, sigma]) for mu, sigma in cells)
     best_mu, best_sigma, best_score = min(

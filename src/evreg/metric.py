@@ -4,24 +4,29 @@ Predictions are matched to ground-truth steps greedily in descending score
 order; each prediction may claim the nearest still-unmatched truth within
 the tolerance.  AP is computed per (event class x tolerance) cell after
 pooling all series, and the final score is the unweighted mean over cells.
-edap_table_batch (and its mean, edap_batch) scores several prediction sets
-against one truth, as a decode sweep produces them: each truth is read once
-and every set's series are matched in one pool.
+
+Every scorer hands one core, _pooled_flags, its detections as flat arrays
+(pooled segment, truth set, step, score): one argsort ranks them in pooled
+order, one searchsorted finds how far each is from truth, and those within
+reach are matched in priority rounds (_rounds) that make greedy's decisions
+for every (tolerance, segment, series) group at once.  edap_table_batch
+(and its mean, edap_batch) scores several prediction sets against one
+truth, each truth read once; edap_arrays does so for the arrays the
+decoders find, without building their records.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyTruth, InvalidEvents, InvalidSpec
+from .errors import EmptyTruth, EvregError, InvalidEvents, InvalidSpec
 from .signal import check_int, expect, is_finite_real, is_real, real_array, shown
-from .types import EventSet, ScoredEvents, checked_detections, checked_steps
+from .types import EventSet, ScoredEvents, checked_detections, checked_steps, scored_rows
 
 
 def ascending_positive_ints(values) -> tuple[int, ...] | None:
@@ -76,17 +81,9 @@ class MatchResult:
         return len(self.flags) - self.num_tp
 
 
-def _ranked(pairs: Sequence[tuple[int, float]]) -> list[tuple[int, float]]:
-    """(step, score) pairs by descending score, ties by ascending step."""
-    # two stable sorts: by step, then by descending score, so ties keep step order
-    ranked = sorted(pairs)
-    ranked.sort(key=itemgetter(1), reverse=True)
-    return ranked
-
-
-def _greedy(steps: Sequence[int], truth: Sequence[int], tol: int) -> tuple[list[bool], int]:
+def _greedy(steps: Sequence[int], truth: Sequence[int], tol) -> list[bool]:
     """TP flags of ranked prediction steps against sorted truth steps at one
-    tolerance, and the number of truth steps left unmatched."""
+    tolerance."""
     free = list(truth)
     flags: list[bool] = []
     for step in steps:
@@ -100,72 +97,165 @@ def _greedy(steps: Sequence[int], truth: Sequence[int], tol: int) -> tuple[list[
         flags.append(best is not None)
         if best is not None:
             del free[best]
-    return flags, len(free)
-
-
-# every integer within _CAP of 0 is a float64, and so is the difference of any two
-_CAP = 2**52
-
-
-def _clamped(values) -> np.ndarray:
-    """values (numbers, ints of any size) as float64, each above _CAP
-    clamped to it, which brings no two values further apart."""
-    return np.minimum(values, _CAP).astype(np.float64, copy=False)
-
-
-def _keys(series: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """series + i values, as complex numbers, which numpy orders by real
-    part and then by imaginary part."""
-    keys = np.empty(len(values), dtype=np.complex128)
-    keys.real, keys.imag = series, values
-    return keys
-
-
-def _pooled_flags(
-    series: list[tuple[list[int], list[int]]], tolerances: Sequence
-) -> np.ndarray:
-    """TP flags of the ranked steps of several series, each matched against
-    its sorted truth steps: row k holds every series' flags at tolerances[k],
-    series after series, each in rank order.
-
-    A step's reach is its distance to the nearest truth step of its series
-    with steps and tolerances clamped to _CAP: every float difference is
-    exact, and clamping moves no step further from a truth step, so the
-    reach is a lower bound on the true distance.  A step whose reach
-    exceeds tol can neither match nor change what the others match at tol,
-    so at each tolerance each series sends only its steps within reach, in
-    rank order, through _greedy, which matches the unclamped ints; the
-    others are not TPs.
-    """
-    steps = [s for ranked, _ in series for s in ranked]
-    num_steps = [len(ranked) for ranked, _ in series]
-    ids = np.arange(len(series))
-    p = _clamped(steps)
-    # each series' truth between -_CAP and _CAP, so that one searchsorted of
-    # the (series, step) keys finds, within each step's own series, the
-    # truth steps on either side of it (a sentinel only lowers a reach)
-    t = _clamped([v for _, free in series for v in (-_CAP, *free, _CAP)])
-    at = np.searchsorted(
-        _keys(np.repeat(ids, [len(free) + 2 for _, free in series]), t),
-        _keys(np.repeat(ids, num_steps), p),
-    )
-    reach = np.minimum(t[at] - p, p - t[at - 1])
-
-    limits = _clamped(tolerances)
-    near = reach <= limits[:, None]
-    # ahead[k, i]: steps before i within reach of tolerances[k]
-    ahead = np.zeros((len(limits), len(steps) + 1), dtype=np.intp)
-    np.cumsum(near, axis=1, out=ahead[:, 1:])
-    bounds = [0, *accumulate(num_steps)]
-    found: list[bool] = []
-    for tol, cuts, mask in zip(tolerances, ahead[:, bounds].tolist(), near.tolist()):
-        contested = list(compress(steps, mask))
-        for (_, free), a, b in zip(series, cuts, cuts[1:]):
-            if a < b:
-                found += _greedy(contested[a:b], free, tol)[0]
-    flags = np.zeros(near.shape, dtype=bool)
-    flags[near] = found
     return flags
+
+
+# priority rounds before the detections still undecided go through _greedy
+_ROUNDS = 8
+# a truth set and its detections are matched in rounds when every step lies
+# below _WIDE; a wide set goes through _greedy
+_WIDE = 2**40
+# sentinel keys past every (group, step) key; their distances stay in int64
+_FAR = 2**62
+
+
+def _nearest(free: np.ndarray, keys: np.ndarray) -> tuple:
+    """(bound, near, distance): free between the two sentinels, and the index
+    into it of each key's nearest free key (ties: the lower) and how far."""
+    bound = np.concatenate(([-_FAR], free, [_FAR]))
+    at = np.searchsorted(bound, keys)
+    left, right = keys - bound[at - 1], bound[at] - keys
+    return bound, np.where(left <= right, at - 1, at), np.minimum(left, right)
+
+
+def _rounds(keys, ranks, lims, free, shift: int) -> np.ndarray:
+    """TP flags of detections matched greedily, in rank order, within groups.
+
+    keys holds each detection as (group << shift) + step in ascending order,
+    ranks its rank (distinct within a group) and lims the distance it may
+    match at; free holds the truth of each group keyed alike, sorted.  Each
+    round takes, for every undecided detection, its nearest free truth t.
+    It is an FP when t is further than its lim, and takes t when it
+    outranks every other undecided detection within its lim of t.  Greedy
+    in rank order decides both alike: only a higher-ranked detection within
+    reach of t could take t first, and taking other truth never brings a
+    nearer one.  Each round decides at least the best of each group; after
+    _ROUNDS rounds, the rest of each group goes through _greedy.
+    """
+    won = np.zeros(len(keys), dtype=bool)
+    left = np.arange(len(keys))
+    for _ in range(_ROUNDS):
+        if not len(left):
+            return won
+        bound, near, distance = _nearest(free, keys)
+        t = bound[near]
+        # the best rank among undecided keys within lims of t: both ends of
+        # each range in one reduceat, whose odd entries are dropped
+        ends = np.column_stack((np.searchsorted(keys, t - lims),
+                                np.searchsorted(keys, t + lims, side="right")))
+        best = np.minimum.reduceat(np.append(ranks, 0), ends.ravel())[::2]
+        near_enough = distance <= lims
+        claims = near_enough & (best == ranks)
+        won[left[claims]] = True
+        kept = np.ones(len(bound), dtype=bool)
+        kept[near[claims]] = False
+        free = bound[kept][1:-1]
+        undecided = near_enough & ~claims
+        keys, ranks, lims, left = (a[undecided] for a in (keys, ranks, lims, left))
+    group = keys >> shift
+    order = np.lexsort((ranks, group))
+    cuts = np.flatnonzero(np.diff(group[order])) + 1
+    for members in np.split(order, cuts) if len(order) else ():
+        base = int(group[members[0]]) << shift
+        a, b = np.searchsorted(free, (base, base + (1 << shift)))
+        won[left[members]] = _greedy(
+            (keys[members] - base).tolist(), (free[a:b] - base).tolist(), int(lims[members[0]])
+        )
+    return won
+
+
+def _pooled_order(cc: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """np.lexsort((-scores, cc)): by cc, descending score, then index, as one
+    unstable argsort of distinct keys, which is faster than the stable sorts."""
+    n = len(scores)
+    if n * n * (int(cc.max(initial=0)) + 1) >= 2**62:
+        return np.lexsort((-scores, cc))
+    by_score = np.argsort(-scores)
+    ranked = scores[by_score]
+    dense = np.empty(n, dtype=np.int64)  # equal scores, -0.0 and 0.0 too, share one
+    dense[by_score] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
+    return np.argsort((cc * n + dense) * n + np.arange(n))
+
+
+def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, wide=(), raw=()) -> tuple:
+    """(order, flags): the pooled order of the detections and their TP flags
+    in it, one row per tolerance.
+
+    Detection i scores scores[i] in pooled segment cc[i], one (prediction
+    set, class), and is matched within it against truth set sets[i]; each
+    segment lists its detections by series, then by step.  The pooled order
+    is by segment, descending score, then that listing, so that it is each
+    series' rank order too.  truth maps each set to its sorted steps, and
+    steps[i] and raw[i] hold the detection's step.  Both lie below _WIDE
+    except in the sets in wide, whose steps[i] is not read.
+
+    A detection's reach is its distance to the nearest truth step of its
+    set.  At each tolerance only the detections in reach go through
+    _rounds, every (tolerance, segment, set) group at once; wide sets go
+    through _greedy.
+    """
+    order = _pooled_order(cc, scores)
+    n, segments = len(order), int(cc.max(initial=0)) + 1
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    flags = np.zeros((len(tolerances), n), dtype=bool)
+    num_sets = max(max(truth, default=0), int(sets.max(initial=0))) + 1
+    narrow = sorted(s for s in truth if s not in wide)
+    counts = np.zeros(num_sets, dtype=np.intp)
+    counts[narrow] = [len(truth[s]) for s in narrow]
+    t = np.array([v for s in narrow for v in truth[s]], dtype=np.int64)
+    shift = max(int(t.max(initial=0)), int(steps.max(initial=0))).bit_length() + 1
+    slow = set(wide)
+    if (len(tolerances) * segments * num_sets) << shift > _FAR // 2:
+        slow = set(range(num_sets))  # too many groups for int64 keys
+    elif n:
+        # each segment lists its keys in ascending order, which searchsorted
+        # finds faster than keys in no order
+        keys = (sets << shift) + steps
+        _, _, reach = _nearest(np.repeat(np.arange(num_sets) << shift, counts) + t, keys)
+        by_key = np.argsort(keys + ((cc * num_sets) << shift))
+        # steps of one set are less than cap apart, of two sets more
+        cap = 1 << (shift - 1)
+        lims = [cap if tol >= cap else int(tol) for tol in tolerances]
+        picked = [by_key[reach[by_key] <= lim] for lim in lims]
+        row = np.repeat(np.arange(len(lims)), [len(p) for p in picked])
+        picked = np.concatenate(picked)
+        # (tolerance, segment, set) groups, each in ascending key order
+        keys = keys[picked] + (((row * segments + cc[picked]) * num_sets) << shift)
+        # each group's truth, keyed as its detections are
+        group = keys[np.flatnonzero(np.diff(keys >> shift, prepend=-1))] >> shift
+        own = counts[group % num_sets]
+        at = np.repeat(np.cumsum(counts)[group % num_sets] - np.cumsum(own), own)
+        free = np.repeat(group << shift, own) + t[at + np.arange(len(at))]
+        ranks = rank[picked]
+        flags[row, ranks] = _rounds(keys, ranks, np.array(lims)[row], free, shift)
+    for s in sorted(slow):
+        mine = np.flatnonzero(sets == s)
+        for segment in np.unique(cc[mine]).tolist():
+            ranked = mine[cc[mine] == segment]
+            ranked = ranked[np.argsort(rank[ranked])]
+            ranked_steps = [int(raw[i]) for i in ranked]
+            for k, tol in enumerate(tolerances):
+                flags[k, rank[ranked]] = _greedy(ranked_steps, truth.get(s, ()), tol)
+    return order, flags
+
+
+def _chunk_flags(chunks: list, truth: dict, tolerances) -> tuple:
+    """The segments and scores in _pooled_flags' order and its flags, for
+    chunks (segment, set, pairs): the checked pairs of one (prediction set,
+    class, series), sorted by step, listed by series within each segment.
+    truth maps each set to its checked sorted steps; a set with a step of
+    _WIDE or more, in truth or in its chunks, is wide."""
+    lens = [len(p) for _, _, p in chunks]
+    cc = np.repeat(np.array([c for c, _, _ in chunks], dtype=np.int64), lens)
+    sets = np.repeat(np.array([s for _, s, _ in chunks], dtype=np.int64), lens)
+    raw = [step for _, _, p in chunks for step, _ in p]
+    scores = np.array([v for _, _, p in chunks for _, v in p], dtype=np.float64)
+    wide = {s for s, t in truth.items() if t and t[-1] >= _WIDE}
+    wide.update(s for _, s, p in chunks if p[-1][0] >= _WIDE)
+    steps = np.array([min(step, _WIDE) for step in raw] if wide else raw, dtype=np.int64)
+    order, flags = _pooled_flags(cc, sets, steps, scores, truth, tolerances, wide, raw)
+    return cc[order], scores[order], flags
 
 
 def match_events(
@@ -183,21 +273,28 @@ def match_events(
     types.step_fault; InvalidEvents names the first that does not.
     """
     expect(is_real(tol) and tol >= 0, "tol", tol, "a number >= 0", InvalidSpec)
-    ranked = _ranked(checked_detections(pred, "pred"))
+    # a stable sort by step lists them as a ScoredEvents slot does
+    pairs = sorted(checked_detections(pred, "pred"), key=itemgetter(0))
     free = sorted(checked_steps(truth, "truth"))
-    flags = _pooled_flags([([s for s, _ in ranked], free)], (tol,))[0]
+    _, scores, flags = _chunk_flags([(0, 0, pairs)] if pairs else [], {0: free}, (tol,))
     return MatchResult(
-        tuple(flags.tolist()), tuple([v for _, v in ranked]), len(free) - int(flags.sum())
+        tuple(flags[0].tolist()), tuple(scores.tolist()), len(free) - int(flags.sum())
     )
 
 
-def _average_precisions(flags: np.ndarray, num_truth: int) -> np.ndarray:
-    """AP of each row of ranked boolean flags against num_truth >= 1 truth steps."""
-    precision = np.where(flags, np.cumsum(flags, axis=1) / np.arange(1, flags.shape[1] + 1), 0.0)
-    # accumulate adds along each row in rank order, as a running sum over
-    # the TPs does: an FP adds 0.0, which changes no bits
-    column = np.zeros((len(flags), 1))
-    return np.add.accumulate(np.hstack((column, precision)), axis=1)[:, -1] / num_truth
+def _average_precisions(flags: np.ndarray, cc: np.ndarray, segments: int) -> np.ndarray:
+    """The sum of the precision at each TP of each (row, segment) of flags,
+    whose columns are in pooled order, segment cc ascending: divided by the
+    segment's truth count it is its AP."""
+    start = np.searchsorted(cc, np.arange(segments))[cc]
+    count = np.cumsum(flags, axis=1)
+    count -= np.hstack((np.zeros((len(flags), 1), dtype=count.dtype), count))[:, start]
+    precision = np.where(flags, count / (np.arange(flags.shape[1]) - start + 1), 0.0)
+    # bincount adds each bin's weights in order, as a running sum over the
+    # TPs does: an FP adds 0.0, which changes no bits
+    bins = (np.arange(len(flags))[:, None] * segments + cc).ravel()
+    sums = np.bincount(bins, precision.ravel(), minlength=len(flags) * segments)
+    return sums.reshape(len(flags), segments)
 
 
 def average_precision(flags: Sequence[bool], num_truth: int) -> float:
@@ -217,7 +314,18 @@ def average_precision(flags: Sequence[bool], num_truth: int) -> float:
         if len(flags) > 0:
             return 0.0
         raise EmptyTruth("AP is undefined with no truth and no predictions")
-    return float(_average_precisions(flags[None], num_truth)[0])
+    sums = _average_precisions(flags[None], np.zeros(len(flags), dtype=np.intp), 1)
+    return float(sums[0, 0] / num_truth)
+
+
+def _tables(cc: np.ndarray, flags: np.ndarray, num_sets: int, num_truth: list, config) -> list:
+    """The edap_table of each of num_sets prediction sets from the flags of
+    their segments, set k's class c being segment k * len(classes) + c."""
+    classes = config.classes
+    sums = _average_precisions(flags, cc, num_sets * len(classes))
+    aps = (sums / np.tile(num_truth, num_sets)).T.reshape(num_sets, -1).tolist()
+    keys = [(cls, tol) for cls in classes for tol in config.tolerances]
+    return [dict(zip(keys, values)) for values in aps]
 
 
 def edap_table_batch(
@@ -233,54 +341,90 @@ def edap_table_batch(
     scoring the sets one by one raises them: the first set that fails names
     its fault.
     """
+    if not preds:
+        return []
     sids = sorted(truth)
     # per class: the truth steps of each series and their count, read when
-    # the first set reaches the class; per (class, series): the checked and
-    # sorted steps, made when the first set with detections there needs them
+    # the first set reaches the class; per (class, series) set: the checked
+    # and sorted steps, made when the first set with detections there needs them
     read: dict[str, tuple[list, int]] = {}
-    free: dict[tuple[str, str], list[int]] = {}
-    series: list[tuple[list[int], list[int]]] = []
-    # per set and class: the ranked scores, series after series, and the truth count
-    scored: list[list[tuple[list[float], int]]] = []
-    for pred in preds:
+    free: dict[int, list[int]] = {}
+    chunks: list[tuple[int, int, tuple]] = []
+    for k, pred in enumerate(preds):
         missing = set(pred) - set(truth)
         if missing:
             raise InvalidEvents(f"predictions for unknown series: {sorted(missing)}")
-        scored.append([])
-        for cls in config.classes:
+        for c, cls in enumerate(config.classes):
             if cls not in read:
                 steps = [truth[sid].by_class(cls) for sid in sids]
                 read[cls] = (steps, sum(map(len, steps)))
             steps, num_truth = read[cls]
             if num_truth == 0:
                 raise EmptyTruth(f"no ground-truth events for class {cls!r}")
-            # ScoredEvents holds checked (int, float) pairs, so each non-empty
-            # (series, class) is ranked once for every tolerance
-            scores: list[float] = []
-            for sid, t in zip(sids, steps):
-                p = pred[sid].by_class(cls) if sid in pred else ()
-                if p:
-                    if (cls, sid) not in free:
-                        free[cls, sid] = sorted(checked_steps(t, f"truth[{sid!r}]"))
-                    ranked = _ranked(p)
-                    series.append(([s for s, _ in ranked], free[cls, sid]))
-                    scores += [v for _, v in ranked]
-            scored[-1].append((scores, num_truth))
-    flags = _pooled_flags(series, config.tolerances)
+            for i, (sid, t) in enumerate(zip(sids, steps)):
+                pairs = pred[sid].by_class(cls) if sid in pred else ()
+                if pairs:
+                    s = c * len(sids) + i
+                    if s not in free:
+                        free[s] = sorted(checked_steps(t, f"truth[{sid!r}]"))
+                    chunks.append((k * len(config.classes) + c, s, pairs))
+    cc, _, flags = _chunk_flags(chunks, free, config.tolerances)
+    return _tables(cc, flags, len(preds), [read[cls][1] for cls in config.classes], config)
 
-    tables = []
-    start = 0
-    for set_scores in scored:
-        table: dict[tuple[str, int], float] = {}
-        for cls, (scores, n) in zip(config.classes, set_scores):
-            # series in id order, each in rank order: a stable descending sort
-            # then breaks score ties by series id, then by rank
-            order = np.argsort(-np.array(scores, dtype=np.float64), kind="stable")
-            aps = _average_precisions(flags[:, start + order], n).tolist()
-            table.update(zip([(cls, tol) for tol in config.tolerances], aps))
-            start += len(scores)
-        tables.append(table)
-    return tables
+
+def edap_arrays(
+    sids: Sequence[str],
+    cells: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    truth: Mapping[str, EventSet],
+    config: EdapConfig,
+) -> list[float]:
+    """edap_batch of prediction sets held as the arrays the decoders find.
+
+    cells[k] = (rows, steps, scores) holds set k of the series sids, in
+    types.scored_rows' layout: row r < len(sids) holds the onsets (or
+    points) of sids[r], row len(sids) + r its offsets, listed by row, then
+    by step.  Each score gets the bits edap_batch gives the records, without
+    building them; each needed truth is read and checked once.  On any fault
+    the records are built, and edap_batch raises what it raises.
+    """
+    def scored() -> list[float]:
+        records = [dict(zip(sids, scored_rows(*cell, len(sids)))) for cell in cells]
+        return edap_batch(records, truth, config)
+
+    if not cells:
+        return []
+    ids = sorted(truth)
+    classes, count = config.classes, len(sids)
+    try:
+        reads = [[truth[sid].by_class(cls) for sid in ids] for cls in classes]
+    except EvregError:
+        return scored()
+    num_truth = [sum(map(len, steps)) for steps in reads]
+    if set(sids) - set(truth) or 0 in num_truth:
+        return scored()
+    index = {sid: i for i, sid in enumerate(ids)}
+    col = np.array([index[sid] for sid in sids], dtype=np.int64)
+    rows, steps, scores = (np.concatenate(part) for part in zip(*cells))
+    cell = np.repeat(np.arange(len(cells)), [len(r) for r, _, _ in cells])
+    parts = []
+    for c, cls in enumerate(classes):
+        # the offset slot, or the onset slot that onset and point read
+        slot = int(cls == "offset")
+        sel = rows // max(count, 1) == slot
+        sets = c * len(ids) + col[rows[sel] - slot * count]
+        parts.append((cell[sel] * len(classes) + c, sets, steps[sel], scores[sel]))
+    cc, sets, steps, scores = (np.concatenate(part) for part in zip(*parts))
+    free = {}
+    try:
+        for s in np.unique(sets).tolist():
+            c, i = divmod(s, len(ids))
+            free[s] = sorted(checked_steps(reads[c][i], f"truth[{ids[i]!r}]"))
+    except EvregError:
+        return scored()
+    wide = {s for s, t in free.items() if t and t[-1] >= _WIDE}
+    order, flags = _pooled_flags(cc, sets, steps, scores, free, config.tolerances, wide, steps)
+    tables = _tables(cc[order], flags, len(cells), num_truth, config)
+    return [float(np.mean(list(t.values()))) for t in tables]
 
 
 def edap_table(

@@ -324,16 +324,19 @@ class ScoredEvents:
 
     @classmethod
     def _trusted(cls, onsets, offsets=()) -> "ScoredEvents":
-        """The record of pairs a decoder built, set without the checks above.
+        """The record of pairs already checked, set without the checks above.
 
-        Only the decoders of decode.py call it.  Their pairs already hold
-        what __post_init__ checks:
+        Only scored_rows, which builds the decoders' records, and
+        data.load_scored_events call it.  Their pairs already hold what
+        __post_init__ checks:
 
-        * each step is a Python int taken from sorted intp indices, each
-          below the series length;
-        * each score is a Python float taken from an array that passed
-          signal.real_array, the one gate of every caller's array, and was
-          checked finite (decode._contrasts and signal._check_finite_1d);
+        * each step is a Python int: a decoder's is taken from sorted intp
+          indices, each below the series length, and a loaded row's passed
+          step >= 0;
+        * each score is a finite Python float: a decoder's is taken from an
+          array that passed signal.real_array, the one gate of every
+          caller's array, and was checked finite (decode._contrasts and
+          signal._check_finite_1d), and a loaded row's passed math.isfinite;
         * the pairs of each slot are in ascending step order.
 
         The record then equals, hashes, pickles and saves as
@@ -354,3 +357,15 @@ class ScoredEvents:
         if cls == "offset":
             return self.offsets
         raise InvalidEvents(f"unknown event class {cls!r}")
+
+
+def scored_rows(rows: np.ndarray, steps: np.ndarray, scores: np.ndarray, count: int) -> list:
+    """The ScoredEvents of count series from the arrays a decoder finds.
+
+    Row r < count holds the onsets (or points) of series r and row count + r
+    its offsets; the detections are listed by row, then by step.
+    """
+    pairs = list(zip(steps.tolist(), scores.tolist()))
+    bounds = np.searchsorted(rows, np.arange(2 * count + 1)).tolist()
+    slots = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [ScoredEvents._trusted(on, off) for on, off in zip(slots[:count], slots[count:])]

@@ -192,21 +192,26 @@ class TestSubcommands:
         assert float(printed.split()[-1]) == pooled
 
     def test_cv_scores_pooled_predictions_once(self, tmp_path, monkeypatch):
-        original, calls = evreg.metric.edap_table, []
+        calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def count(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return count
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("evreg") and getattr(module, "edap_table", None) is original:
-                monkeypatch.setattr(module, "edap_table", counting)
+        for scorer in ("edap_table", "edap_arrays"):
+            original = getattr(evreg.metric, scorer)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("evreg") and getattr(module, scorer, None) is original:
+                    monkeypatch.setattr(module, scorer, counting(scorer, original))
         config = write_config(
             tmp_path / "config.yaml", folds=2, train={"epochs": 1, "batch_size": 4}
         )
         assert main(["cv", "--config", config, "--out", str(tmp_path / "out")]) == 0
-        # one validation score per fold and epoch, then the pooled table
-        assert len(calls) == 3
+        # one validation score of the decoded arrays per fold and epoch, then
+        # the pooled table of the records
+        assert calls == ["edap_arrays", "edap_arrays", "edap_table"]
 
     def test_cpd_cv_on_point_events(self, tmp_path):
         paths = synth_on_disk(tmp_path)["paths"]

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -495,6 +496,24 @@ class TestEventsCsv:
         save_events(path, detections)
         loaded = load_scored_events(path)
         assert loaded["x"] == detections["x"]
+
+    @pytest.mark.parametrize(
+        "step", [float, np.float32, np.int16, lambda v: Decimal(f"{v}.000")],
+        ids=["float", "float32", "int16", "Decimal"],
+    )
+    def test_integral_truth_steps_roundtrip_as_ints(self, tmp_path, step):
+        events = {
+            "s": EventSet("s", INTERVAL, (IntervalEvent(step(2), step(5)),)),
+            "t": EventSet("t", POINT, (PointEvent(step(3), 0.5),)),
+        }
+        path = tmp_path / "events.csv"
+        save_events(path, events)
+        assert path.read_text() == (
+            "series_id,event,step,score\ns,onset,2,\ns,offset,5,\nt,point,3,0.5\n"
+        )
+        loaded = load_events(path)
+        assert loaded == events
+        assert [type(ev.onset) for ev in loaded["s"].events] == [int]
 
     def test_touching_events_roundtrip(self, tmp_path):
         events = {

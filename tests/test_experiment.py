@@ -16,7 +16,7 @@ from evreg.config import OBJECTIVES, config_from_mapping
 from evreg.data import save_events, save_series, synth_generate, SynthConfig
 from evreg.decode import (
     decode_points,
-    decode_points_batch,
+    decode_points_arrays,
     decode_regression,
     decode_seg_peaks,
     decode_seg_threshold,
@@ -305,7 +305,7 @@ def test_new_objective_is_one_table_entry(monkeypatch):
     smoothed = replace(
         OBJECTIVES["cpd"],
         decode=lambda ys, params, _: [
-            decode_points_batch([y[0] for y in ys], replace(params, sigma=2.0))
+            decode_points_arrays([y[0] for y in ys], replace(params, sigma=2.0))
         ],
     )
     monkeypatch.setitem(OBJECTIVES, "cpd_smoothed", smoothed)
@@ -507,7 +507,7 @@ class TestRunCv:
             folds=2,
         )
         epochs = []  # (parameters, outputs) of every validation pass
-        real_fit, real_decode = experiment.fit, experiment.decode_outputs
+        real_fit, real_decode = experiment.fit, experiment._decode_at
 
         def spying_fit(config, pairs, fold_index, val_scorer):
             def scorer(params):
@@ -515,12 +515,12 @@ class TestRunCv:
                 return val_scorer(params)
             return real_fit(config, pairs, fold_index, scorer)
 
-        def spying_decode(outputs, config, params):
+        def spying_decode(outputs, config, params, mus):
             epochs[-1] = (epochs[-1][0], dict(outputs))
-            return real_decode(outputs, config, params)
+            return real_decode(outputs, config, params, mus)
 
         monkeypatch.setattr(experiment, "fit", spying_fit)
-        monkeypatch.setattr(experiment, "decode_outputs", spying_decode)
+        monkeypatch.setattr(experiment, "_decode_at", spying_decode)
         series, truth = build_dataset(config)
         by_id = {s.series_id: (s, truth[s.series_id]) for s in series}
         train_ids, val_ids = fold_splits(list(by_id), config.folds)[1]
@@ -543,17 +543,17 @@ class TestRunCv:
 def score_cells(monkeypatch):
     """Make grid_search score each (mu, sigma) cell with score(mu, sigma).
 
-    The decode route hands edap_batch the cells it decoded, so the
+    The decode route hands edap_arrays the cells it decoded, so the
     cell-selection tests run without model outputs or truth.
     """
     def install(score):
         monkeypatch.setattr(
             experiment, "_decode_at",
-            lambda outputs, config, params, mus: [(mu, params.sigma) for mu in mus],
+            lambda outputs, config, params, mus: ([], [(mu, params.sigma) for mu in mus]),
         )
         monkeypatch.setattr(
-            experiment, "edap_batch",
-            lambda cells, truth, metric: [score(*cell) for cell in cells],
+            experiment, "edap_arrays",
+            lambda sids, cells, truth, metric: [score(*cell) for cell in cells],
         )
     return install
 

@@ -334,7 +334,7 @@ def _plain(value):
 
 def _saved_rows(step, tmp):
     save_events(tmp / "events.csv", {"s": _intervals(step), "t": _points(step)})
-    return [line.split(",")[:2] for line in (tmp / "events.csv").read_text().splitlines()]
+    return (tmp / "events.csv").read_text().splitlines()
 
 
 # every public entry that takes an EventSet, called with events whose steps
@@ -356,8 +356,7 @@ EVENT_SITES = {
     "encode_targets-cpd": lambda step, tmp: encode_targets(STEP_SERIES, _points(step), CONFIG),
     "downsample": lambda step, tmp: (downsample(STEP_SERIES, 3, _intervals(step)),
                                      downsample(STEP_SERIES, 3, _points(step))),
-    # the step field is written as the step's type prints it, so only the
-    # series and event fields are compared
+    # each integral step is written as an int, so every field compares
     "save_events": _saved_rows,
     "edap_table": lambda step, tmp: edap_table(PRED, {"s": _intervals(step)}, EDAP),
     "edap": lambda step, tmp: edap(PRED, {"s": _intervals(step)}, EDAP),

@@ -200,6 +200,106 @@ class TestHugeSteps:
                 )
 
 
+# steps past the window by 2**40 or more make the series too wide for the
+# rounds' int64 keys, so that it goes through _greedy
+_OFFSETS = st.integers(0, 24) | st.integers(2**40, 2**40 + 3)
+_SCORES = st.sampled_from([-0.5, 0.0, -0.0, 0.25, 0.5, 1.0])
+
+
+def staircase(base, length):
+    """length detections, each outranking the next, and a truth step between
+    each two: at tolerance 1 each detection waits for the one before it, so
+    the rounds settle one detection per round and leave the rest to _greedy."""
+    pred = [(base + 2 * i, 1.0 - i / 64) for i in range(length)]
+    return pred, [base + 2 * i + 1 for i in range(length)]
+
+
+@st.composite
+def matcher_series(draw, base):
+    """(pred sorted by step, truth) of one series at base: a staircase longer
+    than the round cap, or a few detections and truth steps in a narrow
+    window with ties of distance and score and duplicate truth steps."""
+    if draw(st.booleans()):
+        pred, truth = staircase(base, draw(st.integers(metric._ROUNDS + 1, 3 * metric._ROUNDS)))
+        extra = draw(st.lists(st.tuples(st.integers(0, 60), _SCORES), max_size=4))
+        return sorted(pred + [(base + d, v) for d, v in extra]), truth
+    pred = draw(st.lists(st.tuples(_OFFSETS, _SCORES), max_size=12))
+    truth = draw(st.lists(_OFFSETS, max_size=8))
+    return sorted((base + d, v) for d, v in pred), [base + d for d in truth]
+
+
+@st.composite
+def matcher_problem(draw):
+    base = draw(st.sampled_from(HUGE_BASES))
+    return base, draw(st.lists(matcher_series(base), min_size=1, max_size=3))
+
+
+def as_arrays(pred, sids):
+    """pred as the (rows, steps, scores) arrays a decoder finds for sids."""
+    found = [(i, s, v) for i, sid in enumerate(sids) for s, v in pred[sid].onsets]
+    found += [(len(sids) + i, s, v) for i, sid in enumerate(sids) for s, v in pred[sid].offsets]
+    rows, steps, scores = zip(*found) if found else ((), (), ())
+    return (np.array(rows, dtype=np.intp), np.array(steps, dtype=np.int64),
+            np.array(scores, dtype=np.float64))
+
+
+class TestArrayMatcher:
+    """The rounds and their _greedy tail match as the loop oracles do."""
+
+    @given(matcher_problem())
+    @example((0, [staircase(0, 3 * metric._ROUNDS)]))
+    @example((2**63, [([(2**63, 0.5), (2**63 + 2**40 + 1, 0.5)], [2**63 + 1, 2**63 + 2**40])]))
+    @settings(max_examples=200, deadline=None)
+    def test_match_events_matches_the_oracle(self, problem):
+        _, series = problem
+        for pred, truth in series:
+            for tol in (0, 1, 2.5, 3, 7):
+                flags, scores, unmatched = match_events_oracle(pred, truth, tol)
+                got = match_events(pred, truth, tol)
+                assert got.flags == tuple(flags) and got.unmatched_truth == unmatched
+                assert [v.hex() for v in got.scores] == [v.hex() for v in scores]
+
+    @given(matcher_problem())
+    @example((0, [staircase(0, 3 * metric._ROUNDS), staircase(0, 2 * metric._ROUNDS)]))
+    @settings(max_examples=200, deadline=None)
+    def test_edap_tables_match_the_oracles(self, problem):
+        base, series = problem
+        sids = [f"s{i}" for i in range(len(series))]
+        pred = {sid: ScoredEvents(onsets=tuple(p)) for sid, (p, _) in zip(sids, series)}
+        truth = {
+            sid: EventSet(sid, POINT, tuple(PointEvent(t) for t in sorted(steps)))
+            for sid, (_, steps) in zip(sids, series)
+        }
+        config = EdapConfig(tolerances=(1, 2, 3), classes=("point",))
+        if not any(truth[sid].events for sid in sids):
+            with pytest.raises(EmptyTruth):
+                edap_table(pred, truth, config)
+            return
+        want = pooled_edap_table_oracle(pred, truth, config)
+        assert hexed([edap_table(pred, truth, config)]) == hexed([want])
+        assert hexed([loop_edap_table_oracle(pred, truth, config)]) == hexed([want])
+        if base < 2**62:  # the steps fit in a decoder's int64 arrays
+            found = as_arrays(pred, sids)
+            assert metric.edap_arrays(sids, [found, found], truth, config) == [
+                edap(pred, truth, config)
+            ] * 2
+
+    def test_staircase_settles_in_the_greedy_tail(self, monkeypatch):
+        greedy, calls = metric._greedy, []
+
+        def counting(steps, truth, tol):
+            calls.append(len(steps))
+            return greedy(steps, truth, tol)
+
+        monkeypatch.setattr(metric, "_greedy", counting)
+        pred, truth = staircase(0, 3 * metric._ROUNDS)
+        flags, _, unmatched = match_events_oracle(pred, truth, 1)
+        result = match_events(pred, truth, 1)
+        assert result.flags == tuple(flags) and result.unmatched_truth == unmatched == 0
+        # each round settled one detection; the rest went through _greedy at once
+        assert calls == [2 * metric._ROUNDS]
+
+
 class TestMatchEvents:
     def test_exact_hit(self):
         r = match_events([(100, 0.9)], [100], 10)
@@ -485,17 +585,14 @@ class TestEdap:
         assert edap(pred, truth, config) == pytest.approx(0.5)
 
     def test_empty_detection_sets_are_not_matched(self, monkeypatch):
-        ranked, matched = [], []
+        entered = []
 
-        def counting_rank(pairs):
-            ranked.append(tuple(pairs))
-            return rank(pairs)
+        def spying_rounds(keys, ranks, lims, free, shift):
+            # the (step, tolerance) of each detection that enters matching
+            entered.extend(zip((keys & ((1 << shift) - 1)).tolist(), lims.tolist()))
+            return rounds(keys, ranks, lims, free, shift)
 
-        def counting_greedy(steps, truth, tol):
-            matched.append((tuple(steps), tuple(truth), tol))
-            return greedy(steps, truth, tol)
-
-        rank, greedy = metric._ranked, metric._greedy
+        rounds = metric._rounds
         truth = {
             sid: EventSet(sid, INTERVAL, (IntervalEvent(10, 50), IntervalEvent(80, 90)))
             for sid in ("a", "b", "c")
@@ -504,17 +601,12 @@ class TestEdap:
         pred = {"a": ScoredEvents(onsets=((11, 0.9), (85, 0.4))), "b": ScoredEvents()}
         config = EdapConfig(tolerances=(1, 5, 20))
         expected = pooled_edap_table_oracle(pred, truth, config)
-        monkeypatch.setattr(metric, "_ranked", counting_rank)
-        monkeypatch.setattr(metric, "_greedy", counting_greedy)
+        monkeypatch.setattr(metric, "_rounds", spying_rounds)
         assert edap_table(pred, truth, config) == expected
-        # series a's onsets are ranked once, and at each tolerance the steps
-        # with a truth step within it are matched once: 85 is 5 steps from
-        # 80, so tol 1 matches 11 alone; no empty set (b's classes, c, a's
-        # offsets) is ranked or matched
-        assert ranked == [((11, 0.9), (85, 0.4))]
-        assert matched == [
-            ((11,), (10, 80), 1), ((11, 85), (10, 80), 5), ((11, 85), (10, 80), 20),
-        ]
+        # at each tolerance only series a's onsets with a truth step within it
+        # enter matching, in one call: 85 is 5 steps from 80, so tol 1 matches
+        # 11 alone; no empty set (b's classes, c, a's offsets) enters
+        assert sorted(entered) == [(11, 1), (11, 5), (11, 20), (85, 5), (85, 20)]
 
     def test_duplicate_lower_scored_prediction_never_raises_ap(self):
         pred, truth = single_series([(100, 0.9)], [100, 200])

@@ -103,10 +103,12 @@ def traced_run(layers, config):
 def test_traced_run_matches_untraced(layers):
     recorder, _ = traced_run(layers, small_config("regression"))
     # spans the decode route still opens: the record decodes every series in
-    # one decode_regression_batch call, which perfbench does not wrap, and it
-    # picks peaks and ranks matches in private helpers, so that time sits in
-    # experiment and edap_table self time
-    assert recorder.calls["experiment.decode_outputs"] > 0
+    # one decode_regression_arrays call, which perfbench does not wrap, and the
+    # validation epochs and the grid score those arrays through
+    # metric.edap_arrays, which it does not wrap either, so that time sits in
+    # run_cv and grid_search self time; the pooled table is one edap_table
+    assert recorder.calls["experiment.run_cv"] == 1
+    assert recorder.calls["experiment.grid_search"] == 1
     assert recorder.calls["signal.gaussian_smooth"] > 0
     assert recorder.calls["metric.edap_table"] > 0
     # 2 folds x 1 epoch x 1 batch of 4 training series: one clip per step
