@@ -39,8 +39,9 @@ class Objective:
     out_mode is the model head and metric_classes the default metric classes.
     encode(events, num_steps, pdf) gives a TargetSeries.  decode(ys, params,
     mus) takes the outputs of every series to decode, in id order, and gives
-    their detection arrays (types.scored_rows' layout, rows in that order)
-    at each mu in mus if reads_mu, else a one-item list of them.  Both
+    their detection arrays (types.checked_rows' layout, rows in that order,
+    checked before they are read) at each mu in mus if reads_mu, else a
+    one-item list of them.  Both
     resolve the encoder or decoder by its module-global name at call time,
     so rebinding it works.
     segmentation marks per-step label targets: no pdf, no sigma schedule.

@@ -7,10 +7,10 @@ routes read only the indices find_peaks keeps (signal._spaced_peaks), never
 its heights or prominences.
 
 Each decoder has an *_arrays form that decodes a list of series into
-detection arrays (rows, steps, scores), in types.scored_rows' layout: row r
+detection arrays (rows, steps, scores), in types.checked_rows' layout: row r
 holds the onsets (or points) of series r, row len(ys) + r its offsets,
 listed by row, then by step.  metric.edap_arrays scores them as they are;
-the *_batch form builds their records with scored_rows, and the one-series
+the *_batch form builds their records with _scored_rows, and the one-series
 decoder is its one-item case.  A batch smooths each channel on its own,
 then stacks the channels of one length into one 2-D array: a peak batch
 picks their peaks in a single _spaced_peaks call, and the threshold sweep
@@ -43,7 +43,7 @@ from .signal import (  # noqa: F401
     real_array,
     window_convolve,
 )
-from .types import ScoredEvents, scored_rows
+from .types import ScoredEvents, _scored_rows
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def decode_regression_batch(
     ys_on: list[np.ndarray], ys_off: list[np.ndarray], params: DecodeParams
 ) -> list[ScoredEvents]:
     """decode_regression of each (ys_on[i], ys_off[i]) pair."""
-    return scored_rows(*decode_regression_arrays(ys_on, ys_off, params), len(ys_on))
+    return _scored_rows(*decode_regression_arrays(ys_on, ys_off, params), len(ys_on))
 
 
 def decode_regression(
@@ -178,7 +178,7 @@ def decode_points_arrays(ys: list[np.ndarray], params: DecodeParams) -> tuple:
 
 def decode_points_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
     """decode_points of each channel in ys."""
-    return scored_rows(*decode_points_arrays(ys, params), len(ys))
+    return _scored_rows(*decode_points_arrays(ys, params), len(ys))
 
 
 def decode_points(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
@@ -246,7 +246,7 @@ def sweep_seg_threshold_batch(
 ) -> list[list[ScoredEvents]]:
     """decode_seg_threshold of each probability sequence in ys at each mu in
     mus (params.mu is unread), as one list of series per mu."""
-    return [scored_rows(*found, len(ys)) for found in sweep_seg_threshold_arrays(ys, mus, params)]
+    return [_scored_rows(*found, len(ys)) for found in sweep_seg_threshold_arrays(ys, mus, params)]
 
 
 def decode_seg_peaks_arrays(ys: list[np.ndarray], params: DecodeParams) -> tuple:
@@ -259,7 +259,7 @@ def decode_seg_peaks_arrays(ys: list[np.ndarray], params: DecodeParams) -> tuple
 
 def decode_seg_peaks_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
     """decode_seg_peaks of each probability sequence in ys."""
-    return scored_rows(*decode_seg_peaks_arrays(ys, params), len(ys))
+    return _scored_rows(*decode_seg_peaks_arrays(ys, params), len(ys))
 
 
 def decode_seg_peaks(y: np.ndarray, params: DecodeParams) -> ScoredEvents:

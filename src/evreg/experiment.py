@@ -26,7 +26,8 @@ from .model import EpochStats, TrainResult, forward, predict, train  # noqa: F40
 from .signal import check_int, expect, shown
 from .targets import sigma_schedule
 from .types import (
-    POINT, EventSet, ScoredEvents, TimeSeries, event_fault, points_from_intervals, scored_rows,
+    POINT, EventSet, ScoredEvents, TimeSeries, _scored_rows, checked_rows, event_fault,
+    points_from_intervals,
 )
 
 
@@ -152,7 +153,10 @@ def _decode_at(outputs, config, params, mus: tuple) -> tuple[list[str], list]:
 
 
 def _records(sids: list[str], found: tuple) -> dict[str, ScoredEvents]:
-    return dict(zip(sids, scored_rows(*found, len(sids))))
+    """The records of the series sids from one set of detection arrays,
+    which must pass types.checked_rows."""
+    _, *arrays = checked_rows([found], len(sids))
+    return dict(zip(sids, _scored_rows(*arrays, len(sids))))
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,14 @@ the tolerance.  AP is computed per (event class x tolerance) cell after
 pooling all series, and the final score is the unweighted mean over cells.
 
 Every scorer hands one core, _pooled_flags, its detections as flat arrays
-(pooled segment, truth set, step, score): one argsort ranks them in pooled
+(pooled segment, truth set, step, score): one lexsort ranks them in pooled
 order, one searchsorted finds how far each is from truth, and those within
 reach are matched in priority rounds (_rounds) that make greedy's decisions
 for every (tolerance, segment, series) group at once.  edap_table_batch
 (and its mean, edap_batch) scores several prediction sets against one
 truth, each truth read once; edap_arrays does so for the arrays the
-decoders find, without building their records.
+decoders find, without building their records, once types.checked_rows
+passes them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import numpy as np
 
 from .errors import EmptyTruth, EvregError, InvalidEvents, InvalidSpec
 from .signal import check_int, expect, is_finite_real, is_real, real_array, shown
-from .types import EventSet, ScoredEvents, checked_detections, checked_steps, scored_rows
+from .types import (
+    EventSet, ScoredEvents, _scored_rows, checked_detections, checked_rows, checked_steps,
+)
 
 
 def ascending_positive_ints(values) -> tuple[int, ...] | None:
@@ -164,19 +167,6 @@ def _rounds(keys, ranks, lims, free, shift: int) -> np.ndarray:
     return won
 
 
-def _pooled_order(cc: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """np.lexsort((-scores, cc)): by cc, descending score, then index, as one
-    unstable argsort of distinct keys, which is faster than the stable sorts."""
-    n = len(scores)
-    if n * n * (int(cc.max(initial=0)) + 1) >= 2**62:
-        return np.lexsort((-scores, cc))
-    by_score = np.argsort(-scores)
-    ranked = scores[by_score]
-    dense = np.empty(n, dtype=np.int64)  # equal scores, -0.0 and 0.0 too, share one
-    dense[by_score] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
-    return np.argsort((cc * n + dense) * n + np.arange(n))
-
-
 def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, wide=(), raw=()) -> tuple:
     """(order, flags): the pooled order of the detections and their TP flags
     in it, one row per tolerance.
@@ -194,7 +184,7 @@ def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, wide=(), raw
     _rounds, every (tolerance, segment, set) group at once; wide sets go
     through _greedy.
     """
-    order = _pooled_order(cc, scores)
+    order = np.lexsort((-scores, cc))
     n, segments = len(order), int(cc.max(initial=0)) + 1
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
@@ -231,7 +221,7 @@ def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, wide=(), raw
         flags[row, ranks] = _rounds(keys, ranks, np.array(lims)[row], free, shift)
     for s in sorted(slow):
         mine = np.flatnonzero(sets == s)
-        for segment in np.unique(cc[mine]).tolist():
+        for segment in sorted(set(cc[mine].tolist())):
             ranked = mine[cc[mine] == segment]
             ranked = ranked[np.argsort(rank[ranked])]
             ranked_steps = [int(raw[i]) for i in ranked]
@@ -380,32 +370,40 @@ def edap_arrays(
 ) -> list[float]:
     """edap_batch of prediction sets held as the arrays the decoders find.
 
-    cells[k] = (rows, steps, scores) holds set k of the series sids, in
-    types.scored_rows' layout: row r < len(sids) holds the onsets (or
-    points) of sids[r], row len(sids) + r its offsets, listed by row, then
-    by step.  Each score gets the bits edap_batch gives the records, without
-    building them; each needed truth is read and checked once.  On any fault
-    the records are built, and edap_batch raises what it raises.
+    cells[k] = (rows, steps, scores) holds set k of the series sids, which
+    must ascend (InvalidSpec), in the layout types.checked_rows checks
+    first: row r < len(sids) holds the onsets (or points) of sids[r], row
+    len(sids) + r its offsets.  Each score gets the bits edap_batch gives
+    the records, without building them; each needed truth is read and
+    checked once.  On a fault of the truth or the series the records are
+    built, and edap_batch raises what it raises.
     """
+    ascending = all(a < b for a, b in zip(sids, sids[1:]))
+    expect(ascending, "sids", sids, "ascending distinct series ids", InvalidSpec)
+    classes, count = config.classes, len(sids)
+    found = checked_rows(cells, count)
+
     def scored() -> list[float]:
-        records = [dict(zip(sids, scored_rows(*cell, len(sids)))) for cell in cells]
+        cell, *arrays = found
+        records = [
+            dict(zip(sids, _scored_rows(*(a[cell == k] for a in arrays), count)))
+            for k in range(len(cells))
+        ]
         return edap_batch(records, truth, config)
 
     if not cells:
         return []
+    cell, rows, steps, scores = found
     ids = sorted(truth)
-    classes, count = config.classes, len(sids)
     try:
         reads = [[truth[sid].by_class(cls) for sid in ids] for cls in classes]
     except EvregError:
         return scored()
-    num_truth = [sum(map(len, steps)) for steps in reads]
+    num_truth = [sum(map(len, t)) for t in reads]
     if set(sids) - set(truth) or 0 in num_truth:
         return scored()
     index = {sid: i for i, sid in enumerate(ids)}
     col = np.array([index[sid] for sid in sids], dtype=np.int64)
-    rows, steps, scores = (np.concatenate(part) for part in zip(*cells))
-    cell = np.repeat(np.arange(len(cells)), [len(r) for r, _, _ in cells])
     parts = []
     for c, cls in enumerate(classes):
         # the offset slot, or the onset slot that onset and point read
@@ -416,7 +414,8 @@ def edap_arrays(
     cc, sets, steps, scores = (np.concatenate(part) for part in zip(*parts))
     free = {}
     try:
-        for s in np.unique(sets).tolist():
+        # np.unique would import numpy.ma, about 1 MB, on its first call
+        for s in np.flatnonzero(np.bincount(sets)).tolist():
             c, i = divmod(s, len(ids))
             free[s] = sorted(checked_steps(reads[c][i], f"truth[{ids[i]!r}]"))
     except EvregError:

@@ -326,17 +326,18 @@ class ScoredEvents:
     def _trusted(cls, onsets, offsets=()) -> "ScoredEvents":
         """The record of pairs already checked, set without the checks above.
 
-        Only scored_rows, which builds the decoders' records, and
+        Only _scored_rows, which builds the records of decoder arrays, and
         data.load_scored_events call it.  Their pairs already hold what
         __post_init__ checks:
 
         * each step is a Python int: a decoder's is taken from sorted intp
-          indices, each below the series length, and a loaded row's passed
-          step >= 0;
+          indices, each below the series length, an objective's passed
+          checked_rows and a loaded row's passed step >= 0;
         * each score is a finite Python float: a decoder's is taken from an
           array that passed signal.real_array, the one gate of every
           caller's array, and was checked finite (decode._contrasts and
-          signal._check_finite_1d), and a loaded row's passed math.isfinite;
+          signal._check_finite_1d), an objective's passed checked_rows and a
+          loaded row's passed math.isfinite;
         * the pairs of each slot are in ascending step order.
 
         The record then equals, hashes, pickles and saves as
@@ -359,12 +360,47 @@ class ScoredEvents:
         raise InvalidEvents(f"unknown event class {cls!r}")
 
 
-def scored_rows(rows: np.ndarray, steps: np.ndarray, scores: np.ndarray, count: int) -> list:
-    """The ScoredEvents of count series from the arrays a decoder finds.
+def checked_rows(found, count: int) -> tuple:
+    """(cells, rows, steps, scores): the detection arrays of the triples in
+    found, joined, cells[i] being the index of the triple detection i is in.
 
-    Row r < count holds the onsets (or points) of series r and row count + r
-    its offsets; the detections are listed by row, then by step.
+    Each triple (rows, steps, scores) holds detections of count series as
+    1-D arrays of one length: row r < count holds the onsets (or points) of
+    series r and row count + r its offsets.  Rows must be integers within
+    [0, 2 * count) in ascending order, steps integers >= 0 ascending within
+    each row and scores finite reals (InvalidEvents).
     """
+    parts, kinds_to = [], (np.int64, np.int64, np.float64)
+    for k, triple in enumerate(found):
+        try:
+            rows, steps, scores = (np.asarray(a) for a in triple)
+        except (TypeError, ValueError):
+            rows = steps = scores = np.empty((0, 0))
+        kinds = ((rows, "iu"), (steps, "iu"), (scores, "iuf"))
+        if not all(a.ndim == 1 and len(a) == len(rows) and a.dtype.kind in kind for a, kind in kinds):
+            raise InvalidEvents(
+                f"detections[{k}] must be 1-D arrays of one length: integer rows "
+                "and steps, real scores"
+            )
+        parts.append([a.astype(t, copy=False) for a, t in zip((rows, steps, scores), kinds_to)])
+    cells = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
+    if not parts:
+        return cells, cells, cells, np.empty(0)
+    rows, steps, scores = (np.concatenate(a) for a in zip(*parts))
+    # rows ascend within each triple when these keys ascend
+    later = np.diff(cells * 2 * count + rows)
+    if not (((rows >= 0) & (rows < 2 * count)).all() and (later >= 0).all()):
+        raise InvalidEvents(f"detection rows must ascend within [0, {2 * count}) in each triple")
+    if (steps < 0).any() or not ((later > 0) | (np.diff(steps) >= 0)).all():
+        raise InvalidEvents("detection steps must be >= 0 and ascend within each row")
+    if not np.isfinite(scores).all():
+        raise InvalidEvents("detection scores must be finite")
+    return cells, rows, steps, scores
+
+
+def _scored_rows(rows: np.ndarray, steps: np.ndarray, scores: np.ndarray, count: int) -> list:
+    """The ScoredEvents of count series from detection arrays that a decoder
+    found or checked_rows passed (its layout)."""
     pairs = list(zip(steps.tolist(), scores.tolist()))
     bounds = np.searchsorted(rows, np.arange(2 * count + 1)).tolist()
     slots = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]

@@ -35,7 +35,7 @@ from evreg.experiment import (
 from evreg.metric import edap
 from evreg.model import predict
 from evreg.targets import encode_regression
-from evreg.types import INTERVAL, POINT, points_from_intervals
+from evreg.types import INTERVAL, POINT, EventSet, PointEvent, ScoredEvents, points_from_intervals
 
 
 def make_config(objective="regression", **over):
@@ -318,6 +318,46 @@ def test_new_objective_is_one_table_entry(monkeypatch):
     assert y.shape == (1, 128)
     decoded = decode_outputs({"s": y}, config, config.decode)
     assert decoded["s"] == decode_points(y[0], replace(config.decode, sigma=2.0))
+
+
+def _good_arrays():
+    # two series: series 0 has onsets at 2 and 5, series 1 an offset at 3
+    return np.array([0, 0, 3]), np.array([2, 5, 3]), np.array([0.5, 0.25, 1.0])
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda r, s, v: (r, s.astype(float), v), "integer rows and steps"),
+    (lambda r, s, v: (r, s, v.astype(bool)), "real scores"),
+    (lambda r, s, v: (r, s[:2], v), "of one length"),
+    (lambda r, s, v: (r, s), "1-D arrays"),
+    (lambda r, s, v: (r, s - 3, v), "steps must be >= 0"),
+    (lambda r, s, v: (r, s[[1, 0, 2]], v), "ascend within each row"),
+    (lambda r, s, v: (r[::-1], s, v), "rows must ascend"),
+    (lambda r, s, v: (r + 2, s, v), r"rows must ascend within \[0, 4\)"),
+    (lambda r, s, v: (r, s, v * np.nan), "scores must be finite"),
+])
+def test_a_custom_objective_with_bad_arrays_raises(monkeypatch, fault, message):
+    # an objective's arrays are checked before any record is built or scored
+    bad = replace(OBJECTIVES["cpd"], decode=lambda ys, params, _: [fault(*_good_arrays())])
+    monkeypatch.setitem(OBJECTIVES, "cpd_bad", bad)
+    config = make_config("cpd_bad")
+    outputs = {sid: np.zeros((1, 8)) for sid in ("a", "b")}
+    truth = {sid: EventSet(sid, POINT, (PointEvent(2), PointEvent(4))) for sid in outputs}
+    with pytest.raises(InvalidEvents, match=message):
+        decode_outputs(outputs, config, config.decode)
+    with pytest.raises(InvalidEvents, match=message):
+        grid_search(outputs, truth, config.grid, config)
+
+
+def test_a_custom_objective_with_good_arrays_decodes(monkeypatch):
+    good = replace(OBJECTIVES["cpd"], decode=lambda ys, params, _: [_good_arrays()])
+    monkeypatch.setitem(OBJECTIVES, "cpd_fixed", good)
+    config = make_config("cpd_fixed")
+    decoded = decode_outputs({"a": np.zeros((1, 8)), "b": np.zeros((1, 8))}, config, config.decode)
+    assert decoded == {
+        "a": ScoredEvents(onsets=((2, 0.5), (5, 0.25))),
+        "b": ScoredEvents(offsets=((3, 1.0),)),
+    }
 
 
 def test_fit_moves_the_model_seed_by_fold_index():

@@ -243,6 +243,21 @@ def as_arrays(pred, sids):
             np.array(scores, dtype=np.float64))
 
 
+def test_edap_arrays_checks_the_series_ids_and_arrays():
+    truth = {sid: EventSet(sid, POINT, (PointEvent(1),)) for sid in ("a", "b")}
+    config = EdapConfig(tolerances=(1,), classes=("point",))
+    found = (np.array([0, 1]), np.array([1, 1]), np.array([0.5, 0.5]))
+    assert metric.edap_arrays(["a", "b"], [found], truth, config) == [1.0]
+    # equal scores are ranked by series id, so the ids must come in that order
+    for sids in (["b", "a"], ["a", "a"]):
+        with pytest.raises(InvalidSpec, match="ascending distinct series ids"):
+            metric.edap_arrays(sids, [found], truth, config)
+    # the arrays are checked before the truth: a series unknown to truth
+    # would raise InvalidEvents too, but a later one
+    with pytest.raises(InvalidEvents, match="rows must ascend"):
+        metric.edap_arrays(["a", "c"], [found, (found[0][::-1],) + found[1:]], truth, config)
+
+
 class TestArrayMatcher:
     """The rounds and their _greedy tail match as the loop oracles do."""
 

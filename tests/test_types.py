@@ -23,6 +23,7 @@ from evreg.types import (
     PointEvent,
     ScoredEvents,
     TimeSeries,
+    checked_rows,
     derive_state_labels,
     event_fault,
     points_from_intervals,
@@ -389,8 +390,21 @@ class TestTrustedScoredEvents:
             ScoredEvents(**{slot: pairs})
 
 
+def test_checked_rows_joins_the_triples_as_int64_and_float64():
+    found = [
+        (np.array([1, 1], dtype=np.int32), np.array([2, 2], dtype=np.uint8), np.array([3, 1])),
+        (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)),
+        ([0], [7], np.array([0.5], dtype=np.float32)),
+    ]
+    cells, rows, steps, scores = checked_rows(found, 1)
+    assert cells.tolist() == [0, 0, 2] and rows.tolist() == [1, 1, 0]
+    assert steps.tolist() == [2, 2, 7] and scores.tolist() == [3.0, 1.0, 0.5]
+    assert [a.dtype for a in (rows, steps, scores)] == [np.int64, np.int64, np.float64]
+    assert [len(a) for a in checked_rows([], 3)] == [0] * 4
+
+
 def test_only_checked_sources_build_trusted_records():
-    # _trusted skips the checks, so only types.scored_rows, which builds the
+    # _trusted skips the checks, so only types._scored_rows, which builds the
     # records of decoder arrays, and data.load_scored_events, whose rows pass
     # the same checks inline, may name it: once each
     package = Path(evreg.__file__).parent
