@@ -41,9 +41,8 @@ class Objective:
     mus) takes the outputs of every series to decode, in id order, and gives
     their detection arrays (types.checked_rows' layout, rows in that order,
     checked before they are read) at each mu in mus if reads_mu, else a
-    one-item list of them.  Both
-    resolve the encoder or decoder by its module-global name at call time,
-    so rebinding it works.
+    one-item list of them.  Both resolve the encoder or decoder by its
+    module-global name at call time, so rebinding it works.
     segmentation marks per-step label targets: no pdf, no sigma schedule.
     point_truth collapses intervals to onset points.
     """
