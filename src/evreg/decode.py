@@ -9,15 +9,15 @@ its heights or prominences.
 Each decoder has an *_arrays form that decodes a list of series into
 detection arrays (rows, steps, scores), in types.checked_rows' layout: row r
 holds the onsets (or points) of series r, row len(ys) + r its offsets,
-listed by row, then by step.  metric.edap_arrays scores them as they are;
-the *_batch form builds their records with _scored_rows, and the one-series
-decoder is its one-item case.  A batch smooths each channel on its own,
-then stacks the channels of one length into one 2-D array: a peak batch
-picks their peaks in a single _spaced_peaks call, and the threshold sweep
-compares the stacked rows with one mu at a time.  Smoothing reads cached
-taps and indices per (sigma, length); smoothed channels of one length are
-checked finite once, a batch's probabilities once, and row by row only if
-a batch fails.
+listed by row, then by step.  metric.edap_arrays scores them as they are,
+and the one-series decoder builds the record of its one-item case with
+_scored_rows.  A list smooths each channel on its own, then stacks the
+channels of one length into one 2-D array: a peak decoder picks their
+peaks in a single _spaced_peaks call, and the threshold sweep compares the
+stacked rows with one mu at a time.  Smoothing reads cached taps and
+indices per (sigma, length); smoothed channels of one length are checked
+finite once, a list's probabilities once, and row by row only if a list
+fails.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _pick_channels(ys: list[np.ndarray], params: DecodeParams) -> tuple:
 def decode_regression_arrays(
     ys_on: list[np.ndarray], ys_off: list[np.ndarray], params: DecodeParams
 ) -> tuple:
-    """decode_regression_batch as detection arrays."""
+    """decode_regression of each (ys_on[i], ys_off[i]) pair, as detection arrays."""
     ys_on = [real_array(y, "onset channel", None, InvalidSpec) for y in ys_on]
     ys_off = [real_array(y, "offset channel", None, InvalidSpec) for y in ys_off]
     if len(ys_on) != len(ys_off):
@@ -152,13 +152,6 @@ def decode_regression_arrays(
     return _pick_channels(ys_on + ys_off, params)
 
 
-def decode_regression_batch(
-    ys_on: list[np.ndarray], ys_off: list[np.ndarray], params: DecodeParams
-) -> list[ScoredEvents]:
-    """decode_regression of each (ys_on[i], ys_off[i]) pair."""
-    return _scored_rows(*decode_regression_arrays(ys_on, ys_off, params), len(ys_on))
-
-
 def decode_regression(
     y_on: np.ndarray, y_off: np.ndarray, params: DecodeParams
 ) -> ScoredEvents:
@@ -168,17 +161,12 @@ def decode_regression(
     each detection keeps the unsmoothed channel value at the peak index as
     its score (the smoothing is for localization only).
     """
-    return decode_regression_batch([y_on], [y_off], params)[0]
+    return _scored_rows(*decode_regression_arrays([y_on], [y_off], params), 1)[0]
 
 
 def decode_points_arrays(ys: list[np.ndarray], params: DecodeParams) -> tuple:
-    """decode_points_batch as detection arrays."""
+    """decode_points of each channel in ys, as detection arrays."""
     return _pick_channels([real_array(y, "channel", None, InvalidSpec) for y in ys], params)
-
-
-def decode_points_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
-    """decode_points of each channel in ys."""
-    return _scored_rows(*decode_points_arrays(ys, params), len(ys))
 
 
 def decode_points(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
@@ -188,7 +176,7 @@ def decode_points(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     empty.  Scoring follows decode_regression: localization on the smoothed
     channel, score from the raw value at the peak.
     """
-    return decode_points_batch([y], params)[0]
+    return _scored_rows(*decode_points_arrays([y], params), 1)[0]
 
 
 def decode_seg_threshold(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
@@ -200,7 +188,7 @@ def decode_seg_threshold(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     contrast of the smoothed probability.  A sequence already above mu at
     t=0 yields no synthetic onset.
     """
-    return sweep_seg_threshold_batch([y], (params.mu,), params)[0][0]
+    return _scored_rows(*sweep_seg_threshold_arrays([y], (params.mu,), params)[0], 1)[0]
 
 
 def _contrasts(ys: list[np.ndarray], params: DecodeParams) -> tuple[list, list]:
@@ -219,7 +207,8 @@ def _contrasts(ys: list[np.ndarray], params: DecodeParams) -> tuple[list, list]:
 
 
 def sweep_seg_threshold_arrays(ys: list[np.ndarray], mus: tuple, params: DecodeParams) -> list:
-    """sweep_seg_threshold_batch as detection arrays, one triple per mu.
+    """decode_seg_threshold of each probability sequence in ys at each mu in
+    mus (params.mu is unread), as detection arrays, one triple per mu.
 
     Each sequence is smoothed and scored on its own.  For each mu, one 2-D
     mask over the adjacent samples of the stacked sequences of one length
@@ -241,25 +230,12 @@ def sweep_seg_threshold_arrays(ys: list[np.ndarray], mus: tuple, params: DecodeP
     return [_joined(per_mu) for per_mu in parts]
 
 
-def sweep_seg_threshold_batch(
-    ys: list[np.ndarray], mus: tuple, params: DecodeParams
-) -> list[list[ScoredEvents]]:
-    """decode_seg_threshold of each probability sequence in ys at each mu in
-    mus (params.mu is unread), as one list of series per mu."""
-    return [_scored_rows(*found, len(ys)) for found in sweep_seg_threshold_arrays(ys, mus, params)]
-
-
 def decode_seg_peaks_arrays(ys: list[np.ndarray], params: DecodeParams) -> tuple:
-    """decode_seg_peaks_batch as detection arrays."""
+    """decode_seg_peaks of each probability sequence in ys, as detection arrays."""
     _, contrasts = _contrasts(ys, params)
     scores = [np.abs(c) for c in contrasts]
     # onsets are the peaks of each contrast, offsets those of its negation
     return _scored_peaks(contrasts + [-c for c in contrasts], scores + scores, params.alpha, None)
-
-
-def decode_seg_peaks_batch(ys: list[np.ndarray], params: DecodeParams) -> list[ScoredEvents]:
-    """decode_seg_peaks of each probability sequence in ys."""
-    return _scored_rows(*decode_seg_peaks_arrays(ys, params), len(ys))
 
 
 def decode_seg_peaks(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
@@ -269,4 +245,4 @@ def decode_seg_peaks(y: np.ndarray, params: DecodeParams) -> ScoredEvents:
     indices with spacing >= alpha; scores are |I| at the peak.  mu is unused
     by this decoder.
     """
-    return decode_seg_peaks_batch([y], params)[0]
+    return _scored_rows(*decode_seg_peaks_arrays([y], params), 1)[0]

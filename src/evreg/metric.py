@@ -9,11 +9,11 @@ Every scorer hands one core, _pooled_flags, its detections as flat arrays
 (pooled segment, truth set, step, score): one lexsort ranks them in pooled
 order, one searchsorted finds how far each is from truth, and those within
 reach are matched in priority rounds (_rounds) that make greedy's decisions
-for every (tolerance, segment, series) group at once.  edap_table_batch
-(and its mean, edap_batch) scores several prediction sets against one
-truth, each truth read once; edap_arrays does so for the arrays the
-decoders find, without building their records, once types.checked_rows
-passes them.
+for every (tolerance, segment, series) group at once.  edap_table and
+edap_arrays reach it through one adapter, _edap_tables, that reads and
+checks each truth once: edap_table turns its records into detection
+arrays, and edap_arrays scores several prediction sets held as the arrays
+the decoders find, once types.checked_rows passes them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EmptyTruth, EvregError, InvalidEvents, InvalidSpec
 from .signal import check_int, expect, is_finite_real, is_real, real_array, shown
 from .types import (
-    EventSet, ScoredEvents, _scored_rows, checked_detections, checked_rows, checked_steps,
+    EventSet, ScoredEvents, checked_detections, checked_rows, checked_steps,
 )
 
 
@@ -167,7 +167,7 @@ def _rounds(keys, ranks, lims, free, shift: int) -> np.ndarray:
     return won
 
 
-def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, wide=(), raw=()) -> tuple:
+def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, raw=None) -> tuple:
     """(order, flags): the pooled order of the detections and their TP flags
     in it, one row per tolerance.
 
@@ -175,9 +175,10 @@ def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, wide=(), raw
     set, class), and is matched within it against truth set sets[i]; each
     segment lists its detections by series, then by step.  The pooled order
     is by segment, descending score, then that listing, so that it is each
-    series' rank order too.  truth maps each set to its sorted steps, and
-    steps[i] and raw[i] hold the detection's step.  Both lie below _WIDE
-    except in the sets in wide, whose steps[i] is not read.
+    series' rank order too.  truth maps each set to its sorted steps.
+    raw[i] (steps[i] when raw is None) holds the detection's step and
+    steps[i] the same at most _WIDE: a set with a step of _WIDE or more, in
+    truth or in its detections, is wide.
 
     A detection's reach is its distance to the nearest truth step of its
     set.  At each tolerance only the detections in reach go through
@@ -190,12 +191,16 @@ def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, wide=(), raw
     rank[order] = np.arange(n)
     flags = np.zeros((len(tolerances), n), dtype=bool)
     num_sets = max(max(truth, default=0), int(sets.max(initial=0))) + 1
+    top = int(steps.max(initial=0))
+    wide = {s for s, t in truth.items() if t and t[-1] >= _WIDE}
+    if top >= _WIDE:
+        wide.update(sets[steps >= _WIDE].tolist())
     narrow = sorted(s for s in truth if s not in wide)
     counts = np.zeros(num_sets, dtype=np.intp)
     counts[narrow] = [len(truth[s]) for s in narrow]
     t = np.array([v for s in narrow for v in truth[s]], dtype=np.int64)
-    shift = max(int(t.max(initial=0)), int(steps.max(initial=0))).bit_length() + 1
-    slow = set(wide)
+    shift = max(int(t.max(initial=0)), top).bit_length() + 1
+    slow = wide
     if (len(tolerances) * segments * num_sets) << shift > _FAR // 2:
         slow = set(range(num_sets))  # too many groups for int64 keys
     elif n:
@@ -219,6 +224,7 @@ def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, wide=(), raw
         free = np.repeat(group << shift, own) + t[at + np.arange(len(at))]
         ranks = rank[picked]
         flags[row, ranks] = _rounds(keys, ranks, np.array(lims)[row], free, shift)
+    raw = steps if raw is None else raw
     for s in sorted(slow):
         mine = np.flatnonzero(sets == s)
         for segment in sorted(set(cc[mine].tolist())):
@@ -230,22 +236,12 @@ def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, wide=(), raw
     return order, flags
 
 
-def _chunk_flags(chunks: list, truth: dict, tolerances) -> tuple:
-    """The segments and scores in _pooled_flags' order and its flags, for
-    chunks (segment, set, pairs): the checked pairs of one (prediction set,
-    class, series), sorted by step, listed by series within each segment.
-    truth maps each set to its checked sorted steps; a set with a step of
-    _WIDE or more, in truth or in its chunks, is wide."""
-    lens = [len(p) for _, _, p in chunks]
-    cc = np.repeat(np.array([c for c, _, _ in chunks], dtype=np.int64), lens)
-    sets = np.repeat(np.array([s for _, s, _ in chunks], dtype=np.int64), lens)
-    raw = [step for _, _, p in chunks for step, _ in p]
-    scores = np.array([v for _, _, p in chunks for _, v in p], dtype=np.float64)
-    wide = {s for s, t in truth.items() if t and t[-1] >= _WIDE}
-    wide.update(s for _, s, p in chunks if p[-1][0] >= _WIDE)
-    steps = np.array([min(step, _WIDE) for step in raw] if wide else raw, dtype=np.int64)
-    order, flags = _pooled_flags(cc, sets, steps, scores, truth, tolerances, wide, raw)
-    return cc[order], scores[order], flags
+def _clamped(raw: list) -> tuple:
+    """(steps, raw): the int steps raw as int64, each at most _WIDE, and raw
+    as an object array if one is more, else None."""
+    if max(raw, default=0) < _WIDE:
+        return np.array(raw, dtype=np.int64), None
+    return np.array([min(step, _WIDE) for step in raw], dtype=np.int64), np.array(raw, dtype=object)
 
 
 def match_events(
@@ -266,9 +262,12 @@ def match_events(
     # a stable sort by step lists them as a ScoredEvents slot does
     pairs = sorted(checked_detections(pred, "pred"), key=itemgetter(0))
     free = sorted(checked_steps(truth, "truth"))
-    _, scores, flags = _chunk_flags([(0, 0, pairs)] if pairs else [], {0: free}, (tol,))
+    steps, raw = _clamped([step for step, _ in pairs])
+    scores = np.array([score for _, score in pairs], dtype=np.float64)
+    zeros = np.zeros(len(pairs), dtype=np.int64)
+    order, flags = _pooled_flags(zeros, zeros, steps, scores, {0: free}, (tol,), raw)
     return MatchResult(
-        tuple(flags[0].tolist()), tuple(scores.tolist()), len(free) - int(flags.sum())
+        tuple(flags[0].tolist()), tuple(scores[order].tolist()), len(free) - int(flags.sum())
     )
 
 
@@ -318,48 +317,60 @@ def _tables(cc: np.ndarray, flags: np.ndarray, num_sets: int, num_truth: list, c
     return [dict(zip(keys, values)) for values in aps]
 
 
-def edap_table_batch(
-    preds: Sequence[Mapping[str, ScoredEvents]],
-    truth: Mapping[str, EventSet],
-    config: EdapConfig,
-) -> list[dict[tuple[str, int], float]]:
-    """edap_table of each prediction set in preds against one truth.
+def _check_known(sids, truth: Mapping) -> None:
+    """InvalidEvents unless every series in sids is in truth."""
+    missing = set(sids) - set(truth)
+    if missing:
+        raise InvalidEvents(f"predictions for unknown series: {sorted(missing)}")
 
-    Each (class, series) truth is read, checked and sorted once for every
-    set, and the series of every set are matched in one pool, so each table
-    holds the bits edap_table gives that set alone.  Errors are raised as
-    scoring the sets one by one raises them: the first set that fails names
-    its fault.
+
+def _edap_tables(sids, found: tuple, num_sets: int, truth: Mapping, config, raw=None) -> list:
+    """The edap_table of each of num_sets prediction sets of the series sids,
+    all in truth, from their detection arrays (cells, rows, steps, scores)
+    as types.checked_rows joins them; raw, if given, holds each detection's
+    step and steps the same at most _WIDE.
+
+    Each class's truth is read once and each (class, series) truth with
+    detections checked once.  Of their faults, the one raised is the first
+    that scoring the sets one by one meets: the least (set, class, series)
+    key, where a class's read or EmptyTruth fault is keyed (0, class, -1)
+    and a truth step's by the first set with detections there.
     """
-    if not preds:
-        return []
-    sids = sorted(truth)
-    # per class: the truth steps of each series and their count, read when
-    # the first set reaches the class; per (class, series) set: the checked
-    # and sorted steps, made when the first set with detections there needs them
-    read: dict[str, tuple[list, int]] = {}
-    free: dict[int, list[int]] = {}
-    chunks: list[tuple[int, int, tuple]] = []
-    for k, pred in enumerate(preds):
-        missing = set(pred) - set(truth)
-        if missing:
-            raise InvalidEvents(f"predictions for unknown series: {sorted(missing)}")
-        for c, cls in enumerate(config.classes):
-            if cls not in read:
-                steps = [truth[sid].by_class(cls) for sid in sids]
-                read[cls] = (steps, sum(map(len, steps)))
-            steps, num_truth = read[cls]
-            if num_truth == 0:
+    cell, rows, steps, scores = found
+    classes, count, ids = config.classes, len(sids), sorted(truth)
+    reads, num_truth, faults = [], [], []
+    for c, cls in enumerate(classes):
+        try:
+            read = [truth[sid].by_class(cls) for sid in ids]
+            if not any(read):
                 raise EmptyTruth(f"no ground-truth events for class {cls!r}")
-            for i, (sid, t) in enumerate(zip(sids, steps)):
-                pairs = pred[sid].by_class(cls) if sid in pred else ()
-                if pairs:
-                    s = c * len(sids) + i
-                    if s not in free:
-                        free[s] = sorted(checked_steps(t, f"truth[{sid!r}]"))
-                    chunks.append((k * len(config.classes) + c, s, pairs))
-    cc, _, flags = _chunk_flags(chunks, free, config.tolerances)
-    return _tables(cc, flags, len(preds), [read[cls][1] for cls in config.classes], config)
+        except EvregError as exc:
+            faults.append(((0, c, -1), exc))
+            break  # no later class can fault first
+        reads.append(read)
+        num_truth.append(sum(map(len, read)))
+    index = {sid: i for i, sid in enumerate(ids)}
+    offset = rows >= count
+    series = np.array([index[sid] for sid in sids], dtype=np.int64)[rows - offset * count]
+    # each class reads the offset slot, or the onset slot as onset and point do
+    picked = [np.flatnonzero(offset if cls == "offset" else ~offset)
+              for cls in classes[: len(reads)]]
+    at = np.concatenate([np.empty(0, dtype=np.intp), *picked])
+    of_class = np.repeat(np.arange(len(picked)), [len(p) for p in picked])
+    cc, sets = cell[at] * len(classes) + of_class, series[at] + of_class * len(ids)
+    free = {}
+    # np.unique would import numpy.ma, about 1 MB, on its first call
+    for s in np.flatnonzero(np.bincount(sets)).tolist():
+        c, i = divmod(s, len(ids))
+        try:
+            free[s] = sorted(checked_steps(reads[c][i], f"truth[{ids[i]!r}]"))
+        except EvregError as exc:
+            faults.append(((int(cc[sets == s].min()) // len(classes), c, i), exc))
+    if faults:
+        raise min(faults, key=itemgetter(0))[1]
+    raw = None if raw is None else raw[at]
+    order, flags = _pooled_flags(cc, sets, steps[at], scores[at], free, config.tolerances, raw)
+    return _tables(cc[order], flags, num_sets, num_truth, config)
 
 
 def edap_arrays(
@@ -368,61 +379,22 @@ def edap_arrays(
     truth: Mapping[str, EventSet],
     config: EdapConfig,
 ) -> list[float]:
-    """edap_batch of prediction sets held as the arrays the decoders find.
+    """edap of each prediction set in cells, held as the arrays the decoders find.
 
     cells[k] = (rows, steps, scores) holds set k of the series sids, which
     must ascend (InvalidSpec), in the layout types.checked_rows checks
     first: row r < len(sids) holds the onsets (or points) of sids[r], row
-    len(sids) + r its offsets.  Each score gets the bits edap_batch gives
-    the records, without building them; each needed truth is read and
-    checked once.  On a fault of the truth or the series the records are
-    built, and edap_batch raises what it raises.
+    len(sids) + r its offsets.  Each score holds the bits edap gives the
+    set's records, and a fault raises what scoring those records one by one
+    with edap raises first, without building them.
     """
     ascending = all(a < b for a, b in zip(sids, sids[1:]))
     expect(ascending, "sids", sids, "ascending distinct series ids", InvalidSpec)
-    classes, count = config.classes, len(sids)
-    found = checked_rows(cells, count)
-
-    def scored() -> list[float]:
-        cell, *arrays = found
-        records = [
-            dict(zip(sids, _scored_rows(*(a[cell == k] for a in arrays), count)))
-            for k in range(len(cells))
-        ]
-        return edap_batch(records, truth, config)
-
+    found = checked_rows(cells, len(sids))
     if not cells:
         return []
-    cell, rows, steps, scores = found
-    ids = sorted(truth)
-    try:
-        reads = [[truth[sid].by_class(cls) for sid in ids] for cls in classes]
-    except EvregError:
-        return scored()
-    num_truth = [sum(map(len, t)) for t in reads]
-    if set(sids) - set(truth) or 0 in num_truth:
-        return scored()
-    index = {sid: i for i, sid in enumerate(ids)}
-    col = np.array([index[sid] for sid in sids], dtype=np.int64)
-    parts = []
-    for c, cls in enumerate(classes):
-        # the offset slot, or the onset slot that onset and point read
-        slot = int(cls == "offset")
-        sel = rows // max(count, 1) == slot
-        sets = c * len(ids) + col[rows[sel] - slot * count]
-        parts.append((cell[sel] * len(classes) + c, sets, steps[sel], scores[sel]))
-    cc, sets, steps, scores = (np.concatenate(part) for part in zip(*parts))
-    free = {}
-    try:
-        # np.unique would import numpy.ma, about 1 MB, on its first call
-        for s in np.flatnonzero(np.bincount(sets)).tolist():
-            c, i = divmod(s, len(ids))
-            free[s] = sorted(checked_steps(reads[c][i], f"truth[{ids[i]!r}]"))
-    except EvregError:
-        return scored()
-    wide = {s for s, t in free.items() if t and t[-1] >= _WIDE}
-    order, flags = _pooled_flags(cc, sets, steps, scores, free, config.tolerances, wide, steps)
-    tables = _tables(cc[order], flags, len(cells), num_truth, config)
+    _check_known(sids, truth)
+    tables = _edap_tables(sids, found, len(cells), truth, config)
     return [float(np.mean(list(t.values()))) for t in tables]
 
 
@@ -442,7 +414,15 @@ def edap_table(
     class with no pooled truth EmptyTruth, and a truth step of a series with
     detections that fails types.step_fault InvalidEvents.
     """
-    return edap_table_batch([pred], truth, config)[0]
+    _check_known(pred, truth)
+    ids = sorted(truth)
+    records = [pred[sid] if sid in pred else ScoredEvents() for sid in ids]
+    slots = [r.onsets for r in records] + [r.offsets for r in records]
+    rows = np.repeat(np.arange(len(slots)), [len(slot) for slot in slots])
+    steps, raw = _clamped([step for slot in slots for step, _ in slot])
+    scores = np.array([score for slot in slots for _, score in slot], dtype=np.float64)
+    found = (np.zeros(len(rows), dtype=np.int64), rows, steps, scores)
+    return _edap_tables(ids, found, 1, truth, config, raw)[0]
 
 
 def edap(
@@ -453,15 +433,6 @@ def edap(
     """Unweighted mean AP over every (class, tolerance) cell."""
     table = edap_table(pred, truth, config)
     return float(np.mean(list(table.values())))
-
-
-def edap_batch(
-    preds: Sequence[Mapping[str, ScoredEvents]],
-    truth: Mapping[str, EventSet],
-    config: EdapConfig,
-) -> list[float]:
-    """edap of each prediction set in preds, scored in one edap_table_batch."""
-    return [float(np.mean(list(t.values()))) for t in edap_table_batch(preds, truth, config)]
 
 
 def prf_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -368,7 +368,8 @@ def checked_rows(found, count: int) -> tuple:
     1-D arrays of one length: row r < count holds the onsets (or points) of
     series r and row count + r its offsets.  Rows must be integers within
     [0, 2 * count) in ascending order, steps integers >= 0 ascending within
-    each row and scores finite reals (InvalidEvents).
+    each row and scores finite reals (InvalidEvents); an empty array may be
+    of any real dtype, as np.array([]) is float64.
     """
     parts, kinds_to = [], (np.int64, np.int64, np.float64)
     for k, triple in enumerate(found):
@@ -377,7 +378,8 @@ def checked_rows(found, count: int) -> tuple:
         except (TypeError, ValueError):
             rows = steps = scores = np.empty((0, 0))
         kinds = ((rows, "iu"), (steps, "iu"), (scores, "iuf"))
-        if not all(a.ndim == 1 and len(a) == len(rows) and a.dtype.kind in kind for a, kind in kinds):
+        if not all(a.ndim == 1 and len(a) == len(rows)
+                   and a.dtype.kind in (kind if len(a) else "iuf") for a, kind in kinds):
             raise InvalidEvents(
                 f"detections[{k}] must be 1-D arrays of one length: integer rows "
                 "and steps, real scores"

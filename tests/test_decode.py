@@ -10,13 +10,13 @@ from conftest import window_contrast_oracle
 from evreg.decode import (
     DecodeParams,
     decode_points,
-    decode_points_batch,
+    decode_points_arrays,
     decode_regression,
-    decode_regression_batch,
+    decode_regression_arrays,
     decode_seg_peaks,
-    decode_seg_peaks_batch,
+    decode_seg_peaks_arrays,
     decode_seg_threshold,
-    sweep_seg_threshold_batch,
+    sweep_seg_threshold_arrays,
 )
 from evreg.errors import InvalidProbability, InvalidSpec, LengthMismatch, NonFiniteInput
 from evreg.signal import (
@@ -27,17 +27,26 @@ from evreg.signal import (
     window_convolve,
 )
 from evreg.targets import PdfSpec, encode_regression
-from evreg.types import INTERVAL, EventSet, IntervalEvent, ScoredEvents
+from evreg.types import INTERVAL, EventSet, IntervalEvent, ScoredEvents, _scored_rows
+
+
+def as_records(decode, ys, *args) -> list:
+    """The records of the series ys from the detection arrays of the *_arrays
+    decoder decode, or one list of them per mu of a sweep."""
+    found = decode(ys, *args)
+    if isinstance(found, list):
+        return [_scored_rows(*cell, len(ys)) for cell in found]
+    return _scored_rows(*found, len(ys))
 
 
 # the decoders that took their input with a bare np.asarray, which kept only
-# the real part of a complex array and warned
+# the real part of a complex array and warned; a *_batch id names a list form
 @pytest.mark.parametrize("decode", [
     lambda y: decode_seg_threshold(y, DecodeParams(alpha=1)),
     lambda y: decode_seg_peaks(y, DecodeParams(alpha=1)),
-    lambda y: decode_regression_batch([y], [np.zeros(3)], DecodeParams(alpha=1)),
-    lambda y: decode_regression_batch([np.zeros(3)], [y], DecodeParams(alpha=1)),
-    lambda y: decode_points_batch([y], DecodeParams(alpha=1)),
+    lambda y: decode_regression_arrays([y], [np.zeros(3)], DecodeParams(alpha=1)),
+    lambda y: decode_regression_arrays([np.zeros(3)], [y], DecodeParams(alpha=1)),
+    lambda y: decode_points_arrays([y], DecodeParams(alpha=1)),
 ], ids=["_contrasts-threshold", "_contrasts-peaks", "decode_regression_batch-onsets",
         "decode_regression_batch-offsets", "decode_points_batch"])
 def test_complex_decoder_input_is_invalid_spec(decode):
@@ -209,7 +218,7 @@ class TestDecodeRegression:
             decode_regression(np.zeros(5), np.zeros(6), DecodeParams(alpha=1))
         # two onset channels and one offset channel must not decode one pair
         with pytest.raises(LengthMismatch, match="2 onset channels but 1 offset channels"):
-            decode_regression_batch([np.zeros(5)] * 2, [np.zeros(5)], DecodeParams(alpha=1))
+            decode_regression_arrays([np.zeros(5)] * 2, [np.zeros(5)], DecodeParams(alpha=1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -300,7 +309,7 @@ class TestDecodeSegThreshold:
         y = rng.integers(0, 5, size=int(rng.integers(1, 120))) / 4.0
         params = DecodeParams(alpha=int(rng.integers(1, 5)), mu=0.9, sigma=sigma)
         mus = (0.5, 0.0, 0.25, 1.0, 0.6, 0.5)
-        swept = sweep_seg_threshold_batch([y], mus, params)
+        swept = as_records(sweep_seg_threshold_arrays, [y], mus, params)
         assert type(swept) is list and len(swept) == len(mus)
         assert all(type(per_mu) is list and len(per_mu) == 1 for per_mu in swept)
         for mu, (out,) in zip(mus, swept):
@@ -315,9 +324,9 @@ class TestDecodeSegThreshold:
             DecodeParams(alpha=1, mu=mu)
         y = np.array([0.0, 1.0, 0.0])
         with pytest.raises(InvalidSpec, match="expected in"):
-            sweep_seg_threshold_batch([y], (0.5, mu), DecodeParams(alpha=1))
+            sweep_seg_threshold_arrays([y], (0.5, mu), DecodeParams(alpha=1))
         with pytest.raises(InvalidSpec, match="expected in"):
-            sweep_seg_threshold_batch([y], (mu,), DecodeParams(alpha=1))
+            sweep_seg_threshold_arrays([y], (mu,), DecodeParams(alpha=1))
 
     def test_empty_probabilities(self):
         out = decode_seg_threshold(np.array([]), DecodeParams(alpha=2, sigma=1.0))
@@ -416,12 +425,12 @@ class TestBatchRecords:
     @settings(max_examples=200, deadline=None)
     def test_every_record_equals_its_checked_twin(self, rows, params, mus):
         ys = [np.array(row, dtype=np.float64) for row in rows]
-        swept = sweep_seg_threshold_batch(ys, tuple(mus), params)
+        swept = as_records(sweep_seg_threshold_arrays, ys, tuple(mus), params)
         assert len(swept) == len(mus)
         cells = swept + [
-            decode_regression_batch(ys, [y[::-1] for y in ys], params),
-            decode_points_batch(ys, params),
-            decode_seg_peaks_batch(ys, params),
+            as_records(decode_regression_arrays, ys, [y[::-1] for y in ys], params),
+            as_records(decode_points_arrays, ys, params),
+            as_records(decode_seg_peaks_arrays, ys, params),
         ]
         for records in cells:
             assert len(records) == len(ys)
@@ -444,7 +453,7 @@ class TestBatchRecords:
             mus = tuple(np.linspace(0.0, 1.0, count).tolist())
             tracemalloc.start()
             try:
-                swept = sweep_seg_threshold_batch(ys, mus, params)
+                swept = as_records(sweep_seg_threshold_arrays, ys, mus, params)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -464,12 +473,12 @@ class TestBatchErrorOrder:
     in turn would, though it checks the rows of a batch together."""
 
     POINT_DECODERS = [
-        lambda ys, params: decode_points_batch(ys, params),
-        lambda ys, params: decode_regression_batch(ys, ys, params),
+        lambda ys, params: as_records(decode_points_arrays, ys, params),
+        lambda ys, params: as_records(decode_regression_arrays, ys, ys, params),
     ]
     SEG_DECODERS = [
-        lambda ys, params: sweep_seg_threshold_batch(ys, (0.5,), params),
-        lambda ys, params: decode_seg_peaks_batch(ys, params),
+        lambda ys, params: as_records(sweep_seg_threshold_arrays, ys, (0.5,), params),
+        lambda ys, params: as_records(decode_seg_peaks_arrays, ys, params),
     ]
 
     @pytest.mark.parametrize("decode", POINT_DECODERS)
@@ -508,10 +517,12 @@ class TestBatchErrorOrder:
 
     def test_empty_batches_and_sequences_decode_as_alone(self):
         params = DecodeParams(alpha=1, sigma=1.0)
-        assert decode_points_batch([], params) == decode_seg_peaks_batch([], params) == []
-        assert sweep_seg_threshold_batch([], (0.5,), params) == [[]]
+        assert as_records(decode_points_arrays, [], params) == []
+        assert as_records(decode_seg_peaks_arrays, [], params) == []
+        assert as_records(sweep_seg_threshold_arrays, [], (0.5,), params) == [[]]
         ys = [np.empty(0), np.full(3, 0.5), np.empty(0)]
-        assert decode_points_batch(ys, params) == [decode_points(y, params) for y in ys]
-        assert decode_seg_peaks_batch(ys, params) == [decode_seg_peaks(y, params) for y in ys]
-        swept = sweep_seg_threshold_batch(ys, (0.5,), params)
+        for decode, alone in ((decode_points_arrays, decode_points),
+                              (decode_seg_peaks_arrays, decode_seg_peaks)):
+            assert as_records(decode, ys, params) == [alone(y, params) for y in ys]
+        swept = as_records(sweep_seg_threshold_arrays, ys, (0.5,), params)
         assert swept == [[decode_seg_threshold(y, params) for y in ys]]

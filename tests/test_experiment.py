@@ -358,6 +358,18 @@ def test_a_custom_objective_with_good_arrays_decodes(monkeypatch):
         "a": ScoredEvents(onsets=((2, 0.5), (5, 0.25))),
         "b": ScoredEvents(offsets=((3, 1.0),)),
     }
+    # a decoder that builds its arrays from lists and finds nothing returns
+    # float64 arrays, as np.array([]) is: they decode and score as empty
+    empty = replace(OBJECTIVES["cpd"], decode=lambda ys, params, mus: [
+        tuple(np.array(found) for found in ([], [], [])) for _ in mus
+    ])
+    monkeypatch.setitem(OBJECTIVES, "cpd_none", empty)
+    config = make_config("cpd_none")
+    outputs = {sid: np.zeros((1, 8)) for sid in ("a", "b")}
+    assert decode_outputs(outputs, config, config.decode) == dict.fromkeys(outputs, ScoredEvents())
+    truth = {sid: EventSet(sid, POINT, (PointEvent(2),)) for sid in outputs}
+    result = grid_search(outputs, truth, config.grid, config)
+    assert [score for *_, score in result.table] == [0.0] * len(config.grid.sigma)
 
 
 def test_fit_moves_the_model_seed_by_fold_index():

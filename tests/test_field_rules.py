@@ -29,9 +29,9 @@ from evreg.data import SynthConfig, downsample, save_events
 from evreg.decode import (
     DecodeParams,
     decode_points,
-    decode_points_batch,
+    decode_points_arrays,
     decode_regression,
-    decode_regression_batch,
+    decode_regression_arrays,
     decode_seg_peaks,
     decode_seg_threshold,
 )
@@ -41,9 +41,8 @@ from evreg.metric import (
     EdapConfig,
     average_precision,
     edap,
-    edap_batch,
+    edap_arrays,
     edap_table,
-    edap_table_batch,
     match_events,
 )
 from evreg.model import (
@@ -79,6 +78,7 @@ from evreg.types import (
     PointEvent,
     ScoredEvents,
     TimeSeries,
+    _scored_rows,
     derive_state_labels,
     event_fault,
     points_from_intervals,
@@ -186,9 +186,11 @@ ARRAY_SITES = {
     "validate_series": lambda v: validate_series(TimeSeries("s", 3, {"a": v})),
     "decode_regression.y_on": lambda v: decode_regression(v, np.zeros(3), DECODE),
     "decode_regression.y_off": lambda v: decode_regression(np.zeros(3), v, DECODE),
-    "decode_regression_batch": lambda v: decode_regression_batch([v], [v], DECODE),
+    # the list forms, through the records that types._scored_rows builds
+    "decode_regression_batch": lambda v: _scored_rows(
+        *decode_regression_arrays([v], [v], DECODE), 1),
     "decode_points.y": lambda v: decode_points(v, DECODE),
-    "decode_points_batch": lambda v: decode_points_batch([v], DECODE),
+    "decode_points_batch": lambda v: _scored_rows(*decode_points_arrays([v], DECODE), 1),
     "decode_seg_threshold.y": lambda v: decode_seg_threshold(v, DECODE),
     "decode_seg_peaks.y": lambda v: decode_seg_peaks(v, DECODE),
     "TargetSeries.channels": lambda v: TargetSeries(v, 1.0, ("a",)),
@@ -301,7 +303,10 @@ PDF = PdfSpec("gaussian", 64, 17, sigma=2.0)
 EDAP = EdapConfig(tolerances=(1, 2))
 POINT_EDAP = EdapConfig(tolerances=(1, 2), classes=("point",))
 PRED = {"s": ScoredEvents(((3, 0.9), (12, 0.4)), ((9, 0.8),))}
-POINT_PRED = {"s": ScoredEvents(((3, 0.9), (11, 0.4)))}
+# PRED, and point detections at 3 and 11, as the detection arrays that
+# metric.edap_arrays scores
+PRED_ARRAYS = (np.array([0, 0, 1]), np.array([3, 12, 9]), np.array([0.9, 0.4, 0.8]))
+POINT_ARRAYS = (np.array([0, 0]), np.array([3, 11]), np.array([0.9, 0.4]))
 OUTPUT = np.abs(np.sin(np.arange(STEPS) / 2.0))[None]
 TINY = replace(
     CONFIG,
@@ -360,9 +365,11 @@ EVENT_SITES = {
     "save_events": _saved_rows,
     "edap_table": lambda step, tmp: edap_table(PRED, {"s": _intervals(step)}, EDAP),
     "edap": lambda step, tmp: edap(PRED, {"s": _intervals(step)}, EDAP),
-    "edap_batch": lambda step, tmp: edap_batch([PRED, PRED], {"s": _intervals(step)}, EDAP),
-    "edap_table_batch": lambda step, tmp: edap_table_batch(
-        [POINT_PRED], {"s": _points(step)}, POINT_EDAP),
+    # the batch route: several prediction sets scored as arrays
+    "edap_batch": lambda step, tmp: edap_arrays(
+        ["s"], [PRED_ARRAYS, PRED_ARRAYS], {"s": _intervals(step)}, EDAP),
+    "edap_table_batch": lambda step, tmp: edap_arrays(
+        ["s"], [POINT_ARRAYS], {"s": _points(step)}, POINT_EDAP),
     "grid_search": lambda step, tmp: grid_search(
         {"s": OUTPUT}, {"s": _points(step)}, CONFIG.grid, CONFIG),
     "fit": lambda step, tmp: fit(TINY, [(STEP_SERIES, _points(step))]).params.flat,

@@ -235,9 +235,11 @@ def matcher_problem(draw):
 
 
 def as_arrays(pred, sids):
-    """pred as the (rows, steps, scores) arrays a decoder finds for sids."""
-    found = [(i, s, v) for i, sid in enumerate(sids) for s, v in pred[sid].onsets]
-    found += [(len(sids) + i, s, v) for i, sid in enumerate(sids) for s, v in pred[sid].offsets]
+    """pred as the (rows, steps, scores) arrays a decoder finds for sids; a
+    series absent from pred has no detections."""
+    records = [pred.get(sid, ScoredEvents()) for sid in sids]
+    found = [(i, s, v) for i, r in enumerate(records) for s, v in r.onsets]
+    found += [(len(sids) + i, s, v) for i, r in enumerate(records) for s, v in r.offsets]
     rows, steps, scores = zip(*found) if found else ((), (), ())
     return (np.array(rows, dtype=np.intp), np.array(steps, dtype=np.int64),
             np.array(scores, dtype=np.float64))
@@ -784,11 +786,13 @@ def _point_truth(steps):
 
 # (preds, truth, config) of a batch of three sets whose set k holds a fault
 BATCH_FAULTS = {
+    # set k has detections on a series unknown to truth, which raises before
+    # the truth is read: here the read of the undefined offset class faults
     "unknown-series": lambda k: (
-        [{"a": ScoredEvents(onsets=((1, 0.5),))} if i != k else {"zz": ScoredEvents()}
-         for i in range(3)],
+        [{"a": ScoredEvents(onsets=((1, 0.5),)), **({"zz": ScoredEvents(onsets=((2, 0.9),))}
+          if i == k else {})} for i in range(3)],
         _point_truth({"a": (1,), "b": (4,)}),
-        EdapConfig(tolerances=(1,), classes=("point",)),
+        EdapConfig(tolerances=(1,), classes=("point", "offset")),
     ),
     # only set k has detections on b, whose truth step is fractional
     "bad-truth-step": lambda k: (
@@ -797,10 +801,9 @@ BATCH_FAULTS = {
         _point_truth({"a": (1,), "b": (2.5,)}),
         EdapConfig(tolerances=(1,), classes=("point",)),
     ),
-    # every set meets EmptyTruth after its unknown-series check
+    # every set meets EmptyTruth, set k with no detections at all
     "empty-truth": lambda k: (
-        [{"a": ScoredEvents(onsets=((1, 0.5),))} if i != k else {"zz": ScoredEvents()}
-         for i in range(3)],
+        [{"a": ScoredEvents(onsets=((1, 0.5),))} if i != k else {} for i in range(3)],
         _point_truth({"a": (), "b": ()}),
         EdapConfig(tolerances=(1,), classes=("point",)),
     ),
@@ -814,54 +817,122 @@ BATCH_FAULTS = {
 }
 
 
+@st.composite
+def faulty_problem(draw):
+    """1-3 prediction sets against truth that may not score: series of
+    either kind, so that a class may be undefined for one, with fractional
+    steps among their integer ones, or with no events at all."""
+    sids = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    steps = st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, 0.5, 2.5]), max_size=4)
+    truth = {}
+    for sid in sids:
+        chosen = draw(steps)
+        if draw(st.booleans()):
+            truth[sid] = EventSet(sid, POINT, tuple(PointEvent(t) for t in chosen))
+        else:
+            events = tuple(IntervalEvent(a, b) for a, b in zip(chosen[::2], chosen[1::2]))
+            truth[sid] = EventSet(sid, INTERVAL, events)
+    detections = st.lists(
+        st.tuples(st.integers(0, 8), st.sampled_from([0.25, 0.5, 1.0])), max_size=3
+    ).map(sorted)
+    preds = [
+        {sid: ScoredEvents(onsets=draw(detections), offsets=draw(detections))
+         for sid in draw(st.lists(st.sampled_from(sids), unique=True))}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    classes = draw(st.sampled_from([("point",), ("onset", "offset"), ("offset", "point")]))
+    return preds, truth, EdapConfig(tolerances=(1, 3), classes=classes)
+
+
+def assert_raises_as(expected, score):
+    with pytest.raises(EvregError) as err:
+        score()
+    assert (type(err.value), str(err.value)) == (type(expected), str(expected))
+
+
 class TestEdapBatch:
+    """edap_arrays scores several prediction sets as edap scores each."""
+
     @given(batch_problem())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_oracle_set_by_set(self, problem):
         preds, truth, config = problem
+        sids = sorted(truth)
+        # distinct sets per cell, as int64 arrays where their steps fit
+        cells = [as_arrays(p, sids) for p in preds if all(
+            s < 2**62 for r in p.values() for s, _ in r.onsets + r.offsets)]
         try:
             expected = [pooled_edap_table_oracle(p, truth, config) for p in preds]
         except EmptyTruth:
             with pytest.raises(EmptyTruth):
-                metric.edap_table_batch(preds, truth, config)
+                edap_table(preds[0], truth, config)
+            if cells:
+                with pytest.raises(EmptyTruth):
+                    metric.edap_arrays(sids, cells, truth, config)
             return
-        got = metric.edap_table_batch(preds, truth, config)
+        got = [edap_table(p, truth, config) for p in preds]
         assert hexed(got) == hexed(expected)
         assert [list(table) for table in got] == [list(table) for table in expected]
-        assert metric.edap_batch(preds, truth, config) == [edap(p, truth, config) for p in preds]
+        if len(cells) == len(preds):
+            scores = metric.edap_arrays(sids, cells, truth, config)
+            assert [v.hex() for v in scores] == [edap(p, truth, config).hex() for p in preds]
 
     def test_empty_batch(self):
         truth = _point_truth({"a": ()})
-        assert metric.edap_table_batch([], truth, EdapConfig(tolerances=(1,))) == []
-        assert metric.edap_batch([], truth, EdapConfig(tolerances=(1,))) == []
+        assert metric.edap_arrays(["a"], [], truth, EdapConfig(tolerances=(1,))) == []
+        assert metric.edap_arrays(["zz"], [], truth, EdapConfig(tolerances=(1,))) == []
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("fault", BATCH_FAULTS)
     def test_raises_as_scoring_one_by_one(self, fault, k):
         preds, truth, config = BATCH_FAULTS[fault](k)
-        expected = one_by_one_error(preds, truth, config)
+        sids = sorted(set(truth).union(*preds))
+        # every set of the arrays holds every series of sids
+        records = [{sid: p.get(sid, ScoredEvents()) for sid in sids} for p in preds]
+        expected = one_by_one_error(records, truth, config)
         assert expected is not None
-        with pytest.raises(EvregError) as err:
-            metric.edap_table_batch(preds, truth, config)
-        assert (type(err.value), str(err.value)) == (type(expected), str(expected))
-        with pytest.raises(EvregError) as err:
-            metric.edap_batch(preds, truth, config)
-        assert (type(err.value), str(err.value)) == (type(expected), str(expected))
+        cells = [as_arrays(p, sids) for p in preds]
+        assert_raises_as(expected, lambda: metric.edap_arrays(sids, cells, truth, config))
+
+    @given(faulty_problem())
+    @settings(max_examples=300, deadline=None)
+    def test_faulty_truth_raises_as_scoring_one_by_one(self, problem):
+        preds, truth, config = problem
+        sids = sorted(truth)
+        cells = [as_arrays(p, sids) for p in preds]
+        expected = one_by_one_error(preds, truth, config)
+        if expected is None:
+            scores = metric.edap_arrays(sids, cells, truth, config)
+            assert [v.hex() for v in scores] == [edap(p, truth, config).hex() for p in preds]
+        else:
+            assert_raises_as(expected, lambda: metric.edap_arrays(sids, cells, truth, config))
 
     def test_truth_is_read_and_checked_once(self, monkeypatch):
-        checked, original = [], metric.checked_steps
+        checked, read = [], []
+        check, by_class = metric.checked_steps, EventSet.by_class
 
-        def counting(steps, name):
+        def counting_check(steps, name):
             checked.append(name)
-            return original(steps, name)
+            return check(steps, name)
 
-        monkeypatch.setattr(metric, "checked_steps", counting)
+        def counting_read(self, cls):
+            read.append((self.series_id, cls))
+            return by_class(self, cls)
+
+        monkeypatch.setattr(metric, "checked_steps", counting_check)
+        monkeypatch.setattr(EventSet, "by_class", counting_read)
         truth = _point_truth({"a": (1, 5), "b": (3,)})
         preds = [{"a": ScoredEvents(onsets=((1, v),)), "b": ScoredEvents(onsets=((3, v),))}
                  for v in (0.1, 0.5, 0.9)]
         config = EdapConfig(tolerances=(1, 2), classes=("point",))
-        metric.edap_table_batch(preds, truth, config)
-        assert checked == ["truth['a']", "truth['b']"]
+        cells = [as_arrays(p, ["a", "b"]) for p in preds]
+        for score in (lambda: metric.edap_arrays(["a", "b"], cells, truth, config),
+                      lambda: edap_table(preds[0], truth, config)):
+            checked.clear()
+            read.clear()
+            score()
+            assert checked == ["truth['a']", "truth['b']"]
+            assert read == [("a", "point"), ("b", "point")]
 
 
 class TestEdapProperties:
