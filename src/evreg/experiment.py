@@ -2,9 +2,10 @@
 
 The flow mirrors the evaluation protocol the package is built around: series
 are split into k folds by id, each fold's model is trained on the rest and
-scored on the held-out part every epoch, the raw held-out outputs of all
-folds are pooled, and a single pooled score is reported.  Decode parameters
-are tuned afterwards on those pooled outputs, so the sweep never retrains.
+scored on the held-out part every epoch, the raw held-out outputs of each
+fold's best epoch are pooled, decoded in one call and scored once.  Decode
+parameters are tuned afterwards on those pooled outputs, so the sweep never
+retrains.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def decode_outputs(
 ) -> dict[str, ScoredEvents]:
     """Run the objective's decoder over raw model outputs, in one call for all series."""
     sids, found = _decode_at(outputs, config, params, (params.mu,))
-    return _records(sids, found[0])
+    _, *arrays = checked_rows([found[0]], len(sids))
+    return dict(zip(sids, _scored_rows(*arrays, len(sids))))
 
 
 def _decode_at(outputs, config, params, mus: tuple) -> tuple[list[str], list]:
@@ -152,16 +154,9 @@ def _decode_at(outputs, config, params, mus: tuple) -> tuple[list[str], list]:
     return sids, config.spec.decode([outputs[sid] for sid in sids], params, mus)
 
 
-def _records(sids: list[str], found: tuple) -> dict[str, ScoredEvents]:
-    """The records of the series sids from one set of detection arrays,
-    which must pass types.checked_rows."""
-    _, *arrays = checked_rows([found], len(sids))
-    return dict(zip(sids, _scored_rows(*arrays, len(sids))))
-
-
 @dataclass(frozen=True)
 class FoldResult:
-    """Held-out outputs and decoded predictions of one fold's best epoch.
+    """Held-out outputs of one fold's best epoch.
 
     edap is that epoch's validation score, trace the training history.
     """
@@ -169,7 +164,6 @@ class FoldResult:
     fold_index: int
     val_ids: tuple[str, ...]
     outputs: dict[str, np.ndarray]
-    predictions: dict[str, ScoredEvents]
     trace: tuple[EpochStats, ...]
     best_epoch: int
     edap: float
@@ -229,9 +223,8 @@ def _run_fold(payload) -> FoldResult:
     val_truth = {s.series_id: e for s, e in val_pairs}
     batch = config.train.batch_size
 
-    # (outputs, series ids, detection arrays) of every epoch; the fold keeps
-    # its best epoch's, and builds only those records
-    scored: list[tuple[dict[str, np.ndarray], list[str], tuple]] = []
+    # held-out outputs of every epoch; the fold keeps its best epoch's
+    epoch_outputs: list[dict[str, np.ndarray]] = []
 
     def val_scorer(params) -> float:
         # forward is per series, so batching gives each series predict's bytes
@@ -239,18 +232,15 @@ def _run_fold(payload) -> FoldResult:
         for start in range(0, len(val_ids), batch):
             out = forward(params, val_x[start : start + batch], config.model)
             outputs.update(zip(val_ids[start : start + batch], out))
+        epoch_outputs.append(outputs)
         sids, found = _decode_at(outputs, config, config.decode, (config.decode.mu,))
-        scored.append((outputs, sids, found[0]))
         return edap_arrays(sids, found, val_truth, config.metric)[0]
 
     result = fit(config, train_pairs, fold_index, val_scorer)
-    outputs, sids, found = scored[result.best_epoch]
-    preds = _records(sids, found)
     return FoldResult(
         fold_index=fold_index,
         val_ids=tuple(sorted(val_ids)),
-        outputs=outputs,
-        predictions=preds,
+        outputs=epoch_outputs[result.best_epoch],
         trace=tuple(result.trace),
         best_epoch=result.best_epoch,
         edap=result.trace[result.best_epoch].val_score,
@@ -258,7 +248,8 @@ def _run_fold(payload) -> FoldResult:
 
 
 def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
-    """k-fold cross-validation; the held-out outputs are pooled and scored once.
+    """k-fold cross-validation; the held-out outputs are pooled, decoded in
+    one decode_outputs call and scored once.
 
     Folds are independent, so jobs > 1 runs them in up to jobs worker
     processes, never more than there are folds; the result is identical
@@ -282,11 +273,8 @@ def run_cv(config: ExperimentConfig, jobs: int = 1) -> CvResult:
     else:
         folds = [_run_fold(p) for p in payloads]
 
-    outputs: dict[str, np.ndarray] = {}
-    predictions: dict[str, ScoredEvents] = {}
-    for fold in folds:
-        outputs.update(fold.outputs)
-        predictions.update(fold.predictions)
+    outputs = {sid: y for fold in folds for sid, y in fold.outputs.items()}
+    predictions = decode_outputs(outputs, config, config.decode)
     pooled = edap_table(predictions, truth, config.metric)
     return CvResult(
         folds=tuple(folds),

@@ -167,7 +167,7 @@ def _rounds(keys, ranks, lims, free, shift: int) -> np.ndarray:
     return won
 
 
-def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, raw=None) -> tuple:
+def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances) -> tuple:
     """(order, flags): the pooled order of the detections and their TP flags
     in it, one row per tolerance.
 
@@ -176,15 +176,17 @@ def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, raw=None) ->
     segment lists its detections by series, then by step.  The pooled order
     is by segment, descending score, then that listing, so that it is each
     series' rank order too.  truth maps each set to its sorted steps.
-    raw[i] (steps[i] when raw is None) holds the detection's step and
-    steps[i] the same at most _WIDE: a set with a step of _WIDE or more, in
-    truth or in its detections, is wide.
+    steps is int64, or of dtype object when a step is _WIDE or more; a set
+    with a step of _WIDE or more, in truth or in its detections, is wide.
 
     A detection's reach is its distance to the nearest truth step of its
     set.  At each tolerance only the detections in reach go through
     _rounds, every (tolerance, segment, set) group at once; wide sets go
     through _greedy.
     """
+    raw = steps
+    if steps.dtype == object:
+        steps = np.minimum(steps, _WIDE).astype(np.int64)
     order = np.lexsort((-scores, cc))
     n, segments = len(order), int(cc.max(initial=0)) + 1
     rank = np.empty(n, dtype=np.intp)
@@ -224,7 +226,6 @@ def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, raw=None) ->
         free = np.repeat(group << shift, own) + t[at + np.arange(len(at))]
         ranks = rank[picked]
         flags[row, ranks] = _rounds(keys, ranks, np.array(lims)[row], free, shift)
-    raw = steps if raw is None else raw
     for s in sorted(slow):
         mine = np.flatnonzero(sets == s)
         for segment in sorted(set(cc[mine].tolist())):
@@ -236,12 +237,9 @@ def _pooled_flags(cc, sets, steps, scores, truth: dict, tolerances, raw=None) ->
     return order, flags
 
 
-def _clamped(raw: list) -> tuple:
-    """(steps, raw): the int steps raw as int64, each at most _WIDE, and raw
-    as an object array if one is more, else None."""
-    if max(raw, default=0) < _WIDE:
-        return np.array(raw, dtype=np.int64), None
-    return np.array([min(step, _WIDE) for step in raw], dtype=np.int64), np.array(raw, dtype=object)
+def _step_array(steps: list) -> np.ndarray:
+    """The int steps as int64, or as dtype object if one is _WIDE or more."""
+    return np.array(steps, dtype=np.int64 if max(steps, default=0) < _WIDE else object)
 
 
 def match_events(
@@ -262,10 +260,10 @@ def match_events(
     # a stable sort by step lists them as a ScoredEvents slot does
     pairs = sorted(checked_detections(pred, "pred"), key=itemgetter(0))
     free = sorted(checked_steps(truth, "truth"))
-    steps, raw = _clamped([step for step, _ in pairs])
+    steps = _step_array([step for step, _ in pairs])
     scores = np.array([score for _, score in pairs], dtype=np.float64)
     zeros = np.zeros(len(pairs), dtype=np.int64)
-    order, flags = _pooled_flags(zeros, zeros, steps, scores, {0: free}, (tol,), raw)
+    order, flags = _pooled_flags(zeros, zeros, steps, scores, {0: free}, (tol,))
     return MatchResult(
         tuple(flags[0].tolist()), tuple(scores[order].tolist()), len(free) - int(flags.sum())
     )
@@ -324,11 +322,11 @@ def _check_known(sids, truth: Mapping) -> None:
         raise InvalidEvents(f"predictions for unknown series: {sorted(missing)}")
 
 
-def _edap_tables(sids, found: tuple, num_sets: int, truth: Mapping, config, raw=None) -> list:
+def _edap_tables(sids, found: tuple, num_sets: int, truth: Mapping, config) -> list:
     """The edap_table of each of num_sets prediction sets of the series sids,
     all in truth, from their detection arrays (cells, rows, steps, scores)
-    as types.checked_rows joins them; raw, if given, holds each detection's
-    step and steps the same at most _WIDE.
+    as types.checked_rows joins them, steps of dtype object when one is
+    _WIDE or more.
 
     Each class's truth is read once and each (class, series) truth with
     detections checked once.  Of their faults, the one raised is the first
@@ -368,8 +366,7 @@ def _edap_tables(sids, found: tuple, num_sets: int, truth: Mapping, config, raw=
             faults.append(((int(cc[sets == s].min()) // len(classes), c, i), exc))
     if faults:
         raise min(faults, key=itemgetter(0))[1]
-    raw = None if raw is None else raw[at]
-    order, flags = _pooled_flags(cc, sets, steps[at], scores[at], free, config.tolerances, raw)
+    order, flags = _pooled_flags(cc, sets, steps[at], scores[at], free, config.tolerances)
     return _tables(cc[order], flags, num_sets, num_truth, config)
 
 
@@ -419,10 +416,10 @@ def edap_table(
     records = [pred[sid] if sid in pred else ScoredEvents() for sid in ids]
     slots = [r.onsets for r in records] + [r.offsets for r in records]
     rows = np.repeat(np.arange(len(slots)), [len(slot) for slot in slots])
-    steps, raw = _clamped([step for slot in slots for step, _ in slot])
+    steps = _step_array([step for slot in slots for step, _ in slot])
     scores = np.array([score for slot in slots for _, score in slot], dtype=np.float64)
     found = (np.zeros(len(rows), dtype=np.int64), rows, steps, scores)
-    return _edap_tables(ids, found, 1, truth, config, raw)[0]
+    return _edap_tables(ids, found, 1, truth, config)[0]
 
 
 def edap(

@@ -67,6 +67,7 @@ class PdfSpec:
             t = ascending_positive_ints(self.thresholds)
             expected = "ascending distinct positive integer thresholds for an edap kernel"
             expect(t is not None, "thresholds", self.thresholds, expected, InvalidSpec)
+            object.__setattr__(self, "thresholds", t)
             if self.width_w < 2 * max(t) + 1:
                 raise InvalidSpec(
                     f"width_w={shown(self.width_w)} clips the staircase; need >= "

@@ -465,6 +465,27 @@ class TestRunCv:
         assert len(sweep.table) == len(config.grid.sigma) == 5
         assert sweep.default_score == result.pooled_edap
 
+    def test_pooled_score_is_one_decode_of_the_pool(self, monkeypatch):
+        # a decoder whose scores depend on every series of its call: the
+        # pooled predictions and score must come from one call on the pool,
+        # as the grid's default cell does, not from per-fold decodes
+        plain = OBJECTIVES["regression"].decode
+
+        def scaled(ys, params, mus):
+            cells = []
+            for rows, steps, scores in plain(ys, params, mus):
+                top = np.abs(scores).max() if len(scores) else 1.0
+                cells.append((rows, steps, scores / top))
+            return cells
+
+        monkeypatch.setitem(OBJECTIVES, "regression_scaled",
+                            replace(OBJECTIVES["regression"], decode=scaled))
+        config = make_config("regression_scaled")
+        result = run_cv(config)
+        assert result.predictions == decode_outputs(result.outputs, config, config.decode)
+        sweep = grid_search(result.outputs, result.truth, config.grid, config)
+        assert sweep.default_score == result.pooled_edap
+
     def test_deterministic_repeat(self, small_cv):
         config, result = small_cv
         again = run_cv(config)

@@ -94,6 +94,17 @@ class TestMakeKernel:
             with pytest.raises(InvalidSpec, match="ascending distinct positive integer"):
                 PdfSpec(kind="edap", day_length_d=100, width_w=9, thresholds=thresholds)
 
+    @pytest.mark.parametrize("thresholds", [[1, 2], np.array([1, 2]), (1.0, 2.0), [1, 2.0]])
+    def test_edap_keeps_thresholds_as_an_int_tuple(self, thresholds):
+        # as EdapConfig keeps its tolerances: the record equals and hashes
+        # like the one built from the int tuple
+        want = PdfSpec(kind="edap", day_length_d=100, width_w=9, thresholds=(1, 2))
+        spec = PdfSpec(kind="edap", day_length_d=100, width_w=9, thresholds=thresholds)
+        assert spec.thresholds == (1, 2)
+        assert all(type(t) is int for t in spec.thresholds)
+        assert spec == want and hash(spec) == hash(want)
+        assert spec == PdfSpec(kind="edap", day_length_d=100, width_w=9, thresholds=thresholds)
+
     def test_d_smaller_than_width_rejected(self):
         with pytest.raises(InvalidSpec):
             PdfSpec(kind="hard", day_length_d=3, width_w=5)
