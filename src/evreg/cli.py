@@ -28,9 +28,9 @@ from .data import (
     SynthConfig, load_scored_events, save_events, save_series, synth_generate, write_table,
 )
 from .errors import ConfigError, DataError, EvregError, InvalidConfig, IoError, NumericError
-from .experiment import build_dataset, decode_outputs, fit, grid_search, run_cv
+from .experiment import _forward_outputs, build_dataset, decode_outputs, fit, grid_search, run_cv
 from .metric import edap_table
-from .model import load_params, predict, save_params
+from .model import load_params, save_params
 from .types import TimeSeries
 
 _OUT_ENV = "EVREG_OUT_DIR"
@@ -110,13 +110,11 @@ def _cmd_train(args, config: ExperimentConfig, out: Path) -> int:
 def _cmd_decode(args, config: ExperimentConfig, out: Path) -> int:
     params = load_params(args.checkpoint)
     series_list, _ = build_dataset(config)
-    outputs = {
-        s.series_id: predict(params, s.as_array(), config.model)
-        for s in series_list
-    }
+    x = np.stack([s.as_array() for s in series_list])
+    outputs = _forward_outputs(params, [s.series_id for s in series_list], x, config)
     predictions = decode_outputs(outputs, config, config.decode)
     save_events(out / "predictions.csv", predictions)
-    count = sum(len(p.onsets) + len(p.offsets) for p in predictions.values())
+    count = sum(len(p) for p in predictions.values())
     print(f"decoded {count} detections to {out / 'predictions.csv'}")
     return 0
 

@@ -5,7 +5,8 @@ are split into k folds by id, each fold's model is trained on the rest and
 scored on the held-out part every epoch, the raw held-out outputs of each
 fold's best epoch are pooled, decoded in one call and scored once.  Decode
 parameters are tuned afterwards on those pooled outputs, so the sweep never
-retrains.
+retrains.  _forward_outputs is the one batched forward, of the held-out series
+here and of the series the decode command applies a checkpoint to.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .data import SynthConfig, downsample, load_events, load_series, synth_gener
 from .decode import DecodeParams
 from .errors import EmptyGrid, InvalidConfig, InvalidEvents, IoError, ShapeMismatch, TooFewSeries
 from .metric import edap_arrays, edap_table
-# predict is not called here since validation runs batched forwards, but
-# perfbench's tests read it as experiment.predict
+# nothing here calls predict, but perfbench's tests read experiment.predict
 from .model import EpochStats, TrainResult, forward, predict, train  # noqa: F401
 from .signal import check_int, expect, shown
 from .targets import sigma_schedule
@@ -216,24 +216,29 @@ def fit(
     return train(items, model_config, tc, val_scorer=val_scorer, refresh_targets=refresh)
 
 
+def _forward_outputs(params, ids, x, config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Outputs of the stacked series x by id, forwarded train.batch_size at a
+    time; forward treats each series alone, so each holds predict's bytes."""
+    batch = config.train.batch_size
+    outputs = {}
+    for start in range(0, len(ids), batch):
+        out = forward(params, x[start : start + batch], config.model)
+        outputs.update(zip(ids[start : start + batch], out))
+    return outputs
+
+
 def _run_fold(payload) -> FoldResult:
     config, fold_index, train_pairs, val_pairs = payload
     val_ids = [s.series_id for s, _ in val_pairs]
     val_x = np.stack([s.as_array() for s, _ in val_pairs])
     val_truth = {s.series_id: e for s, e in val_pairs}
-    batch = config.train.batch_size
 
     # held-out outputs of every epoch; the fold keeps its best epoch's
     epoch_outputs: list[dict[str, np.ndarray]] = []
 
     def val_scorer(params) -> float:
-        # forward is per series, so batching gives each series predict's bytes
-        outputs = {}
-        for start in range(0, len(val_ids), batch):
-            out = forward(params, val_x[start : start + batch], config.model)
-            outputs.update(zip(val_ids[start : start + batch], out))
-        epoch_outputs.append(outputs)
-        sids, found = _decode_at(outputs, config, config.decode, (config.decode.mu,))
+        epoch_outputs.append(_forward_outputs(params, val_ids, val_x, config))
+        sids, found = _decode_at(epoch_outputs[-1], config, config.decode, (config.decode.mu,))
         return edap_arrays(sids, found, val_truth, config.metric)[0]
 
     result = fit(config, train_pairs, fold_index, val_scorer)

@@ -188,10 +188,9 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> 
     if rng is None:
         rng = np.random.default_rng(config.seed)
     tensors: dict[str, np.ndarray] = {}
-    for name, (out_c, in_c, k) in _layer_plan(config):
-        scale = math.sqrt(2.0 / (in_c * k))
-        tensors[f"{name}.w"] = rng.normal(0.0, scale, (out_c, in_c, k))
-        tensors[f"{name}.b"] = np.zeros(out_c)
+    for name, shape in _param_shapes(config).items():
+        scale = math.sqrt(2.0 / math.prod(shape[1:]))
+        tensors[name] = rng.normal(0.0, scale, shape) if name.endswith(".w") else np.zeros(shape)
     return Parameters(tensors)
 
 

@@ -35,7 +35,8 @@ class PdfSpec:
     'gaussian' is exp(-t^2 / (2 sigma^2)), and 'edap' is a staircase whose
     value at lag t is the fraction of tolerance thresholds >= |t|.
     day_length_d is the nominal length (in steps) carrying one event, used
-    only by the normalizer.  width_w is the odd kernel support length.
+    only by the normalizer.  width_w is the odd kernel support length.  sigma
+    must be None unless kind is 'gaussian', thresholds None unless 'edap'.
     """
 
     kind: str
@@ -48,6 +49,12 @@ class PdfSpec:
         check_fields(self, InvalidSpec)
         ok = self.kind in KERNEL_KINDS
         expect(ok, "kind", repr(self.kind), f"one of {KERNEL_KINDS}", InvalidSpec)
+        # a field the kind does not read would pass unchecked
+        unread = f"None for kind {self.kind!r}"
+        ok = self.kind == "gaussian" or self.sigma is None
+        expect(ok, "sigma", self.sigma, unread, InvalidSpec)
+        ok = self.kind == "edap" or self.thresholds is None
+        expect(ok, "thresholds", self.thresholds, unread, InvalidSpec)
         ok = self.width_w >= 1 and self.width_w % 2 == 1
         expect(ok, "width_w", self.width_w, "odd and positive", InvalidSpec)
         ok = self.day_length_d >= self.width_w

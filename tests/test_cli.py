@@ -12,8 +12,10 @@ import pytest
 import evreg.experiment
 import evreg.metric
 from evreg.cli import main
+from evreg.config import load_config
 from evreg.data import load_events, load_series, save_events, save_series
-from evreg.model import load_params
+from evreg.experiment import build_dataset, decode_outputs
+from evreg.model import load_params, predict
 from evreg.types import TimeSeries, points_from_intervals
 
 
@@ -123,6 +125,38 @@ class TestSubcommands:
         assert codes["decode"] == 0
         lines = (out / "predictions.csv").read_text().splitlines()
         assert lines[0] == "series_id,event,step,score"
+
+    @pytest.mark.parametrize("objective", ["regression", "segmentation", "cpd"])
+    def test_decode_writes_per_series_bytes(self, tmp_path, objective):
+        # 10 series at batch_size 4: the last batched forward holds 2 series;
+        # mu 0.45 is below the peak probability of a 2-epoch segmentation model
+        data = config_doc()["data"]
+        data["synth"]["num_series"] = 10
+        pdf = None if objective == "segmentation" else config_doc()["pdf"]
+        paths = {}
+        for batch in (4, 3):
+            paths[batch] = write_config(
+                tmp_path / f"batch{batch}.yaml", objective=objective, data=data, pdf=pdf,
+                train={"epochs": 2, "batch_size": batch}, decode={"alpha": 4, "mu": 0.45},
+            )
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", paths[4], "--out", str(tmp_path)]) == 0
+        for batch, path in paths.items():
+            out = tmp_path / f"decode{batch}"
+            args = ["--config", path, "--out", str(out), "--checkpoint", str(ckpt)]
+            assert main(["decode", *args]) == 0
+
+        # the route of one predict call per series
+        config = load_config(paths[4])
+        params = load_params(ckpt)
+        series_list, _ = build_dataset(config)
+        outputs = {s.series_id: predict(params, s.as_array(), config.model) for s in series_list}
+        save_events(tmp_path / "expected.csv", decode_outputs(outputs, config, config.decode))
+        expected = (tmp_path / "expected.csv").read_bytes()
+        # detections, not only the header and a row per empty series
+        assert any(not row.endswith(b",,,") for row in expected.splitlines()[1:])
+        for batch in paths:
+            assert (tmp_path / f"decode{batch}" / "predictions.csv").read_bytes() == expected
 
     def test_eval_artifacts(self, pipeline, capsys):
         _, out, codes = pipeline
@@ -440,6 +474,10 @@ class TestExitCodes:
         (("data",), {"paths": {"series_dir": "", "events": "e.csv"}}, "needs series_dir"),
         (("pdf", "kind"), "box", "kind='box'"),
         (("pdf", "sigma"), 0, "gaussian kernel requires positive sigma"),
+        # a field the kernel kind does not read
+        (("pdf",), {"kind": "hard", "day_length_d": 64, "width_w": 17, "sigma": -1.0},
+         "sigma=-1.0, expected None for kind 'hard'"),
+        (("pdf", "thresholds"), [1, 2], "expected None for kind 'gaussian'"),
         (("pdf",), {"kind": "edap", "day_length_d": 64, "width_w": 17, "thresholds": [1, 9]},
          "clips the staircase"),
         (("decode", "min_height"), float("inf"), "min_height=inf"),

@@ -7,10 +7,12 @@ array, a complex number or a bare object.  The number arguments of the
 public signal, metric, fold and downsampling functions get the same values.
 The array arguments of the model, decoders, targets, series and AP get array
 junk: complex arrays, strings, ragged lists, dicts, a bare object, None, an
-int past the float range, and arrays holding NaN or an infinity.  Each call either succeeds or raises a subclass
-of EvregError.  Every public function that takes an EventSet gets event
-steps of each integral type validate_events accepts (floats, numpy floats,
-Decimals and numpy ints), and must give what it gives for int steps.
+int past the float range, and arrays holding NaN or an infinity.  Each call
+either succeeds or raises a subclass of EvregError, and a record built with a
+junk field value hashes and equals a copy rebuilt from its fields.  Every
+public function that takes an EventSet gets event steps of each integral type
+validate_events accepts (floats, numpy floats, Decimals and numpy ints), and
+must give what it gives for int steps.
 """
 
 import functools
@@ -135,8 +137,9 @@ def _record_sites():
     return sites
 
 
+RECORD_SITES = _record_sites()
 SITES = {
-    **_record_sites(),
+    **RECORD_SITES,
     "find_peaks.x": lambda v: find_peaks(v),
     "find_peaks.min_distance": lambda v: find_peaks(np.zeros(5), min_distance=v),
     "find_peaks.min_height": lambda v: find_peaks(np.zeros(5), min_height=v),
@@ -213,9 +216,13 @@ def test_junk_is_accepted_or_raises_an_evreg_error(site, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            SITES[site](value)
+            built = SITES[site](value)
         except EvregError:
-            pass
+            return
+    # an accepted record is a value: it hashes and equals a rebuilt copy
+    if site in RECORD_SITES:
+        assert hash(built) == hash(replace(built))
+        assert built == replace(built)
 
 
 # reals small enough that the model and decoders take them without
