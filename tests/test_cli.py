@@ -474,10 +474,6 @@ class TestExitCodes:
         (("data",), {"paths": {"series_dir": "", "events": "e.csv"}}, "needs series_dir"),
         (("pdf", "kind"), "box", "kind='box'"),
         (("pdf", "sigma"), 0, "gaussian kernel requires positive sigma"),
-        # a field the kernel kind does not read
-        (("pdf",), {"kind": "hard", "day_length_d": 64, "width_w": 17, "sigma": -1.0},
-         "sigma=-1.0, expected None for kind 'hard'"),
-        (("pdf", "thresholds"), [1, 2], "expected None for kind 'gaussian'"),
         (("pdf",), {"kind": "edap", "day_length_d": 64, "width_w": 17, "thresholds": [1, 9]},
          "clips the staircase"),
         (("decode", "min_height"), float("inf"), "min_height=inf"),
@@ -489,6 +485,10 @@ class TestExitCodes:
         # a kernel this wide would take gigabytes before it is folded
         (("decode", "sigma"), 1e8, "exceeds MAX_SMOOTHING_RADIUS"),
         (("grid",), {"sigma": [1.0, 1e8]}, "exceeds MAX_SMOOTHING_RADIUS"),
+        # a field the kernel kind does not read
+        (("pdf",), {"kind": "hard", "day_length_d": 64, "width_w": 17, "sigma": -1.0},
+         "sigma=-1.0, expected None for kind 'hard'"),
+        (("pdf", "thresholds"), [1, 2], "expected None for kind 'gaussian'"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, keys, value, message):
         doc = config_doc()
